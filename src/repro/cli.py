@@ -309,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out",
-        default="BENCH_perf.json",
-        help="machine-readable results path (default: BENCH_perf.json)",
+        default=None,
+        help="machine-readable results path (nothing is written without it)",
     )
     bench.add_argument(
         "--compare",

@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generic, Iterator, TypeVar
 
-__all__ = ["TreeNode", "DecompositionTree"]
+__all__ = ["TreeNode", "DecompositionTree", "expand_level"]
 
 P = TypeVar("P")
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode(Generic[P]):
     """One node of a decomposition tree.
 
@@ -44,6 +44,28 @@ class TreeNode(Generic[P]):
         for node in self.iter_nodes():
             if node.is_leaf:
                 yield node
+
+
+def expand_level(nodes: list[TreeNode[P]]) -> list[TreeNode[P]]:
+    """Split every node of one level; return the next level, in order.
+
+    Payload classes may split a whole level in one vectorized pass (see
+    ``SpatialNodeData.split_many``); others split node by node.
+    """
+    if not nodes:
+        return []
+    split_many = getattr(type(nodes[0].payload), "split_many", None)
+    if split_many is not None:
+        children_lists = split_many([node.payload for node in nodes])
+    else:
+        children_lists = [node.payload.split() for node in nodes]
+    next_level: list[TreeNode[P]] = []
+    for node, child_payloads in zip(nodes, children_lists):
+        node.children = [
+            TreeNode(payload=child, depth=node.depth + 1) for child in child_payloads
+        ]
+        next_level.extend(node.children)
+    return next_level
 
 
 @dataclass

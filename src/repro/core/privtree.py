@@ -7,6 +7,15 @@ The engine walks the frontier level by level.  For each node ``v`` it
 2. perturbs it: ``bhat(v) = b(v) + Lap(lam)``,
 3. splits ``v`` iff ``bhat(v) > theta``.
 
+:func:`grow_frontier` is that level loop, the only one in the package.  It
+starts from a given frontier, takes each level's exact scores from one call
+to a score function, and runs a commit callback after each level.  The
+noise does not depend on where the scores come from, so one loop serves two
+score sources: :func:`privtree` passes the payloads' own scores, and the
+federated coordinator (:class:`~repro.federated.FederatedPrivTree`) passes
+the counts that secure aggregation recovers from the shards, committing
+each level as a splits round plus a checkpoint write.
+
 All of a level's Laplace perturbations are drawn in a single batched RNG
 call.  numpy fills a sized ``Generator.laplace`` request from the same
 underlying stream, in the same order, as repeated scalar calls, so the
@@ -27,16 +36,24 @@ postprocessing pass (§3.4).
 from __future__ import annotations
 
 import warnings
-from typing import TypeVar
+from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from ..domains.base import NodePayload
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..telemetry import span as _span
-from .node import DecompositionTree, TreeNode
+from .node import DecompositionTree, TreeNode, expand_level
 from .params import PrivTreeParams
 
-__all__ = ["privtree", "MaxDepthWarning", "DEFAULT_MAX_DEPTH"]
+__all__ = [
+    "privtree",
+    "grow_frontier",
+    "payload_scores",
+    "MaxDepthWarning",
+    "DEFAULT_MAX_DEPTH",
+]
 
 P = TypeVar("P", bound=NodePayload)
 
@@ -77,14 +94,33 @@ def privtree(
         The decomposition; node scores are *not* stored on the returned tree
         (per Algorithm 2 line 11, all point counts are removed).
     """
-    gen = ensure_rng(rng)
     root = TreeNode(payload=root_payload, depth=0)
-    level: list[TreeNode[P]] = [root]
+    grow_frontier([root], params, ensure_rng(rng), payload_scores, max_depth=max_depth)
+    return DecompositionTree(root=root)
+
+
+def payload_scores(nodes: list[TreeNode[P]]) -> list[float]:
+    """The exact scores of ``nodes``, read from their payloads."""
+    return [node.payload.score() for node in nodes]
+
+
+def grow_frontier(
+    level: list[TreeNode[P]],
+    params: PrivTreeParams,
+    gen: np.random.Generator,
+    scores: Callable[[list[TreeNode[P]]], Sequence[float]],
+    commit: Callable[[list[TreeNode[P]], list[TreeNode[P]]], None] | None = None,
+    max_depth: int | None = DEFAULT_MAX_DEPTH,
+) -> None:
+    """Grow the decomposition below ``level``, a frontier of one depth.
+
+    ``scores(eligible)`` returns the exact scores of a level's splittable
+    nodes, in order, and is called once per level.  ``commit(split,
+    next_level)`` runs after every level that had a splittable node, once
+    its children exist.  Neither may touch ``gen``.
+    """
     guard_hit = False
     floor = params.floor()
-    # Payload classes may vectorize a whole level's splits (see
-    # SpatialNodeData.split_many); others fall back to node-by-node split().
-    split_many = getattr(type(root_payload), "split_many", None)
     while level:
         # Per-level span only (never per-node): frontier shape and split
         # counts are safe to trace, raw points and scores are not.
@@ -102,30 +138,22 @@ def privtree(
             if not eligible:
                 level_span.set(eligible=0, split=0)
                 break
+            exact = scores(eligible)
             noise = laplace_noise(params.lam, size=len(eligible), rng=gen)
-            to_split: list[TreeNode[P]] = []
-            for node, perturbation in zip(eligible, noise):
-                biased = max(floor, node.payload.score() - node.depth * params.delta)
-                if biased + perturbation > params.theta:
-                    to_split.append(node)
-            if split_many is not None:
-                children_lists = split_many([node.payload for node in to_split])
-            else:
-                children_lists = [node.payload.split() for node in to_split]
-            next_level: list[TreeNode[P]] = []
-            for node, child_payloads in zip(to_split, children_lists):
-                node.children = [
-                    TreeNode(payload=child, depth=node.depth + 1)
-                    for child in child_payloads
-                ]
-                next_level.extend(node.children)
+            to_split = [
+                node
+                for node, score, perturbation in zip(eligible, exact, noise)
+                if max(floor, float(score) - node.depth * params.delta) + perturbation
+                > params.theta
+            ]
+            level = expand_level(to_split)
+            if commit is not None:
+                commit(to_split, level)
             level_span.set(eligible=len(eligible), split=len(to_split))
-            level = next_level
     if guard_hit:
         warnings.warn(
             f"PrivTree hit the max_depth={max_depth} guard; the decomposition "
             "was truncated (this is outside the paper's analysis)",
             MaxDepthWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return DecompositionTree(root=root)

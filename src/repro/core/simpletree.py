@@ -7,7 +7,11 @@ privacy requires ``lam >= h / epsilon`` (Section 3.1), which is exactly the
 dilemma PrivTree removes.
 
 Unlike PrivTree, the noisy scores of Algorithm 1 *are* part of the release:
-they are stored on each node as ``noisy_score``.
+they are stored on each node as ``noisy_score``.  Because it noises every
+node, not only the splittable ones, and splits on a different rule, it
+keeps its own level loop instead of sharing PrivTree's
+:func:`~repro.core.privtree.grow_frontier`; only the child expansion
+(:func:`~repro.core.node.expand_level`) is common.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..telemetry import span as _span
 from .analysis import simpletree_scale
-from .node import DecompositionTree, TreeNode
+from .node import DecompositionTree, TreeNode, expand_level
 
 __all__ = ["simpletree", "simpletree_for_epsilon"]
 
@@ -54,7 +58,6 @@ def simpletree(
     gen = ensure_rng(rng)
     root = TreeNode(payload=root_payload, depth=0)
     level: list[TreeNode[P]] = [root]
-    split_many = getattr(type(root_payload), "split_many", None)
     while level:
         # Per-level span only; attrs stay at frontier shape + split count.
         with _span(
@@ -74,19 +77,8 @@ def simpletree(
                     and node.payload.can_split()
                 ):
                     to_split.append(node)
-            if split_many is not None:
-                children_lists = split_many([node.payload for node in to_split])
-            else:
-                children_lists = [node.payload.split() for node in to_split]
-            next_level: list[TreeNode[P]] = []
-            for node, child_payloads in zip(to_split, children_lists):
-                node.children = [
-                    TreeNode(payload=child, depth=node.depth + 1)
-                    for child in child_payloads
-                ]
-                next_level.extend(node.children)
+            level = expand_level(to_split)
             level_span.set(split=len(to_split))
-            level = next_level
     return DecompositionTree(root=root)
 
 

@@ -12,8 +12,8 @@ parties borrowed from PrivCount's architecture:
 * :class:`SecureAggregator` — sums the shares; masks telescope away,
   recovering exact global counts without any party seeing a raw per-shard
   histogram;
-* :class:`FederatedPrivTree` — the coordinator: replays the centralized
-  level-batched frontier loop against aggregated counts, drawing one
+* :class:`FederatedPrivTree` — the coordinator: runs the engine's own
+  level loop with aggregated counts as its score source, drawing one
   Laplace batch per level (and one over the leaves) from its own RNG so
   the federated release is **bit-identical** to the single-machine fit on
   the concatenated data under the same seed.

@@ -1,44 +1,44 @@
-"""The coordinator: PrivTree's frontier driven by aggregated shard counts.
+"""The coordinator: PrivTree's level loop fed by aggregated shard counts.
 
-PrivTree's engine (:func:`repro.core.privtree.privtree`) only ever consumes
-*per-node counts* — the split geometry, the eligibility test, and the child
-ordering are pure functions of the domain.  That is the whole trick of the
-federated fit: the coordinator replays the exact level-batched frontier loop
-of the single-machine engine, but sources each level's counts from a
+PrivTree's level loop (:func:`repro.core.privtree.grow_frontier`) only ever
+consumes *per-node counts* — the split geometry, the eligibility test, and
+the child ordering are pure functions of the domain.  That is the whole
+trick of the federated fit: the coordinator runs the very loop the
+single-machine engine runs, over geometry-only nodes, with a different
+score source.  Each level's exact counts come from one round of a
 :class:`~repro.federated.aggregator.SecureAggregator` over blinded shard
-shares instead of from an in-memory point set, and draws **one Laplace
-batch per level** (plus one final leaf-count batch) from its own RNG —
-the same stream positions, in the same order, as the centralized engine.
+shares instead of from an in-memory point set, and each level commits as
+one splits round plus a checkpoint write.  The leaf counts arrive as one
+last aggregation round and go through the same release as the centralized
+pipeline (:func:`repro.spatial.quadtree._release_leaf_counts`).
 
 Because (a) the aggregated counts are *exact* (blinding is lossless), (b)
-eligibility and child order depend only on boxes, and (c) the coordinator
-consumes its RNG identically to the in-memory pipeline, the federated
-release is **bit-identical** to
-:func:`repro.spatial.quadtree._privtree_histogram` run on the concatenation
-of the shards, for the same seed and parameters.  The documented stream
-order is the one in :mod:`repro.core.privtree`: BFS over splittable nodes,
-one sized Laplace batch per level, then one batch over the DFS
-left-to-right leaves.
+eligibility and child order depend only on boxes, and (c) noise is drawn
+by the shared code from the coordinator's RNG, the federated release is
+**bit-identical** to :func:`repro.spatial.quadtree._privtree_histogram` run
+on the concatenation of the shards, for the same seed and parameters.  The
+documented stream order is the one in :mod:`repro.core.privtree`: BFS over
+splittable nodes, one sized Laplace batch per level, then one batch over
+the DFS left-to-right leaves.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..core.node import TreeNode, expand_level
 from ..core.params import PrivTreeParams
-from ..core.privtree import DEFAULT_MAX_DEPTH, MaxDepthWarning
+from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
 from ..domains.box import Box
 from ..mechanisms.accountant import PrivacyAccountant
-from ..mechanisms.geometric import geometric_noise_interleaved
-from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, SeedLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
-from ..spatial.histogram_tree import HistogramNode, HistogramTree
+from ..spatial.histogram_tree import HistogramTree
+from ..spatial.quadtree import _check_fit_params, _release_leaf_counts
 from ..telemetry import get_registry, span as _span
 from .aggregator import SecureAggregator
 from .checkpoint import FitCheckpoint, restore_rng, rng_state
@@ -81,19 +81,32 @@ def shard_dataset(dataset: SpatialDataset, n_shards: int) -> list[SpatialDataset
     ]
 
 
-@dataclass
-class _FrontierNode:
-    """Coordinator-side node: geometry only, never a point or a count."""
+@dataclass(slots=True)
+class _Region:
+    """Coordinator-side payload: geometry only, never a point or a count.
+
+    It has no ``score``: the coordinator's scores are the counts that
+    secure aggregation recovers for its canonical ``node_id``.
+    """
 
     node_id: str
     box: Box
-    depth: int
-    next_dim: int
-    children: list["_FrontierNode"] = field(default_factory=list)
+    dims_per_split: int
+    next_dim: int = 0
 
-    def split_dims(self, dims_per_split: int) -> list[int]:
+    def _split_dims(self) -> list[int]:
         d = self.box.ndim
-        return [(self.next_dim + j) % d for j in range(dims_per_split)]
+        return [(self.next_dim + j) % d for j in range(self.dims_per_split)]
+
+    def can_split(self) -> bool:
+        return self.box.can_bisect(self._split_dims())
+
+    def split(self) -> list["_Region"]:
+        next_dim = (self.next_dim + self.dims_per_split) % self.box.ndim
+        return [
+            _Region(child_node_id(self.node_id, j), box, self.dims_per_split, next_dim)
+            for j, box in enumerate(self.box.bisect(self._split_dims()))
+        ]
 
 
 class FederatedPrivTree:
@@ -251,17 +264,7 @@ class FederatedPrivTree:
             stalling mid-aggregation.  Probes never touch the RNG stream,
             so the release stays bit-identical with or without them.
         """
-        if tuples_per_individual < 1:
-            raise ValueError(
-                f"tuples_per_individual must be >= 1, got {tuples_per_individual!r}"
-            )
-        if count_mechanism not in ("laplace", "geometric"):
-            raise ValueError(
-                f"count_mechanism must be 'laplace' or 'geometric', "
-                f"got {count_mechanism!r}"
-            )
-        if not 0 < tree_fraction < 1:
-            raise ValueError(f"tree_fraction must be in (0, 1), got {tree_fraction!r}")
+        _check_fit_params(tree_fraction, tuples_per_individual, count_mechanism)
         self.heartbeat_interval = heartbeat_interval
         self._last_heartbeat = float("-inf")
         config = {
@@ -297,34 +300,16 @@ class FederatedPrivTree:
             accountant.restore(
                 [(str(label), float(eps)) for label, eps in state["ledger"]]
             )
-            gen = restore_rng(state["rng"])
-            split_rounds = [[str(i) for i in r] for r in state["split_rounds"]]
-            root, nodes_by_id = _rebuild_frontier(
-                self.domain, self.dims_per_split, split_rounds
-            )
-            try:
-                level = [nodes_by_id[str(i)] for i in state["level_ids"]]
-            except KeyError as exc:
-                raise CheckpointError(
-                    f"checkpoint frontier references unknown node {exc.args[0]!r}"
-                ) from None
-            next_round = int(state["next_round"])
-            round_log = list(state["round_log"])
             for collector in self.collectors:
                 sync = getattr(collector, "sync_round", None)
                 if sync is not None:
-                    sync(next_round)
+                    sync(int(state["next_round"]))
             return self._run_rounds(
-                config, eps_tree, eps_counts, gen, accountant,
-                level=level, root=root, split_rounds=split_rounds,
-                next_round=next_round, round_log=round_log,
-                checkpoint=checkpoint, fault_injector=fault_injector,
+                config, eps_tree, eps_counts, restore_rng(state["rng"]),
+                accountant, state, checkpoint, fault_injector,
             )
 
         gen = ensure_rng(rng)
-        root = _FrontierNode(
-            node_id=ROOT_NODE_ID, box=self.domain, depth=0, next_dim=0
-        )
         # The whole fit is one budget transaction: if any round aborts
         # (collector timeout, crash injection, exhaustion mid-fit), the
         # in-memory ledger rolls back — an aborted fit releases nothing and
@@ -334,18 +319,15 @@ class FederatedPrivTree:
         with accountant.transaction():
             accountant.spend(eps_tree, f"{label_prefix}/tree structure")
             accountant.spend(eps_counts, f"{label_prefix}/leaf counts")
+            # A fresh fit is a resume from round 0: the root alone.
+            state = _fit_state(
+                "grow", 0, [ROOT_NODE_ID], [], gen, accountant, config, []
+            )
             if checkpoint is not None:
-                checkpoint.save(
-                    _fit_state(
-                        "grow", 0, [root.node_id], [], gen, accountant,
-                        config, [],
-                    )
-                )
+                checkpoint.save(state)
             return self._run_rounds(
-                config, eps_tree, eps_counts, gen, accountant,
-                level=[root], root=root, split_rounds=[],
-                next_round=0, round_log=[],
-                checkpoint=checkpoint, fault_injector=fault_injector,
+                config, eps_tree, eps_counts, gen, accountant, state,
+                checkpoint, fault_injector,
             )
 
     def _run_rounds(
@@ -355,60 +337,60 @@ class FederatedPrivTree:
         eps_counts: float,
         gen: np.random.Generator,
         accountant: PrivacyAccountant,
-        *,
-        level: list["_FrontierNode"],
-        root: "_FrontierNode",
-        split_rounds: list[list[str]],
-        next_round: int,
-        round_log: list[dict],
+        state: dict,
         checkpoint: FitCheckpoint | None,
         fault_injector: FaultInjector | None,
     ) -> HistogramTree:
-        """Algorithm 2's level-batched frontier as committed rounds.
+        """Algorithm 2 as committed protocol rounds, from a saved ``state``.
 
-        Mirrors :func:`repro.core.privtree.privtree` line for line —
-        eligibility, the one-batch-per-level noise draw, the biased-score
-        threshold test, the max-depth guard — with ``score(v)`` supplied
-        by one aggregation round over the eligible nodes, and one atomic
-        checkpoint commit per completed level.
+        The level loop is :func:`~repro.core.privtree.grow_frontier`.  Its
+        score source is one counts round over each level's eligible
+        nodes, and its commit is the level's splits round plus one atomic
+        checkpoint write.  The leaf release takes its exact counts from
+        one last counts round.
         """
-        params = PrivTreeParams.calibrate(
-            eps_tree,
-            fanout=self.fanout,
-            sensitivity=float(config["tuples_per_individual"]),
-            theta=config["theta"],
-        )
-        dims_per_split = self.dims_per_split
-        max_depth = config["max_depth"]
-        guard_hit = False
-        floor = params.floor()
-        while level:
-            eligible: list[_FrontierNode] = []
-            for node in level:
-                if not node.box.can_bisect(node.split_dims(dims_per_split)):
-                    continue
-                if max_depth is not None and node.depth >= max_depth:
-                    guard_hit = True
-                    continue
-                eligible.append(node)
-            if not eligible:
-                break
+        split_rounds = [[str(i) for i in r] for r in state["split_rounds"]]
+        nodes_by_id = _rebuild_frontier(self.domain, self.dims_per_split, split_rounds)
+        try:
+            level = [nodes_by_id[str(i)] for i in state["level_ids"]]
+        except KeyError as exc:
+            raise CheckpointError(
+                f"checkpoint frontier references unknown node {exc.args[0]!r}"
+            ) from None
+        next_round = int(state["next_round"])
+        round_log = list(state["round_log"])
+
+        def save(phase: str, level_ids: list[str]) -> None:
+            if checkpoint is not None:
+                checkpoint.save(
+                    _fit_state(
+                        phase, next_round, level_ids, split_rounds, gen,
+                        accountant, config, round_log,
+                    )
+                )
+
+        def counts(nodes: list[TreeNode[_Region]]) -> np.ndarray:
+            nonlocal next_round
             self._maybe_heartbeat()
-            counts = self._aggregate_counts(
-                [node.node_id for node in eligible], round_index=next_round
+            exact = self._aggregate_counts(
+                [node.payload.node_id for node in nodes], round_index=next_round
             )
             if fault_injector is not None:
                 fault_injector.coordinator_tick(next_round)
-            noise = laplace_noise(params.lam, size=len(eligible), rng=gen)
-            to_split: list[_FrontierNode] = []
-            for node, count, perturbation in zip(eligible, counts, noise):
-                biased = max(floor, float(count) - node.depth * params.delta)
-                if biased + perturbation > params.theta:
-                    to_split.append(node)
-            to_split_ids = [node.node_id for node in to_split]
+            round_log.append(
+                {"round": next_round, "kind": "counts", "n_nodes": len(nodes)}
+            )
+            next_round += 1
+            return exact
+
+        def commit(
+            to_split: list[TreeNode[_Region]], next_level: list[TreeNode[_Region]]
+        ) -> None:
+            nonlocal next_round
+            to_split_ids = [node.payload.node_id for node in to_split]
             with _span(
                 "federated.round",
-                round=next_round + 1,
+                round=next_round,
                 kind="splits",
                 n_nodes=len(to_split_ids),
             ):
@@ -416,109 +398,32 @@ class FederatedPrivTree:
                     with _span(
                         "federated.collector",
                         shard_id=getattr(collector, "shard_id", i),
-                        round=next_round + 1,
+                        round=next_round,
                         op="apply_splits",
                     ):
                         collector.apply_splits(to_split_ids)
-            next_level: list[_FrontierNode] = []
-            for node in to_split:
-                dims = node.split_dims(dims_per_split)
-                next_dim = (node.next_dim + dims_per_split) % node.box.ndim
-                node.children = [
-                    _FrontierNode(
-                        node_id=child_node_id(node.node_id, j),
-                        box=child_box,
-                        depth=node.depth + 1,
-                        next_dim=next_dim,
-                    )
-                    for j, child_box in enumerate(node.box.bisect(dims))
-                ]
-                next_level.extend(node.children)
             round_log.append(
-                {"round": next_round, "kind": "counts", "n_nodes": len(eligible)}
+                {"round": next_round, "kind": "splits", "n_nodes": len(to_split_ids)}
             )
-            round_log.append(
-                {"round": next_round + 1, "kind": "splits", "n_nodes": len(to_split_ids)}
-            )
-            next_round += 2
+            next_round += 1
             split_rounds.append(to_split_ids)
-            level = next_level
-            if checkpoint is not None:
-                checkpoint.save(
-                    _fit_state(
-                        "grow", next_round, [n.node_id for n in level],
-                        split_rounds, gen, accountant, config, round_log,
-                    )
-                )
-        if guard_hit:
-            warnings.warn(
-                f"PrivTree hit the max_depth={max_depth} guard; the decomposition "
-                "was truncated (this is outside the paper's analysis)",
-                MaxDepthWarning,
-                stacklevel=3,
-            )
+            save("grow", [node.payload.node_id for node in next_level])
 
-        # Leaf counts: same DFS left-to-right order and the same one-batch
-        # noise draw as the in-memory pipeline; the exact counts arrive as
-        # one last aggregation round instead of local window sizes.
-        nodes = _preorder(root)
-        leaves = [node for node in nodes if not node.children]
-        self._maybe_heartbeat()
-        exact = self._aggregate_counts(
-            [leaf.node_id for leaf in leaves], round_index=next_round
+        params = PrivTreeParams.calibrate(
+            eps_tree,
+            fanout=self.fanout,
+            sensitivity=float(config["tuples_per_individual"]),
+            theta=config["theta"],
         )
-        if fault_injector is not None:
-            fault_injector.coordinator_tick(next_round)
-        tuples_per_individual = config["tuples_per_individual"]
-        if config["count_mechanism"] == "laplace":
-            count_scale = tuples_per_individual / eps_counts
-            noisy = exact.astype(float) + laplace_noise(
-                count_scale, size=len(leaves), rng=gen
-            )
-        else:
-            noisy = exact + geometric_noise_interleaved(
-                eps_counts,
-                len(leaves),
-                sensitivity=float(tuples_per_individual),
-                rng=gen,
-            )
-        leaf_counts = {leaf.node_id: float(value) for leaf, value in zip(leaves, noisy)}
-        round_log.append(
-            {"round": next_round, "kind": "counts", "n_nodes": len(leaves)}
+        grow_frontier(
+            level, params, gen, counts, commit, max_depth=config["max_depth"]
         )
-        next_round += 1
-
-        # Assemble the released tree exactly like quadtree._release_histogram:
-        # leaves get their noisy counts, internal nodes the sum of children.
-        released: dict[str, HistogramNode] = {}
-        for node in reversed(nodes):
-            children = [released[c.node_id] for c in node.children]
-            if not node.children:
-                count = leaf_counts[node.node_id]
-            else:
-                count = sum(c.count for c in children)
-            released[node.node_id] = HistogramNode(
-                box=node.box, count=count, children=children
-            )
-        if checkpoint is not None:
-            checkpoint.save(
-                _fit_state(
-                    "done", next_round, [], split_rounds, gen, accountant,
-                    config, round_log,
-                )
-            )
-        return HistogramTree(root=released[root.node_id])
-
-
-def _preorder(root: _FrontierNode) -> list[_FrontierNode]:
-    """All nodes in pre-order (the leaf subsequence is DFS left-to-right)."""
-    out: list[_FrontierNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
+        tree = _release_leaf_counts(
+            nodes_by_id[ROOT_NODE_ID], counts, eps_counts,
+            config["tuples_per_individual"], config["count_mechanism"], gen,
+        )
+        save("done", [])
+        return tree
 
 
 def _fit_state(
@@ -548,38 +453,27 @@ def _rebuild_frontier(
     domain: Box,
     dims_per_split: int,
     split_rounds: list[list[str]],
-) -> tuple[_FrontierNode, dict[str, _FrontierNode]]:
+) -> dict[str, TreeNode[_Region]]:
     """Replay committed split decisions into a coordinator frontier.
 
     Node ids encode the split path (``v1.0.2…``) and splitting is pure
     geometry, so the committed per-level split lists are a complete record
     of the tree grown so far: bisecting each recorded node in order
-    reproduces every box, depth, and ``next_dim`` exactly.
+    reproduces every box, depth, and ``next_dim`` exactly.  Returns every
+    node by id, the root under ``ROOT_NODE_ID``.
     """
-    root = _FrontierNode(node_id=ROOT_NODE_ID, box=domain, depth=0, next_dim=0)
-    nodes: dict[str, _FrontierNode] = {root.node_id: root}
+    root = TreeNode(payload=_Region(ROOT_NODE_ID, domain, dims_per_split), depth=0)
+    nodes = {ROOT_NODE_ID: root}
     for round_ids in split_rounds:
-        for node_id in round_ids:
-            try:
-                node = nodes[node_id]
-            except KeyError:
-                raise CheckpointError(
-                    f"checkpoint split log references unknown node {node_id!r}"
-                ) from None
-            dims = node.split_dims(dims_per_split)
-            next_dim = (node.next_dim + dims_per_split) % node.box.ndim
-            node.children = [
-                _FrontierNode(
-                    node_id=child_node_id(node.node_id, j),
-                    box=child_box,
-                    depth=node.depth + 1,
-                    next_dim=next_dim,
-                )
-                for j, child_box in enumerate(node.box.bisect(dims))
-            ]
-            for child in node.children:
-                nodes[child.node_id] = child
-    return root, nodes
+        try:
+            parents = [nodes[node_id] for node_id in round_ids]
+        except KeyError as exc:
+            raise CheckpointError(
+                f"checkpoint split log references unknown node {exc.args[0]!r}"
+            ) from None
+        for child in expand_level(parents):
+            nodes[child.payload.node_id] = child
+    return nodes
 
 
 def replay_splits(

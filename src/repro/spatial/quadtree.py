@@ -7,19 +7,26 @@
    lies in exactly one leaf);
 3. rebuild intermediate counts as sums of their leaves.
 
+The federated coordinator (:class:`~repro.federated.FederatedPrivTree`)
+runs the same pipeline over aggregated shard counts: it shares the
+parameter check and the leaf-count release defined here.
+
 ``simpletree_histogram`` is the Algorithm 1 baseline: the per-node noisy
 counts it computed *are* the release (scale ``h/ε``).
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from .._compat import deprecated_shim
+from ..core.analysis import simpletree_scale
 from ..core.node import TreeNode
 from ..core.params import PrivTreeParams
-from ..core.privtree import DEFAULT_MAX_DEPTH, privtree
-from ..core.simpletree import simpletree_for_epsilon
+from ..core.privtree import DEFAULT_MAX_DEPTH, payload_scores, privtree
+from ..core.simpletree import simpletree
 from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.geometric import geometric_noise_interleaved
 from ..mechanisms.laplace import laplace_noise
@@ -90,6 +97,34 @@ def _privtree_histogram(
         recorded as two ledger entries summing to ``epsilon``); a private
         one with budget ``epsilon`` is created when omitted.
     """
+    _check_fit_params(tree_fraction, tuples_per_individual, count_mechanism)
+    root = SpatialNodeData.root(dataset, dims_per_split)
+    eps_tree = tree_fraction * epsilon
+    eps_counts = (1.0 - tree_fraction) * epsilon
+    params = PrivTreeParams.calibrate(
+        eps_tree,
+        fanout=root.fanout,
+        sensitivity=float(tuples_per_individual),
+        theta=theta,
+    )
+    gen = ensure_rng(rng)
+    if accountant is None:
+        accountant = PrivacyAccountant(epsilon)
+    # Every check above runs before the first spend: a rejected call must
+    # leave an external accountant's ledger untouched.
+    accountant.spend(eps_tree, "privtree/tree structure")
+    accountant.spend(eps_counts, "privtree/leaf counts")
+    tree = privtree(root, params, rng=gen, max_depth=max_depth)
+    return _release_leaf_counts(
+        tree.root, payload_scores, eps_counts, tuples_per_individual,
+        count_mechanism, gen,
+    )
+
+
+def _check_fit_params(
+    tree_fraction: float, tuples_per_individual: int, count_mechanism: str
+) -> None:
+    """Reject bad PrivTree histogram parameters, before any budget is spent."""
     if tuples_per_individual < 1:
         raise ValueError(
             f"tuples_per_individual must be >= 1, got {tuples_per_individual!r}"
@@ -100,33 +135,32 @@ def _privtree_histogram(
         )
     if not 0 < tree_fraction < 1:
         raise ValueError(f"tree_fraction must be in (0, 1), got {tree_fraction!r}")
-    gen = ensure_rng(rng)
-    if accountant is None:
-        accountant = PrivacyAccountant(epsilon)
-    eps_tree = accountant.spend(tree_fraction * epsilon, "privtree/tree structure")
-    eps_counts = accountant.spend(
-        (1.0 - tree_fraction) * epsilon, "privtree/leaf counts"
-    )
 
-    root = SpatialNodeData.root(dataset, dims_per_split)
-    params = PrivTreeParams.calibrate(
-        eps_tree,
-        fanout=root.fanout,
-        sensitivity=float(tuples_per_individual),
-        theta=theta,
-    )
-    tree = privtree(root, params, rng=gen, max_depth=max_depth)
 
-    # Leaf-count sensitivity: an individual's x points land in at most x
-    # leaves.  All leaf perturbations are drawn in one batched RNG call, in
-    # the DFS left-to-right leaf order of the historical per-leaf loop (both
-    # batch shapes consume the stream identically, so counts are unchanged).
-    nodes = tree.nodes()
+def _release_leaf_counts(
+    root: TreeNode,
+    scores: Callable[[list[TreeNode]], Sequence[float]],
+    eps_counts: float,
+    tuples_per_individual: int,
+    count_mechanism: str,
+    gen: np.random.Generator,
+) -> HistogramTree:
+    """The §3.4 release: noisy leaf counts, internal nodes sum their children.
+
+    ``scores`` is the score source the level loop used, called once with
+    every leaf.  Leaf-count sensitivity: an individual's x points land in
+    at most x leaves.  All leaf perturbations are drawn in one batched RNG
+    call, in DFS left-to-right leaf order (the order of the historical
+    per-leaf loop, so counts are unchanged).
+    """
+    nodes = list(root.iter_nodes())
     leaves = [node for node in nodes if node.is_leaf]
-    exact = np.array([leaf.payload.score() for leaf in leaves], dtype=float)
+    exact = np.asarray(scores(leaves))
     if count_mechanism == "laplace":
         count_scale = tuples_per_individual / eps_counts
-        noisy = exact + laplace_noise(count_scale, size=len(leaves), rng=gen)
+        noisy = exact.astype(float) + laplace_noise(
+            count_scale, size=len(leaves), rng=gen
+        )
     else:
         noisy = exact.astype(np.int64) + geometric_noise_interleaved(
             eps_counts,
@@ -134,27 +168,24 @@ def _privtree_histogram(
             sensitivity=float(tuples_per_individual),
             rng=gen,
         )
-    leaf_counts = {id(leaf): float(value) for leaf, value in zip(leaves, noisy)}
-    return _release_histogram(nodes, leaf_counts)
-
-
-def _release_histogram(
-    nodes: list[TreeNode[SpatialNodeData]],
-    leaf_counts: dict[int, float],
-) -> HistogramTree:
-    """Assemble the released tree: leaves get ``leaf_counts``, internal
-    nodes the sum of their children (reverse pre-order, so no recursion)."""
-    released: dict[int, HistogramNode] = {}
+    # Reverse pre-order visits every subtree before its root, and leaves
+    # in reverse DFS order; a node's released children are then the top
+    # of the stack, first child uppermost.
+    leaf_counts = reversed(noisy.astype(float).tolist())
+    stack: list[HistogramNode] = []
     for node in reversed(nodes):
-        children = [released[id(c)] for c in node.children]
         if node.is_leaf:
-            count = leaf_counts[id(node)]
+            stack.append(HistogramNode(box=node.payload.box, count=next(leaf_counts)))
         else:
-            count = sum(c.count for c in children)
-        released[id(node)] = HistogramNode(
-            box=node.payload.box, count=count, children=children
-        )
-    return HistogramTree(root=released[id(nodes[0])])
+            children = [stack.pop() for _ in node.children]
+            stack.append(
+                HistogramNode(
+                    box=node.payload.box,
+                    count=sum(c.count for c in children),
+                    children=children,
+                )
+            )
+    return HistogramTree(root=stack.pop())
 
 
 def _simpletree_histogram(
@@ -167,10 +198,11 @@ def _simpletree_histogram(
     accountant: PrivacyAccountant | None = None,
 ) -> HistogramTree:
     """The Algorithm 1 baseline synopsis with noise scale ``h/ε``."""
+    root = SpatialNodeData.root(dataset, dims_per_split)
+    lam = simpletree_scale(epsilon, height)
     if accountant is not None:
         accountant.spend(epsilon, "simpletree/node counts")
-    root = SpatialNodeData.root(dataset, dims_per_split)
-    tree = simpletree_for_epsilon(root, epsilon, theta=theta, height=height, rng=rng)
+    tree = simpletree(root, lam, theta=theta, height=height, rng=rng)
     released: dict[int, HistogramNode] = {}
     for node in reversed(tree.nodes()):
         released[id(node)] = HistogramNode(

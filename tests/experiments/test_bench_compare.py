@@ -132,6 +132,18 @@ class TestBenchCompareCLIWarning:
         assert "regenerate the baseline" in out
         assert "regression gate passed" in out
 
+    def test_compare_without_out_writes_nothing(self, monkeypatch, tmp_path):
+        # Results are written only with --out: a compare run from a
+        # checkout must never overwrite its committed BENCH_perf.json.
+        monkeypatch.setattr(
+            "repro.experiments.run_perf_bench", lambda **kwargs: dict(self.FAKE)
+        )
+        monkeypatch.chdir(tmp_path)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(self.FAKE))
+        assert main(["bench", "--compare", str(baseline)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["baseline.json"]
+
     def test_no_warning_when_baseline_is_complete(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(
             "repro.experiments.run_perf_bench", lambda **kwargs: dict(self.FAKE)

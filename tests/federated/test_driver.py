@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.privtree import MaxDepthWarning
+from repro.experiments.perf import reference_privtree_histogram
 from repro.federated import (
     MASK_DTYPE,
     FederatedPrivTree,
     SecureAggregator,
     ShardCollector,
     federated_privtree_histogram,
+    loopback_collectors,
     shard_dataset,
 )
 from repro.mechanisms import PrivacyAccountant
@@ -45,6 +47,22 @@ class TestBitIdentity:
             shard_dataset(clustered_2d, n_shards), epsilon=1.0, rng=0
         )
         assert tree_to_dict(federated) == tree_to_dict(central)
+        # Both fits above run the same level loop and leaf release, so
+        # each is also held to the frozen node-at-a-time reference
+        # engine, which shares no code with them.
+        reference = tree_to_dict(
+            reference_privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        )
+        clients = loopback_collectors(
+            [
+                ShardCollector(i, n_shards, shard)
+                for i, shard in enumerate(shard_dataset(clustered_2d, n_shards))
+            ],
+            session="bit-identity",
+        )
+        over_wire = FederatedPrivTree(clients).fit_histogram(1.0, rng=0)
+        for fit in (central, federated, over_wire):
+            assert tree_to_dict(fit) == reference
 
     def test_every_knob_turned(self, clustered_2d):
         kwargs = dict(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.domains import Box
+from repro.federated import federated_privtree_histogram, shard_dataset
+from repro.mechanisms import PrivacyAccountant
 from repro.spatial import (
     average_relative_error,
     generate_workload,
@@ -11,6 +13,7 @@ from repro.spatial import (
     privtree_histogram,
     simpletree_histogram,
 )
+from repro.spatial.quadtree import _privtree_histogram, _simpletree_histogram
 
 
 class TestPrivTreeHistogram:
@@ -67,6 +70,47 @@ class TestPrivTreeHistogram:
         lo = privtree_histogram(uniform_2d, epsilon=1.0, tree_fraction=0.2, rng=0)
         hi = privtree_histogram(uniform_2d, epsilon=1.0, tree_fraction=0.8, rng=0)
         assert lo.size >= 1 and hi.size >= 1
+
+
+class TestValidationBeforeSpend:
+    """A call rejected for its parameters must leave the ledger untouched."""
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda ds, acct: _privtree_histogram(
+                ds, 1.0, dims_per_split=5, accountant=acct
+            ),
+            lambda ds, acct: _privtree_histogram(
+                ds, 1.0, tree_fraction=1.0, accountant=acct
+            ),
+            lambda ds, acct: _privtree_histogram(
+                ds, 1.0, count_mechanism="gaussian", accountant=acct
+            ),
+            lambda ds, acct: _simpletree_histogram(
+                ds, 1.0, height=4, theta=0.0, dims_per_split=5, accountant=acct
+            ),
+            lambda ds, acct: _simpletree_histogram(
+                ds, 1.0, height=0, theta=0.0, accountant=acct
+            ),
+            lambda ds, acct: federated_privtree_histogram(
+                shard_dataset(ds, 2), 1.0, tuples_per_individual=0, accountant=acct
+            ),
+        ],
+        ids=[
+            "privtree-dims_per_split",
+            "privtree-tree_fraction",
+            "privtree-count_mechanism",
+            "simpletree-dims_per_split",
+            "simpletree-height",
+            "federated-tuples_per_individual",
+        ],
+    )
+    def test_rejected_call_spends_nothing(self, uniform_2d, fit):
+        acct = PrivacyAccountant(1.0)
+        with pytest.raises(ValueError):
+            fit(uniform_2d, acct)
+        assert acct.ledger == []
 
 
 class TestPrivTreeDecomposition:

@@ -25,6 +25,7 @@ from repro.federated.net import CollectorEndpoint, CollectorServer
 from repro.federated.transport import RetryPolicy
 from repro.mechanisms import PrivacyAccountant
 from repro.spatial import SpatialDataset
+from repro.spatial.quadtree import _privtree_histogram
 from repro.spatial.serialize import tree_to_dict
 from repro.telemetry import get_registry
 
@@ -41,6 +42,15 @@ def _collectors(dataset):
     return [
         ShardCollector(i, N_SHARDS, shard)
         for i, shard in enumerate(shard_dataset(dataset, N_SHARDS))
+    ]
+
+
+def _levels(records):
+    """``(depth, frontier, eligible, split)`` of each ``privtree.level`` span."""
+    return [
+        tuple(r.attrs[key] for key in ("depth", "frontier", "eligible", "split"))
+        for r in records
+        if r.name == "privtree.level"
     ]
 
 
@@ -134,6 +144,7 @@ class TestTraceReconciliation:
         FederatedPrivTree(clients).fit_histogram(1.0, rng=3)
         telemetry.disable()
         allowed = {
+            "privtree.level": {"depth", "frontier", "eligible", "split"},
             "federated.round": {"round", "kind", "n_nodes"},
             "federated.collector": {"shard_id", "round", "op"},
             "federated.heartbeat": {"shard_id"},
@@ -143,6 +154,14 @@ class TestTraceReconciliation:
         for record in tracer.records:
             if record.name in allowed:
                 assert set(record.attrs) <= allowed[record.name], record.name
+
+        # The coordinator runs the engine's own level loop: its levels
+        # trace exactly like a centralized fit on the same points and seed.
+        central_tracer = telemetry.enable()
+        _privtree_histogram(small_2d, 1.0, rng=3)
+        telemetry.disable()
+        assert _levels(tracer.records)
+        assert _levels(tracer.records) == _levels(central_tracer.records)
 
 
 class TestHeartbeat:
