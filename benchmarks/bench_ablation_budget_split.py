@@ -13,11 +13,8 @@ against alternatives.
 from repro.datasets import roadlike
 from repro.experiments import SweepResult, format_percent
 from repro.mechanisms import ensure_rng, spawn
-from repro.spatial import (
-    average_relative_error,
-    generate_workload,
-    privtree_histogram,
-)
+from repro.spatial import average_relative_error, generate_workload
+from repro.spatial.quadtree import _privtree_histogram
 
 from conftest import FULL, emit
 
@@ -48,7 +45,7 @@ def _sweep(build_variants: dict, title: str) -> SweepResult:
 def bench_ablation_budget_split(benchmark):
     variants = {
         f"tree={frac:g}": (
-            lambda data, eps, rng, frac=frac: privtree_histogram(
+            lambda data, eps, rng, frac=frac: _privtree_histogram(
                 data, eps, tree_fraction=frac, rng=rng
             )
         )
@@ -67,7 +64,7 @@ def bench_ablation_budget_split(benchmark):
 def bench_ablation_theta(benchmark):
     variants = {
         f"theta={theta:g}": (
-            lambda data, eps, rng, theta=theta: privtree_histogram(
+            lambda data, eps, rng, theta=theta: _privtree_histogram(
                 data, eps, theta=theta, rng=rng
             )
         )

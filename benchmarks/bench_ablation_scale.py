@@ -10,15 +10,13 @@ bench measures PrivTree, DAWA and UG on the road analogue at three scales
 
 import numpy as np
 
-from repro.baselines import dawa_histogram, ug_histogram
+from repro.baselines.dawa import _dawa_histogram
+from repro.baselines.ug import _ug_histogram
 from repro.datasets import roadlike
 from repro.experiments import SweepResult, format_percent
 from repro.mechanisms import ensure_rng, spawn
-from repro.spatial import (
-    average_relative_error,
-    generate_workload,
-    privtree_histogram,
-)
+from repro.spatial import average_relative_error, generate_workload
+from repro.spatial.quadtree import _privtree_histogram
 
 from conftest import FULL, emit
 
@@ -29,9 +27,9 @@ def _scale_sweep() -> SweepResult:
     reps = 3 if FULL else 2
     gen = ensure_rng(5)
     methods = {
-        "PrivTree": lambda d, r: privtree_histogram(d, epsilon, rng=r),
-        "DAWA": lambda d, r: dawa_histogram(d, epsilon, rng=r),
-        "UG": lambda d, r: ug_histogram(d, epsilon, rng=r),
+        "PrivTree": lambda d, r: _privtree_histogram(d, epsilon, rng=r),
+        "DAWA": lambda d, r: _dawa_histogram(d, epsilon, rng=r),
+        "UG": lambda d, r: _ug_histogram(d, epsilon, rng=r),
     }
     result = SweepResult(
         title=f"Ablation — error vs dataset scale (road/medium, eps={epsilon})",

@@ -32,11 +32,12 @@ def bench_fig04_visualization(benchmark):
 
 def _render_decomposition() -> str:
     """Figure 1's content: the decomposition grows deep where data is dense."""
-    from repro.spatial import privtree_histogram, render_leaf_depth
+    from repro.spatial import render_leaf_depth
+    from repro.spatial.quadtree import _privtree_histogram
 
     spec = SPATIAL_DATASETS["gowalla"]
     data = spec.make(dataset_n("gowalla"), rng=0)
-    synopsis = privtree_histogram(data, epsilon=1.0, rng=0)
+    synopsis = _privtree_histogram(data, epsilon=1.0, rng=0)
     depth_map = render_leaf_depth(synopsis, width=72, height=20)
     return (
         "Figure 1 — PrivTree leaf depth over gowalla (digit = tree depth; "

@@ -9,7 +9,8 @@ timing table.
 
 import numpy as np
 
-from repro.baselines import dawa_histogram, private_partition
+from repro.baselines import private_partition
+from repro.baselines.dawa import _dawa_histogram
 from repro.baselines.ngram import count_grams, count_grams_reference
 from repro.datasets import gowallalike, msnbclike
 from repro.domains import Box
@@ -18,17 +19,18 @@ from repro.experiments.perf import (
     reference_workload_answers,
 )
 from repro.sequence import count_substrings, private_pst
-from repro.spatial import generate_workload, privtree_histogram
+from repro.spatial import generate_workload
+from repro.spatial.quadtree import _privtree_histogram
 
 
 def bench_perf_privtree_build_20k(benchmark):
     data = gowallalike(20_000, rng=0)
-    benchmark(lambda: privtree_histogram(data, epsilon=1.0, rng=0))
+    benchmark(lambda: _privtree_histogram(data, epsilon=1.0, rng=0))
 
 
 def bench_perf_privtree_build_200k(benchmark):
     data = gowallalike(200_000, rng=0)
-    benchmark(lambda: privtree_histogram(data, epsilon=1.0, rng=0))
+    benchmark(lambda: _privtree_histogram(data, epsilon=1.0, rng=0))
 
 
 def bench_perf_privtree_build_200k_reference(benchmark):
@@ -40,7 +42,7 @@ def bench_perf_privtree_build_200k_reference(benchmark):
 
 def bench_perf_range_count(benchmark):
     data = gowallalike(20_000, rng=0)
-    synopsis = privtree_histogram(data, epsilon=1.0, rng=0)
+    synopsis = _privtree_histogram(data, epsilon=1.0, rng=0)
     queries = generate_workload(data.domain, "medium", 50, rng=1)
 
     def run() -> float:
@@ -51,7 +53,7 @@ def bench_perf_range_count(benchmark):
 
 def bench_perf_range_count_many_1k(benchmark):
     data = gowallalike(200_000, rng=0)
-    flat = privtree_histogram(data, epsilon=1.0, rng=0).flat()
+    flat = _privtree_histogram(data, epsilon=1.0, rng=0).flat()
     queries = generate_workload(data.domain, "medium", 1_000, rng=1)
     benchmark(lambda: flat.range_count_many(queries))
 
@@ -60,7 +62,7 @@ def bench_perf_range_count_1k_reference(benchmark):
     # The per-query recursive traversal over the same 1k-query workload; the
     # batched case above must come in at least 10x faster.
     data = gowallalike(200_000, rng=0)
-    synopsis = privtree_histogram(data, epsilon=1.0, rng=0)
+    synopsis = _privtree_histogram(data, epsilon=1.0, rng=0)
     queries = generate_workload(data.domain, "medium", 1_000, rng=1)
     benchmark(lambda: reference_workload_answers(synopsis, queries))
 
@@ -119,7 +121,7 @@ def bench_perf_dawa_partition(benchmark):
 
 def bench_perf_dawa_full(benchmark):
     data = gowallalike(20_000, rng=0)
-    benchmark(lambda: dawa_histogram(data, epsilon=1.0, rng=0))
+    benchmark(lambda: _dawa_histogram(data, epsilon=1.0, rng=0))
 
 
 def bench_perf_exact_count(benchmark):

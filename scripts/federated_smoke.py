@@ -17,7 +17,7 @@ Runs the whole pipeline in one process tree:
    :class:`~repro.serve.ReleaseStore`;
 4. start ``repro serve`` as a subprocess and check that range counts
    answered over HTTP against the latest epoch artifact are bit-identical
-   to querying the in-process release.
+   to ``release.answer`` on the in-process release.
 
 Exits non-zero on any deviation.  STORE_DIR defaults to a fresh temp
 directory.
@@ -56,6 +56,7 @@ def main(argv: list[str]) -> int:
     from repro.datasets.spatial import gowallalike
     from repro.federated import EpochLedger, federated_privtree_histogram, shard_dataset
     from repro.mechanisms import PrivacyAccountant
+    from repro.queries import Workload
     from repro.serve import ReleaseStore
     from repro.spatial import generate_workload
     from repro.spatial.quadtree import _privtree_histogram
@@ -109,7 +110,8 @@ def main(argv: list[str]) -> int:
     # -- 4: serve the store over HTTP and query the latest epoch.
     release = store.get(latest_id)
     boxes = generate_workload(release.query_domain, "medium", 200, rng=0)
-    expected = release.query_many(boxes)
+    ranges = Workload.ranges(boxes)
+    expected = release.answer(ranges)
 
     if shutil.which("repro"):
         command = ["repro"]
@@ -138,9 +140,7 @@ def main(argv: list[str]) -> int:
                     return 1
                 time.sleep(0.2)
 
-        body = json.dumps(
-            {"queries": [{"low": list(b.low), "high": list(b.high)} for b in boxes]}
-        ).encode("utf-8")
+        body = json.dumps({"queries": [q.to_wire() for q in ranges]}).encode("utf-8")
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/releases/{latest_id}/query", data=body
         )
@@ -155,7 +155,7 @@ def main(argv: list[str]) -> int:
             return 1
         print(
             f"OK: {len(boxes)} range counts served over HTTP bit-identical "
-            f"to in-process query_many for {latest_id}"
+            f"to in-process answer(Workload.ranges(boxes)) for {latest_id}"
         )
         return 0
     finally:

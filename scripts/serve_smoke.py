@@ -10,13 +10,13 @@ Starts ``repro serve`` as a subprocess on a free port, fires one batched
 range-count query (default 1000 boxes) at the first stored release plus
 one typed mixed workload (range / point / marginal documents), and exits
 non-zero unless every answer returned over HTTP is bit-identical to
-calling ``release.query_many`` / ``release.answer`` on a local reload of
-the artifact.  A second phase restarts the server pre-forked with
-``--workers 2`` and repeats the checks over the packed binary wire form
-(v2 mmap'd artifacts on the server side), then verifies the fleet-wide
-counters: ``GET /statz?aggregate=1`` and the ``GET /metrics`` Prometheus
-exposition must both report exactly the batches/queries this script
-sent, no matter which worker answers the scrape.
+calling ``release.answer`` on a local reload of the artifact.  A second
+phase restarts the server pre-forked with ``--workers 2`` and repeats
+the checks over the packed binary wire form (v2 mmap'd artifacts on the
+server side), then verifies the fleet-wide counters: ``GET
+/statz?aggregate=1`` and the ``GET /metrics`` Prometheus exposition must
+both report exactly the batches/queries this script sent, no matter
+which worker answers the scrape.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ def main(argv: list[str]) -> int:
 
     import numpy as np
 
+    from repro.queries import Workload
     from repro.serve import ReleaseStore
     from repro.spatial import generate_workload
 
@@ -69,7 +70,8 @@ def main(argv: list[str]) -> int:
         )
         return 2
     boxes = generate_workload(release.query_domain, "medium", n_queries, rng=0)
-    expected = release.query_many(boxes)
+    ranges = Workload.ranges(boxes)
+    expected = release.answer(ranges)
 
     port = _free_port()
     # Prefer the installed console script; fall back to the current
@@ -102,9 +104,7 @@ def main(argv: list[str]) -> int:
                     return 1
                 time.sleep(0.2)
 
-        body = json.dumps(
-            {"queries": [{"low": list(b.low), "high": list(b.high)} for b in boxes]}
-        ).encode("utf-8")
+        body = json.dumps({"queries": [q.to_wire() for q in ranges]}).encode("utf-8")
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/releases/{release_id}/query", data=body
         )
@@ -114,18 +114,18 @@ def main(argv: list[str]) -> int:
         if not np.array_equal(answers, expected):
             worst = float(np.abs(answers - expected).max())
             print(
-                f"FAIL: HTTP answers deviate from in-process query_many "
+                f"FAIL: HTTP answers deviate from in-process answer "
                 f"(max |delta| = {worst})"
             )
             return 1
         print(
             f"OK: {n_queries} served answers bit-identical to in-process "
-            f"query_many for {release_id}"
+            f"answer(Workload.ranges(boxes)) for {release_id}"
         )
 
         # One typed workload through the same endpoint: range + point +
         # marginal documents, checked against the in-process answer path.
-        from repro.queries import Marginal1D, PointCount, RangeCount, Workload
+        from repro.queries import Marginal1D, PointCount, RangeCount
 
         domain = release.query_domain
         workload = Workload.of(
@@ -167,8 +167,6 @@ def main(argv: list[str]) -> int:
     # ------------------------------------------------------------------
     from repro.queries import (
         BINARY_WIRE_CONTENT_TYPE,
-        RangeCount,
-        Workload,
         decode_binary_answers,
         encode_binary_workload,
     )
@@ -181,8 +179,7 @@ def main(argv: list[str]) -> int:
         print(f"FAIL: {release_id} has no binary-v2 artifact after migrate")
         return 1
 
-    workload = Workload.of([RangeCount.of(b) for b in boxes])
-    payload = encode_binary_workload(workload)
+    payload = encode_binary_workload(ranges)
     port = _free_port()
     server = subprocess.Popen(
         command
@@ -231,7 +228,7 @@ def main(argv: list[str]) -> int:
                 worst = float(np.abs(values - expected).max())
                 print(
                     f"FAIL: binary-wire answers deviate from in-process "
-                    f"query_many (max |delta| = {worst})"
+                    f"answer (max |delta| = {worst})"
                 )
                 return 1
 
@@ -239,7 +236,7 @@ def main(argv: list[str]) -> int:
         # per-pid metric slabs, instead of sampling /statz per worker and
         # summing client-side (a bare /statz answers for whichever worker
         # the kernel picked — scope "process").
-        sent_queries = n_batches * len(workload)
+        sent_queries = n_batches * len(ranges)
         with urllib.request.urlopen(
             f"http://127.0.0.1:{port}/statz?aggregate=1", timeout=5
         ) as resp:

@@ -23,8 +23,8 @@ Quickstart::
     print(release.query(Box((0.4, 0.4), (0.6, 0.6))))
     print(release.epsilon_spent, release.size)
 
-The historical free functions (``privtree_histogram`` and friends) remain
-importable as deprecated shims that produce identical results.
+The free functions of 1.x (``privtree_histogram`` and friends) were removed
+in 2.0.0; the README maps each one to its ``from_spec`` replacement.
 """
 
 from . import api, federated, queries, serve
@@ -49,11 +49,9 @@ from .spatial import (
     SpatialDataset,
     average_relative_error,
     generate_workload,
-    privtree_histogram,
-    simpletree_histogram,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Alphabet",
@@ -77,10 +75,8 @@ __all__ = [
     "generate_workload",
     "private_pst",
     "privtree",
-    "privtree_histogram",
     "queries",
     "serve",
     "simpletree",
-    "simpletree_histogram",
     "__version__",
 ]

@@ -77,7 +77,7 @@ def privtree_kmeans(
 ) -> np.ndarray:
     """ε-DP k-means centers via PrivTree coarsening.
 
-    Spends all of ``epsilon`` on one :func:`privtree_histogram` release,
+    Spends all of ``epsilon`` on one PrivTree histogram release,
     then clusters the leaf centers weighted by their noisy counts — pure
     postprocessing.  A pre-built ``synopsis`` can be supplied to reuse an
     existing release (no additional privacy cost).

@@ -5,7 +5,7 @@ N-gram and EM (Section 6.2) live in ``ngram`` / ``em_topk`` and are
 re-exported here once the sequence substrate is loaded.
 """
 
-from .ag import AdaptiveGrid, ag_histogram
+from .ag import AdaptiveGrid
 from .em_topk import em_top_k
 from .ngram import (
     FlatNGram,
@@ -14,19 +14,17 @@ from .ngram import (
     count_grams_reference,
     ngram_model,
 )
-from .dawa import DawaHistogram, dawa_histogram, private_partition
+from .dawa import DawaHistogram, private_partition
 from .grid import UniformGrid
-from .hierarchy import HierarchyHistogram, hierarchy_histogram, split_branchings
-from .kdtree import kdtree_histogram
+from .hierarchy import HierarchyHistogram, split_branchings
 from .linearize import hilbert_order_2d, linear_order, morton_order
 from .privelet import (
     PriveletHistogram,
     haar_forward,
     haar_inverse,
     haar_weights,
-    privelet_histogram,
 )
-from .ug import ug_cells_per_dim, ug_histogram
+from .ug import ug_cells_per_dim
 
 __all__ = [
     "AdaptiveGrid",
@@ -36,23 +34,17 @@ __all__ = [
     "NGramModel",
     "PriveletHistogram",
     "UniformGrid",
-    "ag_histogram",
     "count_grams",
     "count_grams_reference",
-    "dawa_histogram",
     "em_top_k",
     "haar_forward",
     "haar_inverse",
     "haar_weights",
-    "hierarchy_histogram",
     "hilbert_order_2d",
-    "kdtree_histogram",
     "linear_order",
     "morton_order",
     "ngram_model",
-    "privelet_histogram",
     "private_partition",
     "split_branchings",
     "ug_cells_per_dim",
-    "ug_histogram",
 ]

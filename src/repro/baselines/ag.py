@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .._compat import deprecated_shim
 from ..domains.box import Box
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
 
-__all__ = ["AdaptiveGrid", "ag_histogram", "ag_level1_cells_per_dim", "ag_level2_cells_per_dim"]
+__all__ = ["AdaptiveGrid", "ag_level1_cells_per_dim", "ag_level2_cells_per_dim"]
 
 #: Budget share of the level-1 grid.
 AG_ALPHA = 0.5
@@ -127,6 +126,3 @@ def _ag_histogram(
             sub_counts = sub.counts + (blended - child_sum) / k
             subgrids[(i, j)] = UniformGrid(domain=cell, counts=sub_counts)
     return AdaptiveGrid(level1=level1, subgrids=subgrids)
-
-
-ag_histogram = deprecated_shim(_ag_histogram, "ag_histogram", "ag")

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import deprecated_shim
 from ..domains.box import Box
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
 from .linearize import linear_order
 
-__all__ = ["DawaHistogram", "dawa_histogram", "private_partition"]
+__all__ = ["DawaHistogram", "private_partition"]
 
 #: Share of the budget spent on the private partitioning stage.
 DAWA_RHO = 0.25
@@ -184,6 +183,3 @@ def _dawa_histogram(
         counts=cell_estimates.reshape(exact.counts.shape),
     )
     return DawaHistogram(grid=grid, boundaries=boundaries)
-
-
-dawa_histogram = deprecated_shim(_dawa_histogram, "dawa_histogram", "dawa")

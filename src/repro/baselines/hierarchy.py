@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import deprecated_shim
 from ..domains.box import Box
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
 
-__all__ = ["HierarchyHistogram", "hierarchy_histogram", "split_branchings"]
+__all__ = ["HierarchyHistogram", "split_branchings"]
 
 
 def split_branchings(leaf_exponent: int, levels: int) -> list[int]:
@@ -150,6 +149,3 @@ def _hierarchy_histogram(
 
     leaf_grid = UniformGrid(domain=dataset.domain, counts=h_est)
     return HierarchyHistogram(leaf_grid=leaf_grid, levels=height, branchings=branchings)
-
-
-hierarchy_histogram = deprecated_shim(_hierarchy_histogram, "hierarchy_histogram", "hierarchy")

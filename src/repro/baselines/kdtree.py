@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._compat import deprecated_shim
 from ..mechanisms.exponential import exponential_mechanism
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from ..spatial.histogram_tree import HistogramNode, HistogramTree
 
-__all__ = ["kdtree_histogram"]
+__all__: list[str] = []
 
 
 def _private_split_position(
@@ -105,6 +104,3 @@ def _split_box(box, axis: int, cut: float):
         Box(box.low, tuple(left_high)),
         Box(tuple(right_low), box.high),
     )
-
-
-kdtree_histogram = deprecated_shim(_kdtree_histogram, "kdtree_histogram", "kdtree")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import deprecated_shim
 from ..domains.box import Box
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
@@ -32,7 +31,6 @@ __all__ = [
     "haar_inverse",
     "haar_weights",
     "PriveletHistogram",
-    "privelet_histogram",
 ]
 
 
@@ -152,6 +150,3 @@ def _privelet_histogram(
         noisy = haar_inverse(noisy, axis=axis)
     grid = UniformGrid(domain=dataset.domain, counts=noisy)
     return PriveletHistogram(grid=grid)
-
-
-privelet_histogram = deprecated_shim(_privelet_histogram, "privelet_histogram", "privelet")

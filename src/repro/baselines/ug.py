@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 
-from .._compat import deprecated_shim
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
 
-__all__ = ["ug_cells_per_dim", "ug_histogram"]
+__all__ = ["ug_cells_per_dim"]
 
 #: The constant ``c`` in Qardaji et al.'s guideline ``m = sqrt(n eps / c)``.
 UG_CONSTANT = 10.0
@@ -53,6 +52,3 @@ def _ug_histogram(
     m = ug_cells_per_dim(dataset.n, dataset.ndim, epsilon, size_factor)
     exact = UniformGrid.histogram(dataset, (m,) * dataset.ndim)
     return exact.with_noise(1.0 / epsilon, gen)
-
-
-ug_histogram = deprecated_shim(_ug_histogram, "ug_histogram", "ug")

@@ -140,7 +140,7 @@ def reference_privtree_histogram(
 ) -> HistogramTree:
     """The pre-optimization §3.3+§3.4 pipeline (node-at-a-time, scalar RNG).
 
-    Stream-compatible with :func:`repro.spatial.quadtree.privtree_histogram`
+    Stream-compatible with :func:`repro.spatial.quadtree._privtree_histogram`
     at default parameters, so both produce the identical release for a
     given seed — kept solely as the speedup baseline for ``repro bench``.
     """

@@ -11,8 +11,7 @@ the HTTP service:
   container;
 * :mod:`~repro.queries.answer` — compilation to the flat engines and the
   single vectorized dispatch behind :meth:`repro.api.Release.answer`;
-* :mod:`~repro.queries.wire` — the plain-JSON codec, including the
-  legacy raw box/code-list forms (one deprecation cycle);
+* :mod:`~repro.queries.wire` — the versioned plain-JSON codec;
 * :mod:`~repro.queries.metrics` — workload mean/max relative error.
 
 Example::

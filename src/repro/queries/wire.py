@@ -10,17 +10,14 @@ and a workload as::
     {"format": "repro.workload", "version": 1, "queries": [<query>, ...]}
 
 :func:`decode_query_batch` is the serving layer's single entry point: it
-accepts a mixed list of typed wire queries and the legacy raw forms
-(``{"low": ..., "high": ...}`` boxes and bare symbol-code lists — kept
-for one deprecation cycle, decoded to :class:`~repro.queries.RangeCount`
-/ :class:`~repro.queries.StringFrequency` with a
-:class:`DeprecationWarning`), and reports malformed entries with the
-offending batch index so HTTP clients get a structured 400.
+decodes a list of typed wire queries and reports the first entry that is
+not one, with its batch index, so HTTP clients get a structured 400.  The
+raw ``{"low": ..., "high": ...}`` boxes and bare symbol-code lists of 1.x
+were removed in 2.0.0; the error for one names the typed replacement.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Sequence
 
 from .types import (
@@ -45,11 +42,6 @@ __all__ = [
 WIRE_FORMAT = "repro.query"
 WORKLOAD_FORMAT = "repro.workload"
 WIRE_VERSION = 1
-
-_LEGACY_DEPRECATION = (
-    "raw query batches (bare boxes / code lists) are deprecated; send typed "
-    '{"format": "repro.query", ...} documents instead'
-)
 
 
 class QueryDecodeError(ValueError):
@@ -116,53 +108,27 @@ def workload_from_wire(data: Any) -> Workload:
     return Workload(tuple(queries))
 
 
-def _decode_legacy(raw: Any, spatial: bool) -> Query:
-    """One legacy raw entry -> typed query (box dict or bare code list)."""
-    if spatial:
-        if not isinstance(raw, dict):
-            raise QueryDecodeError(
-                'a raw spatial query must be a {"low": [...], "high": [...]} box'
-            )
-        return RangeCount(low=tuple(raw["low"]), high=tuple(raw["high"]))
-    if isinstance(raw, (str, bytes)):
-        # Iterating "12" would silently yield codes [1, 2].
-        raise QueryDecodeError("a string is not a code list")
-    return StringFrequency(codes=tuple(raw))
-
-
 def decode_query_batch(raw_queries: Sequence[Any], *, spatial: bool) -> Workload:
-    """Decode a mixed typed/legacy JSON batch into a :class:`Workload`.
+    """Decode a JSON batch of typed query documents into a :class:`Workload`.
 
-    Entries carrying ``{"format": "repro.query", ...}`` decode through
-    :func:`query_from_wire`; anything else is treated as the legacy raw
-    form for the release's family (boxes when ``spatial``, code lists
-    otherwise) and triggers one :class:`DeprecationWarning` per batch.
-    Legacy entries decode to the scalar query types, so their answers
-    stay bare floats, bit-identical to the historical wire.  Raises
-    :class:`QueryDecodeError` with the offending index on the first
-    malformed entry.
+    Every entry must be a ``{"format": "repro.query", ...}`` document
+    (:func:`query_from_wire`).  Raises :class:`QueryDecodeError` with the
+    offending index on the first entry that does not decode.  ``spatial``
+    only picks the typed replacement (``range_count`` or
+    ``string_frequency``) that the error for a raw 1.x entry names.
     """
     queries: list[Query] = []
-    warned = False
     for i, raw in enumerate(raw_queries):
-        is_typed = isinstance(raw, dict) and raw.get("format") == WIRE_FORMAT
         try:
-            if is_typed:
-                queries.append(query_from_wire(raw))
-            else:
-                if not warned:
-                    warnings.warn(_LEGACY_DEPRECATION, DeprecationWarning, stacklevel=2)
-                    warned = True
-                queries.append(_decode_legacy(raw, spatial))
-        except (KeyError, TypeError, ValueError) as exc:
-            expected = (
-                '{"low": [...], "high": [...]} boxes'
-                if spatial
-                else "lists of integer symbol codes"
-            )
-            raise QueryDecodeError(
-                f"query {i} is malformed ({exc}); this release answers {expected} "
-                f'or typed {{"format": "{WIRE_FORMAT}", ...}} documents',
-                index=i,
-            ) from None
+            queries.append(query_from_wire(raw))
+        except QueryDecodeError as exc:
+            message = f"query {i} is malformed ({exc})"
+            if not (isinstance(raw, dict) and raw.get("format") == WIRE_FORMAT):
+                tag = (RangeCount if spatial else StringFrequency).type_tag
+                message += (
+                    f'; send typed {{"format": "{WIRE_FORMAT}", "version": '
+                    f'{WIRE_VERSION}, "type": "{tag}", ...}} documents (raw '
+                    "boxes and code lists were removed in 2.0.0)"
+                )
+            raise QueryDecodeError(message, index=i) from None
     return Workload(tuple(queries))

@@ -40,7 +40,7 @@ from .artifact import (
     write_artifact,
 )
 from .http import SynopsisHTTPServer, serve
-from .service import ArtifactLoadError, SynopsisService, parse_queries
+from .service import ArtifactLoadError, SynopsisService
 from .store import ReleaseStore, StoreError
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "SynopsisHTTPServer",
     "SynopsisService",
     "artifact_info",
-    "parse_queries",
     "read_artifact",
     "serve",
     "write_artifact",

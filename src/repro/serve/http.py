@@ -22,11 +22,8 @@ which worker serves the scrape.
 
 A JSON batch is a list of typed query documents (``{"format":
 "repro.query", "version": 1, "type": "range_count", ...}`` — see
-:mod:`repro.queries`), optionally mixed with the legacy raw forms
-(``{"low": ..., "high": ...}`` boxes for spatial releases, symbol-code
-lists for sequence releases; kept for one deprecation cycle).  Scalar
-queries answer as bare floats, vector queries (marginals, next-symbol
-distributions) as lists.
+:mod:`repro.queries`).  Scalar queries answer as bare floats, vector
+queries (marginals, next-symbol distributions) as lists.
 
 The query endpoint also negotiates the packed binary wire form by
 Content-Type: a ``application/x-repro-workload`` body (see
@@ -320,7 +317,14 @@ class SynopsisHTTPServer(ThreadingHTTPServer):
 
 
 def _bind_listener(host: str, port: int, *, reuse_port: bool = False) -> socket.socket:
-    """Bind + listen a TCP socket the way ThreadingHTTPServer would."""
+    """Bind + listen a TCP socket the way ThreadingHTTPServer would.
+
+    The socket is non-blocking: pre-forked workers share it, and one
+    connection can wake every worker's select.  A worker that loses the
+    accept race then gets ``BlockingIOError``, which ``socketserver``
+    ignores, so it returns to its select loop and still sees a shutdown
+    request instead of sitting in ``accept()``.
+    """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -328,6 +332,7 @@ def _bind_listener(host: str, port: int, *, reuse_port: bool = False) -> socket.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
         sock.listen(128)
+        sock.setblocking(False)
     except BaseException:
         sock.close()
         raise

@@ -5,17 +5,15 @@ releases are loaded lazily, their compiled flat engines
 (``FlatHistogram`` / ``FlatPST`` / ``FlatNGram``) are warmed at load time,
 and an LRU bound keeps the resident set small while hot synopses answer
 batches straight from cache.  The HTTP layer and the CLI both dispatch
-through this class, and batches decode through the shared
-:mod:`repro.queries.wire` codec — typed ``{"format": "repro.query", ...}``
-documents and (for one deprecation cycle) the legacy raw box/code-list
-forms — so the wire semantics live in exactly one place.
+through this class, and JSON batches of typed ``{"format": "repro.query",
+...}`` documents decode through the shared :mod:`repro.queries.wire`
+codec, so the wire semantics live in exactly one place.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from typing import Any, Sequence
 
@@ -33,7 +31,7 @@ from ..telemetry import MetricsRegistry
 from ..telemetry.metrics import DEFAULT_LATENCY_BOUNDS, DEFAULT_SIZE_BOUNDS
 from .store import ReleaseStore, StoreError
 
-__all__ = ["ArtifactLoadError", "SynopsisService", "parse_queries"]
+__all__ = ["ArtifactLoadError", "SynopsisService"]
 
 
 class ArtifactLoadError(RuntimeError):
@@ -43,32 +41,6 @@ class ArtifactLoadError(RuntimeError):
     client's fault) and from the :class:`ValueError` of a malformed query
     batch: this one means the *server's* stored artifact is corrupt, so
     the HTTP layer reports it as a 500, not a 4xx."""
-
-
-def parse_queries(release: Release, raw_queries: Sequence[Any]) -> list[Any]:
-    """Decode a raw JSON batch into the release's native query objects.
-
-    .. deprecated::
-        The serving layer now decodes through
-        :func:`repro.queries.wire.decode_query_batch`; use that (or
-        :func:`repro.queries.workload_from_wire` for typed workload
-        documents) instead.  This shim keeps the historical return shape —
-        boxes for spatial releases, ``list[int]`` code lists for sequence
-        releases.
-    """
-    warnings.warn(
-        "parse_queries() is deprecated; use repro.queries.decode_query_batch",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spatial = isinstance(release, SpatialRelease)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        workload = decode_query_batch(raw_queries, spatial=spatial)
-    if spatial:
-        domain = release.query_domain
-        return [box for query in workload for box in query.to_boxes(domain)]
-    return [list(query.codes) for query in workload]
 
 
 class SynopsisService:
@@ -208,13 +180,11 @@ class SynopsisService:
 
         This is the full wire path: the HTTP handler and any RPC front-end
         send exactly this dict, so in-process answers and served answers
-        are the same floats.  Batches may mix typed wire queries with the
-        legacy raw forms; everything is answered by **one**
-        ``release.answer`` dispatch.  Scalar queries answer as bare floats
-        (legacy entries always do, bit-identical to the historical wire);
-        vector queries (marginals, next-symbol rows) answer as lists.  One
-        cache access per batch; nothing on this path touches the manifest
-        on disk.
+        are the same floats.  The batch of typed wire queries is answered
+        by **one** ``release.answer`` dispatch.  Scalar queries answer as
+        bare floats; vector queries (marginals, next-symbol rows) answer
+        as lists.  One cache access per batch; nothing on this path
+        touches the manifest on disk.
         """
         started = time.perf_counter()
         release = self.release(release_id)

@@ -5,7 +5,7 @@ from .flat import FlatHistogram, flatten_tree
 from .histogram_tree import HistogramNode, HistogramTree
 from .metrics import SMOOTHING_FRACTION, average_relative_error, relative_error
 from .payload import SpatialNodeData
-from .quadtree import privtree_decomposition, privtree_histogram, simpletree_histogram
+from .quadtree import privtree_decomposition
 from .queries import QUERY_BANDS, QueryBand, generate_workload, random_query
 from .render import render_density, render_leaf_depth
 from .serialize import load_tree, save_tree, tree_from_dict, tree_to_dict
@@ -24,13 +24,11 @@ __all__ = [
     "generate_workload",
     "load_tree",
     "privtree_decomposition",
-    "privtree_histogram",
     "random_query",
     "relative_error",
     "render_density",
     "render_leaf_depth",
     "save_tree",
-    "simpletree_histogram",
     "tree_from_dict",
     "tree_to_dict",
 ]

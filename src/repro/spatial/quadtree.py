@@ -1,6 +1,7 @@
 """Private spatial decompositions: PrivTree and SimpleTree end-to-end.
 
-``privtree_histogram`` is the full §3.3 + §3.4 pipeline:
+``_privtree_histogram`` is the full §3.3 + §3.4 pipeline behind
+``from_spec("privtree")``:
 
 1. spend ε·tree_fraction on the PrivTree structure (Algorithm 2);
 2. spend the rest on Laplace-perturbed leaf counts (sensitivity 1: each point
@@ -11,8 +12,9 @@ The federated coordinator (:class:`~repro.federated.FederatedPrivTree`)
 runs the same pipeline over aggregated shard counts: it shares the
 parameter check and the leaf-count release defined here.
 
-``simpletree_histogram`` is the Algorithm 1 baseline: the per-node noisy
-counts it computed *are* the release (scale ``h/ε``).
+``_simpletree_histogram`` is the Algorithm 1 baseline behind
+``from_spec("simpletree")``: the per-node noisy counts it computed *are*
+the release (scale ``h/ε``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .._compat import deprecated_shim
 from ..core.analysis import simpletree_scale
 from ..core.node import TreeNode
 from ..core.params import PrivTreeParams
@@ -35,7 +36,7 @@ from .dataset import SpatialDataset
 from .histogram_tree import HistogramNode, HistogramTree
 from .payload import SpatialNodeData
 
-__all__ = ["privtree_histogram", "privtree_decomposition", "simpletree_histogram"]
+__all__ = ["privtree_decomposition"]
 
 
 def privtree_decomposition(
@@ -50,7 +51,7 @@ def privtree_decomposition(
 
     Returns the internal decomposition tree (no counts released).  Useful
     when the caller wants the partition itself, e.g. for private k-means
-    coarsening; most users want :func:`privtree_histogram` instead.
+    coarsening; most users want ``from_spec("privtree")`` instead.
     """
     root = SpatialNodeData.root(dataset, dims_per_split)
     params = PrivTreeParams.calibrate(epsilon, fanout=root.fanout, theta=theta)
@@ -211,9 +212,3 @@ def _simpletree_histogram(
             children=[released[id(c)] for c in node.children],
         )
     return HistogramTree(root=released[id(tree.root)])
-
-
-privtree_histogram = deprecated_shim(_privtree_histogram, "privtree_histogram", "privtree")
-simpletree_histogram = deprecated_shim(
-    _simpletree_histogram, "simpletree_histogram", "simpletree"
-)

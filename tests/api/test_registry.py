@@ -2,9 +2,18 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api import Estimator, Release, from_spec, registry
+from repro.baselines.ag import _ag_histogram
+from repro.baselines.dawa import _dawa_histogram
+from repro.baselines.hierarchy import _hierarchy_histogram
+from repro.baselines.kdtree import _kdtree_histogram
+from repro.baselines.privelet import _privelet_histogram
+from repro.baselines.ug import _ug_histogram
+from repro.domains import Box
+from repro.spatial.quadtree import _privtree_histogram, _simpletree_histogram
 
 from .conftest import FAST_PARAMS
 
@@ -92,3 +101,45 @@ class TestFitProducesRelease:
         assert release.method == name
         assert release.epsilon_spent == 1.0
         assert release.size >= 1
+
+
+QUERY = Box((0.15, 0.2), (0.7, 0.85))
+
+#: The implementation behind each 1.x free function, its registry name, its
+#: kwargs, and the matching estimator params (the README's migration table).
+IMPLEMENTATIONS = [
+    (_privtree_histogram, "privtree", {}, {}),
+    (_simpletree_histogram, "simpletree", {"height": 5, "theta": 0.0}, {"height": 5}),
+    (_ug_histogram, "ug", {}, {}),
+    (_ag_histogram, "ag", {}, {}),
+    (_hierarchy_histogram, "hierarchy", {}, {}),
+    (_dawa_histogram, "dawa", {"cells_per_dim": 32}, {"cells_per_dim": 32}),
+    (_privelet_histogram, "privelet", {"cells_per_dim": 32}, {"cells_per_dim": 32}),
+    (_kdtree_histogram, "kdtree", {"height": 4}, {"height": 4}),
+]
+
+
+class TestImplementationsMatchRegistry:
+    @pytest.mark.parametrize(
+        "impl,name,impl_kwargs,params",
+        IMPLEMENTATIONS,
+        ids=[name for _, name, _, _ in IMPLEMENTATIONS],
+    )
+    def test_matches_from_spec(self, impl, name, impl_kwargs, params, uniform_2d):
+        old = impl(uniform_2d, 1.0, rng=np.random.default_rng(11), **impl_kwargs)
+        new = from_spec(name, epsilon=1.0, **params).fit(
+            uniform_2d, rng=np.random.default_rng(11)
+        )
+        # The release surface answers via the flat array engine, whose
+        # summation order differs from the recursive traversal by float
+        # round-off only — so approx at a far-sub-noise tolerance.
+        assert old.range_count(QUERY) == pytest.approx(new.query(QUERY), rel=1e-12)
+
+    @pytest.mark.parametrize("module", ["repro", "repro.spatial", "repro.baselines"])
+    def test_free_functions_are_gone(self, module):
+        """The 1.x ``*_histogram`` shims were removed in 2.0.0."""
+        import importlib
+
+        package = importlib.import_module(module)
+        for _, name, _, _ in IMPLEMENTATIONS:
+            assert not hasattr(package, f"{name}_histogram")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import dawa_histogram, private_partition
+from repro.baselines import private_partition
+from repro.baselines.dawa import _dawa_histogram
 from repro.spatial import average_relative_error, generate_workload
 
 
@@ -46,21 +47,21 @@ class TestPrivatePartition:
 
 class TestDawaHistogram:
     def test_grid_shape_default(self, clustered_2d):
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
+        hist = _dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert hist.grid.shape == (128, 128)
 
     def test_total_count_near_n(self, clustered_2d):
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
+        hist = _dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert hist.grid.counts.sum() == pytest.approx(clustered_2d.n, rel=0.2)
 
     def test_bucket_count_reported(self, clustered_2d):
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
+        hist = _dawa_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert hist.n_buckets == len(hist.boundaries) - 1
         assert 1 <= hist.n_buckets <= 128 * 128
 
     def test_adapts_fewer_buckets_than_cells_on_skewed_data(self, clustered_2d):
         # The point of DAWA: empty space merges into large buckets.
-        hist = dawa_histogram(clustered_2d, epsilon=1.0, rng=1)
+        hist = _dawa_histogram(clustered_2d, epsilon=1.0, rng=1)
         assert hist.n_buckets < hist.grid.n_cells / 2
 
     def test_4d_uses_morton(self):
@@ -69,7 +70,7 @@ class TestDawaHistogram:
 
         pts = np.random.default_rng(0).uniform(0, 1, size=(2_000, 4)) * 0.999
         data = SpatialDataset(pts, Box.unit(4))
-        hist = dawa_histogram(data, epsilon=1.0, rng=0)
+        hist = _dawa_histogram(data, epsilon=1.0, rng=0)
         assert hist.grid.shape == (8, 8, 8, 8)
 
     def test_error_decreases_with_epsilon(self, clustered_2d):
@@ -79,7 +80,7 @@ class TestDawaHistogram:
             errs[eps] = np.mean(
                 [
                     average_relative_error(
-                        dawa_histogram(clustered_2d, eps, rng=s).range_count,
+                        _dawa_histogram(clustered_2d, eps, rng=s).range_count,
                         clustered_2d,
                         queries,
                     )
@@ -90,6 +91,6 @@ class TestDawaHistogram:
 
     def test_invalid_parameters(self, clustered_2d):
         with pytest.raises(ValueError):
-            dawa_histogram(clustered_2d, epsilon=1.0, cells_per_dim=100)
+            _dawa_histogram(clustered_2d, epsilon=1.0, cells_per_dim=100)
         with pytest.raises(ValueError):
-            dawa_histogram(clustered_2d, epsilon=1.0, rho=1.5)
+            _dawa_histogram(clustered_2d, epsilon=1.0, rho=1.5)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import hierarchy_histogram, split_branchings
+from repro.baselines import split_branchings
+from repro.baselines.hierarchy import _hierarchy_histogram
 from repro.spatial import average_relative_error, generate_workload
 
 
@@ -31,13 +32,13 @@ class TestSplitBranchings:
 
 class TestHierarchyHistogram:
     def test_paper_default_structure(self, uniform_2d):
-        hist = hierarchy_histogram(uniform_2d, epsilon=1.0, height=3, rng=0)
+        hist = _hierarchy_histogram(uniform_2d, epsilon=1.0, height=3, rng=0)
         assert hist.levels == 3
         assert hist.branchings == [8, 8]
         assert hist.leaf_grid.shape == (64, 64)
 
     def test_total_count_near_n(self, uniform_2d):
-        hist = hierarchy_histogram(uniform_2d, epsilon=1.0, rng=0)
+        hist = _hierarchy_histogram(uniform_2d, epsilon=1.0, rng=0)
         assert hist.leaf_grid.counts.sum() == pytest.approx(uniform_2d.n, rel=0.15)
 
     def test_consistency_children_sum_to_parent(self, uniform_2d):
@@ -45,7 +46,7 @@ class TestHierarchyHistogram:
         # branching must reproduce the implied parent level exactly.
         from repro.baselines.hierarchy import _pool
 
-        hist = hierarchy_histogram(uniform_2d, epsilon=1.0, height=3, rng=0)
+        hist = _hierarchy_histogram(uniform_2d, epsilon=1.0, height=3, rng=0)
         # Rebuild with access to internals: run again at higher level count.
         leaf = hist.leaf_grid.counts
         parent = _pool(leaf, hist.branchings[-1])
@@ -60,7 +61,7 @@ class TestHierarchyHistogram:
             errs[eps] = np.mean(
                 [
                     average_relative_error(
-                        hierarchy_histogram(uniform_2d, eps, rng=s).range_count,
+                        _hierarchy_histogram(uniform_2d, eps, rng=s).range_count,
                         uniform_2d,
                         queries,
                     )
@@ -70,7 +71,7 @@ class TestHierarchyHistogram:
         assert errs[1.6] < errs[0.05]
 
     def test_taller_tree_more_levels(self, uniform_2d):
-        hist = hierarchy_histogram(
+        hist = _hierarchy_histogram(
             uniform_2d, epsilon=1.0, height=5, leaf_cells_exponent=6, rng=0
         )
         assert hist.branchings == [4, 4, 2, 2]
@@ -78,6 +79,6 @@ class TestHierarchyHistogram:
 
     def test_invalid_parameters(self, uniform_2d):
         with pytest.raises(ValueError):
-            hierarchy_histogram(uniform_2d, epsilon=0.0)
+            _hierarchy_histogram(uniform_2d, epsilon=0.0)
         with pytest.raises(ValueError):
-            hierarchy_histogram(uniform_2d, epsilon=1.0, height=1)
+            _hierarchy_histogram(uniform_2d, epsilon=1.0, height=1)

@@ -8,7 +8,7 @@ silent regression in the inference cannot hide behind end-to-end noise.
 import numpy as np
 import pytest
 
-from repro.baselines.hierarchy import _expand, _pool, hierarchy_histogram
+from repro.baselines.hierarchy import _expand, _hierarchy_histogram, _pool
 from repro.domains import Box
 from repro.spatial import SpatialDataset
 
@@ -36,7 +36,7 @@ class TestPoolExpand:
 class TestHierarchyConsistency:
     @pytest.fixture
     def hist(self, clustered_2d):
-        return hierarchy_histogram(
+        return _hierarchy_histogram(
             clustered_2d, epsilon=1.0, height=4, leaf_cells_exponent=6, rng=0
         )
 
@@ -52,7 +52,7 @@ class TestHierarchyConsistency:
         # must reproduce the implied parents exactly (the constraint the
         # inference enforces); run twice with the same seed and compare
         # levels derived from the final leaves.
-        hist = hierarchy_histogram(
+        hist = _hierarchy_histogram(
             clustered_2d, epsilon=1.0, height=3, leaf_cells_exponent=4, rng=1
         )
         leaves = hist.leaf_grid.counts
@@ -74,7 +74,7 @@ class TestHierarchyConsistency:
         hier_err = np.mean(
             [
                 average_relative_error(
-                    hierarchy_histogram(
+                    _hierarchy_histogram(
                         uniform_2d, eps, height=3, leaf_cells_exponent=6, rng=s
                     ).range_count,
                     uniform_2d,
@@ -100,9 +100,9 @@ class TestHierarchyConsistency:
 
 class TestAgBlueBlend:
     def test_blend_lies_between_observations(self, clustered_2d):
-        from repro.baselines import ag_histogram
+        from repro.baselines.ag import _ag_histogram
 
-        ag = ag_histogram(clustered_2d, epsilon=1.0, rng=0)
+        ag = _ag_histogram(clustered_2d, epsilon=1.0, rng=0)
         # For every refined cell the consistent subtotal is a convex blend
         # of the parent's noisy count and the children's noisy sum -> the
         # exact count should usually be bracketed reasonably; verify the

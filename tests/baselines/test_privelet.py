@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    haar_forward,
-    haar_inverse,
-    haar_weights,
-    privelet_histogram,
-)
+from repro.baselines import haar_forward, haar_inverse, haar_weights
+from repro.baselines.privelet import _privelet_histogram
 from repro.spatial import average_relative_error, generate_workload
 
 
@@ -70,18 +66,18 @@ class TestHaarWeights:
 
 class TestPriveletHistogram:
     def test_shape_default(self, clustered_2d):
-        hist = privelet_histogram(clustered_2d, epsilon=1.0, rng=0)
+        hist = _privelet_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert hist.grid.shape == (128, 128)
 
     def test_total_count_near_n(self, clustered_2d):
-        hist = privelet_histogram(clustered_2d, epsilon=1.0, rng=0)
+        hist = _privelet_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert hist.grid.counts.sum() == pytest.approx(clustered_2d.n, rel=0.25)
 
     def test_noiseless_limit_recovers_exact_grid(self, clustered_2d):
         # With enormous epsilon the reconstruction approaches exact counts.
         from repro.baselines import UniformGrid
 
-        hist = privelet_histogram(clustered_2d, epsilon=1e9, rng=0, cells_per_dim=32)
+        hist = _privelet_histogram(clustered_2d, epsilon=1e9, rng=0, cells_per_dim=32)
         exact = UniformGrid.histogram(clustered_2d, (32, 32))
         np.testing.assert_allclose(hist.grid.counts, exact.counts, atol=1e-3)
 
@@ -92,7 +88,7 @@ class TestPriveletHistogram:
             errs[eps] = np.mean(
                 [
                     average_relative_error(
-                        privelet_histogram(clustered_2d, eps, rng=s).range_count,
+                        _privelet_histogram(clustered_2d, eps, rng=s).range_count,
                         clustered_2d,
                         queries,
                     )
@@ -107,11 +103,11 @@ class TestPriveletHistogram:
 
         pts = np.random.default_rng(0).uniform(0, 1, size=(2_000, 4)) * 0.999
         data = SpatialDataset(pts, Box.unit(4))
-        hist = privelet_histogram(data, epsilon=1.0, rng=0)
+        hist = _privelet_histogram(data, epsilon=1.0, rng=0)
         assert hist.grid.shape == (16, 16, 16, 16)
 
     def test_invalid_parameters(self, clustered_2d):
         with pytest.raises(ValueError):
-            privelet_histogram(clustered_2d, epsilon=0.0)
+            _privelet_histogram(clustered_2d, epsilon=0.0)
         with pytest.raises(ValueError):
-            privelet_histogram(clustered_2d, epsilon=1.0, cells_per_dim=100)
+            _privelet_histogram(clustered_2d, epsilon=1.0, cells_per_dim=100)

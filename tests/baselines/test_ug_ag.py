@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import ag_histogram, ug_cells_per_dim, ug_histogram
-from repro.baselines.ag import ag_level1_cells_per_dim, ag_level2_cells_per_dim
+from repro.baselines import ug_cells_per_dim
+from repro.baselines.ag import (
+    _ag_histogram,
+    ag_level1_cells_per_dim,
+    ag_level2_cells_per_dim,
+)
+from repro.baselines.ug import _ug_histogram
 from repro.domains import Box
 from repro.spatial import SpatialDataset, average_relative_error, generate_workload
 
@@ -41,16 +46,16 @@ class TestUgGranularity:
 
 class TestUgHistogram:
     def test_grid_shape(self, uniform_2d):
-        grid = ug_histogram(uniform_2d, epsilon=1.0, rng=0)
+        grid = _ug_histogram(uniform_2d, epsilon=1.0, rng=0)
         m = ug_cells_per_dim(uniform_2d.n, 2, 1.0)
         assert grid.shape == (m, m)
 
     def test_total_near_n(self, uniform_2d):
-        grid = ug_histogram(uniform_2d, epsilon=1.0, rng=0)
+        grid = _ug_histogram(uniform_2d, epsilon=1.0, rng=0)
         assert grid.counts.sum() == pytest.approx(uniform_2d.n, rel=0.10)
 
     def test_reasonable_accuracy_on_uniform(self, uniform_2d):
-        grid = ug_histogram(uniform_2d, epsilon=1.0, rng=1)
+        grid = _ug_histogram(uniform_2d, epsilon=1.0, rng=1)
         queries = generate_workload(uniform_2d.domain, "large", 40, rng=2)
         err = average_relative_error(grid.range_count, uniform_2d, queries)
         assert err < 0.2
@@ -77,10 +82,10 @@ class TestAgHistogram:
         pts = np.zeros((10, 3))
         data = SpatialDataset(pts, Box((0.0,) * 3, (1.0,) * 3))
         with pytest.raises(ValueError):
-            ag_histogram(data, epsilon=1.0, rng=0)
+            _ag_histogram(data, epsilon=1.0, rng=0)
 
     def test_dense_cells_get_refined(self, clustered_2d):
-        ag = ag_histogram(clustered_2d, epsilon=1.0, rng=0)
+        ag = _ag_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert len(ag.subgrids) > 0
         # The cluster sits near (0.25, 0.25); at least one subgrid should
         # cover that area.
@@ -94,13 +99,13 @@ class TestAgHistogram:
         # After mean consistency each subgrid total is a blend of parent and
         # children noisy counts -> it must lie between the two raw values or
         # at least be finite and close to the exact count at high epsilon.
-        ag = ag_histogram(clustered_2d, epsilon=10.0, rng=0)
+        ag = _ag_histogram(clustered_2d, epsilon=10.0, rng=0)
         for (i, j), sub in ag.subgrids.items():
             exact = clustered_2d.count_in(ag.level1.cell_box((i, j)))
             assert sub.counts.sum() == pytest.approx(exact, abs=60.0)
 
     def test_range_count_total(self, clustered_2d):
-        ag = ag_histogram(clustered_2d, epsilon=2.0, rng=1)
+        ag = _ag_histogram(clustered_2d, epsilon=2.0, rng=1)
         assert ag.range_count(clustered_2d.domain) == pytest.approx(
             clustered_2d.n, rel=0.15
         )
@@ -112,7 +117,7 @@ class TestAgHistogram:
         ag_err = np.mean(
             [
                 average_relative_error(
-                    ag_histogram(clustered_2d, eps, rng=s).range_count,
+                    _ag_histogram(clustered_2d, eps, rng=s).range_count,
                     clustered_2d,
                     queries,
                 )
@@ -122,7 +127,7 @@ class TestAgHistogram:
         ug_err = np.mean(
             [
                 average_relative_error(
-                    ug_histogram(clustered_2d, eps, rng=s).range_count,
+                    _ug_histogram(clustered_2d, eps, rng=s).range_count,
                     clustered_2d,
                     queries,
                 )
@@ -133,4 +138,4 @@ class TestAgHistogram:
 
     def test_invalid_alpha(self, clustered_2d):
         with pytest.raises(ValueError):
-            ag_histogram(clustered_2d, epsilon=1.0, alpha=0.0)
+            _ag_histogram(clustered_2d, epsilon=1.0, alpha=0.0)

@@ -9,6 +9,7 @@ import pytest
 from repro.api import from_spec
 from repro.experiments import LoadError, run_load
 from repro.experiments.perf import synthetic_flat_histogram
+from repro.queries import RangeCount
 from repro.serve import ReleaseStore, SynopsisHTTPServer
 from repro.spatial.flat import FlatHistogram
 
@@ -64,9 +65,8 @@ def running_server(tmp_path, uniform_2d):
 class TestRunLoad:
     def test_counts_and_latency_fields(self, running_server):
         port, release_id, _ = running_server
-        payload = json.dumps(
-            {"queries": [{"low": [0.2, 0.2], "high": [0.6, 0.6]}] * 5}
-        ).encode()
+        query = RangeCount(low=(0.2, 0.2), high=(0.6, 0.6)).to_wire()
+        payload = json.dumps({"queries": [query] * 5}).encode()
         result = run_load(
             "127.0.0.1",
             port,

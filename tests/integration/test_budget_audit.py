@@ -22,7 +22,7 @@ class TestPrivTreeHistogramBudget:
         assert acc.remaining == pytest.approx(0.0, abs=1e-12)
 
     def test_structure_noise_matches_corollary_1(self):
-        # privtree_histogram at eps=1, fanout 4: tree budget 0.5 -> lambda
+        # from_spec("privtree") at eps=1, fanout 4: tree budget 0.5 -> lambda
         # must be (2*4-1)/(4-1)/0.5 = 14/3.
         params = PrivTreeParams.calibrate(0.5, fanout=4)
         assert params.lam == pytest.approx(14.0 / 3.0)

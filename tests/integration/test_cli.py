@@ -523,9 +523,28 @@ class TestBenchGate:
                 + ["--compare", str(baseline), "--fail-above", "0.9"]
             )
 
-    def test_gate_passes_and_fails(self, capsys, tmp_path):
+    #: One fixed bench result: the gate logic needs no real timings
+    #: (`test_bench_small_run` runs the real bench).
+    RESULT = {
+        "config": {"n_points": 1500},
+        "cases": {
+            "privtree_build": {
+                "optimized_s": 0.010,
+                "reference_s": 0.050,
+                "speedup": 5.0,
+            },
+            "range_count_many": {"optimized_s": 0.002},
+        },
+    }
+
+    def test_gate_passes_and_fails(self, capsys, monkeypatch, tmp_path):
+        import copy
         import json
 
+        monkeypatch.setattr(
+            "repro.experiments.run_perf_bench",
+            lambda **kwargs: copy.deepcopy(self.RESULT),
+        )
         out_file = tmp_path / "bench.json"
         args = self.ARGS + ["--out", str(out_file)]
         assert main(args) == 0
@@ -708,3 +727,50 @@ class TestFederatedFitCommand:
     def test_rejects_sequence_dataset(self):
         with pytest.raises(SystemExit, match="unknown spatial dataset"):
             main(["federated-fit", "--dataset", "msnbc"])
+
+
+class TestLedgerReconciliation:
+    """Every CLI path that spends budget: the trace's spend events add up to
+    ``--epsilon`` (per epoch), and no spend was rolled back."""
+
+    #: Command prefix and epochs per case; each runs with --epsilon 0.5.
+    CASES = {
+        "run": (["run", "--method", "privtree"], 1),
+        "store-put": (
+            ["store", "put", "--store", "{tmp}/store", "--method", "privtree"],
+            1,
+        ),
+        "federated-fit": (["federated-fit", "--shards", "3"], 1),
+        "federated-epochs": (
+            [
+                "federated-fit",
+                "--shards", "3",
+                "--epochs", "3",
+                "--store", "{tmp}/epochs",
+            ],
+            3,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_spend_events_sum_to_epsilon(self, case, capsys, tmp_path):
+        from repro import telemetry
+
+        prefix, epochs = self.CASES[case]
+        argv = [arg.format(tmp=tmp_path) for arg in prefix] + [
+            "--dataset", "gowalla",
+            "--n", "2000",
+            "--epsilon", "0.5",
+            "--seed", "0",
+        ]
+        tracer = telemetry.enable()
+        try:
+            assert main(argv) == 0
+        finally:
+            telemetry.disable()
+        capsys.readouterr()
+        records = tracer.records
+        assert not [r for r in records if r.name == "accountant.rollback"]
+        spends = [r.attrs["epsilon"] for r in records if r.name == "accountant.spend"]
+        assert spends
+        assert sum(spends) == pytest.approx(0.5 * epochs, rel=1e-12)

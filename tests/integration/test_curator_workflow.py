@@ -20,16 +20,16 @@ from repro.spatial import (
     average_relative_error,
     generate_workload,
     load_tree,
-    privtree_histogram,
     save_tree,
 )
+from repro.spatial.quadtree import _privtree_histogram
 
 
 class TestSpatialCuratorWorkflow:
     def test_publish_ship_consume(self, clustered_2d, tmp_path):
         # Curator side: one ε-DP release, written to disk.
         epsilon = 1.0
-        synopsis = privtree_histogram(clustered_2d, epsilon, rng=0)
+        synopsis = _privtree_histogram(clustered_2d, epsilon, rng=0)
         path = tmp_path / "release.json"
         save_tree(synopsis, path)
 
@@ -53,7 +53,7 @@ class TestSpatialCuratorWorkflow:
         # and k-means without further privacy spend.
         from repro.applications import kmeans_cost, privtree_kmeans
 
-        synopsis = privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        synopsis = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
         raster = synopsis.to_grid((16, 16))
         assert raster.sum() == pytest.approx(synopsis.total_count, rel=1e-6)
         centers = privtree_kmeans(
@@ -90,7 +90,7 @@ class TestSequenceCuratorWorkflow:
         pts = gen.uniform(0, 1, size=(2_000, 2)) * 0.999
         data = SpatialDataset(pts, Box.unit(2))
         acc = PrivacyAccountant(1.0)
-        privtree_histogram(data, acc.spend(0.6, "coarse release"), rng=1)
-        privtree_histogram(data, acc.spend(0.4, "refined release"), rng=2)
+        _privtree_histogram(data, acc.spend(0.6, "coarse release"), rng=1)
+        _privtree_histogram(data, acc.spend(0.4, "refined release"), rng=2)
         with pytest.raises(BudgetExceededError):
             acc.spend(0.1, "one release too many")

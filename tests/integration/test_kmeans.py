@@ -5,7 +5,8 @@ import pytest
 
 from repro.applications import dplloyd_kmeans, kmeans_cost, privtree_kmeans
 from repro.domains import Box
-from repro.spatial import SpatialDataset, privtree_histogram
+from repro.spatial import SpatialDataset
+from repro.spatial.quadtree import _privtree_histogram
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ class TestPrivtreeKmeans:
         assert private_cost < 10 * (2 * 0.03**2)
 
     def test_reuses_existing_synopsis(self, three_blobs):
-        synopsis = privtree_histogram(three_blobs, epsilon=2.0, rng=0)
+        synopsis = _privtree_histogram(three_blobs, epsilon=2.0, rng=0)
         a = privtree_kmeans(three_blobs, k=3, epsilon=2.0, rng=1, synopsis=synopsis)
         b = privtree_kmeans(three_blobs, k=3, epsilon=2.0, rng=1, synopsis=synopsis)
         np.testing.assert_allclose(a, b)

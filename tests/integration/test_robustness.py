@@ -7,18 +7,17 @@ adversarial parameter corners — none of these should crash or hang.
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    ag_histogram,
-    dawa_histogram,
-    hierarchy_histogram,
-    kdtree_histogram,
-    ngram_model,
-    privelet_histogram,
-    ug_histogram,
-)
+from repro.baselines import ngram_model
+from repro.baselines.ag import _ag_histogram
+from repro.baselines.dawa import _dawa_histogram
+from repro.baselines.hierarchy import _hierarchy_histogram
+from repro.baselines.kdtree import _kdtree_histogram
+from repro.baselines.privelet import _privelet_histogram
+from repro.baselines.ug import _ug_histogram
 from repro.domains import Box
 from repro.sequence import Alphabet, SequenceDataset, private_pst
-from repro.spatial import SpatialDataset, privtree_histogram
+from repro.spatial import SpatialDataset
+from repro.spatial.quadtree import _privtree_histogram
 
 
 @pytest.fixture
@@ -33,42 +32,43 @@ def single_point() -> SpatialDataset:
 
 class TestEmptySpatialData:
     def test_privtree(self, empty_2d):
-        syn = privtree_histogram(empty_2d, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(empty_2d, epsilon=1.0, rng=0)
         assert syn.size >= 1
         assert isinstance(syn.range_count(Box.unit(2)), float)
 
     def test_ug(self, empty_2d):
-        grid = ug_histogram(empty_2d, epsilon=1.0, rng=0)
+        grid = _ug_histogram(empty_2d, epsilon=1.0, rng=0)
         assert grid.n_cells == 1  # the granularity formula floors at 1
 
     def test_ag(self, empty_2d):
-        ag = ag_histogram(empty_2d, epsilon=1.0, rng=0)
+        ag = _ag_histogram(empty_2d, epsilon=1.0, rng=0)
         assert isinstance(ag.range_count(Box.unit(2)), float)
 
     def test_hierarchy(self, empty_2d):
-        hist = hierarchy_histogram(empty_2d, epsilon=1.0, rng=0)
+        hist = _hierarchy_histogram(empty_2d, epsilon=1.0, rng=0)
         assert abs(hist.leaf_grid.counts.sum()) < 5_000  # pure noise
 
     def test_dawa(self, empty_2d):
-        hist = dawa_histogram(empty_2d, epsilon=1.0, rng=0)
+        hist = _dawa_histogram(empty_2d, epsilon=1.0, rng=0)
         assert hist.n_buckets >= 1
 
     def test_privelet(self, empty_2d):
-        hist = privelet_histogram(empty_2d, epsilon=1.0, rng=0)
+        hist = _privelet_histogram(empty_2d, epsilon=1.0, rng=0)
         assert np.isfinite(hist.grid.counts).all()
 
     def test_kdtree(self, empty_2d):
-        tree = kdtree_histogram(empty_2d, epsilon=1.0, height=3, rng=0)
+        tree = _kdtree_histogram(empty_2d, epsilon=1.0, height=3, rng=0)
         assert tree.height <= 2
 
 
 class TestSinglePoint:
     def test_privtree_single_point(self, single_point):
-        syn = privtree_histogram(single_point, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(single_point, epsilon=1.0, rng=0)
         assert syn.total_count == pytest.approx(1.0, abs=20.0)
 
     def test_all_grids_single_point(self, single_point):
-        for build in (ug_histogram, ag_histogram, dawa_histogram, privelet_histogram):
+        grids = (_ug_histogram, _ag_histogram, _dawa_histogram, _privelet_histogram)
+        for build in grids:
             synopsis = build(single_point, 1.0, rng=0)
             assert np.isfinite(synopsis.range_count(Box.unit(2)))
 
@@ -108,17 +108,17 @@ class TestDegenerateSequences:
 
 class TestAdversarialQueries:
     def test_query_outside_domain(self, single_point):
-        syn = privtree_histogram(single_point, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(single_point, epsilon=1.0, rng=0)
         outside = Box((5.0, 5.0), (6.0, 6.0))
         assert syn.range_count(outside) == 0.0
 
     def test_sliver_query(self, uniform_2d):
-        syn = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
         sliver = Box((0.5, 0.0), (0.5 + 1e-12, 1.0))
         assert np.isfinite(syn.range_count(sliver))
 
     def test_negative_noisy_counts_still_answer(self, empty_2d):
         # Empty data + noise yields negative leaf counts; traversal must
         # propagate them (the release is unbiased, not clamped).
-        syn = privtree_histogram(empty_2d, epsilon=0.05, rng=3)
+        syn = _privtree_histogram(empty_2d, epsilon=0.05, rng=3)
         assert np.isfinite(syn.range_count(Box((0.1, 0.1), (0.4, 0.4))))

@@ -55,10 +55,9 @@ class TestScoreWorkload:
 
     def test_bare_synopsis_falls_back_to_range_count_many(self, uniform_2d):
         """Ablation builders may return raw trees; scoring still works."""
-        from repro.spatial import privtree_histogram
+        from repro.spatial.quadtree import _privtree_histogram
 
-        with pytest.warns(DeprecationWarning):
-            tree = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        tree = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
         boxes = [RangeCount(low=(0.1, 0.1), high=(0.5, 0.5)).box]
         workload = Workload.ranges(boxes)
         exacts = np.array([float(uniform_2d.count_in(b)) for b in boxes])

@@ -111,30 +111,21 @@ class TestDecodeErrors:
 
 
 class TestDecodeBatch:
-    def test_legacy_boxes_decode_with_deprecation(self):
-        raw = [{"low": [0.1, 0.1], "high": [0.5, 0.5]}]
-        with pytest.warns(DeprecationWarning, match="raw query batches"):
-            workload = decode_query_batch(raw, spatial=True)
-        assert workload[0] == RangeCount(low=(0.1, 0.1), high=(0.5, 0.5))
-
-    def test_legacy_codes_decode_with_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="raw query batches"):
-            workload = decode_query_batch([[0, 1, 2]], spatial=False)
-        assert workload[0] == StringFrequency(codes=(0, 1, 2))
-
-    def test_mixed_typed_and_legacy(self):
+    def test_typed_entries_decode_in_order(self):
         raw = [
             RangeCount(low=(0.0, 0.0), high=(1.0, 1.0)).to_wire(),
-            {"low": [0.1, 0.1], "high": [0.5, 0.5]},
+            RangeCount(low=(0.1, 0.1), high=(0.5, 0.5)).to_wire(),
         ]
-        with pytest.warns(DeprecationWarning):
-            workload = decode_query_batch(raw, spatial=True)
-        assert len(workload) == 2
+        workload = decode_query_batch(raw, spatial=True)
+        assert list(workload) == [
+            RangeCount(low=(0.0, 0.0), high=(1.0, 1.0)),
+            RangeCount(low=(0.1, 0.1), high=(0.5, 0.5)),
+        ]
 
     def test_malformed_entry_reports_index(self):
         raw = [
-            {"low": [0.0, 0.0], "high": [1.0, 1.0]},
-            {"low": [0.0, 0.0]},
+            RangeCount(low=(0.0, 0.0), high=(1.0, 1.0)).to_wire(),
+            {"format": "repro.query", "version": 1, "type": "range_count"},
         ]
         with pytest.raises(QueryDecodeError, match="query 1 is malformed") as excinfo:
             decode_query_batch(raw, spatial=True)
@@ -143,3 +134,33 @@ class TestDecodeBatch:
     def test_string_not_treated_as_code_list(self):
         with pytest.raises(QueryDecodeError, match="query 0 is malformed"):
             decode_query_batch(["12"], spatial=False)
+
+    @pytest.mark.parametrize(
+        "spatial,typed,raw,replacement",
+        [
+            (
+                True,
+                RangeCount(low=(0.0, 0.0), high=(1.0, 1.0)),
+                {"low": [0.1, 0.1], "high": [0.5, 0.5]},
+                "range_count",
+            ),
+            (False, StringFrequency(codes=(0,)), [0, 1, 2], "string_frequency"),
+        ],
+        ids=["box", "code_list"],
+    )
+    def test_raw_entry_rejected_names_typed_replacement(
+        self, spatial, typed, raw, replacement
+    ):
+        """The raw forms of 1.x were removed in 2.0.0; the error says what
+        to send instead, at the raw entry's index."""
+        expected = f'"type": "{replacement}"'
+        with pytest.raises(QueryDecodeError, match=expected) as excinfo:
+            decode_query_batch([typed.to_wire(), raw], spatial=spatial)
+        assert excinfo.value.index == 1
+
+    def test_typed_entry_error_names_no_replacement(self):
+        # Only a raw entry is told which typed query to send instead.
+        bad = {"format": "repro.query", "version": 1, "type": "string_frequency"}
+        with pytest.raises(QueryDecodeError, match="query 0 is malformed") as excinfo:
+            decode_query_batch([bad], spatial=False)
+        assert "removed in 2.0.0" not in str(excinfo.value)

@@ -8,6 +8,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.queries import RangeCount, StringFrequency
 from repro.serve import SynopsisHTTPServer
 
 from .conftest import QUERY_BOXES, QUERY_CODES, fit_release
@@ -57,7 +58,20 @@ def _post(httpd, path, body):
 
 
 def _box_batch(boxes):
-    return {"queries": [{"low": list(b.low), "high": list(b.high)} for b in boxes]}
+    return {"queries": [RangeCount.of(b).to_wire() for b in boxes]}
+
+
+def _code_batch(codes):
+    return {"queries": [StringFrequency(codes=tuple(c)).to_wire() for c in codes]}
+
+
+#: A typed range count that lacks its upper corner.
+MALFORMED_RANGE = {
+    "format": "repro.query",
+    "version": 1,
+    "type": "range_count",
+    "low": [0.1, 0.1],
+}
 
 
 class TestEndpoints:
@@ -82,19 +96,25 @@ class TestEndpoints:
         assert body["dataset"] == "uniform2d"
 
     def test_spatial_query_batch_matches_in_process(self, server):
+        """Served range counts are exactly the in-process `answer` floats,
+        which are also the scalar `query_many` floats."""
+        from repro.queries import Workload
+
         httpd, ids, releases = server
+        release = releases["spatial"]
         status, body = _post(
             httpd, f"/releases/{ids['spatial']}/query", _box_batch(QUERY_BOXES)
         )
         assert status == 200
         assert body["count"] == len(QUERY_BOXES)
-        expected = releases["spatial"].query_many(QUERY_BOXES)
-        assert np.array_equal(np.array(body["answers"]), expected)
+        answers = np.array(body["answers"])
+        assert np.array_equal(answers, release.answer(Workload.ranges(QUERY_BOXES)))
+        assert np.array_equal(answers, release.query_many(QUERY_BOXES))
 
     def test_sequence_query_batch_matches_in_process(self, server):
         httpd, ids, releases = server
         status, body = _post(
-            httpd, f"/releases/{ids['sequence']}/query", {"queries": QUERY_CODES}
+            httpd, f"/releases/{ids['sequence']}/query", _code_batch(QUERY_CODES)
         )
         assert status == 200
         expected = [float(v) for v in releases["sequence"].query_many(QUERY_CODES)]
@@ -103,7 +123,7 @@ class TestEndpoints:
     def test_typed_workload_matches_in_process_answer(self, server):
         """Typed wire queries (range + point + marginal) answer exactly the
         in-process `release.answer` floats; vector queries come as lists."""
-        from repro.queries import Marginal1D, PointCount, RangeCount, Workload
+        from repro.queries import Marginal1D, PointCount, Workload
 
         httpd, ids, releases = server
         release = releases["spatial"]
@@ -127,28 +147,8 @@ class TestEndpoints:
         flat = np.array(scalars + vector)
         assert np.array_equal(flat, release.answer(workload))
 
-    def test_mixed_legacy_and_typed_batch_bit_identical(self, server):
-        """A batch mixing raw boxes with typed documents answers exactly the
-        in-process `answer` of the decoded workload — and the legacy slots
-        exactly match the historical raw-batch answers."""
-        from repro.queries import RangeCount, Workload
-
-        httpd, ids, releases = server
-        release = releases["spatial"]
-        raw = [
-            {"low": list(QUERY_BOXES[0].low), "high": list(QUERY_BOXES[0].high)},
-            RangeCount.of(QUERY_BOXES[1]).to_wire(),
-            {"low": list(QUERY_BOXES[2].low), "high": list(QUERY_BOXES[2].high)},
-        ]
-        status, body = _post(httpd, f"/releases/{ids['spatial']}/query", {"queries": raw})
-        assert status == 200
-        expected = release.answer(Workload.ranges(QUERY_BOXES))
-        assert np.array_equal(np.array(body["answers"]), expected)
-        legacy = release.query_many(QUERY_BOXES)
-        assert np.array_equal(np.array(body["answers"]), legacy)
-
     def test_typed_sequence_workload_over_http(self, server):
-        from repro.queries import NextSymbolDistribution, StringFrequency, Workload
+        from repro.queries import NextSymbolDistribution, Workload
 
         httpd, ids, releases = server
         release = releases["sequence"]
@@ -225,7 +225,7 @@ class TestErrorPaths:
         status, body = _post(
             httpd,
             f"/releases/{ids['spatial']}/query",
-            {"queries": [{"low": [0.0, 0.0]}]},
+            {"queries": [MALFORMED_RANGE]},
         )
         assert status == 400
         assert "query 0 is malformed" in body["error"]
@@ -235,7 +235,7 @@ class TestErrorPaths:
         """One malformed entry in a large batch: the 400 body names the
         offending index instead of failing opaquely."""
         httpd, ids, _ = server
-        queries = _box_batch(QUERY_BOXES)["queries"] + [{"low": [0.1, 0.1]}]
+        queries = _box_batch(QUERY_BOXES)["queries"] + [MALFORMED_RANGE]
         status, body = _post(
             httpd, f"/releases/{ids['spatial']}/query", {"queries": queries}
         )
@@ -243,10 +243,35 @@ class TestErrorPaths:
         assert body["query_index"] == len(QUERY_BOXES)
         assert f"query {len(QUERY_BOXES)} is malformed" in body["error"]
 
+    @pytest.mark.parametrize(
+        "family,raw,replacement",
+        [
+            ("spatial", {"low": [0.1, 0.1], "high": [0.5, 0.5]}, "range_count"),
+            ("sequence", [0, 1], "string_frequency"),
+        ],
+    )
+    def test_raw_query_400_names_typed_replacement(
+        self, server, family, raw, replacement
+    ):
+        """The raw box and code-list forms of 1.x are gone: a client still
+        sending one gets a 400 naming the index and the typed query to send."""
+        httpd, ids, _ = server
+        typed = {
+            "spatial": _box_batch(QUERY_BOXES),
+            "sequence": _code_batch(QUERY_CODES),
+        }
+        queries = typed[family]["queries"] + [raw]
+        status, body = _post(
+            httpd, f"/releases/{ids[family]}/query", {"queries": queries}
+        )
+        assert status == 400
+        assert body["query_index"] == len(queries) - 1
+        assert f'"type": "{replacement}"' in body["error"]
+
     def test_validation_failure_is_structured_400(self, server):
         """A well-formed typed query that fails domain validation also
         reports its index (satellite: structured 400 on validation)."""
-        from repro.queries import PointCount, RangeCount
+        from repro.queries import PointCount
 
         httpd, ids, _ = server
         queries = [
@@ -261,8 +286,6 @@ class TestErrorPaths:
         assert "workload query 1" in body["error"]
 
     def test_unsupported_type_is_structured_400(self, server):
-        from repro.queries import StringFrequency
-
         httpd, ids, _ = server
         status, body = _post(
             httpd,
@@ -422,7 +445,6 @@ class TestBinaryWire:
     def test_binary_mixed_batch_offsets_cover_vector_queries(self, server):
         from repro.queries import (
             Marginal1D,
-            RangeCount,
             Workload,
             decode_binary_answers,
             encode_binary_workload,
@@ -560,6 +582,41 @@ class TestListenSocket:
             httpd.server_close()
             thread.join(timeout=5)
 
+    def test_lost_accept_race_returns_to_the_select_loop(self, store):
+        """Pre-forked workers share one listener, so one connection can wake
+        several of them.  The worker that loses the accept race must return
+        to its select loop, where it sees a shutdown request, instead of
+        blocking in accept() until the next connection arrives."""
+        import select
+        import socket
+
+        from repro.serve.http import _bind_listener
+
+        listener = _bind_listener("127.0.0.1", 0)
+        address = listener.getsockname()
+        httpd = SynopsisHTTPServer(
+            address, store, quiet=True, listen_socket=listener
+        )
+        client = socket.create_connection(address, timeout=5)
+        winner = None
+        step = threading.Thread(target=httpd._handle_request_noblock, daemon=True)
+        try:
+            assert select.select([listener], [], [], 5)[0]
+            winner, _ = listener.accept()  # the rival worker takes it
+            # What serve_forever runs once select reported the listener.
+            step.start()
+            step.join(timeout=2)
+            assert not step.is_alive(), "the losing worker blocked in accept()"
+        finally:
+            if step.is_alive():
+                # Release the blocked accept so the thread can finish.
+                socket.create_connection(address, timeout=5).close()
+                step.join(timeout=5)
+            for sock in (client, winner):
+                if sock is not None:
+                    sock.close()
+            httpd.server_close()
+
     def test_serve_rejects_nonpositive_workers(self, store):
         from repro.serve import serve
 
@@ -592,7 +649,7 @@ class TestConcurrency:
                 status, body = _post(
                     httpd,
                     f"/releases/{ids['sequence']}/query",
-                    {"queries": QUERY_CODES},
+                    _code_batch(QUERY_CODES),
                 )
                 if status != 200 or body["answers"] != seq_expected:
                     failures.append(("sequence", status))

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.queries import RangeCount, StringFrequency
 from repro.serve import ReleaseStore, StoreError, SynopsisService
 
 from .conftest import QUERY_BOXES, QUERY_CODES, fit_release
+
+#: The typed wire documents of the shared query boxes and code lists.
+BOX_DOCS = [RangeCount.of(b).to_wire() for b in QUERY_BOXES]
+CODE_DOCS = [StringFrequency(codes=tuple(c)).to_wire() for c in QUERY_CODES]
 
 
 class TestCacheBehaviour:
@@ -101,8 +106,7 @@ class TestDispatch:
         release, _ = fit_release("privtree", uniform_2d, None)
         release_id = store.put(release)
         service = SynopsisService(store)
-        raw = [{"low": list(b.low), "high": list(b.high)} for b in QUERY_BOXES]
-        response = service.answer_batch(release_id, raw)
+        response = service.answer_batch(release_id, BOX_DOCS)
         assert response["answers"] == [
             float(v) for v in release.query_many(QUERY_BOXES)
         ]
@@ -114,38 +118,27 @@ class TestDispatch:
         release, _ = fit_release("pst", None, sequence_data)
         release_id = store.put(release)
         service = SynopsisService(store)
-        assert service.answer_batch(release_id, QUERY_CODES)["answers"] == [
+        assert service.answer_batch(release_id, CODE_DOCS)["answers"] == [
             float(v) for v in release.query_many(QUERY_CODES)
         ]
 
-    def test_mixed_legacy_typed_batch_bit_identical_to_answer(
-        self, store, uniform_2d
-    ):
-        """A batch mixing raw boxes with typed wire documents answers
+    def test_typed_batch_bit_identical_to_answer(self, store, uniform_2d):
+        """A batch of typed wire documents of several types answers
         bit-identically to in-process `release.answer` on the same
         workload — one dispatch, same floats, scalars as bare floats."""
-        from repro.queries import Marginal1D, PointCount, RangeCount, Workload
+        from repro.queries import Marginal1D, PointCount, Workload
 
         release, _ = fit_release("privtree", uniform_2d, None)
         release_id = store.put(release)
         service = SynopsisService(store)
-        raw = [
-            {"low": list(QUERY_BOXES[0].low), "high": list(QUERY_BOXES[0].high)},
-            RangeCount.of(QUERY_BOXES[1]).to_wire(),
-            PointCount(point=(0.5, 0.5)).to_wire(),
-            Marginal1D.regular(axis=1, n_bins=3, low=0.0, high=1.0).to_wire(),
-            {"low": list(QUERY_BOXES[2].low), "high": list(QUERY_BOXES[2].high)},
-        ]
-        response = service.answer_batch(release_id, raw)
         workload = Workload.of(
             [
-                RangeCount.of(QUERY_BOXES[0]),
                 RangeCount.of(QUERY_BOXES[1]),
                 PointCount(point=(0.5, 0.5)),
                 Marginal1D.regular(axis=1, n_bins=3, low=0.0, high=1.0),
-                RangeCount.of(QUERY_BOXES[2]),
             ]
         )
+        response = service.answer_batch(release_id, [q.to_wire() for q in workload])
         expected = release.answer(workload)
         flat = np.array(
             [
@@ -155,36 +148,35 @@ class TestDispatch:
             ]
         )
         assert np.array_equal(flat, expected)
-        # Legacy entries stay bare floats, bit-identical to the old wire.
-        assert response["answers"][0] == float(release.query_many([QUERY_BOXES[0]])[0])
-        assert isinstance(response["answers"][3], list)
-        assert response["count"] == 5
+        # A range count is a bare float, equal to the scalar query_many one.
+        assert response["answers"][0] == float(release.query_many([QUERY_BOXES[1]])[0])
+        assert isinstance(response["answers"][2], list)
+        assert response["count"] == 3
 
     def test_malformed_query_names_index(self, store, uniform_2d):
         release, _ = fit_release("privtree", uniform_2d, None)
         release_id = store.put(release)
         service = SynopsisService(store)
-        good = {"low": [0.0, 0.0], "high": [0.5, 0.5]}
+        bad = {"format": "repro.query", "version": 1, "type": "range_count"}
         with pytest.raises(ValueError, match="query 1 is malformed"):
-            service.answer_batch(release_id, [good, {"low": [0.0, 0.0]}])
-        with pytest.raises(ValueError, match="boxes"):
+            service.answer_batch(release_id, [BOX_DOCS[0], bad])
+        # A raw 1.x code list is refused, naming the typed query to send.
+        with pytest.raises(ValueError, match="range_count"):
             service.answer_batch(release_id, [[0, 1]])
 
-    def test_out_of_alphabet_legacy_codes_fail_with_index(
-        self, store, sequence_data
-    ):
-        """Intentional tightening of the legacy wire: an out-of-alphabet
-        code now fails validation with the offending index for every
-        sequence release (previously the n-gram engine silently answered
-        0.0 while the PST raised an unindexed error)."""
+    def test_out_of_alphabet_codes_fail_with_index(self, store, sequence_data):
+        """An out-of-alphabet code fails validation with the offending
+        index for every sequence release (the n-gram engine alone would
+        silently answer 0.0, the PST raise an unindexed error)."""
         from repro.queries import QueryValidationError
 
         release, _ = fit_release("ngram", None, sequence_data)
         release_id = store.put(release)
         service = SynopsisService(store)
         size = release.query_domain.size
+        batch = [StringFrequency(codes=(c,)).to_wire() for c in (0, size)]
         with pytest.raises(QueryValidationError, match="workload query 1") as exc:
-            service.answer_batch(release_id, [[0], [size]])
+            service.answer_batch(release_id, batch)
         assert exc.value.index == 1
 
     def test_concurrent_cold_loads_count_one_miss(self, spatial_store):
@@ -249,12 +241,11 @@ class TestBinaryBatch:
         release, _ = fit_release("privtree", uniform_2d, None)
         release_id = store.put(release)
         service = SynopsisService(store)
-        raw = [{"low": list(b.low), "high": list(b.high)} for b in QUERY_BOXES]
         n_threads, n_batches = 8, 25
 
         def worker():
             for _ in range(n_batches):
-                service.answer_batch(release_id, raw)
+                service.answer_batch(release_id, BOX_DOCS)
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
         for t in threads:

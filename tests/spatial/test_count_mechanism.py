@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.spatial import privtree_histogram
+from repro.spatial.quadtree import _privtree_histogram
 
 
 class TestGeometricCounts:
     def test_leaf_counts_are_integers(self, uniform_2d):
-        syn = privtree_histogram(
+        syn = _privtree_histogram(
             uniform_2d, epsilon=1.0, count_mechanism="geometric", rng=0
         )
         leaves = [n for n in syn.root.iter_nodes() if n.is_leaf]
@@ -16,7 +16,7 @@ class TestGeometricCounts:
             assert leaf.count == int(leaf.count)
 
     def test_total_count_near_n(self, uniform_2d):
-        syn = privtree_histogram(
+        syn = _privtree_histogram(
             uniform_2d, epsilon=1.0, count_mechanism="geometric", rng=0
         )
         assert syn.total_count == pytest.approx(uniform_2d.n, rel=0.10)
@@ -30,7 +30,7 @@ class TestGeometricCounts:
             errs[mech] = np.mean(
                 [
                     average_relative_error(
-                        privtree_histogram(
+                        _privtree_histogram(
                             clustered_2d, 0.8, count_mechanism=mech, rng=s
                         ).range_count,
                         clustered_2d,
@@ -45,7 +45,7 @@ class TestGeometricCounts:
     def test_user_level_scaling_applies(self, uniform_2d):
         def spread(x: int) -> float:
             totals = [
-                privtree_histogram(
+                _privtree_histogram(
                     uniform_2d,
                     epsilon=0.5,
                     count_mechanism="geometric",
@@ -60,4 +60,4 @@ class TestGeometricCounts:
 
     def test_unknown_mechanism_rejected(self, uniform_2d):
         with pytest.raises(ValueError):
-            privtree_histogram(uniform_2d, epsilon=1.0, count_mechanism="gaussian")
+            _privtree_histogram(uniform_2d, epsilon=1.0, count_mechanism="gaussian")

@@ -17,9 +17,8 @@ from repro.spatial import (
     SpatialDataset,
     flatten_tree,
     generate_workload,
-    privtree_histogram,
-    simpletree_histogram,
 )
+from repro.spatial.quadtree import _privtree_histogram, _simpletree_histogram
 
 BANDS = ["small", "medium", "large"]
 
@@ -46,19 +45,19 @@ def random_trees():
     trees = []
     for seed in range(4):
         data = random_dataset(seed)
-        trees.append(privtree_histogram(data, epsilon=1.0, rng=seed))
+        trees.append(_privtree_histogram(data, epsilon=1.0, rng=seed))
         trees.append(
-            simpletree_histogram(data, epsilon=1.0, height=5, theta=0.0, rng=seed)
+            _simpletree_histogram(data, epsilon=1.0, height=5, theta=0.0, rng=seed)
         )
     data4 = random_dataset(5, n=2000, d=4)
-    trees.append(privtree_histogram(data4, epsilon=1.0, rng=5))
-    trees.append(privtree_histogram(random_dataset(6), epsilon=1.0, rng=6, dims_per_split=1))
+    trees.append(_privtree_histogram(data4, epsilon=1.0, rng=5))
+    trees.append(_privtree_histogram(random_dataset(6), epsilon=1.0, rng=6, dims_per_split=1))
     return trees
 
 
 class TestCompilation:
     def test_arrays_mirror_tree(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         flat = flatten_tree(tree)
         assert flat.size == tree.size
         assert flat.leaf_count == tree.leaf_count
@@ -72,7 +71,7 @@ class TestCompilation:
 
     def test_topology_consistent(self):
         flat = flatten_tree(
-            privtree_histogram(random_dataset(1), epsilon=1.0, rng=1)
+            _privtree_histogram(random_dataset(1), epsilon=1.0, rng=1)
         )
         assert flat.parents[0] == -1
         for i in range(flat.size):
@@ -85,7 +84,7 @@ class TestCompilation:
         assert sorted(flat.child_index) == list(range(1, flat.size))
 
     def test_to_tree_round_trip(self):
-        tree = privtree_histogram(random_dataset(2), epsilon=1.0, rng=2)
+        tree = _privtree_histogram(random_dataset(2), epsilon=1.0, rng=2)
         rebuilt = flatten_tree(tree).to_tree()
         assert rebuilt.size == tree.size
         originals = list(tree.root.iter_nodes())
@@ -95,7 +94,7 @@ class TestCompilation:
             assert a.count == b.count
 
     def test_cached_on_histogram_tree(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         assert tree.flat() is tree.flat()
 
 
@@ -114,12 +113,12 @@ class TestEquivalence:
             assert np.abs(single - recursive).max() <= 1e-9 * scale
 
     def test_query_covering_whole_domain(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         whole = Box((-1.0, -1.0), (2.0, 2.0))
         assert tree.flat().range_count(whole) == pytest.approx(tree.total_count)
 
     def test_query_outside_domain(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         outside = Box((2.0, 2.0), (3.0, 3.0))
         assert tree.flat().range_count(outside) == 0.0
 
@@ -151,12 +150,12 @@ class TestEquivalence:
 
 class TestBatchedSurface:
     def test_empty_workload(self):
-        tree = privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+        tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         assert tree.flat().range_count_many([]).shape == (0,)
 
     def test_dimension_mismatch_raises(self):
         flat = flatten_tree(
-            privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+            _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         )
         with pytest.raises(ValueError):
             flat.range_count(Box.unit(3))
@@ -164,7 +163,7 @@ class TestBatchedSurface:
             flat.range_count_many([Box.unit(3)])
 
     def test_tree_range_count_many_delegates(self):
-        tree = privtree_histogram(random_dataset(3), epsilon=1.0, rng=3)
+        tree = _privtree_histogram(random_dataset(3), epsilon=1.0, rng=3)
         queries = generate_workload(tree.root.box, "medium", 10, rng=9)
         assert np.allclose(
             tree.range_count_many(queries),
@@ -175,7 +174,7 @@ class TestBatchedSurface:
 class TestFlatHistogramIsFrozen:
     def test_dataclass_frozen(self):
         flat = flatten_tree(
-            privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
+            _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         )
         with pytest.raises(AttributeError):
             flat.counts = np.zeros(1)

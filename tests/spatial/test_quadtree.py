@@ -10,32 +10,30 @@ from repro.spatial import (
     average_relative_error,
     generate_workload,
     privtree_decomposition,
-    privtree_histogram,
-    simpletree_histogram,
 )
 from repro.spatial.quadtree import _privtree_histogram, _simpletree_histogram
 
 
 class TestPrivTreeHistogram:
     def test_total_count_near_n(self, uniform_2d):
-        syn = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
         assert syn.total_count == pytest.approx(uniform_2d.n, rel=0.10)
 
     def test_intermediate_counts_are_leaf_sums(self, uniform_2d):
-        syn = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
         for node in syn.root.iter_nodes():
             if not node.is_leaf:
                 assert node.count == pytest.approx(sum(c.count for c in node.children))
 
     def test_accuracy_on_large_queries(self, uniform_2d):
-        syn = privtree_histogram(uniform_2d, epsilon=1.0, rng=1)
+        syn = _privtree_histogram(uniform_2d, epsilon=1.0, rng=1)
         queries = generate_workload(uniform_2d.domain, "large", 50, rng=2)
         err = average_relative_error(syn.range_count, uniform_2d, queries)
         assert err < 0.15
 
     def test_adapts_to_skew(self, clustered_2d):
         # Leaves covering the cluster must be smaller than background leaves.
-        syn = privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
         vols = {}
         for box in syn.leaf_boxes():
             center_dist = max(abs(box.center[0] - 0.25), abs(box.center[1] - 0.25))
@@ -49,7 +47,7 @@ class TestPrivTreeHistogram:
         for eps in (0.05, 1.6):
             runs = [
                 average_relative_error(
-                    privtree_histogram(clustered_2d, eps, rng=s).range_count,
+                    _privtree_histogram(clustered_2d, eps, rng=s).range_count,
                     clustered_2d,
                     queries,
                 )
@@ -59,16 +57,16 @@ class TestPrivTreeHistogram:
         assert errs[1.6] < errs[0.05]
 
     def test_deterministic_given_seed(self, uniform_2d):
-        a = privtree_histogram(uniform_2d, epsilon=0.5, rng=9)
-        b = privtree_histogram(uniform_2d, epsilon=0.5, rng=9)
+        a = _privtree_histogram(uniform_2d, epsilon=0.5, rng=9)
+        b = _privtree_histogram(uniform_2d, epsilon=0.5, rng=9)
         assert a.size == b.size
         assert a.total_count == pytest.approx(b.total_count)
 
     def test_budget_fraction_respected(self, uniform_2d):
         # More budget on counts -> less noisy total count (weak sanity check:
         # just confirm both settings produce a valid tree).
-        lo = privtree_histogram(uniform_2d, epsilon=1.0, tree_fraction=0.2, rng=0)
-        hi = privtree_histogram(uniform_2d, epsilon=1.0, tree_fraction=0.8, rng=0)
+        lo = _privtree_histogram(uniform_2d, epsilon=1.0, tree_fraction=0.2, rng=0)
+        hi = _privtree_histogram(uniform_2d, epsilon=1.0, tree_fraction=0.8, rng=0)
         assert lo.size >= 1 and hi.size >= 1
 
 
@@ -126,11 +124,11 @@ class TestPrivTreeDecomposition:
 
 class TestSimpleTreeHistogram:
     def test_height_respected(self, uniform_2d):
-        syn = simpletree_histogram(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
+        syn = _simpletree_histogram(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
         assert syn.height <= 2
 
     def test_all_nodes_have_counts(self, uniform_2d):
-        syn = simpletree_histogram(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
+        syn = _simpletree_histogram(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
         for node in syn.root.iter_nodes():
             assert isinstance(node.count, float)
 
@@ -142,7 +140,7 @@ class TestSimpleTreeHistogram:
         priv_err = np.mean(
             [
                 average_relative_error(
-                    privtree_histogram(clustered_2d, eps, rng=s).range_count,
+                    _privtree_histogram(clustered_2d, eps, rng=s).range_count,
                     clustered_2d,
                     queries,
                 )
@@ -152,7 +150,7 @@ class TestSimpleTreeHistogram:
         simple_err = np.mean(
             [
                 average_relative_error(
-                    simpletree_histogram(
+                    _simpletree_histogram(
                         clustered_2d, eps, height=10, theta=0.0, rng=s
                     ).range_count,
                     clustered_2d,

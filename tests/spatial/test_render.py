@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.domains import Box
-from repro.spatial import (
-    SpatialDataset,
-    privtree_histogram,
-    render_density,
-    render_leaf_depth,
-)
+from repro.spatial import SpatialDataset, render_density, render_leaf_depth
+from repro.spatial.quadtree import _privtree_histogram
 
 
 class TestRenderDensity:
@@ -48,7 +44,7 @@ class TestRenderDensity:
 
 class TestRenderLeafDepth:
     def test_deeper_in_dense_region(self, clustered_2d):
-        syn = privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
         text = render_leaf_depth(syn, width=32, height=16)
         lines = text.split("\n")
 
@@ -62,6 +58,6 @@ class TestRenderLeafDepth:
     def test_rejects_non_2d(self):
         pts = np.random.default_rng(0).uniform(0, 1, size=(200, 4)) * 0.999
         data = SpatialDataset(pts, Box.unit(4))
-        syn = privtree_histogram(data, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(data, epsilon=1.0, rng=0)
         with pytest.raises(ValueError):
             render_leaf_depth(syn)

@@ -8,23 +8,23 @@ from repro.domains import Box
 from repro.spatial import (
     generate_workload,
     load_tree,
-    privtree_histogram,
     save_tree,
     tree_from_dict,
     tree_to_dict,
 )
+from repro.spatial.quadtree import _privtree_histogram
 
 
 class TestRoundTrip:
     def test_dict_roundtrip_preserves_structure(self, uniform_2d):
-        original = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        original = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
         restored = tree_from_dict(tree_to_dict(original))
         assert restored.size == original.size
         assert restored.leaf_count == original.leaf_count
         assert restored.total_count == pytest.approx(original.total_count)
 
     def test_roundtrip_preserves_query_answers(self, clustered_2d):
-        original = privtree_histogram(clustered_2d, epsilon=1.0, rng=1)
+        original = _privtree_histogram(clustered_2d, epsilon=1.0, rng=1)
         restored = tree_from_dict(tree_to_dict(original))
         for query in generate_workload(clustered_2d.domain, "medium", 20, rng=2):
             assert restored.range_count(query) == pytest.approx(
@@ -32,14 +32,14 @@ class TestRoundTrip:
             )
 
     def test_file_roundtrip(self, uniform_2d, tmp_path):
-        original = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        original = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
         path = tmp_path / "synopsis.json"
         save_tree(original, path)
         restored = load_tree(path)
         assert restored.size == original.size
 
     def test_document_is_plain_json(self, uniform_2d, tmp_path):
-        original = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        original = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
         path = tmp_path / "synopsis.json"
         save_tree(original, path)
         data = json.loads(path.read_text())
@@ -54,7 +54,7 @@ class TestValidation:
             tree_from_dict({"format": "something-else", "version": 1})
 
     def test_wrong_version_rejected(self, uniform_2d):
-        doc = tree_to_dict(privtree_histogram(uniform_2d, epsilon=1.0, rng=0))
+        doc = tree_to_dict(_privtree_histogram(uniform_2d, epsilon=1.0, rng=0))
         doc["version"] = 999
         with pytest.raises(ValueError):
             tree_from_dict(doc)
@@ -137,6 +137,6 @@ class TestMalformedDocuments:
             tree_from_dict(_doc(root))
 
     def test_valid_nested_document_still_loads(self, uniform_2d):
-        doc = tree_to_dict(privtree_histogram(uniform_2d, epsilon=1.0, rng=0))
+        doc = tree_to_dict(_privtree_histogram(uniform_2d, epsilon=1.0, rng=0))
         restored = tree_from_dict(json.loads(json.dumps(doc)))
         assert restored.size >= 1

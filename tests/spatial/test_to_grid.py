@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.domains import Box
-from repro.spatial import privtree_histogram
+from repro.spatial.quadtree import _privtree_histogram
 from repro.spatial.histogram_tree import HistogramNode, HistogramTree
 
 
@@ -38,7 +38,7 @@ class TestToGrid:
         assert grid[0, 0] == pytest.approx(100.0)
 
     def test_matches_range_count_on_cells(self, clustered_2d):
-        syn = privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        syn = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
         shape = (8, 8)
         grid = syn.to_grid(shape)
         for i in (0, 3, 7):

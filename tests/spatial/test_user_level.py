@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.spatial import privtree_histogram
+from repro.spatial.quadtree import _privtree_histogram
 
 
 class TestTuplesPerIndividual:
@@ -12,7 +12,7 @@ class TestTuplesPerIndividual:
         # deviation across seeds must grow accordingly.
         def total_spread(x: int) -> float:
             totals = [
-                privtree_histogram(
+                _privtree_histogram(
                     uniform_2d, epsilon=0.5, tuples_per_individual=x, rng=s
                 ).total_count
                 for s in range(25)
@@ -28,7 +28,7 @@ class TestTuplesPerIndividual:
         for x in (1, 20):
             sizes[x] = np.mean(
                 [
-                    privtree_histogram(
+                    _privtree_histogram(
                         clustered_2d, epsilon=1.0, tuples_per_individual=x, rng=s
                     ).size
                     for s in range(5)
@@ -37,11 +37,11 @@ class TestTuplesPerIndividual:
         assert sizes[20] < sizes[1]
 
     def test_default_is_event_level(self, uniform_2d):
-        a = privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
-        b = privtree_histogram(uniform_2d, epsilon=1.0, tuples_per_individual=1, rng=0)
+        a = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
+        b = _privtree_histogram(uniform_2d, epsilon=1.0, tuples_per_individual=1, rng=0)
         assert a.size == b.size
         assert a.total_count == pytest.approx(b.total_count)
 
     def test_invalid_x(self, uniform_2d):
         with pytest.raises(ValueError):
-            privtree_histogram(uniform_2d, epsilon=1.0, tuples_per_individual=0)
+            _privtree_histogram(uniform_2d, epsilon=1.0, tuples_per_individual=0)
