@@ -26,7 +26,7 @@ from ..mechanisms.rng import RngLike, ensure_rng
 from ..sequence.dataset import SequenceDataset
 from ..sequence.private_pst import private_pst
 from ..spatial.dataset import SpatialDataset
-from ..spatial.quadtree import _privtree_histogram, _simpletree_histogram
+from ..spatial.quadtree import _privtree_flat, _simpletree_histogram
 from .base import Estimator
 from .registry import register
 from .releases import (
@@ -77,7 +77,7 @@ class PrivTreeEstimator(Estimator):
     ) -> SpatialTreeRelease:
         acct = self._accountant(accountant)
         with acct.transaction():
-            tree = _privtree_histogram(
+            flat = _privtree_flat(
                 dataset,
                 self.epsilon,
                 dims_per_split=self.dims_per_split,
@@ -89,7 +89,7 @@ class PrivTreeEstimator(Estimator):
                 max_depth=self.max_depth,
                 accountant=acct,
             )
-        return SpatialTreeRelease(tree, method=self.name, epsilon_spent=self.epsilon)
+        return SpatialTreeRelease(flat=flat, method=self.name, epsilon_spent=self.epsilon)
 
 
 @register

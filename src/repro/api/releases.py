@@ -22,7 +22,7 @@ from ..sequence.alphabet import Alphabet
 from ..sequence.pst import PredictionSuffixTree
 from ..sequence.serialize import pst_from_dict, pst_to_dict
 from ..spatial.histogram_tree import HistogramTree
-from ..spatial.serialize import tree_from_dict, tree_to_dict
+from ..spatial.serialize import flat_to_dict, tree_from_dict
 from .base import Release
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,11 +74,12 @@ class SpatialTreeRelease(SpatialRelease):
     """A released hierarchical synopsis (PrivTree, SimpleTree, k-d tree).
 
     Backed by either the pointer-based :class:`HistogramTree` or a
-    pre-compiled :class:`~repro.spatial.flat.FlatHistogram` (the v2 binary
-    artifacts hand over mmap-backed flat arrays).  Queries always run on
-    the flat engine; the pointer tree is materialized lazily on first
-    :attr:`tree` access, so an mmap-loaded release answers workloads
-    without ever rebuilding node objects.
+    :class:`~repro.spatial.flat.FlatHistogram` (a PrivTree fit writes the
+    flat arrays directly, and the v2 binary artifacts hand over
+    mmap-backed ones).  Queries and the JSON payload always run on the
+    flat arrays; the pointer tree is materialized lazily on first
+    :attr:`tree` access, so a fitted or mmap-loaded release is published
+    and answers workloads without ever building node objects.
     """
 
     kind = "spatial-tree"
@@ -160,7 +161,9 @@ class SpatialTreeRelease(SpatialRelease):
         return self.tree.to_grid(shape)
 
     def _payload(self) -> dict[str, Any]:
-        return tree_to_dict(self.tree)
+        # Written from the flat arrays: publishing never builds the
+        # pointer tree.
+        return flat_to_dict(self.flat())
 
     @classmethod
     def _from_payload(

@@ -318,15 +318,26 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASELINE_JSON",
         help="print a regression table vs. a committed BENCH_perf.json "
         "(warns when a case slows down >20%%; never fails the run "
-        "unless --fail-above is also given)",
+        "unless --fail-above is also given).  Cases with a speedup on "
+        "both sides compare speedups; seconds compare only when the "
+        "baseline's runner (cpu_count, Python, NumPy) matches",
     )
     bench.add_argument(
         "--fail-above",
         type=float,
         default=None,
         metavar="RATIO",
-        help="with --compare: exit non-zero when any case slows down past "
-        "RATIO times its baseline (CI gates at 1.5)",
+        help="with --compare: exit non-zero when any gated case slows down "
+        "past RATIO times its baseline, or when the baseline has no usable "
+        "entry for a case the run produced (CI gates at 1.5)",
+    )
+    bench.add_argument(
+        "--allow-new",
+        action="append",
+        default=[],
+        metavar="CASE",
+        help="with --fail-above: let CASE pass without a baseline entry "
+        "(repeatable)",
     )
 
     trace_p = sub.add_parser(
@@ -880,6 +891,7 @@ def _run_methods() -> str:
 
 def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
     from .experiments import (
+        bench_new_cases,
         bench_regression_failures,
         compare_bench_results,
         run_perf_bench,
@@ -934,18 +946,15 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
         table, _ = compare_bench_results(results, baseline)
         lines.append(f"comparison vs {args.compare}:")
         lines.append(table)
-        baseline_cases = baseline.get("cases")
-        baseline_names = set(baseline_cases) if isinstance(baseline_cases, dict) else set()
-        missing = sorted(set(results["cases"]) - baseline_names)
-        if missing:
-            # A case added since the baseline was committed has nothing to
-            # compare against — warn instead of failing (and never KeyError).
-            lines.append(
-                f"WARNING: baseline {args.compare} has no entry for "
-                f"{', '.join(missing)}; comparison skipped for new case(s) — "
-                f"regenerate the baseline with `repro bench --out {args.compare}`"
-            )
-        if args.fail_above is not None:
+        missing = bench_new_cases(results, baseline)
+        if args.fail_above is None:
+            if missing:
+                lines.append(
+                    f"WARNING: baseline {args.compare} has no entry for "
+                    f"{', '.join(missing)}; comparison skipped for new case(s) — "
+                    f"regenerate the baseline with `repro bench --out {args.compare}`"
+                )
+        else:
             failures = bench_regression_failures(results, baseline, args.fail_above)
             if failures:
                 lines.append(
@@ -954,6 +963,16 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
                 )
                 for name, ratio in failures:
                     lines.append(f"  {name:22s} {ratio:6.2f}x")
+            # Fail closed: a case the baseline cannot judge would otherwise
+            # pass whatever the code does.
+            unjudged = [name for name in missing if name not in args.allow_new]
+            if unjudged:
+                lines.append(
+                    f"FAIL: baseline {args.compare} has no entry for "
+                    f"{', '.join(unjudged)}; regenerate it with `repro bench "
+                    f"--out {args.compare}` or pass --allow-new CASE"
+                )
+            if failures or unjudged:
                 code = 1
             else:
                 lines.append(

@@ -1,11 +1,22 @@
-"""Tree nodes shared by the PrivTree and SimpleTree engines."""
+"""Tree nodes shared by the PrivTree and SimpleTree engines.
+
+A :class:`TreeNode` carries an application payload (a
+:class:`~repro.spatial.payload.SpatialNodeData`, a PST context, a product
+cell, ...).  SimpleTree grows these nodes with its own loop; PrivTree
+grows them through :class:`NodeLevel`, the node-list form of the level
+that :func:`~repro.core.privtree.grow_frontier` consumes.  The spatial
+PrivTree fits bypass nodes altogether and grow an array level
+(:class:`~repro.spatial.level.BoxLevel`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generic, Iterator, TypeVar
+from typing import Generic, Iterator, Sequence, TypeVar
 
-__all__ = ["TreeNode", "DecompositionTree", "expand_level"]
+import numpy as np
+
+__all__ = ["TreeNode", "DecompositionTree", "NodeLevel", "expand_level"]
 
 P = TypeVar("P")
 
@@ -66,6 +77,35 @@ def expand_level(nodes: list[TreeNode[P]]) -> list[TreeNode[P]]:
         ]
         next_level.extend(node.children)
     return next_level
+
+
+class NodeLevel(Generic[P]):
+    """One depth of a node frontier, in the shape ``grow_frontier`` reads.
+
+    ``splittable()`` asks every payload, and ``split(index)`` expands the
+    chosen nodes through :func:`expand_level`, linking their children.
+    """
+
+    __slots__ = ("nodes", "depth")
+
+    def __init__(self, nodes: list[TreeNode[P]], depth: int) -> None:
+        self.nodes = nodes
+        self.depth = depth
+
+    @property
+    def size(self) -> int:
+        """Number of nodes at this depth."""
+        return len(self.nodes)
+
+    def splittable(self) -> np.ndarray:
+        """Boolean mask of the nodes whose payload can split."""
+        return np.fromiter(
+            (node.payload.can_split() for node in self.nodes), bool, len(self.nodes)
+        )
+
+    def split(self, index: Sequence[int]) -> "NodeLevel[P]":
+        """Split the nodes at ``index``; return the next depth's level."""
+        return NodeLevel(expand_level([self.nodes[i] for i in index]), self.depth + 1)
 
 
 @dataclass

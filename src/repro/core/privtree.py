@@ -8,13 +8,19 @@ The engine walks the frontier level by level.  For each node ``v`` it
 3. splits ``v`` iff ``bhat(v) > theta``.
 
 :func:`grow_frontier` is that level loop, the only one in the package.  It
-starts from a given frontier, takes each level's exact scores from one call
-to a score function, and runs a commit callback after each level.  The
-noise does not depend on where the scores come from, so one loop serves two
-score sources: :func:`privtree` passes the payloads' own scores, and the
-federated coordinator (:class:`~repro.federated.FederatedPrivTree`) passes
-the counts that secure aggregation recovers from the shards, committing
-each level as a splits round plus a checkpoint write.
+reads a *level*: any object with a ``depth``, a ``size``, a vectorized
+``splittable()`` mask and a ``split(index)`` that returns the next level.
+Two kinds exist.  :class:`~repro.core.node.NodeLevel` is a list of
+:class:`~repro.core.node.TreeNode` payloads; :func:`privtree` grows it for
+the sequence PST and for ``privtree_decomposition``.
+:class:`~repro.spatial.level.BoxLevel` holds a whole depth of boxes as
+``(m, d)`` arrays; both spatial fits grow it.  Each level's exact scores
+come from one call to a score function and a commit callback runs after
+each level.  The noise does not depend on where the scores come from, so
+one loop serves every source: payload scores, one int32 label per point
+counted with ``bincount`` (``from_spec("privtree")``), or the counts that
+secure aggregation recovers from the shards, committed as a splits round
+plus a checkpoint write (:class:`~repro.federated.FederatedPrivTree`).
 
 All of a level's Laplace perturbations are drawn in a single batched RNG
 call.  numpy fills a sized ``Generator.laplace`` request from the same
@@ -44,7 +50,7 @@ from ..domains.base import NodePayload
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..telemetry import span as _span
-from .node import DecompositionTree, TreeNode, expand_level
+from .node import DecompositionTree, NodeLevel, TreeNode
 from .params import PrivTreeParams
 
 __all__ = [
@@ -66,6 +72,13 @@ DEFAULT_MAX_DEPTH = 64
 
 class MaxDepthWarning(UserWarning):
     """Emitted if the max-depth guard truncated the decomposition."""
+
+
+#: A level: one depth of a frontier, with a ``depth``, a ``size``, a
+#: vectorized ``splittable()`` mask and a ``split(index)`` that returns the
+#: next level (:class:`~repro.core.node.NodeLevel`,
+#: :class:`~repro.spatial.level.BoxLevel`).
+L = TypeVar("L")
 
 
 def privtree(
@@ -95,61 +108,58 @@ def privtree(
         (per Algorithm 2 line 11, all point counts are removed).
     """
     root = TreeNode(payload=root_payload, depth=0)
-    grow_frontier([root], params, ensure_rng(rng), payload_scores, max_depth=max_depth)
+    grow_frontier(
+        NodeLevel([root], 0), params, ensure_rng(rng), payload_scores,
+        max_depth=max_depth,
+    )
     return DecompositionTree(root=root)
 
 
-def payload_scores(nodes: list[TreeNode[P]]) -> list[float]:
-    """The exact scores of ``nodes``, read from their payloads."""
-    return [node.payload.score() for node in nodes]
+def payload_scores(level: NodeLevel[P], eligible: np.ndarray) -> list[float]:
+    """The exact scores of ``level``'s nodes at ``eligible``, from their payloads."""
+    return [level.nodes[i].payload.score() for i in eligible]
 
 
 def grow_frontier(
-    level: list[TreeNode[P]],
+    level: L,
     params: PrivTreeParams,
     gen: np.random.Generator,
-    scores: Callable[[list[TreeNode[P]]], Sequence[float]],
-    commit: Callable[[list[TreeNode[P]], list[TreeNode[P]]], None] | None = None,
+    scores: Callable[[L, np.ndarray], Sequence[float]],
+    commit: Callable[[L, np.ndarray, L], None] | None = None,
     max_depth: int | None = DEFAULT_MAX_DEPTH,
 ) -> None:
     """Grow the decomposition below ``level``, a frontier of one depth.
 
-    ``scores(eligible)`` returns the exact scores of a level's splittable
-    nodes, in order, and is called once per level.  ``commit(split,
+    ``scores(level, eligible)`` returns the exact scores of the level's
+    nodes at the ascending indices ``eligible`` (its splittable nodes), in
+    order, and is called once per level.  ``commit(level, split,
     next_level)`` runs after every level that had a splittable node, once
-    its children exist.  Neither may touch ``gen``.
+    ``level.split(split)`` has made the next level.  Neither may touch
+    ``gen``.
     """
     guard_hit = False
     floor = params.floor()
-    while level:
+    while level.size:
+        depth = level.depth
         # Per-level span only (never per-node): frontier shape and split
         # counts are safe to trace, raw points and scores are not.
-        with _span(
-            "privtree.level", depth=level[0].depth, frontier=len(level)
-        ) as level_span:
-            eligible: list[TreeNode[P]] = []
-            for node in level:
-                if not node.payload.can_split():
-                    continue
-                if max_depth is not None and node.depth >= max_depth:
-                    guard_hit = True
-                    continue
-                eligible.append(node)
-            if not eligible:
+        with _span("privtree.level", depth=depth, frontier=level.size) as level_span:
+            eligible = np.flatnonzero(level.splittable())
+            if eligible.size and max_depth is not None and depth >= max_depth:
+                guard_hit = True
+                eligible = eligible[:0]
+            if not eligible.size:
                 level_span.set(eligible=0, split=0)
                 break
-            exact = scores(eligible)
-            noise = laplace_noise(params.lam, size=len(eligible), rng=gen)
-            to_split = [
-                node
-                for node, score, perturbation in zip(eligible, exact, noise)
-                if max(floor, float(score) - node.depth * params.delta) + perturbation
-                > params.theta
-            ]
-            level = expand_level(to_split)
+            exact = np.asarray(scores(level, eligible), dtype=float)
+            noise = laplace_noise(params.lam, size=eligible.size, rng=gen)
+            biased = np.maximum(floor, exact - depth * params.delta)
+            to_split = eligible[biased + noise > params.theta]
+            next_level = level.split(to_split)
             if commit is not None:
-                commit(to_split, level)
-            level_span.set(eligible=len(eligible), split=len(to_split))
+                commit(level, to_split, next_level)
+            level_span.set(eligible=int(eligible.size), split=int(to_split.size))
+        level = next_level
     if guard_hit:
         warnings.warn(
             f"PrivTree hit the max_depth={max_depth} guard; the decomposition "

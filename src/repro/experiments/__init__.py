@@ -23,6 +23,8 @@ from .spatial_error import (
 )
 from .loadgen import LoadError, LoadResult, run_load
 from .perf import (
+    BENCH_CASES,
+    bench_new_cases,
     bench_regression_failures,
     compare_bench_results,
     run_artifact_cold_load_bench,
@@ -35,6 +37,7 @@ from .perf import (
 from .timing import run_privtree_timing
 
 __all__ = [
+    "BENCH_CASES",
     "LoadError",
     "LoadResult",
     "PAPER_EPSILONS",
@@ -43,6 +46,7 @@ __all__ = [
     "format_float",
     "format_percent",
     "format_seconds",
+    "bench_new_cases",
     "bench_regression_failures",
     "compare_bench_results",
     "run_ag_gridsize_ablation",

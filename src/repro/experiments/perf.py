@@ -20,6 +20,7 @@ table behind ``repro bench --compare``.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from typing import Callable
@@ -36,6 +37,7 @@ from ..federated.driver import (
     federated_privtree_histogram,
     shard_dataset,
 )
+from ..mechanisms.geometric import geometric_noise
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import ensure_rng
 from ..sequence.metrics import length_distribution, total_variation_distance
@@ -47,11 +49,14 @@ from ..sequence.tasks import (
     top_k_substrings,
 )
 from ..spatial.dataset import SpatialDataset
+from ..spatial.flat import FlatHistogram
 from ..spatial.histogram_tree import HistogramNode, HistogramTree
-from ..spatial.quadtree import _privtree_histogram
+from ..spatial.quadtree import _as_tree, _privtree_flat
 from ..spatial.queries import generate_workload
 
 __all__ = [
+    "BENCH_CASES",
+    "bench_new_cases",
     "bench_regression_failures",
     "build_mixed_workload",
     "compare_bench_results",
@@ -111,7 +116,7 @@ class _ReferencePayload:
         return children
 
 
-def _reference_privtree(root_payload, params, gen):
+def _reference_privtree(root_payload, params, gen, max_depth):
     """Algorithm 2 with one scalar Laplace draw per splittable node."""
     from collections import deque
 
@@ -121,7 +126,7 @@ def _reference_privtree(root_payload, params, gen):
         node = frontier.popleft()
         if not node.payload.can_split():
             continue
-        if node.depth >= 64:
+        if max_depth is not None and node.depth >= max_depth:
             continue
         biased = max(
             params.floor(), node.payload.score() - node.depth * params.delta
@@ -136,30 +141,56 @@ def _reference_privtree(root_payload, params, gen):
 
 
 def reference_privtree_histogram(
-    dataset: SpatialDataset, epsilon: float, rng=None
+    dataset: SpatialDataset,
+    epsilon: float,
+    rng=None,
+    *,
+    dims_per_split: int | None = None,
+    theta: float = 0.0,
+    tree_fraction: float = 0.5,
+    tuples_per_individual: int = 1,
+    count_mechanism: str = "laplace",
+    max_depth: int | None = 64,
 ) -> HistogramTree:
     """The pre-optimization §3.3+§3.4 pipeline (node-at-a-time, scalar RNG).
 
     Stream-compatible with :func:`repro.spatial.quadtree._privtree_histogram`
-    at default parameters, so both produce the identical release for a
-    given seed — kept solely as the speedup baseline for ``repro bench``.
+    for every knob, so both produce the identical release for a given
+    seed.  It shares no code with the array levels, which makes it the
+    frozen reference the bit-identity tests hold every PrivTree fit to,
+    and the speedup baseline for ``repro bench``.  The max-depth guard
+    stops splitting silently.
     """
     gen = ensure_rng(rng)
-    eps_tree = 0.5 * epsilon
-    eps_counts = epsilon - eps_tree
+    if dims_per_split is None:
+        dims_per_split = dataset.ndim
+    eps_tree = tree_fraction * epsilon
+    eps_counts = (1.0 - tree_fraction) * epsilon
     root = _ReferencePayload(
-        box=dataset.domain, points=dataset.points, dims_per_split=dataset.ndim
+        box=dataset.domain, points=dataset.points, dims_per_split=dims_per_split
     )
-    params = PrivTreeParams.calibrate(eps_tree, fanout=2**dataset.ndim, theta=0.0)
-    tree = _reference_privtree(root, params, gen)
-    count_scale = 1.0 / eps_counts
+    params = PrivTreeParams.calibrate(
+        eps_tree,
+        fanout=2**dims_per_split,
+        sensitivity=float(tuples_per_individual),
+        theta=theta,
+    )
+    tree = _reference_privtree(root, params, gen, max_depth)
+    count_scale = tuples_per_individual / eps_counts
+
+    def noisy(score):
+        if count_mechanism == "laplace":
+            return score + laplace_noise(count_scale, rng=gen)
+        return float(
+            int(score)
+            + geometric_noise(
+                eps_counts, sensitivity=float(tuples_per_individual), rng=gen
+            )
+        )
 
     def release(node):
         if node.is_leaf:
-            return HistogramNode(
-                box=node.payload.box,
-                count=node.payload.score() + laplace_noise(count_scale, rng=gen),
-            )
+            return HistogramNode(box=node.payload.box, count=noisy(node.payload.score()))
         children = [release(c) for c in node.children]
         return HistogramNode(
             box=node.payload.box,
@@ -442,8 +473,6 @@ def synthetic_flat_histogram(depth: int = 8):
     children always follow their parents, which is all the flat engines
     require of the topology.
     """
-    from ..spatial.flat import FlatHistogram
-
     level_sizes = [4**level for level in range(depth + 1)]
     level_starts = np.concatenate(([0], np.cumsum(level_sizes)))
     m = int(level_starts[-1])
@@ -780,9 +809,12 @@ def run_perf_bench(
     data = gowallalike(n_points, rng=rng)
     queries = generate_workload(data.domain, band, n_queries, rng=rng + 1)
 
-    build_s, synopsis = _best_of(
-        repeats, lambda: _privtree_histogram(data, epsilon=epsilon, rng=rng)
+    # The build is the fit's own output, the flat arrays; the pointer tree
+    # is made once, untimed, for the recursive reference traversal.
+    build_s, flat = _best_of(
+        repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
     )
+    synopsis = _as_tree(flat)
 
     # Telemetry overhead.  The disabled-mode claim ("span sites add at
     # most a few percent to privtree_build") is asserted from first
@@ -795,7 +827,7 @@ def run_perf_bench(
     from .. import telemetry as _telemetry
 
     disabled_s, _ = _best_of(
-        repeats, lambda: _privtree_histogram(data, epsilon=epsilon, rng=rng)
+        repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
     )
     n_noop_calls = 200_000
     noop_start = time.perf_counter()
@@ -806,7 +838,7 @@ def run_perf_bench(
     tracer = _telemetry.enable()
     try:
         enabled_s, _ = _best_of(
-            repeats, lambda: _privtree_histogram(data, epsilon=epsilon, rng=rng)
+            repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
         )
     finally:
         _telemetry.disable()
@@ -831,14 +863,14 @@ def run_perf_bench(
     build_ref_s, reference = _best_of(
         repeats, lambda: reference_privtree_histogram(data, epsilon=epsilon, rng=rng)
     )
-    if synopsis.size != reference.size or synopsis.total_count != reference.total_count:
-        raise AssertionError(
-            "optimized and reference builds diverged: "
-            f"size {synopsis.size} vs {reference.size}, "
-            f"total {synopsis.total_count} vs {reference.total_count}"
-        )
+    expected = FlatHistogram.from_tree(reference)
+    for name in ("lows", "highs", "counts", "parents", "child_offsets", "child_index"):
+        if not np.array_equal(getattr(flat, name), getattr(expected, name)):
+            raise AssertionError(
+                f"optimized and reference builds diverged in {name}: "
+                f"size {flat.size} vs {expected.size}"
+            )
 
-    flat = synopsis.flat()  # compile outside the timed region, like callers do
     query_s, batched = _best_of(repeats, lambda: flat.range_count_many(queries))
     query_ref_s, recursive = _best_of(
         repeats, lambda: reference_workload_answers(synopsis, queries)
@@ -957,6 +989,7 @@ def run_perf_bench(
             "sequence": sequence["config"],
         },
         "machine": {
+            "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
@@ -1023,9 +1056,35 @@ def run_perf_bench(
     }
 
 
+#: The cases :func:`run_perf_bench` produces.  The committed
+#: ``BENCH_perf.json`` holds exactly these, so the gate has a baseline for
+#: every case it runs.
+BENCH_CASES = frozenset({
+    "privtree_build",
+    "workload_queries",
+    "workload_generation",
+    "workload_answering",
+    "federated_fit",
+    "federated_fit_tcp",
+    "service_cached_queries",
+    "artifact_cold_load",
+    "service_throughput",
+    "telemetry_overhead",
+    "gram_counting",
+    "substring_counting",
+    "substring_count_table",
+    "pst_build_release",
+    "topk_scoring",
+    "pst_generation",
+})
+
 #: A case regressing past this factor of its baseline is flagged by
 #: ``repro bench --compare``.
 REGRESSION_THRESHOLD = 1.2
+
+#: The ``machine`` fields that name a runner class; seconds compare only
+#: between runs of one class.
+RUNNER_KEYS = ("cpu_count", "python", "numpy")
 
 
 def _baseline_cases(baseline: dict) -> dict:
@@ -1034,50 +1093,92 @@ def _baseline_cases(baseline: dict) -> dict:
     return cases if isinstance(cases, dict) else {}
 
 
-def _baseline_seconds(base_cases: dict, name: str) -> float | None:
-    """``optimized_s`` for one baseline case, tolerating malformed entries.
+def _runner(document: dict) -> tuple | None:
+    """The runner class a bench document was measured on, if it says."""
+    machine = document.get("machine") if isinstance(document, dict) else None
+    if not isinstance(machine, dict):
+        return None
+    return tuple(machine.get(key) for key in RUNNER_KEYS)
+
+
+def _positive(entry: object, key: str) -> float | None:
+    """``entry[key]`` as a positive float, or ``None`` when unusable.
 
     Old or hand-edited baselines may hold a bare number (or garbage) where
-    a case dict is expected; anything that isn't a usable timing reads as
-    "case missing" so ``--compare`` warns instead of crashing.
+    a case dict is expected; anything that isn't a usable value reads as
+    missing so ``--compare`` never crashes on it.
     """
-    entry = base_cases.get(name)
-    if not isinstance(entry, dict):
-        return None
-    value = entry.get("optimized_s")
+    value = entry.get(key) if isinstance(entry, dict) else None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    return float(value) if value > 0 else None
+
+
+def _gate_cases(results: dict, baseline: dict) -> dict[str, tuple[str, float | None]]:
+    """How each case of ``results`` compares to ``baseline``.
+
+    Maps a case name to ``(basis, slowdown)``:
+
+    * ``"speedup"`` — both sides carry a ``speedup`` against a frozen
+      reference run in the same process; the slowdown is baseline
+      speedup ÷ current speedup, which travels across machines;
+    * ``"seconds"`` — both sides carry ``optimized_s`` and were measured
+      on the same runner (:data:`RUNNER_KEYS`); the slowdown is current ÷
+      baseline seconds;
+    * ``"other runner"`` — seconds only, from another runner: not gated
+      (slowdown ``None``);
+    * ``"new"`` — the baseline has no usable entry (slowdown ``None``).
+    """
+    base_cases = _baseline_cases(baseline)
+    same_runner = _runner(results) == _runner(baseline)
+    out: dict[str, tuple[str, float | None]] = {}
+    for name, case in sorted(results.get("cases", {}).items()):
+        entry = base_cases.get(name)
+        base_speedup, speedup = _positive(entry, "speedup"), _positive(case, "speedup")
+        base_s, seconds = _positive(entry, "optimized_s"), _positive(case, "optimized_s")
+        if base_speedup and speedup:
+            out[name] = ("speedup", base_speedup / speedup)
+        elif base_s and seconds:
+            out[name] = ("seconds", seconds / base_s) if same_runner else ("other runner", None)
+        else:
+            out[name] = ("new", None)
+    return out
 
 
 def compare_bench_results(results: dict, baseline: dict) -> tuple[str, int]:
     """Render the regression table of ``results`` vs. a committed baseline.
 
-    Returns ``(table, n_regressions)`` where a regression is any case whose
-    ``optimized_s`` exceeds the baseline's by more than
-    :data:`REGRESSION_THRESHOLD`.  Cases absent from either side are listed
-    but never counted (new cases appear as the perf surface grows).
+    Returns ``(table, n_regressions)`` where a regression is any gated case
+    (see :func:`_gate_cases`) slower than :data:`REGRESSION_THRESHOLD` times
+    its baseline.  New cases, cases measured on another runner and cases
+    absent from the current run are listed but never counted here.
     """
     lines = [
         f"{'case':22s} {'baseline':>10s} {'current':>10s} {'ratio':>7s}",
     ]
     base_cases = _baseline_cases(baseline)
     n_regressions = 0
-    for name, case in sorted(results.get("cases", {}).items()):
-        current = case.get("optimized_s")
-        base = _baseline_seconds(base_cases, name)
-        if current is None or base is None or base <= 0:
-            shown = "-" if current is None else f"{current * 1e3:9.1f}ms"
+    for name, (basis, ratio) in _gate_cases(results, baseline).items():
+        case = results["cases"][name]
+        current = _positive(case, "optimized_s")
+        shown = "-" if current is None else f"{current * 1e3:9.1f}ms"
+        if basis == "new":
             lines.append(f"{name:22s} {'-':>10s} {shown}  (new case)")
             continue
-        ratio = current / base
+        if basis == "other runner":
+            lines.append(f"{name:22s} {'-':>10s} {shown}  (not gated: other runner)")
+            continue
+        if basis == "speedup":
+            base = f"{_positive(base_cases[name], 'speedup'):9.1f}x"
+            now = f"{_positive(case, 'speedup'):9.1f}x"
+        else:
+            base = f"{_positive(base_cases[name], 'optimized_s') * 1e3:9.1f}ms"
+            now = shown
         flag = ""
         if ratio > REGRESSION_THRESHOLD:
             flag = f"  WARNING: >{(REGRESSION_THRESHOLD - 1) * 100:.0f}% regression"
             n_regressions += 1
-        lines.append(
-            f"{name:22s} {base * 1e3:9.1f}ms {current * 1e3:9.1f}ms {ratio:6.2f}x{flag}"
-        )
+        lines.append(f"{name:22s} {base} {now} {ratio:6.2f}x  ({basis}){flag}")
     for name in sorted(set(base_cases) - set(results.get("cases", {}))):
         lines.append(f"{name:22s}  (missing from current run)")
     if n_regressions:
@@ -1093,27 +1194,35 @@ def compare_bench_results(results: dict, baseline: dict) -> tuple[str, int]:
 def bench_regression_failures(
     results: dict, baseline: dict, threshold: float
 ) -> list[tuple[str, float]]:
-    """The cases whose ``optimized_s`` exceeds ``threshold`` times the baseline.
+    """The gated cases slower than ``threshold`` times their baseline.
 
     The blocking counterpart of :func:`compare_bench_results`: the table
     flags >20% slowdowns as warnings, while ``repro bench --fail-above R``
     turns any case in this list into a non-zero exit (CI uses ``R=1.5``).
-    Cases missing from either side never fail — new cases appear as the
-    perf surface grows.
+    Cases without a usable baseline entry are not regressions; the gate
+    fails them separately (:func:`bench_new_cases`).
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    base_cases = _baseline_cases(baseline)
-    failures = []
-    for name, case in sorted(results.get("cases", {}).items()):
-        current = case.get("optimized_s")
-        base = _baseline_seconds(base_cases, name)
-        if current is None or base is None or base <= 0:
-            continue
-        ratio = current / base
-        if ratio > threshold:
-            failures.append((name, ratio))
-    return failures
+    return [
+        (name, ratio)
+        for name, (_, ratio) in _gate_cases(results, baseline).items()
+        if ratio is not None and ratio > threshold
+    ]
+
+
+def bench_new_cases(results: dict, baseline: dict) -> list[str]:
+    """The cases of ``results`` that ``baseline`` has no usable entry for.
+
+    ``repro bench --fail-above`` fails on each of them unless it is named
+    by ``--allow-new``, so a clobbered or stale baseline cannot keep the
+    gate green.
+    """
+    return [
+        name
+        for name, (basis, _) in _gate_cases(results, baseline).items()
+        if basis == "new"
+    ]
 
 
 def write_bench_json(results: dict, path: str) -> None:

@@ -3,9 +3,11 @@
 PrivTree's level loop (:func:`repro.core.privtree.grow_frontier`) only ever
 consumes *per-node counts* — the split geometry, the eligibility test, and
 the child ordering are pure functions of the domain.  That is the whole
-trick of the federated fit: the coordinator runs the very loop the
-single-machine engine runs, over geometry-only nodes, with a different
-score source.  Each level's exact counts come from one round of a
+trick of the federated fit: the coordinator grows the very array levels
+the centralized fit grows (:class:`~repro.spatial.level.BoxLevel`, boxes
+only, never a point or a count), with a different score source.  Beside
+each level it keeps the level's node ids, which name the nodes in every
+protocol round.  Each level's exact counts come from one round of a
 :class:`~repro.federated.aggregator.SecureAggregator` over blinded shard
 shares instead of from an in-memory point set, and each level commits as
 one splits round plus a checkpoint write.  The leaf counts arrive as one
@@ -25,12 +27,10 @@ the DFS left-to-right leaves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..core.node import TreeNode, expand_level
 from ..core.params import PrivTreeParams
 from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
 from ..domains.box import Box
@@ -38,7 +38,8 @@ from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.rng import RngLike, SeedLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from ..spatial.histogram_tree import HistogramTree
-from ..spatial.quadtree import _check_fit_params, _release_leaf_counts
+from ..spatial.level import BoxLevel
+from ..spatial.quadtree import _as_tree, _check_fit_params, _release_leaf_counts
 from ..telemetry import get_registry, span as _span
 from .aggregator import SecureAggregator
 from .checkpoint import FitCheckpoint, restore_rng, rng_state
@@ -79,34 +80,6 @@ def shard_dataset(dataset: SpatialDataset, n_shards: int) -> list[SpatialDataset
         )
         for i in range(n_shards)
     ]
-
-
-@dataclass(slots=True)
-class _Region:
-    """Coordinator-side payload: geometry only, never a point or a count.
-
-    It has no ``score``: the coordinator's scores are the counts that
-    secure aggregation recovers for its canonical ``node_id``.
-    """
-
-    node_id: str
-    box: Box
-    dims_per_split: int
-    next_dim: int = 0
-
-    def _split_dims(self) -> list[int]:
-        d = self.box.ndim
-        return [(self.next_dim + j) % d for j in range(self.dims_per_split)]
-
-    def can_split(self) -> bool:
-        return self.box.can_bisect(self._split_dims())
-
-    def split(self) -> list["_Region"]:
-        next_dim = (self.next_dim + self.dims_per_split) % self.box.ndim
-        return [
-            _Region(child_node_id(self.node_id, j), box, self.dims_per_split, next_dim)
-            for j, box in enumerate(self.box.bisect(self._split_dims()))
-        ]
 
 
 class FederatedPrivTree:
@@ -347,47 +320,48 @@ class FederatedPrivTree:
         score source is one counts round over each level's eligible
         nodes, and its commit is the level's splits round plus one atomic
         checkpoint write.  The leaf release takes its exact counts from
-        one last counts round.
+        one last counts round.  The release is written as flat arrays and
+        returned as a pointer tree that shares them.
         """
         split_rounds = [[str(i) for i in r] for r in state["split_rounds"]]
-        nodes_by_id = _rebuild_frontier(self.domain, self.dims_per_split, split_rounds)
-        try:
-            level = [nodes_by_id[str(i)] for i in state["level_ids"]]
-        except KeyError as exc:
+        root, level_ids = _replay_levels(self.domain, self.dims_per_split, split_rounds)
+        if [str(i) for i in state["level_ids"]] != level_ids[-1]:
             raise CheckpointError(
-                f"checkpoint frontier references unknown node {exc.args[0]!r}"
-            ) from None
+                "checkpoint frontier does not match the level its split log grows"
+            )
+        *_, level = root.levels()
         next_round = int(state["next_round"])
         round_log = list(state["round_log"])
 
-        def save(phase: str, level_ids: list[str]) -> None:
+        def save(phase: str, frontier_ids: list[str]) -> None:
             if checkpoint is not None:
                 checkpoint.save(
                     _fit_state(
-                        phase, next_round, level_ids, split_rounds, gen,
+                        phase, next_round, frontier_ids, split_rounds, gen,
                         accountant, config, round_log,
                     )
                 )
 
-        def counts(nodes: list[TreeNode[_Region]]) -> np.ndarray:
+        def counts_round(node_ids: list[str]) -> np.ndarray:
             nonlocal next_round
             self._maybe_heartbeat()
-            exact = self._aggregate_counts(
-                [node.payload.node_id for node in nodes], round_index=next_round
-            )
+            exact = self._aggregate_counts(node_ids, round_index=next_round)
             if fault_injector is not None:
                 fault_injector.coordinator_tick(next_round)
             round_log.append(
-                {"round": next_round, "kind": "counts", "n_nodes": len(nodes)}
+                {"round": next_round, "kind": "counts", "n_nodes": len(node_ids)}
             )
             next_round += 1
             return exact
 
-        def commit(
-            to_split: list[TreeNode[_Region]], next_level: list[TreeNode[_Region]]
-        ) -> None:
+        def scores(level: BoxLevel, eligible: np.ndarray) -> np.ndarray:
+            node_ids = level_ids[level.depth]
+            return counts_round([node_ids[i] for i in eligible])
+
+        def commit(level: BoxLevel, split: np.ndarray, next_level: BoxLevel) -> None:
             nonlocal next_round
-            to_split_ids = [node.payload.node_id for node in to_split]
+            node_ids = level_ids[level.depth]
+            to_split_ids = [node_ids[i] for i in split]
             with _span(
                 "federated.round",
                 round=next_round,
@@ -407,7 +381,12 @@ class FederatedPrivTree:
             )
             next_round += 1
             split_rounds.append(to_split_ids)
-            save("grow", [node.payload.node_id for node in next_level])
+            level_ids.append(_child_ids(to_split_ids, level.fanout))
+            save("grow", level_ids[-1])
+
+        def leaf_counts(bfs: np.ndarray) -> np.ndarray:
+            every_id = [node_id for ids in level_ids for node_id in ids]
+            return counts_round([every_id[i] for i in bfs])
 
         params = PrivTreeParams.calibrate(
             eps_tree,
@@ -416,14 +395,14 @@ class FederatedPrivTree:
             theta=config["theta"],
         )
         grow_frontier(
-            level, params, gen, counts, commit, max_depth=config["max_depth"]
+            level, params, gen, scores, commit, max_depth=config["max_depth"]
         )
-        tree = _release_leaf_counts(
-            nodes_by_id[ROOT_NODE_ID], counts, eps_counts,
+        flat = _release_leaf_counts(
+            root, leaf_counts, eps_counts,
             config["tuples_per_individual"], config["count_mechanism"], gen,
         )
         save("done", [])
-        return tree
+        return _as_tree(flat)
 
 
 def _fit_state(
@@ -449,31 +428,44 @@ def _fit_state(
     }
 
 
-def _rebuild_frontier(
+def _child_ids(parent_ids: list[str], fanout: int) -> list[str]:
+    """The ids of the children of ``parent_ids``, in the array level's order."""
+    return [
+        child_node_id(parent_id, j) for parent_id in parent_ids for j in range(fanout)
+    ]
+
+
+def _replay_levels(
     domain: Box,
     dims_per_split: int,
     split_rounds: list[list[str]],
-) -> dict[str, TreeNode[_Region]]:
-    """Replay committed split decisions into a coordinator frontier.
+) -> tuple[BoxLevel, list[list[str]]]:
+    """Replay committed split decisions into the coordinator's levels.
 
     Node ids encode the split path (``v1.0.2…``) and splitting is pure
     geometry, so the committed per-level split lists are a complete record
-    of the tree grown so far: bisecting each recorded node in order
-    reproduces every box, depth, and ``next_dim`` exactly.  Returns every
-    node by id, the root under ``ROOT_NODE_ID``.
+    of the tree grown so far: bisecting each recorded level's nodes
+    reproduces every box exactly.  Returns the root level, with every
+    replayed level linked below it, and each level's node ids.
     """
-    root = TreeNode(payload=_Region(ROOT_NODE_ID, domain, dims_per_split), depth=0)
-    nodes = {ROOT_NODE_ID: root}
+    level = root = BoxLevel.root(domain, dims_per_split)
+    level_ids = [[ROOT_NODE_ID]]
     for round_ids in split_rounds:
+        where = {node_id: i for i, node_id in enumerate(level_ids[-1])}
         try:
-            parents = [nodes[node_id] for node_id in round_ids]
+            index = np.array([where[node_id] for node_id in round_ids], dtype=np.intp)
         except KeyError as exc:
             raise CheckpointError(
                 f"checkpoint split log references unknown node {exc.args[0]!r}"
             ) from None
-        for child in expand_level(parents):
-            nodes[child.payload.node_id] = child
-    return nodes
+        if np.any(np.diff(index) <= 0) or not level.splittable()[index].all():
+            raise CheckpointError(
+                "checkpoint split log names a level's nodes out of order, "
+                "twice, or past float resolution"
+            )
+        level = level.split(index)
+        level_ids.append(_child_ids(round_ids, level.fanout))
+    return root, level_ids
 
 
 def replay_splits(

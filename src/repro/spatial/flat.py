@@ -1,10 +1,12 @@
-"""Flat, array-backed view of a released histogram tree.
+"""Flat, array-backed form of a released histogram tree.
 
-A :class:`FlatHistogram` compiles a :class:`~repro.spatial.histogram_tree.
-HistogramTree` into a structure-of-arrays synopsis: node boxes as ``(m, d)``
-``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and the topology
-as pre-order ``parents`` plus CSR-style child offsets.  Range-count queries
-are then pure NumPy instead of a Python traversal.
+A :class:`FlatHistogram` is a structure-of-arrays synopsis: node boxes as
+``(m, d)`` ``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and
+the topology as pre-order ``parents`` plus CSR-style child offsets.  The
+PrivTree fits write these arrays directly; :meth:`FlatHistogram.from_tree`
+compiles any other :class:`~repro.spatial.histogram_tree.HistogramTree`,
+and :meth:`FlatHistogram.to_tree` rebuilds the pointer tree on demand.
+Range-count queries are pure NumPy instead of a Python traversal.
 
 Why no traversal is needed: the §2.2 top-down answer is
 
@@ -143,18 +145,23 @@ class FlatHistogram:
         )
 
     def to_tree(self) -> HistogramTree:
-        """Reconstruct the pointer-based :class:`HistogramTree`."""
-        m = self.size
-        released: list[HistogramNode | None] = [None] * m
-        offsets = self.child_offsets
-        for i in range(m - 1, -1, -1):
-            children = [
-                released[j] for j in self.child_index[offsets[i] : offsets[i + 1]]
-            ]
+        """Reconstruct the pointer-based :class:`HistogramTree`.
+
+        The arrays are converted to Python lists once; every box still
+        goes through :class:`Box`'s validation, because the arrays may be
+        an mmap'd artifact from outside the process.
+        """
+        lows = self.lows.tolist()
+        highs = self.highs.tolist()
+        counts = self.counts.tolist()
+        offsets = self.child_offsets.tolist()
+        index = self.child_index.tolist()
+        released: list[HistogramNode | None] = [None] * self.size
+        for i in range(self.size - 1, -1, -1):
             released[i] = HistogramNode(
-                box=Box.from_arrays(self.lows[i], self.highs[i]),
-                count=float(self.counts[i]),
-                children=children,
+                box=Box(tuple(lows[i]), tuple(highs[i])),
+                count=counts[i],
+                children=[released[j] for j in index[offsets[i] : offsets[i + 1]]],
             )
         return HistogramTree(root=released[0])
 

@@ -1,9 +1,15 @@
-"""The spatial node payload fed to the PrivTree / SimpleTree engines.
+"""The spatial node payload: one box and the points inside it.
 
 A :class:`SpatialNodeData` pairs a box with the points it contains.  Its
 score is the point count — exactly the ``c(v)`` of the paper — and splitting
 bisects the box and partitions the points among the children, so building a
 tree never re-scans the full dataset.
+
+It serves the node-at-a-time spatial code: SimpleTree, the binary-SVT
+decomposition, the federated shard collectors (which mirror the
+coordinator's splits with :meth:`SpatialNodeData.split_many`) and
+``privtree_decomposition``.  The PrivTree fits themselves grow array
+levels (:mod:`repro.spatial.level`) and never build a payload.
 
 The number of dimensions bisected per split controls the fanout β:
 
@@ -19,7 +25,7 @@ plus one mutable permutation of row indices; a payload is just a
 point's child in one vectorized pass — packing the per-dimension
 ``coord >= midpoint`` bits into a child index — and then reorders its window
 in place so each child is again a contiguous slice.  Nothing is ever copied,
-``score()`` is ``stop - start``, and a whole PrivTree build performs one
+``score()`` is ``stop - start``, and a whole build performs one
 O(m)-vectorized pass per split instead of β = 2^d separate
 ``contains_points`` scans with β materialized sub-arrays.
 """

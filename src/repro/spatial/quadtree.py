@@ -1,16 +1,24 @@
 """Private spatial decompositions: PrivTree and SimpleTree end-to-end.
 
-``_privtree_histogram`` is the full §3.3 + §3.4 pipeline behind
+``_privtree_flat`` is the full §3.3 + §3.4 pipeline behind
 ``from_spec("privtree")``:
 
-1. spend ε·tree_fraction on the PrivTree structure (Algorithm 2);
+1. spend ε·tree_fraction on the PrivTree structure (Algorithm 2), grown
+   as array levels (:class:`~repro.spatial.level.BoxLevel`) scored by one
+   int32 node label per point (:class:`~repro.spatial.level.PointLabels`);
 2. spend the rest on Laplace-perturbed leaf counts (sensitivity 1: each point
    lies in exactly one leaf);
 3. rebuild intermediate counts as sums of their leaves.
 
+It returns the release as :class:`~repro.spatial.flat.FlatHistogram`
+arrays, written in pre-order by :func:`_release_leaf_counts`; no node
+object is built.  ``_privtree_histogram`` wraps the same arrays in a
+pointer :class:`HistogramTree` for callers that walk nodes.
+
 The federated coordinator (:class:`~repro.federated.FederatedPrivTree`)
-runs the same pipeline over aggregated shard counts: it shares the
-parameter check and the leaf-count release defined here.
+runs the same pipeline over aggregated shard counts: it grows the same
+array levels and shares the parameter check and the leaf-count release
+defined here.
 
 ``_simpletree_histogram`` is the Algorithm 1 baseline behind
 ``from_spec("simpletree")``: the per-node noisy counts it computed *are*
@@ -24,16 +32,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.analysis import simpletree_scale
-from ..core.node import TreeNode
 from ..core.params import PrivTreeParams
-from ..core.privtree import DEFAULT_MAX_DEPTH, payload_scores, privtree
+from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier, privtree
 from ..core.simpletree import simpletree
 from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.geometric import geometric_noise_interleaved
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from .dataset import SpatialDataset
+from .flat import FlatHistogram
 from .histogram_tree import HistogramNode, HistogramTree
+from .level import BoxLevel, PointLabels, preorder
 from .payload import SpatialNodeData
 
 __all__ = ["privtree_decomposition"]
@@ -58,7 +67,19 @@ def privtree_decomposition(
     return privtree(root, params, rng=rng, max_depth=max_depth)
 
 
-def _privtree_histogram(
+def _privtree_histogram(*args, **kwargs) -> HistogramTree:
+    """:func:`_privtree_flat` as a pointer tree that shares the flat arrays."""
+    return _as_tree(_privtree_flat(*args, **kwargs))
+
+
+def _as_tree(flat: FlatHistogram) -> HistogramTree:
+    """The pointer tree of ``flat``, with ``flat`` as its compiled engine."""
+    tree = flat.to_tree()
+    tree._flat = flat
+    return tree
+
+
+def _privtree_flat(
     dataset: SpatialDataset,
     epsilon: float,
     dims_per_split: int | None = None,
@@ -69,8 +90,8 @@ def _privtree_histogram(
     rng: RngLike = None,
     max_depth: int | None = DEFAULT_MAX_DEPTH,
     accountant: PrivacyAccountant | None = None,
-) -> HistogramTree:
-    """The full ε-DP PrivTree synopsis of §3.3–§3.4.
+) -> FlatHistogram:
+    """The full ε-DP PrivTree synopsis of §3.3–§3.4, as flat arrays.
 
     Parameters
     ----------
@@ -99,7 +120,7 @@ def _privtree_histogram(
         one with budget ``epsilon`` is created when omitted.
     """
     _check_fit_params(tree_fraction, tuples_per_individual, count_mechanism)
-    root = SpatialNodeData.root(dataset, dims_per_split)
+    root = BoxLevel.root(dataset.domain, dims_per_split)
     eps_tree = tree_fraction * epsilon
     eps_counts = (1.0 - tree_fraction) * epsilon
     params = PrivTreeParams.calibrate(
@@ -115,9 +136,13 @@ def _privtree_histogram(
     # leave an external accountant's ledger untouched.
     accountant.spend(eps_tree, "privtree/tree structure")
     accountant.spend(eps_counts, "privtree/leaf counts")
-    tree = privtree(root, params, rng=gen, max_depth=max_depth)
+    labels = PointLabels(dataset.points)
+    grow_frontier(
+        root, params, gen, labels.scores, labels.descend, max_depth=max_depth
+    )
+    counts = np.concatenate(labels.counts)
     return _release_leaf_counts(
-        tree.root, payload_scores, eps_counts, tuples_per_individual,
+        root, counts.__getitem__, eps_counts, tuples_per_individual,
         count_mechanism, gen,
     )
 
@@ -139,54 +164,71 @@ def _check_fit_params(
 
 
 def _release_leaf_counts(
-    root: TreeNode,
-    scores: Callable[[list[TreeNode]], Sequence[float]],
+    root: BoxLevel,
+    leaf_scores: Callable[[np.ndarray], Sequence[float]],
     eps_counts: float,
     tuples_per_individual: int,
     count_mechanism: str,
     gen: np.random.Generator,
-) -> HistogramTree:
+) -> FlatHistogram:
     """The §3.4 release: noisy leaf counts, internal nodes sum their children.
 
-    ``scores`` is the score source the level loop used, called once with
-    every leaf.  Leaf-count sensitivity: an individual's x points land in
-    at most x leaves.  All leaf perturbations are drawn in one batched RNG
-    call, in DFS left-to-right leaf order (the order of the historical
-    per-leaf loop, so counts are unchanged).
+    Writes the tree grown below ``root`` straight into
+    :class:`FlatHistogram`'s pre-order arrays.  ``leaf_scores(bfs)``
+    returns the exact counts of the leaves, given as breadth-first node
+    numbers in DFS left-to-right order, and is called once.  Leaf-count
+    sensitivity: an individual's x points land in at most x leaves.  All
+    leaf perturbations are drawn in one batched RNG call in that DFS order
+    (the order of the historical per-leaf loop, so counts are unchanged),
+    and each internal count adds its children's released counts left to
+    right from 0, the float sums of Python's ``sum``.
     """
-    nodes = list(root.iter_nodes())
-    leaves = [node for node in nodes if node.is_leaf]
-    exact = np.asarray(scores(leaves))
+    layout = preorder(root)
+    levels = list(root.levels())
+    m = layout.position.size
+    lows = np.empty((m, root.lows.shape[1]))
+    highs = np.empty_like(lows)
+    lows[layout.position] = np.concatenate([level.lows for level in levels])
+    highs[layout.position] = np.concatenate([level.highs for level in levels])
+    parents = np.full(m, -1, dtype=np.intp)
+    n_children = np.zeros(m, dtype=np.intp)
+    for parent, child in zip(layout.parents, layout.children):
+        parents[child] = parent[:, None]
+        n_children[parent] = child.shape[1]
+    child_offsets = np.concatenate(([0], np.cumsum(n_children)))
+    child_index = np.empty(int(child_offsets[-1]), dtype=np.intp)
+    for parent, child in zip(layout.parents, layout.children):
+        child_index[child_offsets[parent][:, None] + np.arange(child.shape[1])] = child
+
+    leaves = np.flatnonzero(n_children == 0)  # ascending pre-order = DFS
+    exact = np.asarray(leaf_scores(layout.bfs[leaves]))
     if count_mechanism == "laplace":
         count_scale = tuples_per_individual / eps_counts
         noisy = exact.astype(float) + laplace_noise(
-            count_scale, size=len(leaves), rng=gen
+            count_scale, size=leaves.size, rng=gen
         )
     else:
         noisy = exact.astype(np.int64) + geometric_noise_interleaved(
             eps_counts,
-            len(leaves),
+            leaves.size,
             sensitivity=float(tuples_per_individual),
             rng=gen,
         )
-    # Reverse pre-order visits every subtree before its root, and leaves
-    # in reverse DFS order; a node's released children are then the top
-    # of the stack, first child uppermost.
-    leaf_counts = reversed(noisy.astype(float).tolist())
-    stack: list[HistogramNode] = []
-    for node in reversed(nodes):
-        if node.is_leaf:
-            stack.append(HistogramNode(box=node.payload.box, count=next(leaf_counts)))
-        else:
-            children = [stack.pop() for _ in node.children]
-            stack.append(
-                HistogramNode(
-                    box=node.payload.box,
-                    count=sum(c.count for c in children),
-                    children=children,
-                )
-            )
-    return HistogramTree(root=stack.pop())
+    counts = np.empty(m)
+    counts[leaves] = noisy
+    for parent, child in zip(reversed(layout.parents), reversed(layout.children)):
+        total = np.zeros(parent.size)
+        for column in child.T:
+            total += counts[column]
+        counts[parent] = total
+    return FlatHistogram(
+        lows=lows,
+        highs=highs,
+        counts=counts,
+        parents=parents,
+        child_offsets=child_offsets,
+        child_index=child_index,
+    )
 
 
 def _simpletree_histogram(

@@ -5,6 +5,12 @@ must survive a round-trip to disk.  The JSON schema is deliberately plain —
 boxes and counts, no library internals — so third-party consumers can parse
 it without this package.
 
+The document is written from a release's
+:class:`~repro.spatial.flat.FlatHistogram` arrays (:func:`flat_to_dict`);
+:func:`tree_to_dict` compiles a pointer tree to those arrays first, so the
+schema is written in one place and a fitted release is published without
+building a node object.
+
 Loading validates the document: artifacts crossing a process boundary (the
 release store, the HTTP query service) are untrusted input, and a malformed
 box or count must fail here with a clear :class:`ValueError`, not deep
@@ -20,23 +26,13 @@ from typing import Any
 
 from .._io import atomic_write_text
 from ..domains.box import Box
+from .flat import FlatHistogram
 from .histogram_tree import HistogramNode, HistogramTree
 
-__all__ = ["tree_to_dict", "tree_from_dict", "save_tree", "load_tree"]
+__all__ = ["flat_to_dict", "tree_to_dict", "tree_from_dict", "save_tree", "load_tree"]
 
 _FORMAT = "repro.histogram_tree"
 _VERSION = 1
-
-
-def _node_to_dict(node: HistogramNode) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "low": list(node.box.low),
-        "high": list(node.box.high),
-        "count": node.count,
-    }
-    if node.children:
-        out["children"] = [_node_to_dict(c) for c in node.children]
-    return out
 
 
 def _load_box(data: dict[str, Any]) -> Box:
@@ -86,11 +82,29 @@ def _node_from_dict(data: dict[str, Any], parent_box: Box | None = None) -> Hist
 
 def tree_to_dict(tree: HistogramTree) -> dict[str, Any]:
     """Plain-JSON representation of a released histogram tree."""
-    return {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "root": _node_to_dict(tree.root),
-    }
+    return flat_to_dict(tree.flat())
+
+
+def flat_to_dict(flat: FlatHistogram) -> dict[str, Any]:
+    """The :func:`tree_to_dict` document, written from the flat arrays.
+
+    The arrays are converted to Python lists once and the nested node
+    dicts are built children first, in reverse pre-order; no
+    :class:`HistogramNode` is made.
+    """
+    lows = flat.lows.tolist()
+    highs = flat.highs.tolist()
+    counts = flat.counts.tolist()
+    offsets = flat.child_offsets.tolist()
+    index = flat.child_index.tolist()
+    nodes: list[dict[str, Any]] = [{}] * flat.size
+    for i in range(flat.size - 1, -1, -1):
+        node: dict[str, Any] = {"low": lows[i], "high": highs[i], "count": counts[i]}
+        start, stop = offsets[i], offsets[i + 1]
+        if stop > start:
+            node["children"] = [nodes[j] for j in index[start:stop]]
+        nodes[i] = node
+    return {"format": _FORMAT, "version": _VERSION, "root": nodes[0]}
 
 
 def tree_from_dict(data: dict[str, Any]) -> HistogramTree:

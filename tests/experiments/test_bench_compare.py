@@ -1,28 +1,46 @@
-"""`repro bench --compare` against incomplete or malformed baselines.
+"""`repro bench --compare` and its `--fail-above` gate.
 
-The perf surface grows over time, so a freshly added case is routinely
-absent from the committed baseline; old or hand-edited baselines may also
-hold garbage where a case dict is expected.  The compare path must warn
-and keep going in every such case — a KeyError here would turn "we added
-a benchmark" into a red CI run.
+The perf surface grows over time, so a freshly added case may be absent
+from the baseline; old or hand-edited baselines may also hold garbage
+where a case dict is expected.  `--compare` alone warns and keeps going
+in every such case (never a KeyError).  The `--fail-above` gate fails
+closed instead: a case without a usable baseline entry fails it unless
+`--allow-new CASE` names it.  Cases with a speedup on both sides are
+gated on the speedup ratio; seconds are gated only against a baseline
+from the same runner.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.experiments.perf import (
+    BENCH_CASES,
     REGRESSION_THRESHOLD,
+    bench_new_cases,
     bench_regression_failures,
     compare_bench_results,
 )
 
+ROOT = Path(__file__).resolve().parents[2]
+
 
 def _results(**cases: float) -> dict:
     return {"cases": {name: {"optimized_s": s} for name, s in cases.items()}}
+
+
+def _on(runner: tuple, document: dict) -> dict:
+    """``document`` recorded on ``runner`` = (cpu_count, python, numpy)."""
+    cpu_count, python, numpy = runner
+    return {**document, "machine": {"cpu_count": cpu_count, "python": python, "numpy": numpy}}
+
+
+HERE = (2, "3.11.7", "2.4.6")
+ELSEWHERE = (4, "3.12.3", "2.4.6")
 
 
 class TestCompareBenchResults:
@@ -88,10 +106,43 @@ class TestCompareBenchResults:
 
 
 class TestBenchRegressionFailures:
-    def test_missing_and_malformed_cases_never_fail_the_gate(self):
-        results = _results(brand_new=10.0, mangled=10.0)
-        baseline = {"cases": {"mangled": {"optimized_s": "oops"}}}
+    def test_missing_and_malformed_cases_fail_unless_allowed(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # They are not regressions, but the gate cannot judge them.
+        results = _results(brand_new=10.0, mangled=10.0, kept=0.01)
+        baseline = {"cases": {"mangled": {"optimized_s": "oops"}, "kept": {"optimized_s": 0.01}}}
         assert bench_regression_failures(results, baseline, 1.5) == []
+        assert bench_new_cases(results, baseline) == ["brand_new", "mangled"]
+        monkeypatch.setattr("repro.experiments.run_perf_bench", lambda **kwargs: results)
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        gate = ["bench", "--compare", str(path), "--fail-above", "1.5"]
+        assert main(gate) == 1
+        assert "FAIL: baseline" in capsys.readouterr().out
+        assert main(gate + ["--allow-new", "brand_new"]) == 1
+        out = capsys.readouterr().out
+        assert "no entry for mangled;" in out
+        assert main(gate + ["--allow-new", "brand_new", "--allow-new", "mangled"]) == 0
+        assert "regression gate passed" in capsys.readouterr().out
+
+    def test_speedup_ratio_gates_across_runners(self):
+        baseline = _on(ELSEWHERE, {"cases": {"build": {"optimized_s": 0.001, "speedup": 9.0}}})
+        kept = _on(HERE, {"cases": {"build": {"optimized_s": 1.0, "speedup": 8.0}}})
+        lost = _on(HERE, {"cases": {"build": {"optimized_s": 0.001, "speedup": 3.0}}})
+        assert bench_regression_failures(kept, baseline, 1.5) == []
+        assert bench_regression_failures(lost, baseline, 1.5) == [("build", 3.0)]
+
+    def test_seconds_gate_only_on_the_same_runner(self):
+        baseline = _on(HERE, _results(fit=0.010))
+        slower = _results(fit=0.030)
+        assert [n for n, _ in bench_regression_failures(_on(HERE, slower), baseline, 1.5)] == ["fit"]
+        elsewhere = _on(ELSEWHERE, slower)
+        assert bench_regression_failures(elsewhere, baseline, 1.5) == []
+        assert bench_new_cases(elsewhere, baseline) == []
+        table, n_regressions = compare_bench_results(elsewhere, baseline)
+        assert n_regressions == 0
+        assert "(not gated: other runner)" in table
 
     def test_real_regression_still_fails(self):
         results = _results(slow=0.030, brand_new=10.0)
@@ -116,21 +167,26 @@ class TestBenchCompareCLIWarning:
         },
     }
 
-    def test_warns_and_gate_stays_green(self, monkeypatch, capsys, tmp_path):
+    def test_new_case_fails_the_gate_unless_allowed(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(
             "repro.experiments.run_perf_bench", lambda **kwargs: dict(self.FAKE)
         )
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"cases": {"old_case": {"optimized_s": 0.010}}}))
-        code = main(
-            ["bench", "--compare", str(baseline), "--fail-above", "1.5"]
-        )
+        # --compare alone still only warns.
+        assert main(["bench", "--compare", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert code == 0
         assert "WARNING: baseline" in out
         assert "no entry for new_case" in out
         assert "regenerate the baseline" in out
-        assert "regression gate passed" in out
+        gate = ["bench", "--compare", str(baseline), "--fail-above", "1.5"]
+        assert main(gate) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: baseline" in out
+        assert "no entry for new_case" in out
+        assert "regression gate passed" not in out
+        assert main(gate + ["--allow-new", "new_case"]) == 0
+        assert "regression gate passed" in capsys.readouterr().out
 
     def test_compare_without_out_writes_nothing(self, monkeypatch, tmp_path):
         # Results are written only with --out: a compare run from a
@@ -154,3 +210,14 @@ class TestBenchCompareCLIWarning:
         out = capsys.readouterr().out
         assert code == 0
         assert "WARNING: baseline" not in out
+
+
+class TestCommittedBaseline:
+    """The committed BENCH_perf.json is a real baseline for every case."""
+
+    def test_holds_exactly_the_bench_cases(self):
+        baseline = json.loads((ROOT / "BENCH_perf.json").read_text())
+        assert set(baseline["cases"]) == BENCH_CASES
+        # Every case is judged: none reads as new against itself.
+        assert bench_new_cases(baseline, baseline) == []
+        assert set(baseline["machine"]) >= {"cpu_count", "python", "numpy"}

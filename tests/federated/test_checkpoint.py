@@ -140,6 +140,26 @@ class TestCheckpointedFit:
         ]
         assert resumed_accountant.spent == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda s: s["split_rounds"][-1].append(s["split_rounds"][-1][0]), "twice"),
+            (lambda s: s["split_rounds"][-1].__setitem__(0, "v1.9"), "unknown node"),
+            (lambda s: s["level_ids"].pop(), "does not match"),
+        ],
+        ids=["split-twice", "unknown-node", "frontier-mismatch"],
+    )
+    def test_tampered_split_log_is_refused(self, small_2d, tmp_path, tamper, message):
+        checkpoint = FitCheckpoint(tmp_path / "fit.json")
+        crasher = FaultInjector(FaultPlan(crash_coordinator_at_round=6), seed=0)
+        with pytest.raises(InjectedCoordinatorCrash):
+            _fit(small_2d, checkpoint=checkpoint, fault_injector=crasher)
+        state = checkpoint.load()
+        tamper(state)
+        checkpoint.save(state)
+        with pytest.raises(CheckpointError, match=message):
+            _fit(small_2d, checkpoint=checkpoint, resume=True)
+
     def test_resume_requires_a_checkpoint(self, small_2d):
         with pytest.raises(CheckpointError, match="requires a checkpoint"):
             _fit(small_2d, resume=True)

@@ -17,9 +17,97 @@ from repro.federated import (
     shard_dataset,
 )
 from repro.mechanisms import PrivacyAccountant
+from repro.domains import Box
 from repro.spatial import SpatialDataset
+from repro.spatial.flat import FlatHistogram
 from repro.spatial.quadtree import _privtree_histogram
 from repro.spatial.serialize import tree_to_dict
+
+
+def _two_ulps_wide() -> SpatialDataset:
+    low = 0.5
+    one_up = np.nextafter(low, 1.0)
+    domain = Box((low, low), (np.nextafter(one_up, 1.0),) * 2)
+    points = np.array([[low, low], [one_up, low], [low, one_up], [one_up, one_up]] * 5)
+    return SpatialDataset(points, domain)
+
+
+def _skewed(d: int) -> np.ndarray:
+    return np.random.default_rng(d).uniform(size=(3_000, d)) ** 3
+
+
+#: Datasets at the edges of the array levels: name -> (dataset, fit knobs).
+EDGE_CASES = {
+    "empty": lambda: (SpatialDataset(np.empty((0, 2)), Box.unit(2)), {}),
+    "one_point": lambda: (SpatialDataset(np.array([[0.3, 0.7]]), Box.unit(2)), {}),
+    "on_midpoints": lambda: (
+        SpatialDataset(
+            np.array([[0.5, 0.5], [0.25, 0.5], [0.5, 0.75], [0.75, 0.25]] * 50),
+            Box.unit(2),
+        ),
+        {},
+    ),
+    "duplicates_past_max_depth": lambda: (
+        SpatialDataset(np.full((3_000, 2), 0.123456), Box.unit(2)),
+        {"max_depth": 20},
+    ),
+    "3d_two_dims_per_split": lambda: (
+        SpatialDataset(_skewed(3), Box.unit(3)),
+        {"dims_per_split": 2},
+    ),
+    "3d_one_dim_geometric": lambda: (
+        SpatialDataset(_skewed(3), Box.unit(3)),
+        {"dims_per_split": 1, "count_mechanism": "geometric"},
+    ),
+    "two_ulps_wide": lambda: (_two_ulps_wide(), {}),
+}
+
+
+def _reference(dataset, kwargs):
+    kwargs = dict(kwargs)
+    return reference_privtree_histogram(
+        dataset, kwargs.pop("epsilon"), kwargs.pop("rng"), **kwargs
+    )
+
+
+def _three_fits(dataset, n_shards, kwargs, *, warns=False):
+    """The centralized, in-process federated and loopback-wire fits."""
+    kwargs = dict(kwargs)
+    epsilon = kwargs.pop("epsilon")
+    dims_per_split = kwargs.pop("dims_per_split", None)
+    shards = shard_dataset(dataset, n_shards)
+    clients = loopback_collectors(
+        [
+            ShardCollector(i, n_shards, shard, dims_per_split=dims_per_split)
+            for i, shard in enumerate(shards)
+        ],
+        session="reference",
+    )
+    fits = [
+        lambda: _privtree_histogram(
+            dataset, epsilon, dims_per_split=dims_per_split, **kwargs
+        ),
+        lambda: federated_privtree_histogram(
+            shards, epsilon, dims_per_split=dims_per_split, **kwargs
+        ),
+        lambda: FederatedPrivTree(clients).fit_histogram(epsilon, **kwargs),
+    ]
+    for fit in fits:
+        if warns:
+            with pytest.warns(MaxDepthWarning):
+                yield fit()
+        else:
+            yield fit()
+
+
+def assert_same_release(fit, reference):
+    """Equal trees, and equal flat arrays down to their dtypes."""
+    assert tree_to_dict(fit) == tree_to_dict(reference)
+    expected = FlatHistogram.from_tree(reference)
+    for name in ("lows", "highs", "counts", "parents", "child_offsets", "child_index"):
+        got, want = getattr(fit.flat(), name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestShardDataset:
@@ -79,6 +167,21 @@ class TestBitIdentity:
             shard_dataset(clustered_2d, 4), **kwargs
         )
         assert tree_to_dict(federated) == tree_to_dict(central)
+        # All three fits are held to the frozen node-at-a-time reference.
+        for fit in _three_fits(clustered_2d, 4, kwargs):
+            assert_same_release(fit, _reference(clustered_2d, kwargs))
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edge_datasets_match_the_reference(self, case, seed):
+        dataset, knobs = EDGE_CASES[case]()
+        kwargs = dict(epsilon=1.0, rng=seed, **knobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MaxDepthWarning)
+            reference = _reference(dataset, kwargs)
+        warns = "max_depth" in knobs
+        for fit in _three_fits(dataset, 2, kwargs, warns=warns):
+            assert_same_release(fit, reference)
 
     def test_identity_is_invariant_to_the_partition(self, clustered_2d):
         # Any split of the points yields the same release: aggregated counts

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.perf import BENCH_CASES
 
 
 class TestParser:
@@ -136,24 +137,7 @@ class TestCommands:
         assert "privtree_build" in out
         assert "speedup" in out
         results = json.loads(out_file.read_text())
-        assert set(results["cases"]) == {
-            "privtree_build",
-            "workload_queries",
-            "workload_generation",
-            "workload_answering",
-            "federated_fit",
-            "federated_fit_tcp",
-            "service_cached_queries",
-            "artifact_cold_load",
-            "service_throughput",
-            "telemetry_overhead",
-            "gram_counting",
-            "substring_counting",
-            "substring_count_table",
-            "pst_build_release",
-            "topk_scoring",
-            "pst_generation",
-        }
+        assert set(results["cases"]) == BENCH_CASES
         assert results["cases"]["federated_fit"]["bit_identical_to_centralized"] is True
         assert results["cases"]["federated_fit"]["overhead_vs_centralized"] > 0
         assert results["cases"]["workload_queries"]["max_abs_deviation"] < 1e-6

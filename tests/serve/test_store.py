@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve import ReleaseStore, StoreError
+from repro import from_spec
+from repro.api import release_from_json
+from repro.serve import ReleaseStore, StoreError, read_artifact
 
 from .conftest import FAST_PARAMS, QUERY_BOXES, QUERY_CODES, fit_release
+
+FLAT_ARRAYS = ("lows", "highs", "counts", "parents", "child_offsets", "child_index")
 
 
 class TestRoundTrip:
@@ -35,6 +39,37 @@ class TestRoundTrip:
         assert np.array_equal(
             restored.query_many(QUERY_BOXES), release.query_many(QUERY_BOXES)
         )
+
+
+class TestPublishPath:
+    """fit -> put never builds the pointer tree, and both stored forms
+    give back the fitted arrays."""
+
+    @pytest.mark.parametrize(
+        "seed, knobs",
+        [
+            (0, {}),
+            (1, {"dims_per_split": 1}),
+            (2, {"count_mechanism": "geometric", "tuples_per_individual": 2}),
+            (3, {"theta": 3.0, "tree_fraction": 0.3}),
+        ],
+    )
+    def test_put_writes_the_fitted_arrays(self, store, clustered_2d, seed, knobs):
+        release = from_spec("privtree", epsilon=1.0, **knobs).fit(clustered_2d, rng=seed)
+        assert release._tree is None
+        release_id = store.put(release)
+        assert release._tree is None
+        releases = store.root / "releases"
+        from_json = release_from_json(
+            json.loads((releases / f"{release_id}.json").read_text())
+        )
+        from_bin = read_artifact(releases / f"{release_id}.bin")
+        for stored in (from_json, from_bin):
+            for name in FLAT_ARRAYS:
+                got = getattr(stored.flat(), name)
+                want = getattr(release.flat(), name)
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestManifest:

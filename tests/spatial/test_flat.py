@@ -93,6 +93,20 @@ class TestCompilation:
             assert a.box == b.box
             assert a.count == b.count
 
+    def test_to_tree_rejects_an_inverted_box(self):
+        # The arrays may come from an artifact written outside the
+        # process: every rebuilt box is validated.
+        flat = FlatHistogram(
+            lows=np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]),
+            highs=np.array([[1.0, 1.0], [0.5, 1.0], [0.25, 1.0]]),
+            counts=np.array([3.0, 1.0, 2.0]),
+            parents=np.array([-1, 0, 0], dtype=np.intp),
+            child_offsets=np.array([0, 2, 2, 2], dtype=np.intp),
+            child_index=np.array([1, 2], dtype=np.intp),
+        )
+        with pytest.raises(ValueError, match="degenerate extent"):
+            flat.to_tree()
+
     def test_cached_on_histogram_tree(self):
         tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         assert tree.flat() is tree.flat()
