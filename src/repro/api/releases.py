@@ -103,7 +103,6 @@ class SpatialTreeRelease(SpatialRelease):
         """The pointer-based tree (materialized from the flat form on demand)."""
         if self._tree is None:
             self._tree = self._flat.to_tree()
-            self._tree._flat = self._flat  # share the compiled engine
         return self._tree
 
     def flat(self) -> "FlatHistogram":

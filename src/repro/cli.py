@@ -318,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASELINE_JSON",
         help="print a regression table vs. a committed BENCH_perf.json "
         "(warns when a case slows down >20%%; never fails the run "
-        "unless --fail-above is also given).  Cases with a speedup on "
-        "both sides compare speedups; seconds compare only when the "
-        "baseline's runner (cpu_count, Python, NumPy) matches",
+        "unless --fail-above is also given).  Seconds compare only when "
+        "the baseline's runner (cpu_count, Python, NumPy) matches; "
+        "speedups against a frozen reference compare on any runner",
     )
     bench.add_argument(
         "--fail-above",
@@ -330,14 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --compare: exit non-zero when any gated case slows down "
         "past RATIO times its baseline, or when the baseline has no usable "
         "entry for a case the run produced (CI gates at 1.5)",
-    )
-    bench.add_argument(
-        "--allow-new",
-        action="append",
-        default=[],
-        metavar="CASE",
-        help="with --fail-above: let CASE pass without a baseline entry "
-        "(repeatable)",
     )
 
     trace_p = sub.add_parser(
@@ -965,14 +957,13 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
                     lines.append(f"  {name:22s} {ratio:6.2f}x")
             # Fail closed: a case the baseline cannot judge would otherwise
             # pass whatever the code does.
-            unjudged = [name for name in missing if name not in args.allow_new]
-            if unjudged:
+            if missing:
                 lines.append(
                     f"FAIL: baseline {args.compare} has no entry for "
-                    f"{', '.join(unjudged)}; regenerate it with `repro bench "
-                    f"--out {args.compare}` or pass --allow-new CASE"
+                    f"{', '.join(missing)}; regenerate it with `repro bench "
+                    f"--out {args.compare}`"
                 )
-            if failures or unjudged:
+            if failures or missing:
                 code = 1
             else:
                 lines.append(

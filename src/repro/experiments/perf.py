@@ -51,11 +51,12 @@ from ..sequence.tasks import (
 from ..spatial.dataset import SpatialDataset
 from ..spatial.flat import FlatHistogram
 from ..spatial.histogram_tree import HistogramNode, HistogramTree
-from ..spatial.quadtree import _as_tree, _privtree_flat
+from ..spatial.quadtree import _privtree_flat
 from ..spatial.queries import generate_workload
 
 __all__ = [
     "BENCH_CASES",
+    "FROZEN_REFERENCE_CASES",
     "bench_new_cases",
     "bench_regression_failures",
     "build_mixed_workload",
@@ -543,9 +544,8 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
     # Canonicalize the synthetic level-order arrays through the pointer
     # tree: the v1 JSON path recompiles its engine in from_tree's
     # pre-order, and bit-identity needs both loads summing in one layout.
-    tree = synthetic_flat_histogram(depth).to_tree()
-    release = SpatialTreeRelease(tree, method="privtree", epsilon_spent=1.0)
-    flat = release.flat()
+    flat = FlatHistogram.from_tree(synthetic_flat_histogram(depth).to_tree())
+    release = SpatialTreeRelease(flat=flat, method="privtree", epsilon_spent=1.0)
     probe = [
         (np.array([0.1, 0.1]), np.array([0.4, 0.5])),
         (np.array([0.0, 0.0]), np.array([1.0, 1.0])),
@@ -814,7 +814,7 @@ def run_perf_bench(
     build_s, flat = _best_of(
         repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
     )
-    synopsis = _as_tree(flat)
+    synopsis = flat.to_tree()
 
     # Telemetry overhead.  The disabled-mode claim ("span sites add at
     # most a few percent to privtree_build") is asserted from first
@@ -1078,6 +1078,22 @@ BENCH_CASES = frozenset({
     "pst_generation",
 })
 
+#: The cases whose ``speedup`` is against a reference the timed path
+#: never runs (a frozen replica or the pointer-tree walk), so only these
+#: speedups are gated.  The others share code with what they time:
+#: ``workload_answering``'s scalar loop runs the same flat engine,
+#: ``artifact_cold_load``'s JSON load the same store code and
+#: ``service_throughput``'s JSON requests the same server, so a slowdown
+#: there cancels out of the ratio; they are gated on seconds.
+FROZEN_REFERENCE_CASES = frozenset({
+    "privtree_build",
+    "workload_queries",
+    "gram_counting",
+    "substring_counting",
+    "topk_scoring",
+    "pst_generation",
+})
+
 #: A case regressing past this factor of its baseline is flagged by
 #: ``repro bench --compare``.
 REGRESSION_THRESHOLD = 1.2
@@ -1119,14 +1135,15 @@ def _gate_cases(results: dict, baseline: dict) -> dict[str, tuple[str, float | N
 
     Maps a case name to ``(basis, slowdown)``:
 
-    * ``"speedup"`` — both sides carry a ``speedup`` against a frozen
-      reference run in the same process; the slowdown is baseline
-      speedup ÷ current speedup, which travels across machines;
     * ``"seconds"`` — both sides carry ``optimized_s`` and were measured
       on the same runner (:data:`RUNNER_KEYS`); the slowdown is current ÷
       baseline seconds;
-    * ``"other runner"`` — seconds only, from another runner: not gated
-      (slowdown ``None``);
+    * ``"speedup"`` — a :data:`FROZEN_REFERENCE_CASES` case with a
+      ``speedup`` on both sides; the slowdown is baseline speedup ÷
+      current speedup, which travels across machines.  On the same
+      runner such a case takes the worse of its two slowdowns;
+    * ``"other runner"`` — no speedup basis, seconds from another runner:
+      not gated (slowdown ``None``);
     * ``"new"`` — the baseline has no usable entry (slowdown ``None``).
     """
     base_cases = _baseline_cases(baseline)
@@ -1136,10 +1153,16 @@ def _gate_cases(results: dict, baseline: dict) -> dict[str, tuple[str, float | N
         entry = base_cases.get(name)
         base_speedup, speedup = _positive(entry, "speedup"), _positive(case, "speedup")
         base_s, seconds = _positive(entry, "optimized_s"), _positive(case, "optimized_s")
-        if base_speedup and speedup:
-            out[name] = ("speedup", base_speedup / speedup)
+        slowdowns = {}
+        if same_runner and base_s and seconds:
+            slowdowns["seconds"] = seconds / base_s
+        if name in FROZEN_REFERENCE_CASES and base_speedup and speedup:
+            slowdowns["speedup"] = base_speedup / speedup
+        if slowdowns:
+            basis = max(slowdowns, key=slowdowns.get)
+            out[name] = (basis, slowdowns[basis])
         elif base_s and seconds:
-            out[name] = ("seconds", seconds / base_s) if same_runner else ("other runner", None)
+            out[name] = ("other runner", None)
         else:
             out[name] = ("new", None)
     return out
@@ -1214,9 +1237,8 @@ def bench_regression_failures(
 def bench_new_cases(results: dict, baseline: dict) -> list[str]:
     """The cases of ``results`` that ``baseline`` has no usable entry for.
 
-    ``repro bench --fail-above`` fails on each of them unless it is named
-    by ``--allow-new``, so a clobbered or stale baseline cannot keep the
-    gate green.
+    ``repro bench --fail-above`` fails on each of them, so a clobbered or
+    stale baseline cannot keep the gate green.
     """
     return [
         name

@@ -39,7 +39,7 @@ from ..mechanisms.rng import RngLike, SeedLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from ..spatial.histogram_tree import HistogramTree
 from ..spatial.level import BoxLevel
-from ..spatial.quadtree import _as_tree, _check_fit_params, _release_leaf_counts
+from ..spatial.quadtree import _check_fit_params, _release_leaf_counts
 from ..telemetry import get_registry, span as _span
 from .aggregator import SecureAggregator
 from .checkpoint import FitCheckpoint, restore_rng, rng_state
@@ -402,7 +402,7 @@ class FederatedPrivTree:
             config["tuples_per_individual"], config["count_mechanism"], gen,
         )
         save("done", [])
-        return _as_tree(flat)
+        return flat.to_tree()
 
 
 def _fit_state(

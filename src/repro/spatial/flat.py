@@ -149,7 +149,8 @@ class FlatHistogram:
 
         The arrays are converted to Python lists once; every box still
         goes through :class:`Box`'s validation, because the arrays may be
-        an mmap'd artifact from outside the process.
+        an mmap'd artifact from outside the process.  The tree keeps these
+        arrays as its compiled engine (:meth:`HistogramTree.flat`).
         """
         lows = self.lows.tolist()
         highs = self.highs.tolist()
@@ -163,7 +164,9 @@ class FlatHistogram:
                 count=counts[i],
                 children=[released[j] for j in index[offsets[i] : offsets[i + 1]]],
             )
-        return HistogramTree(root=released[0])
+        tree = HistogramTree(root=released[0])
+        tree._flat = self
+        return tree
 
     # ------------------------------------------------------------------
     # Queries

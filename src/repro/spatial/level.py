@@ -29,7 +29,24 @@ import numpy as np
 
 from ..domains.box import Box
 
-__all__ = ["BoxLevel", "PointLabels", "Preorder", "preorder"]
+__all__ = [
+    "BoxLevel", "PointLabels", "Preorder", "preorder", "resolve_dims_per_split",
+]
+
+
+def resolve_dims_per_split(ndim: int, dims_per_split: int | None) -> int:
+    """``dims_per_split`` for an ``ndim``-dimensional domain.
+
+    ``None`` means every dimension; anything outside ``[1, ndim]`` is a
+    ``ValueError``.
+    """
+    if dims_per_split is None:
+        return ndim
+    if not 1 <= dims_per_split <= ndim:
+        raise ValueError(
+            f"dims_per_split must be in [1, {ndim}], got {dims_per_split}"
+        )
+    return dims_per_split
 
 
 class BoxLevel:
@@ -64,21 +81,14 @@ class BoxLevel:
     def root(domain: Box, dims_per_split: int | None = None) -> "BoxLevel":
         """The one-node level covering ``domain``.
 
-        Checks ``dims_per_split`` (default: every dimension), so a fit can
-        reject it before spending any budget.
+        Checks ``dims_per_split`` (:func:`resolve_dims_per_split`), so a
+        fit can reject it before spending any budget.
         """
-        d = domain.ndim
-        if dims_per_split is None:
-            dims_per_split = d
-        if not 1 <= dims_per_split <= d:
-            raise ValueError(
-                f"dims_per_split must be in [1, {d}], got {dims_per_split}"
-            )
         return BoxLevel(
             0,
             np.array([domain.low], dtype=float),
             np.array([domain.high], dtype=float),
-            dims_per_split,
+            resolve_dims_per_split(domain.ndim, dims_per_split),
         )
 
     @property

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..domains.box import Box
 from .dataset import SpatialDataset
+from .level import resolve_dims_per_split
 
 __all__ = ["SpatialNodeData"]
 
@@ -96,17 +97,10 @@ class SpatialNodeData:
     @staticmethod
     def root(dataset: SpatialDataset, dims_per_split: int | None = None) -> "SpatialNodeData":
         """Payload covering the whole domain of ``dataset``."""
-        d = dataset.ndim
-        if dims_per_split is None:
-            dims_per_split = d
-        if not 1 <= dims_per_split <= d:
-            raise ValueError(
-                f"dims_per_split must be in [1, {d}], got {dims_per_split}"
-            )
         return SpatialNodeData(
             box=dataset.domain,
             points=dataset.points,
-            dims_per_split=dims_per_split,
+            dims_per_split=resolve_dims_per_split(dataset.ndim, dims_per_split),
         )
 
     @property

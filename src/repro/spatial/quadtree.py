@@ -69,14 +69,7 @@ def privtree_decomposition(
 
 def _privtree_histogram(*args, **kwargs) -> HistogramTree:
     """:func:`_privtree_flat` as a pointer tree that shares the flat arrays."""
-    return _as_tree(_privtree_flat(*args, **kwargs))
-
-
-def _as_tree(flat: FlatHistogram) -> HistogramTree:
-    """The pointer tree of ``flat``, with ``flat`` as its compiled engine."""
-    tree = flat.to_tree()
-    tree._flat = flat
-    return tree
+    return _privtree_flat(*args, **kwargs).to_tree()
 
 
 def _privtree_flat(

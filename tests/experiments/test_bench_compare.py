@@ -4,10 +4,10 @@ The perf surface grows over time, so a freshly added case may be absent
 from the baseline; old or hand-edited baselines may also hold garbage
 where a case dict is expected.  `--compare` alone warns and keeps going
 in every such case (never a KeyError).  The `--fail-above` gate fails
-closed instead: a case without a usable baseline entry fails it unless
-`--allow-new CASE` names it.  Cases with a speedup on both sides are
-gated on the speedup ratio; seconds are gated only against a baseline
-from the same runner.
+closed instead: a case without a usable baseline entry fails it.  Seconds
+are gated only against a baseline from the same runner; the speedup of a
+case timed against a frozen reference is gated on any runner, and on the
+same runner the worse of the two ratios counts.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.perf import (
     BENCH_CASES,
+    FROZEN_REFERENCE_CASES,
     REGRESSION_THRESHOLD,
     bench_new_cases,
     bench_regression_failures,
@@ -106,7 +107,7 @@ class TestCompareBenchResults:
 
 
 class TestBenchRegressionFailures:
-    def test_missing_and_malformed_cases_fail_unless_allowed(
+    def test_missing_and_malformed_cases_fail_the_gate(
         self, monkeypatch, capsys, tmp_path
     ):
         # They are not regressions, but the gate cannot judge them.
@@ -117,26 +118,43 @@ class TestBenchRegressionFailures:
         monkeypatch.setattr("repro.experiments.run_perf_bench", lambda **kwargs: results)
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(baseline))
-        gate = ["bench", "--compare", str(path), "--fail-above", "1.5"]
-        assert main(gate) == 1
-        assert "FAIL: baseline" in capsys.readouterr().out
-        assert main(gate + ["--allow-new", "brand_new"]) == 1
+        assert main(["bench", "--compare", str(path), "--fail-above", "1.5"]) == 1
         out = capsys.readouterr().out
-        assert "no entry for mangled;" in out
-        assert main(gate + ["--allow-new", "brand_new", "--allow-new", "mangled"]) == 0
-        assert "regression gate passed" in capsys.readouterr().out
+        assert f"FAIL: baseline {path} has no entry for brand_new, mangled;" in out
+        assert "regression gate passed" not in out
 
     def test_speedup_ratio_gates_across_runners(self):
-        baseline = _on(ELSEWHERE, {"cases": {"build": {"optimized_s": 0.001, "speedup": 9.0}}})
-        kept = _on(HERE, {"cases": {"build": {"optimized_s": 1.0, "speedup": 8.0}}})
-        lost = _on(HERE, {"cases": {"build": {"optimized_s": 0.001, "speedup": 3.0}}})
+        case = "privtree_build"
+        assert case in FROZEN_REFERENCE_CASES
+        baseline = _on(ELSEWHERE, {"cases": {case: {"optimized_s": 0.001, "speedup": 9.0}}})
+        kept = _on(HERE, {"cases": {case: {"optimized_s": 1.0, "speedup": 8.0}}})
+        lost = _on(HERE, {"cases": {case: {"optimized_s": 0.001, "speedup": 3.0}}})
         assert bench_regression_failures(kept, baseline, 1.5) == []
-        assert bench_regression_failures(lost, baseline, 1.5) == [("build", 3.0)]
+        assert bench_regression_failures(lost, baseline, 1.5) == [(case, 3.0)]
 
-    def test_seconds_gate_only_on_the_same_runner(self):
-        baseline = _on(HERE, _results(fit=0.010))
-        slower = _results(fit=0.030)
-        assert [n for n, _ in bench_regression_failures(_on(HERE, slower), baseline, 1.5)] == ["fit"]
+    def test_same_runner_takes_the_worse_ratio(self):
+        # A slowdown in code both sides run keeps the speedup flat; the
+        # seconds still catch it on the baseline's runner.
+        case = "privtree_build"
+        baseline = _on(HERE, {"cases": {case: {"optimized_s": 0.010, "speedup": 9.0}}})
+        slower = _on(HERE, {"cases": {case: {"optimized_s": 0.030, "speedup": 9.0}}})
+        assert bench_regression_failures(slower, baseline, 1.5) == [(case, pytest.approx(3.0))]
+        table, _ = compare_bench_results(slower, baseline)
+        assert "(seconds)" in table
+        lost = _on(HERE, {"cases": {case: {"optimized_s": 0.010, "speedup": 3.0}}})
+        assert bench_regression_failures(lost, baseline, 1.5) == [(case, 3.0)]
+
+    # A seconds-only case, and cases whose reference runs the code they
+    # time: a slowdown there leaves the speedup flat, so only seconds judge.
+    @pytest.mark.parametrize(
+        "case", ["fit", "workload_answering", "artifact_cold_load", "service_throughput"]
+    )
+    def test_seconds_gate_only_on_the_same_runner(self, case):
+        assert case not in FROZEN_REFERENCE_CASES
+        speedup = {} if case == "fit" else {"speedup": 2.0}
+        baseline = _on(HERE, {"cases": {case: {"optimized_s": 0.010, **speedup}}})
+        slower = {"cases": {case: {"optimized_s": 0.030, **speedup}}}
+        assert [n for n, _ in bench_regression_failures(_on(HERE, slower), baseline, 1.5)] == [case]
         elsewhere = _on(ELSEWHERE, slower)
         assert bench_regression_failures(elsewhere, baseline, 1.5) == []
         assert bench_new_cases(elsewhere, baseline) == []
@@ -167,7 +185,7 @@ class TestBenchCompareCLIWarning:
         },
     }
 
-    def test_new_case_fails_the_gate_unless_allowed(self, monkeypatch, capsys, tmp_path):
+    def test_new_case_fails_the_gate(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(
             "repro.experiments.run_perf_bench", lambda **kwargs: dict(self.FAKE)
         )
@@ -184,9 +202,8 @@ class TestBenchCompareCLIWarning:
         out = capsys.readouterr().out
         assert "FAIL: baseline" in out
         assert "no entry for new_case" in out
+        assert f"regenerate it with `repro bench --out {baseline}`" in out
         assert "regression gate passed" not in out
-        assert main(gate + ["--allow-new", "new_case"]) == 0
-        assert "regression gate passed" in capsys.readouterr().out
 
     def test_compare_without_out_writes_nothing(self, monkeypatch, tmp_path):
         # Results are written only with --out: a compare run from a
@@ -221,3 +238,6 @@ class TestCommittedBaseline:
         # Every case is judged: none reads as new against itself.
         assert bench_new_cases(baseline, baseline) == []
         assert set(baseline["machine"]) >= {"cpu_count", "python", "numpy"}
+        # The cases gated on another runner all have a speedup to gate.
+        for name in FROZEN_REFERENCE_CASES:
+            assert baseline["cases"][name]["speedup"] > 0

@@ -541,7 +541,9 @@ class TestBenchGate:
         assert code == 0
         assert "regression gate passed" in capsys.readouterr().out
 
-        # A doctored 100x-faster baseline makes every case a regression.
+        # A doctored 100x-faster baseline makes every case a regression:
+        # on the baseline's own runner seconds are gated even where the
+        # speedup stayed flat.
         results = json.loads(out_file.read_text())
         for case in results["cases"].values():
             if "optimized_s" in case:
@@ -552,6 +554,9 @@ class TestBenchGate:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+        failed = out.split("FAIL:", 1)[1]
+        assert "privtree_build" in failed
+        assert "range_count_many" in failed
 
 
 class TestTraceCommand:
