@@ -62,6 +62,7 @@ __all__ = [
     "build_mixed_workload",
     "compare_bench_results",
     "reference_privtree_histogram",
+    "reference_range_count_arrays",
     "reference_workload_answers",
     "run_artifact_cold_load_bench",
     "run_perf_bench",
@@ -205,6 +206,82 @@ def reference_privtree_histogram(
 def reference_workload_answers(tree: HistogramTree, queries) -> np.ndarray:
     """Per-query recursive traversal — the pre-optimization query path."""
     return np.array([tree.range_count(q) for q in queries])
+
+
+def reference_range_count_arrays(
+    flat: FlatHistogram, q_lows: np.ndarray, q_highs: np.ndarray
+) -> np.ndarray:
+    """The row-wise batched traversal, frozen as it was before the column one.
+
+    Gathers ``(pairs, d)`` bound rows, tests them with ``np.all(axis=1)``
+    and recomputes the node volumes and the leaf mask on every call.
+    :meth:`FlatHistogram.range_count_arrays` must return the same bytes.
+    """
+    q_lows = np.ascontiguousarray(q_lows, dtype=float)
+    q_highs = np.ascontiguousarray(q_highs, dtype=float)
+    if q_lows.shape != q_highs.shape or q_lows.ndim != 2:
+        raise ValueError("query bounds must be matching (n, d) matrices")
+    n_queries = q_lows.shape[0]
+    if n_queries == 0:
+        return np.empty(0)
+    if q_lows.shape[1] != flat.ndim:
+        raise ValueError(
+            f"queries have {q_lows.shape[1]} dims but the synopsis has "
+            f"{flat.ndim}"
+        )
+    counts = flat.counts
+    volumes = np.prod(flat.highs - flat.lows, axis=1)
+    leaf = np.diff(flat.child_offsets) == 0
+    child_offsets = flat.child_offsets
+    child_index = flat.child_index
+
+    answers = np.zeros(n_queries)
+    # Frontier of (query, node) pairs, all queries at the root.
+    query_ids = np.arange(n_queries, dtype=np.intp)
+    node_ids = np.zeros(n_queries, dtype=np.intp)
+    while node_ids.size:
+        node_low = flat.lows[node_ids]
+        node_high = flat.highs[node_ids]
+        q_low = q_lows[query_ids]
+        q_high = q_highs[query_ids]
+        overlap = np.minimum(node_high, q_high) - np.maximum(node_low, q_low)
+        intersects = np.all(overlap > 0, axis=1)
+        covered = np.all((node_low >= q_low) & (node_high <= q_high), axis=1)
+        # Fully-covered nodes contribute their count (covered implies
+        # intersecting: boxes have positive volume).
+        if covered.any():
+            answers += np.bincount(
+                query_ids[covered],
+                weights=counts[node_ids[covered]],
+                minlength=n_queries,
+            )
+        # Partially-covered leaves contribute a uniformity fraction.
+        partial = intersects & ~covered & leaf[node_ids]
+        if partial.any():
+            fractions = (
+                np.prod(overlap[partial], axis=1) / volumes[node_ids[partial]]
+            )
+            answers += np.bincount(
+                query_ids[partial],
+                weights=counts[node_ids[partial]] * fractions,
+                minlength=n_queries,
+            )
+        # Descend into intersecting, uncovered internal nodes.
+        descend = intersects & ~covered & ~leaf[node_ids]
+        parents_q = query_ids[descend]
+        parents_n = node_ids[descend]
+        starts = child_offsets[parents_n]
+        n_children = child_offsets[parents_n + 1] - starts
+        total = int(n_children.sum())
+        if total == 0:
+            break
+        query_ids = np.repeat(parents_q, n_children)
+        # Ragged ranges: element j of pair i maps to child_index[starts_i + j].
+        shifts = np.repeat(np.cumsum(n_children) - n_children, n_children)
+        node_ids = child_index[
+            np.repeat(starts, n_children) + np.arange(total) - shifts
+        ]
+    return answers
 
 
 def build_mixed_workload(domain, boxes, n_queries: int, rng):

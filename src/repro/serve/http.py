@@ -76,6 +76,10 @@ class SynopsisRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
     timeout = REQUEST_TIMEOUT_S
+    # TCP_NODELAY on every accepted connection.  A response goes out in
+    # two writes (headers, then body); with Nagle's algorithm on, the body
+    # would wait for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     # -- helpers -------------------------------------------------------
 

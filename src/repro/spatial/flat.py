@@ -6,23 +6,31 @@ the topology as pre-order ``parents`` plus CSR-style child offsets.  The
 PrivTree fits write these arrays directly; :meth:`FlatHistogram.from_tree`
 compiles any other :class:`~repro.spatial.histogram_tree.HistogramTree`,
 and :meth:`FlatHistogram.to_tree` rebuilds the pointer tree on demand.
-Range-count queries are pure NumPy instead of a Python traversal.
 
-Why no traversal is needed: the §2.2 top-down answer is
+Range counts run the §2.2 top-down answer for a whole batch at once.  A
+query's answer is
 
-* the count of every *maximal* fully-covered node — i.e. covered nodes whose
-  parent is not covered ("covered" is downward-closed, so maximality is a
-  single parent lookup), plus
+* the count of every *maximal* fully-covered node (covered, with a parent
+  that is not), plus
 * the uniformity fraction of every partially-covered leaf.
 
-Both conditions are per-node predicates given the parent array, so one
-vectorized pass over all nodes — or a broadcast over (queries × nodes) for a
-whole workload — replaces per-query pointer chasing.
+:meth:`FlatHistogram.range_count_arrays` keeps a frontier of (query, node)
+pairs and advances it one tree level per iteration: covered pairs add
+their counts, partially-covered leaves their fractions, and the other
+intersecting pairs expand into their children, so the visited pairs are
+exactly those of the recursive traversal.  Each level tests one 1-D
+column per dimension, gathered from views of the (possibly mmap'd) bounds
+rather than ``(pairs, d)`` rows, and the node volumes and leaf mask are
+computed once per synopsis and cached read-only.  ``range_count_many``
+and the scalar ``range_count`` call the same function; its answers are
+byte-identical to the row-wise version frozen as
+:func:`repro.experiments.perf.reference_range_count_arrays`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +39,11 @@ from ..domains.box import Box
 from .histogram_tree import HistogramNode, HistogramTree
 
 __all__ = ["FlatHistogram", "flatten_tree"]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -68,10 +81,10 @@ class FlatHistogram:
         """Dimensionality of the node boxes."""
         return int(self.lows.shape[1])
 
-    @property
+    @cached_property
     def is_leaf(self) -> np.ndarray:
-        """Boolean leaf mask (no children in the CSR topology)."""
-        return np.diff(self.child_offsets) == 0
+        """Boolean leaf mask (no children in the CSR topology); read-only."""
+        return _read_only(np.diff(self.child_offsets) == 0)
 
     @property
     def leaf_count(self) -> int:
@@ -83,10 +96,10 @@ class FlatHistogram:
         """The (noisy) total number of points — the root's count."""
         return float(self.counts[0])
 
-    @property
+    @cached_property
     def volumes(self) -> np.ndarray:
-        """Per-node box volumes."""
-        return np.prod(self.highs - self.lows, axis=1)
+        """Per-node box volumes; read-only."""
+        return _read_only(np.prod(self.highs - self.lows, axis=1))
 
     @property
     def height(self) -> int:
@@ -94,16 +107,18 @@ class FlatHistogram:
         frontier = np.zeros(1, dtype=np.intp)
         height = 0
         while True:
-            starts = self.child_offsets[frontier]
-            widths = self.child_offsets[frontier + 1] - starts
-            total = int(widths.sum())
-            if total == 0:
+            _, frontier = self._children(frontier)
+            if not frontier.size:
                 return height
-            shifts = np.repeat(np.cumsum(widths) - widths, widths)
-            frontier = self.child_index[
-                np.repeat(starts, widths) + np.arange(total) - shifts
-            ]
             height += 1
+
+    def _children(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(child count of each node, all their children in node order)."""
+        starts = self.child_offsets[nodes]
+        n_children = self.child_offsets[nodes + 1] - starts
+        # Ragged ranges: child j of node i is child_index[starts_i + j].
+        shifts = np.repeat(starts - np.cumsum(n_children) + n_children, n_children)
+        return n_children, self.child_index[np.arange(shifts.size) + shifts]
 
     # ------------------------------------------------------------------
     # Construction
@@ -225,21 +240,34 @@ class FlatHistogram:
         counts = self.counts
         volumes = self.volumes
         leaf = self.is_leaf
-        child_offsets = self.child_offsets
-        child_index = self.child_index
+        # One 1-D column per dimension: plain views of the (possibly
+        # mmap'd) bounds, so a gather reads one column instead of whole
+        # rows and runs no memmap hooks.
+        node_lows = np.asarray(self.lows)
+        node_highs = np.asarray(self.highs)
+        columns = [
+            (node_lows[:, k], node_highs[:, k], q_lows[:, k], q_highs[:, k])
+            for k in range(self.ndim)
+        ]
 
         answers = np.zeros(n_queries)
         # Frontier of (query, node) pairs, all queries at the root.
         query_ids = np.arange(n_queries, dtype=np.intp)
         node_ids = np.zeros(n_queries, dtype=np.intp)
         while node_ids.size:
-            node_low = self.lows[node_ids]
-            node_high = self.highs[node_ids]
-            q_low = q_lows[query_ids]
-            q_high = q_highs[query_ids]
-            overlap = np.minimum(node_high, q_high) - np.maximum(node_low, q_low)
-            intersects = np.all(overlap > 0, axis=1)
-            covered = np.all((node_low >= q_low) & (node_high <= q_high), axis=1)
+            covered = intersects = True
+            overlaps = []
+            for low_k, high_k, q_low_k, q_high_k in columns:
+                node_low = low_k[node_ids]
+                node_high = high_k[node_ids]
+                q_low = q_low_k[query_ids]
+                q_high = q_high_k[query_ids]
+                covered = covered & (node_low >= q_low) & (node_high <= q_high)
+                # The gathers are fresh arrays: reuse them for the overlap.
+                overlap = np.minimum(node_high, q_high, out=node_high)
+                overlap -= np.maximum(node_low, q_low, out=node_low)
+                intersects = intersects & (overlap > 0)
+                overlaps.append(overlap)
             # Fully-covered nodes contribute their count (covered implies
             # intersecting: boxes have positive volume).
             if covered.any():
@@ -248,32 +276,27 @@ class FlatHistogram:
                     weights=counts[node_ids[covered]],
                     minlength=n_queries,
                 )
+            uncovered = intersects & ~covered
+            leaf_pairs = leaf[node_ids]
             # Partially-covered leaves contribute a uniformity fraction.
-            partial = intersects & ~covered & leaf[node_ids]
+            partial = uncovered & leaf_pairs
             if partial.any():
-                fractions = (
-                    np.prod(overlap[partial], axis=1) / volumes[node_ids[partial]]
-                )
+                partial_nodes = node_ids[partial]
+                # Dimension order 0..d-1: the float product np.prod takes
+                # along a row.
+                product = overlaps[0][partial]
+                for overlap in overlaps[1:]:
+                    product = product * overlap[partial]
+                fractions = product / volumes[partial_nodes]
                 answers += np.bincount(
                     query_ids[partial],
-                    weights=counts[node_ids[partial]] * fractions,
+                    weights=counts[partial_nodes] * fractions,
                     minlength=n_queries,
                 )
             # Descend into intersecting, uncovered internal nodes.
-            descend = intersects & ~covered & ~leaf[node_ids]
-            parents_q = query_ids[descend]
-            parents_n = node_ids[descend]
-            starts = child_offsets[parents_n]
-            n_children = child_offsets[parents_n + 1] - starts
-            total = int(n_children.sum())
-            if total == 0:
-                break
-            query_ids = np.repeat(parents_q, n_children)
-            # Ragged ranges: element j of pair i maps to child_index[starts_i + j].
-            shifts = np.repeat(np.cumsum(n_children) - n_children, n_children)
-            node_ids = child_index[
-                np.repeat(starts, n_children) + np.arange(total) - shifts
-            ]
+            descend = uncovered & ~leaf_pairs
+            n_children, node_ids = self._children(node_ids[descend])
+            query_ids = np.repeat(query_ids[descend], n_children)
         return answers
 
 

@@ -1,11 +1,14 @@
 """The v2 binary artifact codec and its integration into the store."""
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.api import release_from_json
+from repro.api.releases import SpatialTreeRelease
 from repro.serve import (
     ArtifactError,
     ArtifactIntegrityError,
@@ -14,6 +17,7 @@ from repro.serve import (
     read_artifact,
     write_artifact,
 )
+from repro.spatial import FlatHistogram
 
 from ..api.conftest import FAST_PARAMS
 from .conftest import QUERY_BOXES, QUERY_CODES, fit_release
@@ -110,6 +114,136 @@ class TestIntegrity:
     def test_integrity_error_is_artifact_and_value_error(self):
         assert issubclass(ArtifactIntegrityError, ArtifactError)
         assert issubclass(ArtifactError, ValueError)
+
+
+def _small_tree(**overrides):
+    """A five-node tree: the root's left half is split again.
+
+    Pre-order: 0 root, 1 left half, 2 and 3 its quarters, 4 right half.
+    """
+    arrays = {
+        "lows": np.array(
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]
+        ),
+        "highs": np.array(
+            [[1.0, 1.0], [0.5, 1.0], [0.5, 0.5], [0.5, 1.0], [1.0, 1.0]]
+        ),
+        "counts": np.array([10.0, 6.0, 2.0, 4.0, 4.0]),
+        "parents": np.array([-1, 0, 1, 1, 0], dtype=np.intp),
+        "child_offsets": np.array([0, 2, 4, 4, 4, 4], dtype=np.intp),
+        "child_index": np.array([1, 4, 2, 3], dtype=np.intp),
+    }
+    arrays.update(overrides)
+    return FlatHistogram(**arrays)
+
+
+def _write_tree(path, flat):
+    """Write ``flat`` as a v2 artifact with a valid SHA-256 footer."""
+    release = SpatialTreeRelease(flat=flat, method="privtree", epsilon_spent=1.0)
+    write_artifact(release, path)
+    return path
+
+
+#: Crafted topologies, each with a footer that verifies.  Each would send
+#: a query round a cycle, index past the arrays, or divide by a
+#: degenerate volume.
+CRAFTED_TREES = {
+    "root_is_its_own_child": (
+        {"child_index": np.array([0, 4, 2, 3], dtype=np.intp)},
+        "out of range",
+    ),
+    "node_named_twice": (
+        {"child_index": np.array([1, 1, 2, 3], dtype=np.intp)},
+        "every non-root node once",
+    ),
+    "child_index_out_of_range": (
+        {"child_index": np.array([1, 5, 2, 3], dtype=np.intp)},
+        "out of range",
+    ),
+    "child_before_its_parent": (
+        {
+            "parents": np.array([-1, 0, 3, 1, 0], dtype=np.intp),
+            "child_offsets": np.array([0, 2, 3, 3, 4, 4], dtype=np.intp),
+            "child_index": np.array([1, 4, 3, 2], dtype=np.intp),
+        },
+        "precedes its parent",
+    ),
+    "offsets_fall": (
+        {"child_offsets": np.array([0, 2, 1, 4, 4, 4], dtype=np.intp)},
+        "child_offsets",
+    ),
+    "offsets_overshoot": (
+        {"child_offsets": np.array([0, 2, 4, 4, 4, 5], dtype=np.intp)},
+        "child_offsets",
+    ),
+    "parents_disagree": (
+        {"parents": np.array([-1, 0, 1, 0, 0], dtype=np.intp)},
+        "parents disagree",
+    ),
+    "root_has_a_parent": (
+        {"parents": np.array([0, 0, 1, 1, 0], dtype=np.intp)},
+        "parents disagree",
+    ),
+    "float_topology": (
+        {"child_index": np.array([1.0, 4.0, 2.0, 3.0])},
+        "must be integers",
+    ),
+    "short_counts": (
+        {"counts": np.array([10.0, 6.0, 2.0, 4.0])},
+        "counts has shape",
+    ),
+    "infinite_bound": (
+        {"highs": np.array(
+            [[1.0, 1.0], [0.5, 1.0], [0.5, 0.5], [0.5, np.inf], [1.0, 1.0]]
+        )},
+        "finite",
+    ),
+    "inverted_box": (
+        {"lows": np.array(
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [1.0, 0.0]]
+        )},
+        "lows < highs",
+    ),
+}
+
+
+class TestCraftedArtifacts:
+    """A footer any writer can compute proves intact bytes, not a tree:
+    the loader checks the topology itself and fails closed."""
+
+    def test_well_formed_tree_loads_and_answers(self, tmp_path):
+        path = _write_tree(tmp_path / "tree.bin", _small_tree())
+        restored = read_artifact(path)
+        assert restored.height == 2
+        assert restored.flat().range_count_arrays(
+            np.array([[0.0, 0.0]]), np.array([[0.5, 1.0]])
+        ).tolist() == [6.0]
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("case", sorted(CRAFTED_TREES))
+    def test_crafted_topology_rejected(self, tmp_path, case, verify):
+        overrides, message = CRAFTED_TREES[case]
+        path = _write_tree(tmp_path / "crafted.bin", _small_tree(**overrides))
+        with pytest.raises(ArtifactError, match=message):
+            read_artifact(path, verify=verify)
+
+    def test_crafted_artifact_in_a_store_fails_the_load(self, store, uniform_2d):
+        release, _ = fit_release("privtree", uniform_2d, None)
+        store.put(release, release_id="crafted")
+        overrides, _ = CRAFTED_TREES["root_is_its_own_child"]
+        _write_tree(store.root / "releases" / "crafted.bin", _small_tree(**overrides))
+        with pytest.raises(ArtifactError):
+            store.get("crafted")
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        header = b"[]"
+        body = struct.pack("<8sII", b"REPROBIN", 2, len(header)) + header
+        path = tmp_path / "list-header.bin"
+        path.write_bytes(body + b"SHA2-256" + hashlib.sha256(body).digest())
+        with pytest.raises(ArtifactError, match="not a JSON object"):
+            read_artifact(path)
+        with pytest.raises(ArtifactError, match="not a JSON object"):
+            artifact_info(path)
 
 
 class TestStoreIntegration:

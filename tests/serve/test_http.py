@@ -550,6 +550,58 @@ class TestKeepAlive:
             conn.close()
 
 
+class TestNoDelay:
+    """Every accepted connection has TCP_NODELAY, so a response body never
+    waits behind its headers for the client's delayed ACK."""
+
+    @staticmethod
+    def _record_nodelay(monkeypatch):
+        import socket
+
+        from repro.serve.http import SynopsisRequestHandler
+
+        seen = []
+        setup = SynopsisRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(SynopsisRequestHandler, "setup", recording_setup)
+        return seen
+
+    def test_served_connections_set_nodelay(self, server, monkeypatch):
+        httpd, ids, _ = server
+        seen = self._record_nodelay(monkeypatch)
+        assert _get(httpd, "/healthz")[0] == 200
+        status, _ = _post(
+            httpd, f"/releases/{ids['spatial']}/query", _box_batch(QUERY_BOXES)
+        )
+        assert status == 200
+        assert len(seen) == 2 and all(seen)
+
+    def test_inherited_listener_connections_set_nodelay(self, store, monkeypatch):
+        """The pre-fork path: workers accept on the parent's listener."""
+        from repro.serve.http import _bind_listener
+
+        listener = _bind_listener("127.0.0.1", 0)
+        httpd = SynopsisHTTPServer(
+            listener.getsockname(), store, quiet=True, listen_socket=listener
+        )
+        seen = self._record_nodelay(monkeypatch)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            assert _get(httpd, "/healthz")[0] == 200
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=5)
+        assert seen and all(seen)
+
+
 class TestListenSocket:
     def test_server_accepts_on_inherited_socket(self, store, uniform_2d):
         """The pre-fork path: a socket bound elsewhere is adopted as-is."""

@@ -9,7 +9,9 @@ the maximal-covered-node logic rather than leaf-only shortcuts.
 import numpy as np
 import pytest
 
+from repro import from_spec
 from repro.domains import Box
+from repro.experiments.perf import reference_range_count_arrays
 from repro.spatial import (
     FlatHistogram,
     HistogramNode,
@@ -160,6 +162,65 @@ class TestEquivalence:
         assert tree.range_count(whole) == pytest.approx(999.0)
         half = Box((0.0, 0.0), (0.5, 1.0))
         assert flat.range_count(half) == pytest.approx(tree.range_count(half))
+
+
+#: The releases the column traversal is held to byte for byte, as
+#: (method, params, dimensions): PrivTree bisects, k-d tree releases split
+#: at a private near-median, and SimpleTree's internal counts are not the
+#: sums of its children's.
+REFERENCE_RELEASES = [
+    ("privtree", {}, 2),
+    ("privtree", {"dims_per_split": 1}, 2),
+    ("simpletree", {"height": 6}, 2),
+    ("kdtree", {"height": 6}, 2),
+    ("privtree", {}, 3),
+    ("privtree", {"dims_per_split": 2}, 3),
+    ("kdtree", {"height": 5}, 3),
+]
+
+
+def reference_batches(flat, seed):
+    """(label, lows, highs) batches that reach every traversal branch."""
+    domain = Box.from_arrays(flat.lows[0], flat.highs[0])
+    gen = np.random.default_rng(seed)
+    batches = []
+    for j, band in enumerate(BANDS):
+        boxes = generate_workload(domain, band, 500, rng=seed + j)
+        lows = np.array([b.low for b in boxes])
+        highs = np.array([b.high for b in boxes])
+        batches.append((band, lows, highs))
+    batches.append(("whole domain", flat.lows[:1], flat.highs[:1]))
+    nodes = gen.choice(flat.size, size=min(flat.size, 300), replace=False)
+    batches.append(("node boxes", flat.lows[nodes], flat.highs[nodes]))
+    # Boxes reaching past the domain on some side, or lying wholly outside.
+    extents = flat.highs[0] - flat.lows[0]
+    centers = flat.lows[0] + gen.uniform(-0.2, 1.2, size=(300, flat.ndim)) * extents
+    halves = gen.uniform(0.05, 0.6, size=(300, flat.ndim)) * extents
+    batches.append(("outside", centers - halves, centers + halves))
+    empty = np.empty((0, flat.ndim))
+    batches.append(("empty", empty, empty))
+    return batches
+
+
+class TestFrozenReference:
+    """The column traversal returns the bytes of the frozen row-wise one."""
+
+    @pytest.mark.parametrize(
+        "name, params, d",
+        REFERENCE_RELEASES,
+        ids=[
+            "-".join([n, f"{d}d", *(f"{k}{v}" for k, v in p.items())])
+            for n, p, d in REFERENCE_RELEASES
+        ],
+    )
+    def test_answers_match_reference_byte_for_byte(self, name, params, d):
+        data = random_dataset(2) if d == 2 else random_dataset(4, n=3000, d=3)
+        flat = from_spec(name, epsilon=1.0, **params).fit(data, rng=d).flat()
+        for batch, lows, highs in reference_batches(flat, seed=10 * d):
+            expected = reference_range_count_arrays(flat, lows, highs)
+            answers = flat.range_count_arrays(lows, highs)
+            assert answers.dtype == expected.dtype, batch
+            assert answers.tobytes() == expected.tobytes(), batch
 
 
 class TestBatchedSurface:
