@@ -5,8 +5,8 @@ A :class:`TreeNode` carries an application payload (a
 cell, ...).  SimpleTree grows these nodes with its own loop; PrivTree
 grows them through :class:`NodeLevel`, the node-list form of the level
 that :func:`~repro.core.privtree.grow_frontier` consumes.  The spatial
-PrivTree fits bypass nodes altogether and grow an array level
-(:class:`~repro.spatial.level.BoxLevel`).
+PrivTree fits and the federated shard collectors bypass nodes altogether
+and grow an array level (:class:`~repro.spatial.level.BoxLevel`).
 """
 
 from __future__ import annotations

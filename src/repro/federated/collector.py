@@ -2,14 +2,23 @@
 
 A :class:`ShardCollector` plays PrivCount's *data collector* role.  It holds
 one shard of the sensitive points (over the **global** domain, so every
-shard's decomposition geometry matches the coordinator's), mirrors the
-coordinator's split decisions on its local
-:class:`~repro.spatial.payload.SpatialNodeData` tree, and answers per-node
-count queries by emitting additively blinded ``uint64`` shares.  The raw
-per-shard counts never leave the collector: every emitted vector is blinded
-by the pairwise masks of :class:`~repro.federated.blinding.PairwiseBlinder`,
-so only the sum across *all* shards — taken by the
+shard's decomposition geometry matches the coordinator's) and counts them
+the way the centralized fit does: one int32 node label per point
+(:class:`~repro.spatial.level.PointLabels`), advanced level by level as it
+mirrors the coordinator's split decisions on its deepest
+:class:`~repro.spatial.level.BoxLevel`.  It answers per-node count queries
+by emitting additively blinded ``uint64`` shares.  The raw per-shard counts
+never leave the collector: every emitted vector is blinded by the pairwise
+masks of :class:`~repro.federated.blinding.PairwiseBlinder`, so only the
+sum across *all* shards — taken by the
 :class:`~repro.federated.aggregator.SecureAggregator` — is meaningful.
+
+Nodes are named on the wire by their path ids (``v1.0.2…``).  A collector
+keeps one map from each id it has grown to the node's breadth-first
+number, which indexes the concatenated per-level counts; the deepest
+level's nodes hold the last numbers.  A splits round must name distinct
+splittable nodes of the deepest level in ascending order
+(:func:`_split_index`, which the coordinator's checkpoint replay shares).
 
 The collector is deliberately dumb about privacy: it adds no noise and
 knows nothing about ε.  All noise is drawn once, at the coordinator, from
@@ -20,14 +29,15 @@ centralized one.
 
 from __future__ import annotations
 
-from typing import Mapping
+from itertools import count
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..domains.box import Box
 from ..mechanisms.rng import SeedLike
 from ..spatial.dataset import SpatialDataset
-from ..spatial.payload import SpatialNodeData
+from ..spatial.level import BoxLevel, PointLabels
 from .blinding import PairwiseBlinder
 
 __all__ = ["ROOT_NODE_ID", "ShardCollector", "child_node_id"]
@@ -47,8 +57,50 @@ def child_node_id(parent_id: str, child_index: int) -> str:
     return f"{parent_id}.{child_index}"
 
 
+def _child_ids(parent_ids: Sequence[str], fanout: int) -> list[str]:
+    """The ids of the children of ``parent_ids``, in the array level's order."""
+    return [
+        child_node_id(parent_id, j) for parent_id in parent_ids for j in range(fanout)
+    ]
+
+
+def _split_index(
+    level: BoxLevel, numbers: Mapping[str, int], node_ids: Sequence[str]
+) -> np.ndarray:
+    """The indices in ``level`` of the nodes one splits round names.
+
+    ``numbers`` maps ids to numbers, and the nodes of ``level``, the
+    deepest, hold its last ``level.size`` numbers in level order: a
+    collector's breadth-first numbers of every node grown, or the indices
+    of one level.  The ids must name splittable nodes of ``level``, each
+    once, in ascending order; anything else raises ``KeyError`` naming the
+    fault.
+    """
+    first = len(numbers) - level.size
+    try:
+        index = np.fromiter(
+            (numbers[node_id] for node_id in node_ids), np.intp, len(node_ids)
+        )
+    except KeyError as exc:
+        raise KeyError(
+            f"names unknown node {exc.args[0]!r} (split a node before naming "
+            "its children)"
+        ) from None
+    index -= first
+    if index.size and (
+        index[0] < 0
+        or np.any(np.diff(index) <= 0)
+        or not level.splittable()[index].all()
+    ):
+        raise KeyError(
+            "names a node twice, out of order, outside the deepest level, or "
+            "past float resolution"
+        )
+    return index
+
+
 class ShardCollector:
-    """One shard's worker: local payload tree + blinded count answers.
+    """One shard's worker: array levels + blinded count answers.
 
     Parameters
     ----------
@@ -76,8 +128,9 @@ class ShardCollector:
         self.shard_id = shard_id
         self.n_shards = n_shards
         self._blinder = PairwiseBlinder(shard_id, n_shards, blinding_seed)
-        root = SpatialNodeData.root(dataset, dims_per_split)
-        self._payloads: dict[str, SpatialNodeData] = {ROOT_NODE_ID: root}
+        self._level = BoxLevel.root(dataset.domain, dims_per_split)
+        self._labels = PointLabels(dataset.points)
+        self._numbers: dict[str, int] = {ROOT_NODE_ID: 0}
         self._domain = dataset.domain
         self._n_points = dataset.n
         self._rounds_served = 0
@@ -97,7 +150,7 @@ class ShardCollector:
     @property
     def dims_per_split(self) -> int:
         """Dimensions bisected per split (fanout β = 2^dims_per_split)."""
-        return self._payloads[ROOT_NODE_ID].dims_per_split
+        return self._level.dims_per_split
 
     def rekey(self, pair_seeds: Mapping[tuple[int, int], int]) -> None:
         """Replace the derived-stream blinder with key-exchange pair seeds.
@@ -120,40 +173,47 @@ class ShardCollector:
     def blinded_counts(self, node_ids: list[str]) -> np.ndarray:
         """Blinded shares of this shard's counts for ``node_ids``.
 
-        One aggregation round: the pair mask streams advance by exactly
-        ``len(node_ids)`` draws, so the coordinator must query every
-        collector with the same id list in the same round order.
+        The ids may name nodes of any depth grown so far.  One aggregation
+        round: the pair mask streams advance by exactly ``len(node_ids)``
+        draws, so the coordinator must query every collector with the same
+        id list in the same round order.
         """
-        counts = np.empty(len(node_ids), dtype=np.int64)
-        for i, node_id in enumerate(node_ids):
-            payload = self._lookup(node_id)
-            counts[i] = int(payload.score())
+        try:
+            numbers = np.fromiter(
+                (self._numbers[node_id] for node_id in node_ids),
+                np.intp,
+                len(node_ids),
+            )
+        except KeyError as exc:
+            raise KeyError(
+                f"shard {self.shard_id} has no node {exc.args[0]!r}; the "
+                "coordinator must split a node before querying its children"
+            ) from None
+        counts = np.concatenate(self._labels.counts)[numbers]
         self._rounds_served += 1
         return self._blinder.blind(counts)
 
     def apply_splits(self, node_ids: list[str]) -> None:
         """Mirror the coordinator's split decision for ``node_ids``.
 
-        Splits every named node's local payload (one vectorized pass over
-        the whole level via ``split_many``) and registers the children under
-        their canonical ids.  Raises ``KeyError`` on an unknown id — a
-        protocol error, not a data condition.  Re-applying a split the
-        collector has already performed is an idempotent no-op producing
-        identical children (splitting is deterministic in the parent
-        payload), which is what lets a resumed coordinator safely replay
-        its last uncommitted round.
+        The ids must name splittable nodes of the deepest level, each once,
+        in ascending order (one splits round per level).  Anything else —
+        an unknown id, a repeat, a node of an earlier level (including one
+        already split), or a box past float resolution — raises
+        ``KeyError``, a protocol error, and leaves the collector unchanged.
+        Otherwise the level splits in one vectorized pass, every point
+        moves to its child's label, and the children are numbered under
+        their canonical ids.  Re-applying a split is refused: a retried
+        round is answered from the endpoint's round cache, and
+        :func:`~repro.federated.driver.replay_splits` runs each committed
+        round once, on fresh collectors.
         """
-        payloads = [self._lookup(node_id) for node_id in node_ids]
-        children_lists = SpatialNodeData.split_many(payloads)
-        for node_id, children in zip(node_ids, children_lists):
-            for j, child in enumerate(children):
-                self._payloads[child_node_id(node_id, j)] = child
-
-    def _lookup(self, node_id: str) -> SpatialNodeData:
         try:
-            return self._payloads[node_id]
-        except KeyError:
-            raise KeyError(
-                f"shard {self.shard_id} has no node {node_id!r}; the "
-                "coordinator must split a node before querying its children"
-            ) from None
+            index = _split_index(self._level, self._numbers, node_ids)
+        except KeyError as exc:
+            raise KeyError(f"shard {self.shard_id} {exc.args[0]}") from None
+        level = self._level
+        self._level = level.split(index)
+        self._labels.descend(level, index, self._level)
+        children = _child_ids(node_ids, level.fanout)
+        self._numbers.update(zip(children, count(len(self._numbers))))

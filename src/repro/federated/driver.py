@@ -43,7 +43,7 @@ from ..spatial.quadtree import _check_fit_params, _release_leaf_counts
 from ..telemetry import get_registry, span as _span
 from .aggregator import SecureAggregator
 from .checkpoint import FitCheckpoint, restore_rng, rng_state
-from .collector import ROOT_NODE_ID, ShardCollector, child_node_id
+from .collector import ROOT_NODE_ID, ShardCollector, _child_ids, _split_index
 from .errors import CheckpointError
 from .faults import FaultInjector
 
@@ -428,13 +428,6 @@ def _fit_state(
     }
 
 
-def _child_ids(parent_ids: list[str], fanout: int) -> list[str]:
-    """The ids of the children of ``parent_ids``, in the array level's order."""
-    return [
-        child_node_id(parent_id, j) for parent_id in parent_ids for j in range(fanout)
-    ]
-
-
 def _replay_levels(
     domain: Box,
     dims_per_split: int,
@@ -453,16 +446,9 @@ def _replay_levels(
     for round_ids in split_rounds:
         where = {node_id: i for i, node_id in enumerate(level_ids[-1])}
         try:
-            index = np.array([where[node_id] for node_id in round_ids], dtype=np.intp)
+            index = _split_index(level, where, round_ids)
         except KeyError as exc:
-            raise CheckpointError(
-                f"checkpoint split log references unknown node {exc.args[0]!r}"
-            ) from None
-        if np.any(np.diff(index) <= 0) or not level.splittable()[index].all():
-            raise CheckpointError(
-                "checkpoint split log names a level's nodes out of order, "
-                "twice, or past float resolution"
-            )
+            raise CheckpointError(f"checkpoint split log {exc.args[0]}") from None
         level = level.split(index)
         level_ids.append(_child_ids(round_ids, level.fanout))
     return root, level_ids
@@ -474,15 +460,14 @@ def replay_splits(
     """Replay committed splits onto *fresh* in-process collectors.
 
     An in-process resume rebuilds its collectors from the shard data, so
-    their payload trees must be grown back to the checkpointed frontier
-    before the fit continues.  Splitting is deterministic in the parent
-    payload, so the replayed trees match the pre-crash ones exactly.  The
-    TCP transport never needs this: its collectors are long-lived
-    processes that kept their trees (and their mask-stream positions).
+    their levels and point labels must be grown back to the checkpointed
+    frontier before the fit continues.  Each committed round is applied
+    once, in order; splitting is pure geometry, so the replayed collectors
+    match the pre-crash ones exactly.  The TCP transport never needs this:
+    its collectors are long-lived processes that kept their levels (and
+    their mask-stream positions).
     """
     for round_ids in split_rounds:
-        if not round_ids:
-            continue
         for collector in collectors:
             collector.apply_splits(round_ids)
 

@@ -151,7 +151,8 @@ class CollectorEndpoint:
             except FederatedProtocolError as exc:
                 return self._error(exc, message.get("round"))
             except KeyError as exc:
-                # Unknown node id from the collector: a sequencing bug.
+                # The collector refused a node id list (unknown, repeated,
+                # out-of-order or unsplittable node): a sequencing bug.
                 return self._error(
                     RoundMismatchError(
                         f"shard {self.shard_id}: {exc.args[0]}",

@@ -6,10 +6,9 @@ bisects the box and partitions the points among the children, so building a
 tree never re-scans the full dataset.
 
 It serves the node-at-a-time spatial code: SimpleTree, the binary-SVT
-decomposition, the federated shard collectors (which mirror the
-coordinator's splits with :meth:`SpatialNodeData.split_many`) and
-``privtree_decomposition``.  The PrivTree fits themselves grow array
-levels (:mod:`repro.spatial.level`) and never build a payload.
+decomposition and ``privtree_decomposition``.  The PrivTree fits and the
+federated shard collectors grow array levels (:mod:`repro.spatial.level`)
+and never build a payload.
 
 The number of dimensions bisected per split controls the fanout β:
 

@@ -13,6 +13,8 @@ from repro.federated import (
 )
 from repro.spatial import SpatialDataset
 
+from .conftest import MALFORMED_SPLITS
+
 
 def _collectors(dataset, n_shards=2, seed=3, **kwargs):
     shards = [
@@ -86,6 +88,18 @@ class TestShardCollector:
             collectors[0].blinded_counts(["v1.0"])
         with pytest.raises(KeyError, match="split a node before"):
             collectors[0].apply_splits(["v9"])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPLITS))
+    def test_malformed_splits_round_is_a_protocol_error(self, case):
+        # Only distinct splittable nodes of the deepest level, in ascending
+        # order, may split; anything else is a sequencing bug, never a
+        # silent no-op or a crash inside the geometry.
+        dataset, committed, bad, _ = MALFORMED_SPLITS[case]()
+        collector = ShardCollector(0, 2, dataset)
+        for round_ids in committed:
+            collector.apply_splits(round_ids)
+        with pytest.raises(KeyError, match="shard 0 names"):
+            collector.apply_splits(bad)
 
     def test_empty_shard_participates(self):
         # A collector with zero points still answers every round (its counts

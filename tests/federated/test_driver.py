@@ -10,6 +10,7 @@ from repro.experiments.perf import reference_privtree_histogram
 from repro.federated import (
     MASK_DTYPE,
     FederatedPrivTree,
+    PairwiseBlinder,
     SecureAggregator,
     ShardCollector,
     federated_privtree_histogram,
@@ -303,11 +304,20 @@ class _WireTap(ShardCollector):
         return share
 
 
+def _node_box(tree, node_id: str) -> Box:
+    """The box of ``node_id`` in a released tree: walk its path from the root."""
+    node = tree.root
+    for rank in node_id.split(".")[1:]:
+        node = node.children[int(rank)]
+    return node.box
+
+
 class TestNoRawCountExposure:
     def test_full_fit_never_leaks_a_raw_shard_count(self, clustered_2d):
         # Run a whole federated fit through instrumented collectors, then
-        # recompute every raw per-shard count the protocol asked about and
-        # assert no wire-visible share ever equalled one.
+        # recompute every raw per-shard count the protocol asked about from
+        # the released geometry and assert no wire-visible share ever
+        # equalled one.
         shards = shard_dataset(clustered_2d, 3)
         taps = [
             _WireTap(i, 3, shard, blinding_seed=21) for i, shard in enumerate(shards)
@@ -320,13 +330,17 @@ class TestNoRawCountExposure:
 
         for tap, shard in zip(taps, shards):
             assert tap.emitted, "the protocol must have run rounds"
+            # Each share is this shard's exact count plus its masks, so
+            # every shard's count is held exact, not only the aggregate.
+            blinder = PairwiseBlinder(tap.shard_id, 3, 21)
             for node_ids, share in zip(tap.queried, tap.emitted):
                 raw = np.array(
                     [
-                        int(tap._lookup(node_id).score())
+                        _node_box(tree, node_id).count_points(shard.points)
                         for node_id in node_ids
                     ],
                     dtype=MASK_DTYPE,
                 )
                 assert share.dtype == MASK_DTYPE
                 assert not np.any(share == raw)
+                np.testing.assert_array_equal(share, blinder.blind(raw))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.federated import (
+    ROOT_NODE_ID,
     CollectorCrashError,
     CollectorTimeoutError,
     FaultInjector,
@@ -17,6 +18,7 @@ from repro.federated import (
     FederatedPrivTree,
     RoundMismatchError,
     ShardCollector,
+    child_node_id,
     connect_collectors,
     loopback_collectors,
     shard_dataset,
@@ -26,6 +28,8 @@ from repro.federated.transport import RetryPolicy
 from repro.mechanisms import PrivacyAccountant
 from repro.spatial import SpatialDataset
 from repro.spatial.serialize import tree_to_dict
+
+from .conftest import MALFORMED_SPLITS
 
 N_SHARDS = 3
 
@@ -156,6 +160,30 @@ class TestFailureMatrix:
         client.sync_round(0)  # rewind, as a resuming coordinator would
         with pytest.raises(RoundMismatchError, match="different node ids"):
             client.blinded_counts(["v1.0"])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPLITS))
+    def test_malformed_splits_round_leaves_the_collector_untouched(self, case):
+        # The endpoint answers a malformed splits round with an error frame
+        # (over TCP its handler thread survives), and the same round id with
+        # a well-formed list then goes through as if the bad one never came.
+        dataset, committed, bad, good = MALFORMED_SPLITS[case]()
+        clients = loopback_collectors(
+            _collectors(dataset), session=case, exchange=False
+        )
+        fresh = _collectors(dataset)
+        for round_ids in committed:
+            for party in clients + fresh:
+                party.apply_splits(round_ids)
+        for client in clients:
+            with pytest.raises(RoundMismatchError, match="names"):
+                client.apply_splits(bad)
+        ids = [ROOT_NODE_ID] + [child_node_id(p, j) for p in good for j in range(4)]
+        for client, collector in zip(clients, fresh):
+            client.apply_splits(good)
+            collector.apply_splits(good)
+            np.testing.assert_array_equal(
+                client.blinded_counts(ids), collector.blinded_counts(ids)
+            )
 
     def test_skipping_a_round_is_refused(self, small_2d):
         clients = loopback_collectors(_collectors(small_2d), session="skip")
