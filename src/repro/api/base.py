@@ -46,7 +46,8 @@ class Release(abc.ABC):
     frequencies for sequence models) with bit-identical results, ``size``
     counts released components, ``epsilon_spent`` records the budget the
     artifact cost, and ``to_json`` / :func:`release_from_json` round-trip
-    the artifact through a plain-JSON envelope.
+    the artifact through a plain-JSON envelope (``to_json_text`` writes
+    that envelope's JSON text).
     """
 
     #: Serialization tag; each concrete release declares a unique one.
@@ -156,6 +157,29 @@ class Release(abc.ABC):
             "payload": self._payload(),
         }
 
+    def _payload_text(self) -> str:
+        """The JSON text of :meth:`_payload`; a kind may write it faster."""
+        return json.dumps(self._payload())
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json())``, byte for byte.
+
+        The header is written by :func:`json.dumps` and the payload text
+        spliced in as the last key, so a kind that overrides
+        :meth:`_payload_text` never builds its payload dicts.  Every file
+        writer of the document calls this.
+        """
+        header = json.dumps(
+            {
+                "format": _FORMAT,
+                "version": _VERSION,
+                "kind": self.kind,
+                "method": self.method,
+                "epsilon_spent": self.epsilon_spent,
+            }
+        )
+        return f'{header[:-1]}, "payload": {self._payload_text()}}}'
+
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Release":
         """Rebuild any release from its :meth:`to_json` document."""
@@ -193,7 +217,7 @@ def release_from_json(data: dict[str, Any]) -> Release:
 
 def save_release(release: Release, path: str | Path) -> None:
     """Write a release to a JSON file (atomically: temp file + rename)."""
-    atomic_write_text(path, json.dumps(release.to_json()))
+    atomic_write_text(path, release.to_json_text())
 
 
 def load_release(path: str | Path) -> Release:

@@ -22,7 +22,7 @@ from ..sequence.alphabet import Alphabet
 from ..sequence.pst import PredictionSuffixTree
 from ..sequence.serialize import pst_from_dict, pst_to_dict
 from ..spatial.histogram_tree import HistogramTree
-from ..spatial.serialize import flat_to_dict, tree_from_dict
+from ..spatial.serialize import flat_to_dict, flat_to_json_text, tree_from_dict
 from .base import Release
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -163,6 +163,9 @@ class SpatialTreeRelease(SpatialRelease):
         # Written from the flat arrays: publishing never builds the
         # pointer tree.
         return flat_to_dict(self.flat())
+
+    def _payload_text(self) -> str:
+        return flat_to_json_text(self.flat())
 
     @classmethod
     def _from_payload(

@@ -3,7 +3,8 @@
 Measures the current array-backed engines against frozen *reference*
 implementations that replicate the pre-optimization code paths — spatial:
 per-child ``contains_points`` scans with copied point arrays, one scalar
-Laplace draw per node, recursive per-query range counting; sequence: the
+Laplace draw per node, recursive per-query range counting, a release
+document built as nested dicts before ``json.dumps``; sequence: the
 dict/tuple triple loops over (sequence, position, length) windows, scalar
 per-symbol sampling, and per-candidate recursive frequency walks.  Where
 both paths consume the RNG stream identically the reference produces the
@@ -63,6 +64,7 @@ __all__ = [
     "compare_bench_results",
     "reference_privtree_histogram",
     "reference_range_count_arrays",
+    "reference_release_json",
     "reference_workload_answers",
     "run_artifact_cold_load_bench",
     "run_perf_bench",
@@ -206,6 +208,36 @@ def reference_privtree_histogram(
 def reference_workload_answers(tree: HistogramTree, queries) -> np.ndarray:
     """Per-query recursive traversal — the pre-optimization query path."""
     return np.array([tree.range_count(q) for q in queries])
+
+
+def reference_release_json(release) -> str:
+    """A spatial-tree release's document, frozen as it was written before
+    the flat writer: ``json.dumps(release.to_json())``, whose payload
+    builds one nested dict per node from the flat arrays, children first.
+    """
+    flat = release.flat()
+    lows = flat.lows.tolist()
+    highs = flat.highs.tolist()
+    counts = flat.counts.tolist()
+    offsets = flat.child_offsets.tolist()
+    index = flat.child_index.tolist()
+    nodes: list[dict] = [{}] * flat.size
+    for i in range(flat.size - 1, -1, -1):
+        node: dict = {"low": lows[i], "high": highs[i], "count": counts[i]}
+        start, stop = offsets[i], offsets[i + 1]
+        if stop > start:
+            node["children"] = [nodes[j] for j in index[start:stop]]
+        nodes[i] = node
+    return json.dumps(
+        {
+            "format": "repro.release",
+            "version": 1,
+            "kind": release.kind,
+            "method": release.method,
+            "epsilon_spent": release.epsilon_spent,
+            "payload": {"format": "repro.histogram_tree", "version": 1, "root": nodes[0]},
+        }
+    )
 
 
 def reference_range_count_arrays(
@@ -601,6 +633,15 @@ def synthetic_flat_histogram(depth: int = 8):
     )
 
 
+def _quadtree_depth(n_points: int) -> int:
+    """Depth of the largest complete quadtree with at most one node per
+    two points: 8 (87,381 nodes) at the default 200k points."""
+    depth = 0
+    while (4 ** (depth + 2) - 1) // 3 <= n_points // 2:
+        depth += 1
+    return depth
+
+
 def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
     """Time a cold release load: v2 binary mmap vs. the v1 JSON envelope.
 
@@ -636,7 +677,7 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
         bin_path = Path(root) / "release.bin"
         json_path = Path(root) / "release.json"
         n_bytes = write_artifact(release, bin_path)
-        json_path.write_text(json.dumps(release.to_json()))
+        json_path.write_text(release.to_json_text())
         json_bytes = json_path.stat().st_size
 
         def _load_v2():
@@ -875,14 +916,17 @@ def run_perf_bench(
     rng: int = 0,
     n_sequences: int = 200_000,
     n_synthetic: int = 20_000,
-    n_mixed_queries: int = 10_000,
 ) -> dict:
     """Time the optimized vs. reference spatial *and* sequence hot paths.
 
     Returns a JSON-ready dict: per-case best-of-``repeats`` wall times, the
     speedup ratios, and the max |flat - recursive| query deviation (the
     harness fails loudly if the engines disagree beyond 1e-9 relative).
+    The served batches and the mixed workload hold ``10 * n_queries``
+    queries, and the cold-loaded release scales with ``n_points``, so the
+    defaults time 10k-query workloads and an 87k-node release.
     """
+    n_mixed_queries = 10 * n_queries
     data = gowallalike(n_points, rng=rng)
     queries = generate_workload(data.domain, band, n_queries, rng=rng + 1)
 
@@ -1024,9 +1068,15 @@ def run_perf_bench(
     service_case = run_service_perf_bench(
         synopsis, queries, epsilon=epsilon, repeats=repeats
     )
-    artifact_case = run_artifact_cold_load_bench(repeats=repeats)
+    artifact_case = run_artifact_cold_load_bench(
+        depth=_quadtree_depth(n_points), repeats=repeats
+    )
     throughput_case = run_service_throughput_bench(
-        synopsis, data.domain, epsilon=epsilon, rng=rng
+        synopsis,
+        data.domain,
+        epsilon=epsilon,
+        n_batch_queries=10 * n_queries,
+        rng=rng,
     )
 
     # The typed query surface: a mixed range/point/marginal workload
@@ -1043,6 +1093,17 @@ def run_perf_bench(
     if not np.array_equal(typed_answers, scalar_answers):
         raise AssertionError(
             "typed workload answers deviate from the scalar query loop"
+        )
+
+    # Publishing: the fit's document written from the flat arrays vs. the
+    # frozen dict-then-json.dumps path, which must give the same bytes.
+    json_s, json_text = _best_of(repeats, release.to_json_text)
+    json_ref_s, reference_text = _best_of(
+        repeats, lambda: reference_release_json(release)
+    )
+    if json_text != reference_text:
+        raise AssertionError(
+            "to_json_text deviates from the frozen json.dumps(to_json()) document"
         )
 
     sequence = run_sequence_perf_bench(
@@ -1114,6 +1175,14 @@ def run_perf_bench(
                 "speedup": scalar_s / answer_s,
                 "n_answers": int(typed_answers.shape[0]),
             },
+            "release_json": {
+                "workload": f"{synopsis.size:,}-node fitted release -> JSON text",
+                "optimized_s": json_s,
+                "reference_s": json_ref_s,
+                "speedup": json_ref_s / json_s,
+                "json_bytes": len(json_text.encode("utf-8")),
+                "bytes_identical_to_reference": True,
+            },
             "service_cached_queries": service_case,
             "artifact_cold_load": artifact_case,
             "service_throughput": throughput_case,
@@ -1141,6 +1210,7 @@ BENCH_CASES = frozenset({
     "workload_queries",
     "workload_generation",
     "workload_answering",
+    "release_json",
     "federated_fit",
     "federated_fit_tcp",
     "service_cached_queries",
@@ -1165,6 +1235,7 @@ BENCH_CASES = frozenset({
 FROZEN_REFERENCE_CASES = frozenset({
     "privtree_build",
     "workload_queries",
+    "release_json",
     "gram_counting",
     "substring_counting",
     "topk_scoring",

@@ -230,9 +230,13 @@ class SynopsisRequestHandler(BaseHTTPRequestHandler):
             if answers is not None:
                 self._send_bytes(200, BINARY_ANSWERS_CONTENT_TYPE, answers)
             return
+        payload = self.rfile.read(length)
         try:
-            body = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
+            body = json.loads(payload)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, bytes that are not UTF-8 (UnicodeDecodeError)
+            # and nesting past the recursion limit: the body has been read,
+            # so the connection stays usable.
             self._send_error_json(400, f"request body is not valid JSON: {exc}")
             return
         raw_queries = body.get("queries") if isinstance(body, dict) else None

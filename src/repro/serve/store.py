@@ -124,7 +124,7 @@ class ReleaseStore:
         identical artifact is idempotent.  An explicit id overwrites any
         artifact already stored under it.
         """
-        document = json.dumps(release.to_json())
+        document = release.to_json_text()
         if release_id is None:
             digest = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
             release_id = f"{release.method or release.kind}-{digest}"

@@ -2,8 +2,8 @@
 
 A :class:`FlatHistogram` is a structure-of-arrays synopsis: node boxes as
 ``(m, d)`` ``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and
-the topology as pre-order ``parents`` plus CSR-style child offsets.  The
-PrivTree fits write these arrays directly; :meth:`FlatHistogram.from_tree`
+the topology as ``parents`` plus CSR-style child offsets.  The PrivTree
+fits write these arrays directly; :meth:`FlatHistogram.from_tree`
 compiles any other :class:`~repro.spatial.histogram_tree.HistogramTree`,
 and :meth:`FlatHistogram.to_tree` rebuilds the pointer tree on demand.
 
@@ -48,19 +48,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlatHistogram:
-    """A structure-of-arrays spatial synopsis (pre-order node layout).
+    """A structure-of-arrays spatial synopsis.
+
+    Node 0 is the root, and every parent comes before its children.  The
+    fits and :meth:`from_tree` lay the nodes out in pre-order; the v2
+    artifact loader accepts any layout with parents first, and
+    :func:`~repro.experiments.perf.synthetic_flat_histogram` writes level
+    order.  The nesting is the CSR child lists', whatever the layout.
 
     Attributes
     ----------
     lows, highs:
-        ``(m, d)`` box bounds, nodes in pre-order.
+        ``(m, d)`` box bounds, one row per node.
     counts:
         ``(m,)`` noisy node counts.
     parents:
-        ``(m,)`` pre-order index of each node's parent (``-1`` for the root).
+        ``(m,)`` index of each node's parent (``-1`` for the root).
     child_offsets, child_index:
         CSR topology: node ``i``'s children are
-        ``child_index[child_offsets[i]:child_offsets[i + 1]]`` (pre-order
+        ``child_index[child_offsets[i]:child_offsets[i + 1]]`` (node
         indices, left to right).
     """
 

@@ -73,6 +73,24 @@ class TestJsonRoundTrip:
                     release.query(codes), rel=1e-12, abs=1e-9
                 )
 
+    @pytest.mark.parametrize("name", sorted(FAST_PARAMS))
+    def test_json_text_is_json_dumps_of_to_json(self, name, uniform_2d, sequence_data):
+        release, _ = _release(name, uniform_2d, sequence_data)
+        assert release.to_json_text() == json.dumps(release.to_json())
+
+    def test_json_text_of_a_stored_release(self, tmp_path, uniform_2d):
+        """A release mmap-loaded from the store writes the same bytes as
+        json.dumps of its document, and as the stored file."""
+        from repro.serve import ReleaseStore
+
+        store = ReleaseStore(tmp_path)
+        release_id = store.put(_release("privtree", uniform_2d, None)[0])
+        loaded = store.get(release_id)
+        assert isinstance(loaded.flat().lows, np.memmap)
+        text = loaded.to_json_text()
+        assert text == json.dumps(loaded.to_json())
+        assert text == (tmp_path / "releases" / f"{release_id}.json").read_text()
+
     def test_from_json_classmethod_dispatches(self, uniform_2d):
         release, _ = _release("kdtree", uniform_2d, None)
         restored = Release.from_json(release.to_json())

@@ -146,6 +146,7 @@ class TestCommands:
         assert results["cases"]["workload_answering"]["n_answers"] > 0
         assert results["cases"]["service_cached_queries"]["queries_per_s"] > 0
         assert results["cases"]["service_cached_queries"]["cache_hit"] is True
+        assert results["cases"]["release_json"]["bytes_identical_to_reference"] is True
         telemetry_case = results["cases"]["telemetry_overhead"]
         assert telemetry_case["spans_recorded"] > 0
         # The acceptance bound: disabled telemetry (no-op span sites)

@@ -1,13 +1,17 @@
 """Property-based round-trip tests for the release serializers."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SpatialTreeRelease
 from repro.domains import Box
 from repro.sequence import Alphabet, pst_from_dict, pst_to_dict
 from repro.sequence.pst import PredictionSuffixTree, PSTNode
 from repro.spatial import tree_from_dict, tree_to_dict
+from repro.spatial.flat import FlatHistogram
 from repro.spatial.histogram_tree import HistogramNode, HistogramTree
 
 counts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -24,6 +28,55 @@ def histogram_trees(draw, box=None, depth=0):
             for child in box.bisect()
         ]
     return HistogramNode(box=box, count=count, children=children)
+
+
+#: Float bit patterns whose JSON text has its own rules: signed zeros,
+#: subnormals, values written in exponent form, and non-finite values.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e16, -1.5e300, 1e-300]
+any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def flat_histograms(draw):
+    """A random tree in pre-order or level order, with d = 1, 2 or 3.
+
+    Parents always come before their children, which is all the flat
+    engines and the artifact loader ask of a layout; reversing the child
+    lists makes the nesting differ from the array order.
+    """
+    m = draw(st.integers(min_value=1, max_value=40))
+    children = [[] for _ in range(m)]
+    for node in range(1, m):
+        children[draw(st.integers(min_value=0, max_value=node - 1))].append(node)
+    if draw(st.sampled_from(["pre-order", "level order"])) == "pre-order":
+        layout, stack = [], [0]
+        while stack:
+            node = stack.pop()
+            layout.append(node)
+            stack.extend(reversed(children[node]))
+    else:
+        layout = [0]
+        for node in layout:  # grows while it is read: a breadth-first walk
+            layout.extend(children[node])
+    position = {node: i for i, node in enumerate(layout)}
+    child_lists = [[position[child] for child in children[node]] for node in layout]
+    if draw(st.booleans()):
+        child_lists = [lst[::-1] for lst in child_lists]
+    parents = np.full(m, -1, dtype=np.intp)
+    for i, lst in enumerate(child_lists):
+        parents[lst] = i
+    d = draw(st.integers(min_value=1, max_value=3))
+    # Bounds repeat, as a parent's bounds and midpoints do in its children.
+    pool = draw(st.lists(any_floats, min_size=1, max_size=6))
+    bounds = st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d)
+    return FlatHistogram(
+        lows=np.array(draw(bounds), dtype=float).reshape(m, d),
+        highs=np.array(draw(bounds), dtype=float).reshape(m, d),
+        counts=np.array(draw(st.lists(any_floats, min_size=m, max_size=m)), dtype=float),
+        parents=parents,
+        child_offsets=np.concatenate(([0], np.cumsum([len(c) for c in child_lists]))),
+        child_index=np.array([c for lst in child_lists for c in lst], dtype=np.intp),
+    )
 
 
 @st.composite
@@ -70,6 +123,20 @@ class TestHistogramTreeRoundTrip:
         restored = tree_from_dict(tree_to_dict(tree))
         query = Box((0.25, 0.1), (0.8, 0.7))
         assert restored.range_count(query) == tree.range_count(query)
+
+
+class TestJsonTextIdentity:
+    """``to_json_text`` writes byte for byte ``json.dumps(to_json())``."""
+
+    @given(
+        flat=flat_histograms(),
+        method=st.one_of(st.sampled_from(['k"d\\tree \u00e9\u2603']), st.text()),
+        epsilon=any_floats,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_spatial_tree_text_matches_json_dumps(self, flat, method, epsilon):
+        release = SpatialTreeRelease(flat=flat, method=method, epsilon_spent=epsilon)
+        assert release.to_json_text() == json.dumps(release.to_json())
 
 
 class TestPstRoundTrip:

@@ -193,6 +193,39 @@ class TestErrorPaths:
         assert excinfo.value.code == 400
         assert "not valid JSON" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize(
+        "payload,reason",
+        [
+            (b'{"queries": ["\xff"]}', "can't decode byte 0xff"),
+            (b"[" * 100_000, "maximum recursion depth"),
+        ],
+        ids=["invalid-utf8", "deep-nesting"],
+    )
+    def test_undecodable_body_400_keeps_connection(self, server, payload, reason):
+        """A body json.loads cannot decode is a 400 with a body, never a
+        dropped connection, and the kept-alive connection still works."""
+        import http.client
+
+        httpd, ids, _ = server
+        conn = http.client.HTTPConnection("127.0.0.1", httpd.server_address[1], timeout=10)
+        path = f"/releases/{ids['spatial']}/query"
+        headers = {"Content-Type": "application/json"}
+        try:
+            conn.request("POST", path, body=payload, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 400
+            error = json.loads(resp.read())["error"]
+            assert "not valid JSON" in error and reason in error
+            sock = conn.sock
+            body = json.dumps(_box_batch(QUERY_BOXES)).encode()
+            conn.request("POST", path, body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["count"] == len(QUERY_BOXES)
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
     def test_body_without_queries_list_400(self, server):
         httpd, ids, _ = server
         status, body = _post(httpd, f"/releases/{ids['spatial']}/query", {"boxes": []})
