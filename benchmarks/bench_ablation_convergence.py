@@ -8,24 +8,27 @@ lets PrivTree drop the height limit.
 
 import numpy as np
 
-from repro.core import PrivTreeParams, privtree
 from repro.datasets import gowallalike
 from repro.experiments import SweepResult, format_float
-from repro.spatial import SpatialNodeData
+from repro.spatial import privtree_decomposition
+from repro.spatial.level import BoxLevel, PointLabels
 
 from conftest import FULL, emit
 
 
 def _noise_free_size(dataset, theta: float) -> int:
     """|T*|: split exactly when the true count exceeds theta."""
-    root = SpatialNodeData.root(dataset)
-    stack, size = [root], 1
-    while stack:
-        node = stack.pop()
-        if node.can_split() and node.score() > theta:
-            children = node.split()
-            size += len(children)
-            stack.extend(children)
+    level = BoxLevel.root(dataset.domain)
+    labels = PointLabels(dataset.points)
+    size = 0
+    while level.size:
+        size += level.size
+        split = np.flatnonzero(
+            level.splittable() & (labels.counts[level.depth] > theta)
+        )
+        next_level = level.split(split)
+        labels.descend(level, split, next_level)
+        level = next_level
     return size
 
 
@@ -43,9 +46,13 @@ def _convergence_sweep() -> SweepResult:
     )
     sizes = []
     for eps in epsilons:
-        params = PrivTreeParams.calibrate(eps, fanout=4, theta=theta)
         runs = [
-            privtree(SpatialNodeData.root(dataset), params, rng=seed).size
+            sum(
+                level.size
+                for level in privtree_decomposition(
+                    dataset, eps, theta=theta, rng=seed
+                ).levels()
+            )
             for seed in range(reps)
         ]
         sizes.append(float(np.mean(runs)))

@@ -26,7 +26,7 @@ from ..mechanisms.rng import RngLike, ensure_rng
 from ..sequence.dataset import SequenceDataset
 from ..sequence.private_pst import private_pst
 from ..spatial.dataset import SpatialDataset
-from ..spatial.quadtree import _privtree_flat, _simpletree_histogram
+from ..spatial.quadtree import _privtree_flat, _simpletree_flat
 from .base import Estimator
 from .registry import register
 from .releases import (
@@ -170,7 +170,7 @@ class SimpleTreeEstimator(Estimator):
     ) -> SpatialTreeRelease:
         acct = self._accountant(accountant)
         with acct.transaction():
-            tree = _simpletree_histogram(
+            flat = _simpletree_flat(
                 dataset,
                 self.epsilon,
                 height=self.height,
@@ -179,7 +179,7 @@ class SimpleTreeEstimator(Estimator):
                 rng=ensure_rng(rng),
                 accountant=acct,
             )
-        return SpatialTreeRelease(tree, method=self.name, epsilon_spent=self.epsilon)
+        return SpatialTreeRelease(flat=flat, method=self.name, epsilon_spent=self.epsilon)
 
 
 @register

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.analysis import check_height
 from ..mechanisms.exponential import exponential_mechanism
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
@@ -63,8 +64,7 @@ def _kdtree_histogram(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if height < 1:
-        raise ValueError(f"height must be >= 1, got {height!r}")
+    check_height(height)
     if not 0 < split_fraction < 1:
         raise ValueError(f"split_fraction must be in (0, 1), got {split_fraction!r}")
     gen = ensure_rng(rng)

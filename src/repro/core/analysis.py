@@ -17,6 +17,7 @@ pointwise and property-based, and the Figure 2 bench plots them.
 from __future__ import annotations
 
 import math
+import numbers
 
 from ..mechanisms.laplace import laplace_logsf, laplace_sf
 
@@ -27,6 +28,7 @@ __all__ = [
     "lambda_for_epsilon",
     "epsilon_for_lambda",
     "delta_for_lambda",
+    "check_height",
     "simpletree_scale",
     "split_probability",
 ]
@@ -113,12 +115,25 @@ def delta_for_lambda(lam: float, fanout: int, gamma: float | None = None) -> flo
     return gamma * lam
 
 
+def check_height(height: int) -> None:
+    """Reject a tree height that is not an integer of at least 1.
+
+    A tree grows whole levels, so a fractional height (even ``3.0``) would
+    grow as many levels as the next integer while the budget is split by
+    the fraction, spending more than the ledger records.  A ``bool`` is
+    refused too; numpy integers are accepted.
+    """
+    if isinstance(height, bool) or not isinstance(height, numbers.Integral):
+        raise ValueError(f"height must be an integer, got {height!r}")
+    if height < 1:
+        raise ValueError(f"height must be at least 1, got {height!r}")
+
+
 def simpletree_scale(epsilon: float, height: int) -> float:
     """Noise scale SimpleTree (Algorithm 1) needs: ``h / ε`` (Section 3.1)."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if height < 1:
-        raise ValueError(f"height must be at least 1, got {height!r}")
+    check_height(height)
     return height / epsilon
 
 

@@ -1,12 +1,12 @@
-"""Tree nodes shared by the PrivTree and SimpleTree engines.
+"""Tree nodes for the domains that really are node objects.
 
-A :class:`TreeNode` carries an application payload (a
-:class:`~repro.spatial.payload.SpatialNodeData`, a PST context, a product
-cell, ...).  SimpleTree grows these nodes with its own loop; PrivTree
-grows them through :class:`NodeLevel`, the node-list form of the level
-that :func:`~repro.core.privtree.grow_frontier` consumes.  The spatial
-PrivTree fits and the federated shard collectors bypass nodes altogether
-and grow an array level (:class:`~repro.spatial.level.BoxLevel`).
+A :class:`TreeNode` carries an application payload: a PST context, a
+product cell, a taxonomy cell, ...  PrivTree grows these nodes through
+:class:`NodeLevel`, the node-list form of the level that
+:func:`~repro.core.privtree.grow_frontier` consumes, and SimpleTree
+through the same level in :func:`~repro.core.simpletree.grow_simpletree`.
+No spatial tree builds them: the ones that split at midpoints grow an
+array level (:class:`~repro.spatial.level.BoxLevel`) instead.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-__all__ = ["TreeNode", "DecompositionTree", "NodeLevel", "expand_level"]
+__all__ = ["TreeNode", "DecompositionTree", "NodeLevel"]
 
 P = TypeVar("P")
 
@@ -25,7 +25,7 @@ P = TypeVar("P")
 class TreeNode(Generic[P]):
     """One node of a decomposition tree.
 
-    ``payload`` is the application object (spatial node data, PST node, ...)
+    ``payload`` is the application object (PST node, product cell, ...)
     that knows its domain, its data subset, and its score.  ``noisy_score``
     records the noisy value the engine compared against the threshold — kept
     for SimpleTree (whose released counts are exactly these values) and for
@@ -57,33 +57,11 @@ class TreeNode(Generic[P]):
                 yield node
 
 
-def expand_level(nodes: list[TreeNode[P]]) -> list[TreeNode[P]]:
-    """Split every node of one level; return the next level, in order.
-
-    Payload classes may split a whole level in one vectorized pass (see
-    ``SpatialNodeData.split_many``); others split node by node.
-    """
-    if not nodes:
-        return []
-    split_many = getattr(type(nodes[0].payload), "split_many", None)
-    if split_many is not None:
-        children_lists = split_many([node.payload for node in nodes])
-    else:
-        children_lists = [node.payload.split() for node in nodes]
-    next_level: list[TreeNode[P]] = []
-    for node, child_payloads in zip(nodes, children_lists):
-        node.children = [
-            TreeNode(payload=child, depth=node.depth + 1) for child in child_payloads
-        ]
-        next_level.extend(node.children)
-    return next_level
-
-
 class NodeLevel(Generic[P]):
     """One depth of a node frontier, in the shape ``grow_frontier`` reads.
 
-    ``splittable()`` asks every payload, and ``split(index)`` expands the
-    chosen nodes through :func:`expand_level`, linking their children.
+    ``splittable()`` asks every payload, and ``split(index)`` splits the
+    chosen nodes' payloads one by one, linking their children.
     """
 
     __slots__ = ("nodes", "depth")
@@ -105,7 +83,15 @@ class NodeLevel(Generic[P]):
 
     def split(self, index: Sequence[int]) -> "NodeLevel[P]":
         """Split the nodes at ``index``; return the next depth's level."""
-        return NodeLevel(expand_level([self.nodes[i] for i in index]), self.depth + 1)
+        next_nodes: list[TreeNode[P]] = []
+        for i in index:
+            node = self.nodes[i]
+            node.children = [
+                TreeNode(payload=child, depth=node.depth + 1)
+                for child in node.payload.split()
+            ]
+            next_nodes.extend(node.children)
+        return NodeLevel(next_nodes, self.depth + 1)
 
 
 @dataclass

@@ -12,9 +12,10 @@ reads a *level*: any object with a ``depth``, a ``size``, a vectorized
 ``splittable()`` mask and a ``split(index)`` that returns the next level.
 Two kinds exist.  :class:`~repro.core.node.NodeLevel` is a list of
 :class:`~repro.core.node.TreeNode` payloads; :func:`privtree` grows it for
-the sequence PST and for ``privtree_decomposition``.
-:class:`~repro.spatial.level.BoxLevel` holds a whole depth of boxes as
-``(m, d)`` arrays; both spatial fits grow it.  Each level's exact scores
+the domains that really are node objects: the sequence PST, taxonomies
+and product cells.  :class:`~repro.spatial.level.BoxLevel` holds a whole
+depth of boxes as ``(m, d)`` arrays; both spatial fits and
+``privtree_decomposition`` grow it.  Each level's exact scores
 come from one call to a score function and a commit callback runs after
 each level.  The noise does not depend on where the scores come from, so
 one loop serves every source: payload scores, one int32 label per point
@@ -29,10 +30,10 @@ decomposition is bit-identical to the historical one-draw-per-node engine:
 the draw order remains BFS over splittable nodes only.
 
 No height limit is needed: the decaying bias makes the expected tree size at
-most twice the noise-free tree (Lemma 3.2).  The engine works on any
-:class:`~repro.domains.base.NodePayload` — spatial boxes with point sets,
-product domains, or PST contexts — as long as the payload's score is
-monotone under splitting.
+most twice the noise-free tree (Lemma 3.2).  :func:`privtree` works on
+any :class:`~repro.domains.base.NodePayload` — product domains,
+taxonomies or PST contexts — as long as the payload's score is monotone
+under splitting.
 
 Released artifacts must not expose the scores used here; the spatial and
 sequence wrappers add noisy counts in a separate, separately-budgeted

@@ -6,28 +6,84 @@ gets i.i.d. ``Lap(lam)`` noise and a node splits when its noisy score exceeds
 privacy requires ``lam >= h / epsilon`` (Section 3.1), which is exactly the
 dilemma PrivTree removes.
 
-Unlike PrivTree, the noisy scores of Algorithm 1 *are* part of the release:
-they are stored on each node as ``noisy_score``.  Because it noises every
-node, not only the splittable ones, and splits on a different rule, it
-keeps its own level loop instead of sharing PrivTree's
-:func:`~repro.core.privtree.grow_frontier`; only the child expansion
-(:func:`~repro.core.node.expand_level`) is common.
+:func:`grow_simpletree` is Algorithm 1's level loop.  It reads the same
+levels as PrivTree's :func:`~repro.core.privtree.grow_frontier` (a
+``depth``, a ``size``, ``splittable()`` and ``split(index)``), but it
+noises every node, not only the splittable ones, and splits on its own
+rule, so the two algorithms keep separate loops over one level protocol.
+:func:`simpletree` grows a :class:`~repro.core.node.NodeLevel` of payload
+nodes; the spatial fit and the Section 5 binary-SVT demo grow
+:class:`~repro.spatial.level.BoxLevel` arrays.  Unlike PrivTree, the noisy
+scores of Algorithm 1 *are* part of the release: the loop returns them,
+and :func:`simpletree` stores them on each node as ``noisy_score``.
 """
 
 from __future__ import annotations
 
-from typing import TypeVar
+from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from ..domains.base import NodePayload
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..telemetry import span as _span
 from .analysis import simpletree_scale
-from .node import DecompositionTree, TreeNode, expand_level
+from .node import DecompositionTree, NodeLevel, TreeNode
+from .privtree import payload_scores
 
-__all__ = ["simpletree", "simpletree_for_epsilon"]
+__all__ = ["grow_simpletree", "simpletree", "simpletree_for_epsilon"]
 
 P = TypeVar("P", bound=NodePayload)
+
+#: A level, as in :func:`~repro.core.privtree.grow_frontier`.
+L = TypeVar("L")
+
+
+def grow_simpletree(
+    level: L,
+    lam: float,
+    theta: float,
+    height: int,
+    gen: np.random.Generator,
+    scores: Callable[[L, np.ndarray], Sequence[float]],
+    commit: Callable[[L, np.ndarray, L], None] | None = None,
+) -> list[np.ndarray]:
+    """Grow the Algorithm 1 tree below ``level``; return each level's noisy scores.
+
+    ``scores(level, nodes)`` returns the exact scores of all the level's
+    nodes (``nodes`` is ``arange(level.size)``) and is called once per
+    level.  Each level's perturbations are one sized draw over its nodes,
+    in level order, which consumes ``gen`` exactly like one scalar draw per
+    node in breadth-first order.  A node splits when its noisy score
+    exceeds ``theta``, its depth is below ``height - 1`` and it is
+    splittable.  ``commit(level, split, next_level)`` runs after every
+    level, once ``level.split(split)`` has made the next one.
+    """
+    if height < 1:
+        raise ValueError(f"height must be at least 1, got {height!r}")
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam!r}")
+    noisy_levels: list[np.ndarray] = []
+    while level.size:
+        depth = level.depth
+        # Per-level span only; attrs stay at frontier shape + split count.
+        with _span("simpletree.level", depth=depth, frontier=level.size) as level_span:
+            nodes = np.arange(level.size)
+            noisy = np.asarray(scores(level, nodes), dtype=float) + laplace_noise(
+                lam, size=level.size, rng=gen
+            )
+            noisy_levels.append(noisy)
+            if depth < height - 1:
+                to_split = np.flatnonzero((noisy > theta) & level.splittable())
+            else:
+                to_split = nodes[:0]
+            next_level = level.split(to_split)
+            if commit is not None:
+                commit(level, to_split, next_level)
+            level_span.set(split=int(to_split.size))
+        level = next_level
+    return noisy_levels
 
 
 def simpletree(
@@ -51,34 +107,15 @@ def simpletree(
         The pre-defined limit ``h``: nodes at ``depth >= height - 1`` are
         never split, so the tree has at most ``height`` levels.
     """
-    if height < 1:
-        raise ValueError(f"height must be at least 1, got {height!r}")
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam!r}")
-    gen = ensure_rng(rng)
     root = TreeNode(payload=root_payload, depth=0)
-    level: list[TreeNode[P]] = [root]
-    while level:
-        # Per-level span only; attrs stay at frontier shape + split count.
-        with _span(
-            "simpletree.level", depth=level[0].depth, frontier=len(level)
-        ) as level_span:
-            # One batched draw per level; numpy's sized laplace consumes the
-            # same stream as per-node scalar draws, so results are
-            # bit-identical.
-            noise = laplace_noise(lam, size=len(level), rng=gen)
-            to_split: list[TreeNode[P]] = []
-            for node, perturbation in zip(level, noise):
-                noisy = node.payload.score() + float(perturbation)
-                node.noisy_score = noisy
-                if (
-                    noisy > theta
-                    and node.depth < height - 1
-                    and node.payload.can_split()
-                ):
-                    to_split.append(node)
-            level = expand_level(to_split)
-            level_span.set(split=len(to_split))
+    levels: list[NodeLevel[P]] = []
+    noisy = grow_simpletree(
+        NodeLevel([root], 0), lam, theta, height, ensure_rng(rng), payload_scores,
+        lambda level, split, next_level: levels.append(level),
+    )
+    for level, scores in zip(levels, noisy):
+        for node, score in zip(level.nodes, scores.tolist()):
+            node.noisy_score = score
     return DecompositionTree(root=root)
 
 

@@ -4,7 +4,6 @@ from .dataset import SpatialDataset
 from .flat import FlatHistogram, flatten_tree
 from .histogram_tree import HistogramNode, HistogramTree
 from .metrics import SMOOTHING_FRACTION, average_relative_error, relative_error
-from .payload import SpatialNodeData
 from .quadtree import privtree_decomposition
 from .queries import QUERY_BANDS, QueryBand, generate_workload, random_query
 from .render import render_density, render_leaf_depth
@@ -19,7 +18,6 @@ __all__ = [
     "QueryBand",
     "SMOOTHING_FRACTION",
     "SpatialDataset",
-    "SpatialNodeData",
     "average_relative_error",
     "generate_workload",
     "load_tree",

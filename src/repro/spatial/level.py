@@ -1,24 +1,29 @@
-"""A spatial PrivTree frontier as arrays: one :class:`BoxLevel` per depth.
+"""A spatial tree frontier as arrays: one :class:`BoxLevel` per depth.
 
-:func:`~repro.core.privtree.grow_frontier` walks the tree one depth at a
-time, and every spatial question it asks of a depth is an array
-operation: which boxes can still be bisected, what their midpoints are,
-and what their children are.  A :class:`BoxLevel` holds one depth's boxes
-as ``(m, d)`` ``lows`` / ``highs`` matrices.  All its nodes share a depth
-and therefore a round-robin split cursor, so eligibility and bisection
-are a few vectorized expressions per level, with the same float
-operations as :meth:`Box.can_bisect <repro.domains.box.Box.can_bisect>`
-and :meth:`Box.bisect <repro.domains.box.Box.bisect>`, and children in
+Every spatial tree that splits at midpoints grows these levels:
+PrivTree's centralized and federated fits and ``privtree_decomposition``
+through :func:`~repro.core.privtree.grow_frontier`, and SimpleTree and
+the binary-SVT demo through :func:`~repro.core.simpletree.grow_simpletree`
+(only the k-d tree baseline, which splits at private near-medians, builds
+its own nodes).  Both loops walk the tree one depth at a time, and every
+spatial question they ask of a depth is an array operation: which boxes
+can still be bisected, what their midpoints are, and what their children
+are.  A :class:`BoxLevel` holds one depth's boxes as ``(m, d)`` ``lows``
+/ ``highs`` matrices.  All its nodes share a depth and therefore a
+round-robin split cursor, so eligibility and bisection are a few
+vectorized expressions per level, with the same float operations as
+:meth:`Box.can_bisect <repro.domains.box.Box.can_bisect>` and
+:meth:`Box.bisect <repro.domains.box.Box.bisect>`, and children in
 ``Box.bisect``'s lexicographic order.  A split level records which of its
 nodes split and links the level they made, so the root level is the whole
 grown tree; :func:`preorder` lays it out as the arrays of
 :class:`~repro.spatial.flat.FlatHistogram`.
 
 The levels carry geometry only, so the federated coordinator grows the
-same levels as the centralized fit.  The centralized fit's score source
-is :class:`PointLabels`: one int32 label per point, naming the point's
-node in the current level, updated in place at every split and counted
-with one ``bincount`` per level.
+same levels as the centralized fit.  Every other spatial tree's score
+source is :class:`PointLabels`: one int32 label per point, naming the
+point's node in the current level, updated in place at every split and
+counted with one ``bincount`` per level.
 """
 
 from __future__ import annotations

@@ -20,9 +20,13 @@ runs the same pipeline over aggregated shard counts: it grows the same
 array levels and shares the parameter check and the leaf-count release
 defined here.
 
-``_simpletree_histogram`` is the Algorithm 1 baseline behind
-``from_spec("simpletree")``: the per-node noisy counts it computed *are*
-the release (scale ``h/ε``).
+``_simpletree_flat`` is the Algorithm 1 baseline behind
+``from_spec("simpletree")``: it grows the same levels and point labels
+through :func:`~repro.core.simpletree.grow_simpletree`, and the per-node
+noisy counts it computed *are* the release (scale ``h/ε``).  Both
+releases lay the grown levels out with :func:`_flat_histogram`, and so
+does the binary-SVT demo (:mod:`repro.svt.decomposition`).
+``privtree_decomposition`` grows the levels alone and returns them.
 """
 
 from __future__ import annotations
@@ -33,17 +37,16 @@ import numpy as np
 
 from ..core.analysis import simpletree_scale
 from ..core.params import PrivTreeParams
-from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier, privtree
-from ..core.simpletree import simpletree
+from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
+from ..core.simpletree import grow_simpletree
 from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.geometric import geometric_noise_interleaved
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from .dataset import SpatialDataset
 from .flat import FlatHistogram
-from .histogram_tree import HistogramNode, HistogramTree
-from .level import BoxLevel, PointLabels, preorder
-from .payload import SpatialNodeData
+from .histogram_tree import HistogramTree
+from .level import BoxLevel, PointLabels, Preorder, preorder
 
 __all__ = ["privtree_decomposition"]
 
@@ -55,16 +58,22 @@ def privtree_decomposition(
     theta: float = 0.0,
     rng: RngLike = None,
     max_depth: int | None = DEFAULT_MAX_DEPTH,
-):
+) -> BoxLevel:
     """Run PrivTree on spatial data, spending all of ``epsilon`` on structure.
 
-    Returns the internal decomposition tree (no counts released).  Useful
-    when the caller wants the partition itself, e.g. for private k-means
+    Returns the root :class:`BoxLevel`; its :meth:`~BoxLevel.levels` are
+    the partition, boxes only (no counts released).  Useful when the
+    caller wants the partition itself, e.g. for private k-means
     coarsening; most users want ``from_spec("privtree")`` instead.
     """
-    root = SpatialNodeData.root(dataset, dims_per_split)
+    root = BoxLevel.root(dataset.domain, dims_per_split)
     params = PrivTreeParams.calibrate(epsilon, fanout=root.fanout, theta=theta)
-    return privtree(root, params, rng=rng, max_depth=max_depth)
+    labels = PointLabels(dataset.points)
+    grow_frontier(
+        root, params, ensure_rng(rng), labels.scores, labels.descend,
+        max_depth=max_depth,
+    )
+    return root
 
 
 def _privtree_histogram(*args, **kwargs) -> HistogramTree:
@@ -177,23 +186,11 @@ def _release_leaf_counts(
     right from 0, the float sums of Python's ``sum``.
     """
     layout = preorder(root)
-    levels = list(root.levels())
     m = layout.position.size
-    lows = np.empty((m, root.lows.shape[1]))
-    highs = np.empty_like(lows)
-    lows[layout.position] = np.concatenate([level.lows for level in levels])
-    highs[layout.position] = np.concatenate([level.highs for level in levels])
-    parents = np.full(m, -1, dtype=np.intp)
-    n_children = np.zeros(m, dtype=np.intp)
-    for parent, child in zip(layout.parents, layout.children):
-        parents[child] = parent[:, None]
-        n_children[parent] = child.shape[1]
-    child_offsets = np.concatenate(([0], np.cumsum(n_children)))
-    child_index = np.empty(int(child_offsets[-1]), dtype=np.intp)
-    for parent, child in zip(layout.parents, layout.children):
-        child_index[child_offsets[parent][:, None] + np.arange(child.shape[1])] = child
-
-    leaves = np.flatnonzero(n_children == 0)  # ascending pre-order = DFS
+    leaf = np.ones(m, dtype=bool)
+    for parent in layout.parents:
+        leaf[parent] = False
+    leaves = np.flatnonzero(leaf)  # ascending pre-order = DFS
     exact = np.asarray(leaf_scores(layout.bfs[leaves]))
     if count_mechanism == "laplace":
         count_scale = tuples_per_individual / eps_counts
@@ -214,6 +211,33 @@ def _release_leaf_counts(
         for column in child.T:
             total += counts[column]
         counts[parent] = total
+    return _flat_histogram(root, layout, counts)
+
+
+def _flat_histogram(
+    root: BoxLevel, layout: Preorder, counts: np.ndarray
+) -> FlatHistogram:
+    """The tree grown below ``root`` as :class:`FlatHistogram` arrays.
+
+    ``layout`` is ``preorder(root)`` and ``counts`` the released count of
+    every node, in pre-order; the bounds and the CSR topology are placed
+    by ``layout``.
+    """
+    levels = list(root.levels())
+    m = layout.position.size
+    lows = np.empty((m, root.lows.shape[1]))
+    highs = np.empty_like(lows)
+    lows[layout.position] = np.concatenate([level.lows for level in levels])
+    highs[layout.position] = np.concatenate([level.highs for level in levels])
+    parents = np.full(m, -1, dtype=np.intp)
+    n_children = np.zeros(m, dtype=np.intp)
+    for parent, child in zip(layout.parents, layout.children):
+        parents[child] = parent[:, None]
+        n_children[parent] = child.shape[1]
+    child_offsets = np.concatenate(([0], np.cumsum(n_children)))
+    child_index = np.empty(int(child_offsets[-1]), dtype=np.intp)
+    for parent, child in zip(layout.parents, layout.children):
+        child_index[child_offsets[parent][:, None] + np.arange(child.shape[1])] = child
     return FlatHistogram(
         lows=lows,
         highs=highs,
@@ -224,7 +248,7 @@ def _release_leaf_counts(
     )
 
 
-def _simpletree_histogram(
+def _simpletree_flat(
     dataset: SpatialDataset,
     epsilon: float,
     height: int,
@@ -232,18 +256,21 @@ def _simpletree_histogram(
     dims_per_split: int | None = None,
     rng: RngLike = None,
     accountant: PrivacyAccountant | None = None,
-) -> HistogramTree:
-    """The Algorithm 1 baseline synopsis with noise scale ``h/ε``."""
-    root = SpatialNodeData.root(dataset, dims_per_split)
+) -> FlatHistogram:
+    """The Algorithm 1 baseline synopsis with noise scale ``h/ε``, as flat arrays.
+
+    Every node's released count is the noisy score Algorithm 1 compared
+    against ``theta``.
+    """
+    root = BoxLevel.root(dataset.domain, dims_per_split)
     lam = simpletree_scale(epsilon, height)
+    # Both checks above run before the spend: a rejected call must leave
+    # an external accountant's ledger untouched.
     if accountant is not None:
         accountant.spend(epsilon, "simpletree/node counts")
-    tree = simpletree(root, lam, theta=theta, height=height, rng=rng)
-    released: dict[int, HistogramNode] = {}
-    for node in reversed(tree.nodes()):
-        released[id(node)] = HistogramNode(
-            box=node.payload.box,
-            count=float(node.noisy_score),
-            children=[released[id(c)] for c in node.children],
-        )
-    return HistogramTree(root=released[id(tree.root)])
+    labels = PointLabels(dataset.points)
+    noisy = grow_simpletree(
+        root, lam, theta, height, ensure_rng(rng), labels.scores, labels.descend
+    )
+    layout = preorder(root)
+    return _flat_histogram(root, layout, np.concatenate(noisy)[layout.bfs])

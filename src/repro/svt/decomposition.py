@@ -7,17 +7,28 @@ node whose indicator comes back 1.  Lemma 5.1 shows the premise is false —
 the construction is **not** ε-differentially private at the claimed noise
 scale — so this implementation exists purely to reproduce the comparison
 and must never be used to release data.
+
+Popping the queue breadth first noises each node's count once, with a
+fresh ``Lap(2/ε)`` draw, and compares it with one fixed noisy threshold.
+That is Algorithm 1 with ``theta`` set to the noisy threshold and a
+height of ``max_depth + 1``, and one sized draw per level consumes the
+stream exactly as one scalar draw per popped node.  So the demo grows
+:class:`~repro.spatial.level.BoxLevel` arrays through SimpleTree's loop,
+:func:`~repro.core.simpletree.grow_simpletree`, and emits its
+``simpletree.level`` spans.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
+from ..core.simpletree import grow_simpletree
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
-from ..spatial.histogram_tree import HistogramNode, HistogramTree
-from ..spatial.payload import SpatialNodeData
+from ..spatial.histogram_tree import HistogramTree
+from ..spatial.level import BoxLevel, PointLabels, preorder
+from ..spatial.quadtree import _flat_histogram
 
 __all__ = ["binary_svt_decomposition"]
 
@@ -40,24 +51,16 @@ def binary_svt_decomposition(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth!r}")
+    root = BoxLevel.root(dataset.domain, dims_per_split)
     gen = ensure_rng(rng)
     lam = 2.0 / epsilon
     noisy_theta = theta + laplace_noise(lam, rng=gen)
-
-    root_payload = SpatialNodeData.root(dataset, dims_per_split)
-    root = HistogramNode(box=root_payload.box, count=root_payload.score())
-    queue: deque[tuple[HistogramNode, SpatialNodeData, int]] = deque(
-        [(root, root_payload, 0)]
+    labels = PointLabels(dataset.points)
+    grow_simpletree(
+        root, lam, noisy_theta, max_depth + 1, gen, labels.scores, labels.descend
     )
-    while queue:
-        node, payload, depth = queue.popleft()
-        noisy = payload.score() + laplace_noise(lam, rng=gen)
-        if noisy <= noisy_theta or depth >= max_depth or not payload.can_split():
-            continue
-        for child_payload in payload.split():
-            child = HistogramNode(
-                box=child_payload.box, count=child_payload.score()
-            )
-            node.children.append(child)
-            queue.append((child, child_payload, depth + 1))
-    return HistogramTree(root=root)
+    layout = preorder(root)
+    counts = np.concatenate(labels.counts).astype(float)
+    return _flat_histogram(root, layout, counts[layout.bfs]).to_tree()

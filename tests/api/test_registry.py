@@ -13,7 +13,7 @@ from repro.baselines.kdtree import _kdtree_histogram
 from repro.baselines.privelet import _privelet_histogram
 from repro.baselines.ug import _ug_histogram
 from repro.domains import Box
-from repro.spatial.quadtree import _privtree_histogram, _simpletree_histogram
+from repro.spatial.quadtree import _privtree_histogram, _simpletree_flat
 
 from .conftest import FAST_PARAMS
 
@@ -109,7 +109,7 @@ QUERY = Box((0.15, 0.2), (0.7, 0.85))
 #: kwargs, and the matching estimator params (the README's migration table).
 IMPLEMENTATIONS = [
     (_privtree_histogram, "privtree", {}, {}),
-    (_simpletree_histogram, "simpletree", {"height": 5, "theta": 0.0}, {"height": 5}),
+    (_simpletree_flat, "simpletree", {"height": 5, "theta": 0.0}, {"height": 5}),
     (_ug_histogram, "ug", {}, {}),
     (_ag_histogram, "ag", {}, {}),
     (_hierarchy_histogram, "hierarchy", {}, {}),

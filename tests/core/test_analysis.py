@@ -108,6 +108,14 @@ class TestCalibration:
         with pytest.raises(ValueError):
             simpletree_scale(1.0, height=0)
 
+    @pytest.mark.parametrize("height", [2.5, 3.0, True, "3"])
+    def test_simpletree_scale_rejects_non_integer_height(self, height):
+        with pytest.raises(ValueError, match="height must be an integer"):
+            simpletree_scale(1.0, height=height)
+
+    def test_simpletree_scale_accepts_numpy_integers(self):
+        assert simpletree_scale(0.5, height=np.int64(10)) == pytest.approx(20.0)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             lambda_for_epsilon(0.0, 4)

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.experiments.perf import BENCH_CASES
 
@@ -368,6 +374,24 @@ class TestRunCommand:
     def test_run_rejects_kind_mismatch(self):
         with pytest.raises(SystemExit):
             main(["run", "--method", "privtree", "--dataset", "msnbc", "--n", "500"])
+
+    def test_run_rejects_fractional_height(self):
+        # height=2.5 once released a 3-level SimpleTree at Lap(2.5/ε): a
+        # 1.2ε loss recorded as ε.
+        src = Path(repro.__file__).parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "run", "--method", "simpletree",
+                "--dataset", "gowalla", "--n", "2000", "--epsilon", "1.0",
+                "--param", "height=2.5",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "height must be an integer" in proc.stderr
 
 
 class TestStoreCommand:

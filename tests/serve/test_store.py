@@ -56,6 +56,20 @@ class TestPublishPath:
     )
     def test_put_writes_the_fitted_arrays(self, store, clustered_2d, seed, knobs):
         release = from_spec("privtree", epsilon=1.0, **knobs).fit(clustered_2d, rng=seed)
+        self.assert_put_writes_the_fitted_arrays(store, release)
+
+    @pytest.mark.parametrize(
+        "seed, knobs",
+        [(4, {}), (5, {"height": 5, "theta": 3.0, "dims_per_split": 1})],
+    )
+    def test_simpletree_put_writes_the_fitted_arrays(
+        self, store, clustered_2d, seed, knobs
+    ):
+        release = from_spec("simpletree", epsilon=1.0, **knobs).fit(clustered_2d, rng=seed)
+        self.assert_put_writes_the_fitted_arrays(store, release)
+
+    @staticmethod
+    def assert_put_writes_the_fitted_arrays(store, release):
         assert release._tree is None
         release_id = store.put(release)
         assert release._tree is None

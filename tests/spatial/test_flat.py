@@ -20,7 +20,7 @@ from repro.spatial import (
     flatten_tree,
     generate_workload,
 )
-from repro.spatial.quadtree import _privtree_histogram, _simpletree_histogram
+from repro.spatial.quadtree import _privtree_histogram, _simpletree_flat
 
 BANDS = ["small", "medium", "large"]
 
@@ -49,7 +49,9 @@ def random_trees():
         data = random_dataset(seed)
         trees.append(_privtree_histogram(data, epsilon=1.0, rng=seed))
         trees.append(
-            _simpletree_histogram(data, epsilon=1.0, height=5, theta=0.0, rng=seed)
+            _simpletree_flat(
+                data, epsilon=1.0, height=5, theta=0.0, rng=seed
+            ).to_tree()
         )
     data4 = random_dataset(5, n=2000, d=4)
     trees.append(_privtree_histogram(data4, epsilon=1.0, rng=5))

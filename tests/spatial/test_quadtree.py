@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import from_spec
 from repro.domains import Box
 from repro.federated import federated_privtree_histogram, shard_dataset
 from repro.mechanisms import PrivacyAccountant
@@ -11,7 +12,7 @@ from repro.spatial import (
     generate_workload,
     privtree_decomposition,
 )
-from repro.spatial.quadtree import _privtree_histogram, _simpletree_histogram
+from repro.spatial.quadtree import _privtree_histogram, _simpletree_flat
 
 
 class TestPrivTreeHistogram:
@@ -85,11 +86,21 @@ class TestValidationBeforeSpend:
             lambda ds, acct: _privtree_histogram(
                 ds, 1.0, count_mechanism="gaussian", accountant=acct
             ),
-            lambda ds, acct: _simpletree_histogram(
+            lambda ds, acct: _simpletree_flat(
                 ds, 1.0, height=4, theta=0.0, dims_per_split=5, accountant=acct
             ),
-            lambda ds, acct: _simpletree_histogram(
+            lambda ds, acct: _simpletree_flat(
                 ds, 1.0, height=0, theta=0.0, accountant=acct
+            ),
+            # A fractional height grows whole levels but would scale the
+            # noise by the fraction: 2.5 grew 3 levels at Lap(2.5/ε), a
+            # 1.2ε loss recorded as ε.
+            lambda ds, acct: from_spec("simpletree", epsilon=1.0, height=2.5).fit(
+                ds, accountant=acct
+            ),
+            # 2.5 split 2 levels at 0.3ε/1.5 each: 1.1ε recorded as 1.0.
+            lambda ds, acct: from_spec("kdtree", epsilon=1.0, height=2.5).fit(
+                ds, accountant=acct
             ),
             lambda ds, acct: federated_privtree_histogram(
                 shard_dataset(ds, 2), 1.0, tuples_per_individual=0, accountant=acct
@@ -101,6 +112,8 @@ class TestValidationBeforeSpend:
             "privtree-count_mechanism",
             "simpletree-dims_per_split",
             "simpletree-height",
+            "simpletree-fractional_height",
+            "kdtree-fractional_height",
             "federated-tuples_per_individual",
         ],
     )
@@ -113,22 +126,37 @@ class TestValidationBeforeSpend:
 
 class TestPrivTreeDecomposition:
     def test_structure_only_no_counts(self, uniform_2d):
-        tree = privtree_decomposition(uniform_2d, epsilon=1.0, rng=0)
-        assert all(n.noisy_score is None for n in tree.root.iter_nodes())
+        root = privtree_decomposition(uniform_2d, epsilon=1.0, rng=0)
+        levels = list(root.levels())
+        assert len(levels) > 1
+        assert not any(hasattr(level, "counts") for level in levels)
+        # The nodes that did not split tile the domain.
+        volume = 0.0
+        for level in levels:
+            leaf = np.ones(level.size, dtype=bool)
+            if level.split_index is not None:
+                leaf[level.split_index] = False
+            volume += np.prod(level.highs[leaf] - level.lows[leaf], axis=1).sum()
+        assert volume == pytest.approx(uniform_2d.domain.volume)
 
     def test_round_robin_splits(self, uniform_2d):
-        tree = privtree_decomposition(uniform_2d, epsilon=1.0, dims_per_split=1, rng=0)
-        for node in tree.root.iter_nodes():
-            assert len(node.children) in (0, 2)
+        root = privtree_decomposition(uniform_2d, epsilon=1.0, dims_per_split=1, rng=0)
+        levels = list(root.levels())
+        assert len(levels) > 1
+        for level in levels[:-1]:
+            # Each split makes 2 children.
+            assert level.next.size == 2 * level.split_index.size
 
 
 class TestSimpleTreeHistogram:
     def test_height_respected(self, uniform_2d):
-        syn = _simpletree_histogram(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
+        syn = _simpletree_flat(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
         assert syn.height <= 2
 
     def test_all_nodes_have_counts(self, uniform_2d):
-        syn = _simpletree_histogram(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
+        syn = _simpletree_flat(
+            uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0
+        ).to_tree()
         for node in syn.root.iter_nodes():
             assert isinstance(node.count, float)
 
@@ -150,7 +178,7 @@ class TestSimpleTreeHistogram:
         simple_err = np.mean(
             [
                 average_relative_error(
-                    _simpletree_histogram(
+                    _simpletree_flat(
                         clustered_2d, eps, height=10, theta=0.0, rng=s
                     ).range_count,
                     clustered_2d,

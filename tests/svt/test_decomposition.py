@@ -33,3 +33,8 @@ class TestSvtDecomposition:
     def test_invalid_epsilon(self, clustered_2d):
         with pytest.raises(ValueError):
             binary_svt_decomposition(clustered_2d, epsilon=0.0, theta=0.0)
+
+    def test_negative_max_depth_rejected(self, clustered_2d):
+        # Once silently the root alone.
+        with pytest.raises(ValueError, match="max_depth"):
+            binary_svt_decomposition(clustered_2d, epsilon=1.0, theta=0.0, max_depth=-1)
