@@ -73,13 +73,13 @@ class SpatialRelease(Release):
 class SpatialTreeRelease(SpatialRelease):
     """A released hierarchical synopsis (PrivTree, SimpleTree, k-d tree).
 
-    Backed by either the pointer-based :class:`HistogramTree` or a
-    :class:`~repro.spatial.flat.FlatHistogram` (a PrivTree fit writes the
-    flat arrays directly, and the v2 binary artifacts hand over
-    mmap-backed ones).  Queries and the JSON payload always run on the
-    flat arrays; the pointer tree is materialized lazily on first
-    :attr:`tree` access, so a fitted or mmap-loaded release is published
-    and answers workloads without ever building node objects.
+    Holds one :class:`HistogramTree`: the one given, or ``flat.to_tree()``
+    for a :class:`~repro.spatial.flat.FlatHistogram` (a PrivTree fit
+    writes the flat arrays directly, and the v2 binary artifacts hand over
+    mmap-backed ones).  Queries, statistics and the JSON payload run on
+    the tree's flat arrays, and a tree over arrays builds its nodes only
+    when ``tree.root`` is read, so a fitted or mmap-loaded release is
+    published and answers workloads without ever building node objects.
     """
 
     kind = "spatial-tree"
@@ -95,47 +95,29 @@ class SpatialTreeRelease(SpatialRelease):
         super().__init__(method=method, epsilon_spent=epsilon_spent)
         if tree is None and flat is None:
             raise ValueError("SpatialTreeRelease needs a tree or a flat synopsis")
-        self._tree = tree
-        self._flat = flat
-
-    @property
-    def tree(self) -> HistogramTree:
-        """The pointer-based tree (materialized from the flat form on demand)."""
-        if self._tree is None:
-            self._tree = self._flat.to_tree()
-        return self._tree
+        self.tree = tree if tree is not None else flat.to_tree()
 
     def flat(self) -> "FlatHistogram":
         """The compiled flat synopsis engine (cached)."""
-        if self._flat is None:
-            self._flat = self._tree.flat()
-        return self._flat
+        return self.tree.flat()
 
     @property
     def size(self) -> int:
-        if self._tree is not None:
-            return self._tree.size
-        return self._flat.size
+        return self.tree.size
 
     @property
     def leaf_count(self) -> int:
         """Number of leaves of the released tree."""
-        if self._tree is not None:
-            return self._tree.leaf_count
-        return self._flat.leaf_count
+        return self.tree.leaf_count
 
     @property
     def height(self) -> int:
         """Height of the released tree."""
-        if self._tree is not None:
-            return self._tree.height
-        return self._flat.height
+        return self.tree.height
 
     @property
     def query_domain(self) -> Box:
-        if self._tree is not None:
-            return self._tree.root.box
-        flat = self._flat
+        flat = self.flat()
         return Box.from_arrays(flat.lows[0], flat.highs[0])
 
     def range_count(self, box: Box) -> float:

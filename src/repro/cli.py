@@ -405,7 +405,10 @@ def _fit_release(args: argparse.Namespace):
 
     dataset = spec.make(args.n, rng=args.seed)
     accountant = PrivacyAccountant(args.epsilon)
-    release = estimator.fit(dataset, accountant=accountant, rng=args.seed)
+    try:
+        release = estimator.fit(dataset, accountant=accountant, rng=args.seed)
+    except ValueError as exc:  # a parameter value the fit rejects
+        raise SystemExit(str(exc)) from None
     return release, estimator, dataset, accountant
 
 
@@ -716,7 +719,7 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
                     heartbeat_interval=args.heartbeat_interval,
                     **params,
                 )
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise SystemExit(str(exc)) from None
         finally:
             if clients is not None:
@@ -781,7 +784,7 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
         ledger.ingest(epoch, shard_dataset(data, args.shards))
         try:
             ledger.release(epoch, rng=args.seed + epoch)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise SystemExit(str(exc)) from None
     for record in ledger.records:
         window = ",".join(str(t) for t in record.window_epochs)

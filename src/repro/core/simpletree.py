@@ -28,7 +28,7 @@ from ..domains.base import NodePayload
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..telemetry import span as _span
-from .analysis import simpletree_scale
+from .analysis import check_height, simpletree_scale
 from .node import DecompositionTree, NodeLevel, TreeNode
 from .privtree import payload_scores
 
@@ -60,8 +60,7 @@ def grow_simpletree(
     splittable.  ``commit(level, split, next_level)`` runs after every
     level, once ``level.split(split)`` has made the next one.
     """
-    if height < 1:
-        raise ValueError(f"height must be at least 1, got {height!r}")
+    check_height(height)
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam!r}")
     noisy_levels: list[np.ndarray] = []

@@ -931,11 +931,13 @@ def run_perf_bench(
     queries = generate_workload(data.domain, band, n_queries, rng=rng + 1)
 
     # The build is the fit's own output, the flat arrays; the pointer tree
-    # is made once, untimed, for the recursive reference traversal.
+    # is made once, untimed, for the recursive reference traversal.  Its
+    # nodes are built on the first root read, so read it before any timing.
     build_s, flat = _best_of(
         repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
     )
     synopsis = flat.to_tree()
+    synopsis.root
 
     # Telemetry overhead.  The disabled-mode claim ("span sites add at
     # most a few percent to privtree_build") is asserted from first

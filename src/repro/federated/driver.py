@@ -321,7 +321,8 @@ class FederatedPrivTree:
         nodes, and its commit is the level's splits round plus one atomic
         checkpoint write.  The leaf release takes its exact counts from
         one last counts round.  The release is written as flat arrays and
-        returned as a pointer tree that shares them.
+        returned as the :class:`HistogramTree` over them, which builds its
+        nodes only when a caller reads its ``root``.
         """
         split_rounds = [[str(i) for i in r] for r in state["split_rounds"]]
         root, level_ids = _replay_levels(self.domain, self.dims_per_split, split_rounds)

@@ -4,8 +4,9 @@ A :class:`FlatHistogram` is a structure-of-arrays synopsis: node boxes as
 ``(m, d)`` ``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and
 the topology as ``parents`` plus CSR-style child offsets.  The PrivTree
 fits write these arrays directly; :meth:`FlatHistogram.from_tree`
-compiles any other :class:`~repro.spatial.histogram_tree.HistogramTree`,
-and :meth:`FlatHistogram.to_tree` rebuilds the pointer tree on demand.
+compiles a :class:`~repro.spatial.histogram_tree.HistogramTree` of nodes,
+and :meth:`FlatHistogram.to_tree` returns a tree over the arrays, which
+builds its nodes only when its ``root`` is first read.
 
 Range counts run the §2.2 top-down answer for a whole batch at once.  A
 query's answer is
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..domains.box import Box
-from .histogram_tree import HistogramNode, HistogramTree
+from .histogram_tree import HistogramTree
 
 __all__ = ["FlatHistogram", "flatten_tree"]
 
@@ -166,26 +167,32 @@ class FlatHistogram:
         )
 
     def to_tree(self) -> HistogramTree:
-        """Reconstruct the pointer-based :class:`HistogramTree`.
+        """The :class:`HistogramTree` over these arrays.
 
-        The arrays are converted to Python lists once; every box still
-        goes through :class:`Box`'s validation, because the arrays may be
-        an mmap'd artifact from outside the process.  The tree keeps these
-        arrays as its compiled engine (:meth:`HistogramTree.flat`).
+        The tree holds the arrays as its flat engine
+        (:meth:`HistogramTree.flat`) and reads its statistics from them; it
+        builds its node objects only when :attr:`HistogramTree.root` is
+        first read.  The bounds are checked here, because the arrays may be
+        an mmap'd artifact from outside the process: ``(m, d)`` matrices of
+        one shape with ``d >= 1``, and ``low < high`` in every cell (so no
+        NaN), or :class:`Box`'s ``ValueError`` for the first offending cell.
         """
-        lows = self.lows.tolist()
-        highs = self.highs.tolist()
-        counts = self.counts.tolist()
-        offsets = self.child_offsets.tolist()
-        index = self.child_index.tolist()
-        released: list[HistogramNode | None] = [None] * self.size
-        for i in range(self.size - 1, -1, -1):
-            released[i] = HistogramNode(
-                box=Box(tuple(lows[i]), tuple(highs[i])),
-                count=counts[i],
-                children=[released[j] for j in index[offsets[i] : offsets[i + 1]]],
+        lows = np.asarray(self.lows)
+        highs = np.asarray(self.highs)
+        if lows.ndim != 2 or lows.shape != highs.shape or len(lows) != self.size:
+            raise ValueError(
+                f"bounds must be matching ({self.size}, d) matrices, got "
+                f"{lows.shape} and {highs.shape}"
             )
-        tree = HistogramTree(root=released[0])
+        if lows.shape[1] == 0:
+            raise ValueError("a box must have at least one dimension")
+        extents = lows < highs
+        if not extents.all():
+            cell = np.unravel_index(np.argmin(extents), extents.shape)
+            raise ValueError(
+                f"degenerate extent [{lows[cell].item()}, {highs[cell].item()})"
+            )
+        tree = HistogramTree(root=None)
         tree._flat = self
         return tree
 

@@ -10,9 +10,12 @@ uniformity-based fraction of theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..domains.box import Box
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .flat import FlatHistogram
 
 __all__ = ["HistogramNode", "HistogramTree"]
 
@@ -39,23 +42,43 @@ class HistogramNode:
             stack.extend(reversed(node.children))
 
 
-@dataclass
 class HistogramTree:
     """A private spatial synopsis supporting range-count queries.
 
-    Structural statistics (``size``, ``leaf_count``, ``height``) and the
-    array-backed query engine (:meth:`flat`) are computed lazily on first
-    access and cached: released trees are never mutated after construction,
-    and experiments read these per trial.
+    A tree is backed by its nodes (``HistogramTree(root=...)``) or by the
+    flat arrays (:meth:`FlatHistogram.to_tree`).  A tree over arrays
+    builds its :class:`HistogramNode` objects the first time :attr:`root`
+    is read; ``size``, ``leaf_count``, ``height``, ``total_count`` and
+    :meth:`flat` read the arrays, so a fit, the federated coordinator and
+    a release publish and answer without building a node.  A tree of
+    nodes computes its statistics in one walk and compiles :meth:`flat` on
+    first use.  Both are cached: released trees are never mutated after
+    construction, and experiments read these per trial.  Trees compare
+    equal when their node trees do.
     """
 
-    root: HistogramNode
-    _stats: tuple[int, int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _flat: "FlatHistogram | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __hash__ = None  # compared by value
+
+    def __init__(self, root: HistogramNode | None) -> None:
+        # None only in FlatHistogram.to_tree, which sets _flat.
+        self._root = root
+        self._flat: "FlatHistogram | None" = None
+        self._stats: tuple[int, int, int] | None = None
+
+    @property
+    def root(self) -> HistogramNode:
+        """The root node (a tree over arrays builds its nodes once, here)."""
+        if self._root is None:
+            self._root = _nodes_from_arrays(self._flat)
+        return self._root
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HistogramTree):
+            return NotImplemented
+        return self.root == other.root
+
+    def __repr__(self) -> str:
+        return f"HistogramTree(size={self.size}, total_count={self.total_count!r})"
 
     def _compute_stats(self) -> tuple[int, int, int]:
         """(size, leaf_count, height) in one iterative traversal."""
@@ -77,25 +100,33 @@ class HistogramTree:
     @property
     def size(self) -> int:
         """Total number of nodes."""
+        if self._flat is not None:
+            return self._flat.size
         return self._compute_stats()[0]
 
     @property
     def leaf_count(self) -> int:
         """Number of leaves."""
+        if self._flat is not None:
+            return self._flat.leaf_count
         return self._compute_stats()[1]
 
     @property
     def height(self) -> int:
         """Number of levels minus one (root-only tree has height 0)."""
+        if self._flat is not None:
+            return self._flat.height
         return self._compute_stats()[2]
 
     @property
     def total_count(self) -> float:
         """The (noisy) total number of points."""
+        if self._flat is not None:
+            return self._flat.total_count
         return self.root.count
 
     def flat(self) -> "FlatHistogram":
-        """The compiled array-backed synopsis (built once, then cached)."""
+        """The array-backed synopsis (compiled from the nodes once, then cached)."""
         if self._flat is None:
             from .flat import FlatHistogram
 
@@ -176,3 +207,26 @@ class HistogramTree:
                 block = np.multiply.outer(block, w)
             grid[tuple(slices)] += leaf.count * block
         return grid
+
+
+def _nodes_from_arrays(flat: "FlatHistogram") -> HistogramNode:
+    """Build the root node of ``flat``'s tree.
+
+    The arrays are converted to Python lists once and the nodes built in
+    reverse index order, children before their parent.  The boxes skip
+    :class:`Box`'s validation: :meth:`FlatHistogram.to_tree` checked the
+    bounds, whole arrays at a time, before it returned the tree.
+    """
+    lows = flat.lows.tolist()
+    highs = flat.highs.tolist()
+    counts = flat.counts.tolist()
+    offsets = flat.child_offsets.tolist()
+    index = flat.child_index.tolist()
+    released: list[HistogramNode | None] = [None] * flat.size
+    for i in range(flat.size - 1, -1, -1):
+        released[i] = HistogramNode(
+            box=Box._trusted(tuple(lows[i]), tuple(highs[i])),
+            count=counts[i],
+            children=[released[j] for j in index[offsets[i] : offsets[i + 1]]],
+        )
+    return released[0]

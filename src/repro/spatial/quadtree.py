@@ -77,7 +77,7 @@ def privtree_decomposition(
 
 
 def _privtree_histogram(*args, **kwargs) -> HistogramTree:
-    """:func:`_privtree_flat` as a pointer tree that shares the flat arrays."""
+    """:func:`_privtree_flat` as the :class:`HistogramTree` over its arrays."""
     return _privtree_flat(*args, **kwargs).to_tree()
 
 

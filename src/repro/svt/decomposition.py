@@ -20,6 +20,8 @@ stream exactly as one scalar draw per popped node.  So the demo grows
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ..core.simpletree import grow_simpletree
@@ -51,6 +53,8 @@ def binary_svt_decomposition(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
+        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, got {max_depth!r}")
     root = BoxLevel.root(dataset.domain, dims_per_split)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.domains import Box
-from repro.spatial import SpatialDataset
+from repro.spatial import HistogramNode, SpatialDataset
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 
@@ -79,3 +79,17 @@ def clustered_2d() -> SpatialDataset:
     background = gen.uniform(0.0, 1.0, size=(500, 2))
     pts = np.clip(np.vstack([cluster, background]), 0.0, 0.999999)
     return SpatialDataset(pts, Box.unit(2), name="clustered2d")
+
+
+@pytest.fixture
+def built_nodes(monkeypatch) -> list:
+    """One entry per :class:`HistogramNode` constructed during the test."""
+    built: list = []
+    init = HistogramNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HistogramNode, "__init__", counting_init)
+    return built

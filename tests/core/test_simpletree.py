@@ -56,3 +56,20 @@ class TestSimpleTree:
             simpletree(payload, lam=0.0, theta=0.0, height=2)
         with pytest.raises(ValueError):
             simpletree(payload, lam=1.0, theta=0.0, height=0)
+
+    @pytest.mark.parametrize("height", [2.5, 3.0, True])
+    def test_non_integer_height_rejected_before_any_draw(self, height):
+        # 2.5 once grew 3 levels.
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        payload = IntervalPayload.over_unit(np.linspace(0.0, 0.99, 50))
+        with pytest.raises(ValueError, match="height must be an integer"):
+            simpletree(payload, lam=1e-9, theta=0.0, height=height, rng=gen)
+        assert gen.bit_generator.state == state
+
+    def test_numpy_integer_height_accepted(self):
+        values = np.linspace(0.0, 0.99, 200)
+        tree = simpletree(
+            IntervalPayload.over_unit(values), lam=1e-9, theta=0.0, height=np.int64(3), rng=0
+        )
+        assert tree.height == 2

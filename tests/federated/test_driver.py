@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import from_spec
+from repro.api import SpatialTreeRelease
 from repro.core.privtree import MaxDepthWarning
 from repro.experiments.perf import reference_privtree_histogram
 from repro.federated import (
@@ -211,6 +213,36 @@ class TestBitIdentity:
         with pytest.warns(MaxDepthWarning):
             central = _privtree_histogram(clustered_2d, epsilon=8.0, rng=0, max_depth=2)
         assert tree_to_dict(federated) == tree_to_dict(central)
+
+
+class TestLazyTree:
+    """The fit returns the tree over its arrays: nodes only on a root read."""
+
+    def test_loopback_fit_builds_no_node(self, clustered_2d, built_nodes):
+        tree = federated_privtree_histogram(
+            shard_dataset(clustered_2d, 3), epsilon=1.0, rng=0
+        )
+        release = SpatialTreeRelease(tree, method="privtree_federated", epsilon_spent=1.0)
+        flat = tree.flat()
+        for each in (tree, release):
+            assert (each.size, each.leaf_count, each.height) == (
+                flat.size, flat.leaf_count, flat.height
+            )
+        assert release.query_domain == clustered_2d.domain
+        central = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
+        assert tree_to_dict(tree) == tree_to_dict(central)
+        assert not built_nodes
+        assert tree == central
+        assert len(built_nodes) == 2 * tree.size
+
+    def test_estimator_fit_builds_no_node(self, clustered_2d, built_nodes):
+        release = from_spec("privtree_federated", epsilon=1.0, n_shards=3).fit(
+            clustered_2d, rng=0
+        )
+        assert release.size == release.flat().size
+        assert release.height == release.flat().height
+        assert release.query_domain == clustered_2d.domain
+        assert not built_nodes
 
 
 class TestAccounting:

@@ -743,6 +743,74 @@ class TestFederatedFitCommand:
             main(["federated-fit", "--dataset", "msnbc"])
 
 
+class TestRejectedParameterValues:
+    """A parameter value the fit rejects is a one-line usage error on every
+    fit command: no traceback, no file, no store entry, no spend."""
+
+    #: Command prefix, the rejected --param, and the name its message gives.
+    CASES = {
+        "run": (
+            ["run", "--method", "privtree", "--out", "{tmp}/out.json"],
+            "tree_fraction=1.0",
+            "tree_fraction",
+        ),
+        "store-put": (
+            ["store", "put", "--store", "{tmp}/store", "--method", "privtree"],
+            "tree_fraction=1.0",
+            "tree_fraction",
+        ),
+        "federated-fit": (
+            [
+                "federated-fit", "--shards", "2",
+                "--out", "{tmp}/out.json", "--store", "{tmp}/store",
+            ],
+            "tree_fraction=1.0",
+            "tree_fraction",
+        ),
+        "federated-epochs": (
+            ["federated-fit", "--shards", "2", "--epochs", "2", "--store", "{tmp}/store"],
+            "tree_fraction=1.0",
+            "tree_fraction",
+        ),
+        "simpletree-height": (
+            ["run", "--method", "simpletree", "--out", "{tmp}/out.json"],
+            "height=2.5",
+            "height",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_with_one_line_and_spends_nothing(self, case, monkeypatch, tmp_path):
+        import repro.mechanisms
+        from repro.serve import ReleaseStore
+
+        accountants = []
+
+        class Recorded(repro.mechanisms.PrivacyAccountant):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                accountants.append(self)
+
+        monkeypatch.setattr(repro.mechanisms, "PrivacyAccountant", Recorded)
+        prefix, param, name = self.CASES[case]
+        argv = [arg.format(tmp=tmp_path) for arg in prefix] + [
+            "--dataset", "gowalla",
+            "--n", "500",
+            "--epsilon", "1.0",
+            "--param", param,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        # A message as the exit code: one line on stderr, exit status 1.
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert name in message
+        assert not (tmp_path / "out.json").exists()
+        store = tmp_path / "store"
+        assert not store.exists() or not ReleaseStore(store, create=False).ids()
+        assert accountants and all(not a.ledger for a in accountants)
+
+
 class TestLedgerReconciliation:
     """Every CLI path that spends budget: the trace's spend events add up to
     ``--epsilon`` (per epoch), and no spend was rolled back."""

@@ -13,6 +13,7 @@ from repro.sequence.pst import PredictionSuffixTree, PSTNode
 from repro.spatial import tree_from_dict, tree_to_dict
 from repro.spatial.flat import FlatHistogram
 from repro.spatial.histogram_tree import HistogramNode, HistogramTree
+from repro.spatial.serialize import flat_to_dict, flat_to_json_text
 
 counts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -35,14 +36,19 @@ def histogram_trees(draw, box=None, depth=0):
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e16, -1.5e300, 1e-300]
 any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 
+#: Box bounds: any float but NaN, which no ``low < high`` admits.
+box_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+
 
 @st.composite
-def flat_histograms(draw):
+def flat_histograms(draw, boxes=False):
     """A random tree in pre-order or level order, with d = 1, 2 or 3.
 
     Parents always come before their children, which is all the flat
     engines and the artifact loader ask of a layout; reversing the child
-    lists makes the nesting differ from the array order.
+    lists makes the nesting differ from the array order.  With ``boxes``
+    every cell has ``low < high``, as in every release; without, the
+    bounds are any floats.
     """
     m = draw(st.integers(min_value=1, max_value=40))
     children = [[] for _ in range(m)]
@@ -67,11 +73,23 @@ def flat_histograms(draw):
         parents[lst] = i
     d = draw(st.integers(min_value=1, max_value=3))
     # Bounds repeat, as a parent's bounds and midpoints do in its children.
-    pool = draw(st.lists(any_floats, min_size=1, max_size=6))
-    bounds = st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d)
+    if boxes:
+        # A cell is two ranks of one rising pool (``unique`` counts 0.0
+        # and -0.0 as one value).
+        pool = sorted(draw(st.lists(box_floats, min_size=2, max_size=6, unique=True)))
+        ranks = st.integers(0, len(pool) - 2).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, len(pool) - 1))
+        )
+        cells = draw(st.lists(ranks, min_size=m * d, max_size=m * d))
+        lows = [pool[lo] for lo, _ in cells]
+        highs = [pool[hi] for _, hi in cells]
+    else:
+        pool = draw(st.lists(any_floats, min_size=1, max_size=6))
+        bounds = st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d)
+        lows, highs = draw(bounds), draw(bounds)
     return FlatHistogram(
-        lows=np.array(draw(bounds), dtype=float).reshape(m, d),
-        highs=np.array(draw(bounds), dtype=float).reshape(m, d),
+        lows=np.array(lows, dtype=float).reshape(m, d),
+        highs=np.array(highs, dtype=float).reshape(m, d),
         counts=np.array(draw(st.lists(any_floats, min_size=m, max_size=m)), dtype=float),
         parents=parents,
         child_offsets=np.concatenate(([0], np.cumsum([len(c) for c in child_lists]))),
@@ -129,7 +147,7 @@ class TestJsonTextIdentity:
     """``to_json_text`` writes byte for byte ``json.dumps(to_json())``."""
 
     @given(
-        flat=flat_histograms(),
+        flat=flat_histograms(boxes=True),
         method=st.one_of(st.sampled_from(['k"d\\tree \u00e9\u2603']), st.text()),
         epsilon=any_floats,
     )
@@ -137,6 +155,12 @@ class TestJsonTextIdentity:
     def test_spatial_tree_text_matches_json_dumps(self, flat, method, epsilon):
         release = SpatialTreeRelease(flat=flat, method=method, epsilon_spent=epsilon)
         assert release.to_json_text() == json.dumps(release.to_json())
+
+    @given(flat=flat_histograms())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_text_matches_json_dumps_on_any_bounds(self, flat):
+        # A release refuses NaN and inverted bounds; the writer takes them.
+        assert flat_to_json_text(flat) == json.dumps(flat_to_dict(flat))
 
 
 class TestPstRoundTrip:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,8 +139,17 @@ def _small_tree(**overrides):
 
 
 def _write_tree(path, flat):
-    """Write ``flat`` as a v2 artifact with a valid SHA-256 footer."""
-    release = SpatialTreeRelease(flat=flat, method="privtree", epsilon_spent=1.0)
+    """Write ``flat`` as a v2 artifact with a valid SHA-256 footer.
+
+    The writer gets a stand-in release: ``SpatialTreeRelease`` checks its
+    bounds, so a crafted tree with bad ones can only be written this way.
+    """
+    release = SimpleNamespace(
+        kind=SpatialTreeRelease.kind,
+        method="privtree",
+        epsilon_spent=1.0,
+        flat=lambda: flat,
+    )
     write_artifact(release, path)
     return path
 

@@ -70,9 +70,9 @@ class TestPublishPath:
 
     @staticmethod
     def assert_put_writes_the_fitted_arrays(store, release):
-        assert release._tree is None
+        assert release.tree._root is None
         release_id = store.put(release)
-        assert release._tree is None
+        assert release.tree._root is None
         releases = store.root / "releases"
         from_json = release_from_json(
             json.loads((releases / f"{release_id}.json").read_text())

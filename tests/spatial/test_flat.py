@@ -20,7 +20,10 @@ from repro.spatial import (
     flatten_tree,
     generate_workload,
 )
-from repro.spatial.quadtree import _privtree_histogram, _simpletree_flat
+from repro.queries import RangeCount, Workload
+from repro.serve import ReleaseStore
+from repro.spatial.quadtree import _privtree_flat, _privtree_histogram, _simpletree_flat
+from repro.spatial.serialize import tree_from_dict, tree_to_dict
 
 BANDS = ["small", "medium", "large"]
 
@@ -114,6 +117,54 @@ class TestCompilation:
     def test_cached_on_histogram_tree(self):
         tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         assert tree.flat() is tree.flat()
+
+
+class TestLazyTree:
+    """``to_tree()`` builds the nodes on the first ``root`` read, not before."""
+
+    def test_to_tree_and_its_statistics_build_no_node(self, built_nodes):
+        flat = _privtree_flat(random_dataset(0), epsilon=1.0, rng=0)
+        tree = flat.to_tree()
+        assert (tree.size, tree.leaf_count, tree.height) == (
+            flat.size, flat.leaf_count, flat.height
+        )
+        assert tree.total_count == flat.total_count
+        assert tree.flat() is flat
+        assert not built_nodes
+
+    def test_first_root_read_builds_each_node_once(self, built_nodes):
+        tree = _privtree_histogram(random_dataset(1), epsilon=1.0, rng=1)
+        assert not built_nodes
+        root = tree.root
+        assert len(built_nodes) == tree.size
+        assert tree.root is root
+        assert len(built_nodes) == tree.size
+
+    def test_matches_the_node_walk(self):
+        for tree in random_trees():
+            lazy = tree.flat().to_tree()
+            # Loaded from JSON: a tree of nodes, its statistics from a walk.
+            eager = tree_from_dict(tree_to_dict(tree))
+            assert (eager.size, eager.leaf_count, eager.height, eager.total_count) == (
+                lazy.size, lazy.leaf_count, lazy.height, lazy.total_count
+            )
+            assert lazy == eager
+
+    def test_fit_put_get_answer_build_no_node(self, built_nodes, tmp_path):
+        data = random_dataset(2)
+        boxes = generate_workload(data.domain, "medium", 20, rng=3)
+        workload = Workload.of([RangeCount.of(box) for box in boxes])
+        release = from_spec("privtree", epsilon=1.0).fit(data, rng=2)
+        store = ReleaseStore(tmp_path / "store")
+        loaded = store.get(store.put(release))
+        for each in (release, loaded):
+            assert (each.size, each.leaf_count, each.height) == (
+                release.flat().size, release.flat().leaf_count, release.flat().height
+            )
+            assert each.query_domain == data.domain
+            each.to_json_text()
+        assert np.array_equal(loaded.answer(workload), release.answer(workload))
+        assert not built_nodes
 
 
 class TestEquivalence:

@@ -1,5 +1,6 @@
 """Tests for the (intentionally non-private) SVT quadtree demonstration."""
 
+import numpy as np
 import pytest
 
 from repro.svt import binary_svt_decomposition
@@ -38,3 +39,17 @@ class TestSvtDecomposition:
         # Once silently the root alone.
         with pytest.raises(ValueError, match="max_depth"):
             binary_svt_decomposition(clustered_2d, epsilon=1.0, theta=0.0, max_depth=-1)
+
+    @pytest.mark.parametrize("max_depth", [2.5, 3.0, True])
+    def test_non_integer_max_depth_rejected(self, clustered_2d, max_depth):
+        # 2.5 once grew a height-3 tree.
+        with pytest.raises(ValueError, match="max_depth must be an integer"):
+            binary_svt_decomposition(
+                clustered_2d, epsilon=10.0, theta=0.0, max_depth=max_depth, rng=2
+            )
+
+    def test_numpy_integer_max_depth_accepted(self, clustered_2d):
+        tree = binary_svt_decomposition(
+            clustered_2d, epsilon=10.0, theta=0.0, max_depth=np.int64(2), rng=2
+        )
+        assert tree.height == 2
