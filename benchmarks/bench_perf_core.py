@@ -15,7 +15,8 @@ from repro.baselines.ngram import count_grams, count_grams_reference
 from repro.datasets import gowallalike, msnbclike
 from repro.domains import Box
 from repro.experiments.perf import (
-    reference_privtree_histogram,
+    reference_privtree_nodes,
+    reference_range_count,
     reference_workload_answers,
 )
 from repro.sequence import count_substrings, private_pst
@@ -37,17 +38,18 @@ def bench_perf_privtree_build_200k_reference(benchmark):
     # The frozen pre-optimization build path; the 200k case above must come
     # in at least 2x faster (tracked numerically by `repro bench`).
     data = gowallalike(200_000, rng=0)
-    benchmark(lambda: reference_privtree_histogram(data, epsilon=1.0, rng=0))
+    benchmark(lambda: reference_privtree_nodes(data, epsilon=1.0, rng=0))
 
 
 def bench_perf_range_count(benchmark):
+    # The frozen pointer traversal, one query at a time, over the nodes of
+    # the reference build (the same tree as the fit's).
     data = gowallalike(20_000, rng=0)
-    synopsis = _privtree_histogram(data, epsilon=1.0, rng=0)
-    synopsis.root  # build the nodes before the first timed walk
+    root = reference_privtree_nodes(data, epsilon=1.0, rng=0)
     queries = generate_workload(data.domain, "medium", 50, rng=1)
 
     def run() -> float:
-        return sum(synopsis.range_count(q) for q in queries)
+        return sum(reference_range_count(root, q) for q in queries)
 
     benchmark(run)
 
@@ -63,10 +65,9 @@ def bench_perf_range_count_1k_reference(benchmark):
     # The per-query recursive traversal over the same 1k-query workload; the
     # batched case above must come in at least 10x faster.
     data = gowallalike(200_000, rng=0)
-    synopsis = _privtree_histogram(data, epsilon=1.0, rng=0)
-    synopsis.root  # build the nodes before the first timed walk
+    root = reference_privtree_nodes(data, epsilon=1.0, rng=0)
     queries = generate_workload(data.domain, "medium", 1_000, rng=1)
-    benchmark(lambda: reference_workload_answers(synopsis, queries))
+    benchmark(lambda: reference_workload_answers(root, queries))
 
 
 def bench_perf_workload_generation_10k(benchmark):

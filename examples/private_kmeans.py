@@ -47,7 +47,7 @@ def main() -> None:
 
     centers = privtree_kmeans(data, k=3, epsilon=1.0, rng=0)
     print("\nrecovered centers at eps=1.0:")
-    for c in sorted(map(tuple, np.round(centers, 3))):
+    for c in sorted(map(tuple, np.round(centers, 3).tolist())):
         print(f"  {c}")
     print(f"(true centers: {sorted(true_centers)})")
 

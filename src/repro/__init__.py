@@ -51,7 +51,7 @@ from .spatial import (
     generate_workload,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Alphabet",

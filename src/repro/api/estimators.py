@@ -15,7 +15,7 @@ from typing import Any, Mapping
 from ..baselines.ag import AG_ALPHA, _ag_histogram
 from ..baselines.dawa import DAWA_RHO, _dawa_histogram
 from ..baselines.hierarchy import _hierarchy_histogram
-from ..baselines.kdtree import _kdtree_histogram
+from ..baselines.kdtree import _kdtree_flat
 from ..baselines.ngram import ngram_model
 from ..baselines.privelet import _privelet_histogram
 from ..baselines.ug import _ug_histogram
@@ -372,14 +372,18 @@ class KDTreeEstimator(Estimator):
         with acct.transaction():
             acct.spend(self.split_fraction * self.epsilon, "kdtree/split positions")
             acct.spend((1.0 - self.split_fraction) * self.epsilon, "kdtree/leaf counts")
-            tree = _kdtree_histogram(
+            flat = _kdtree_flat(
                 dataset,
                 self.epsilon,
                 height=self.height,
                 split_fraction=self.split_fraction,
                 rng=ensure_rng(rng),
             )
-        return SpatialTreeRelease(tree, method=self.name, epsilon_spent=self.epsilon)
+            # Inside the transaction: a cut that leaves an empty extent is
+            # refused by the release's bounds check, and refunded.
+            return SpatialTreeRelease(
+                flat=flat, method=self.name, epsilon_spent=self.epsilon
+            )
 
 
 @register

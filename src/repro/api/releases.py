@@ -74,12 +74,10 @@ class SpatialTreeRelease(SpatialRelease):
     """A released hierarchical synopsis (PrivTree, SimpleTree, k-d tree).
 
     Holds one :class:`HistogramTree`: the one given, or ``flat.to_tree()``
-    for a :class:`~repro.spatial.flat.FlatHistogram` (a PrivTree fit
-    writes the flat arrays directly, and the v2 binary artifacts hand over
+    for a :class:`~repro.spatial.flat.FlatHistogram` (the fits write the
+    flat arrays directly, and the v2 binary artifacts hand over
     mmap-backed ones).  Queries, statistics and the JSON payload run on
-    the tree's flat arrays, and a tree over arrays builds its nodes only
-    when ``tree.root`` is read, so a fitted or mmap-loaded release is
-    published and answers workloads without ever building node objects.
+    the tree's flat arrays.
     """
 
     kind = "spatial-tree"
@@ -98,7 +96,7 @@ class SpatialTreeRelease(SpatialRelease):
         self.tree = tree if tree is not None else flat.to_tree()
 
     def flat(self) -> "FlatHistogram":
-        """The compiled flat synopsis engine (cached)."""
+        """The flat synopsis engine."""
         return self.tree.flat()
 
     @property
@@ -117,12 +115,9 @@ class SpatialTreeRelease(SpatialRelease):
 
     @property
     def query_domain(self) -> Box:
-        flat = self.flat()
-        return Box.from_arrays(flat.lows[0], flat.highs[0])
+        return self.tree.domain
 
     def range_count(self, box: Box) -> float:
-        # Answered by the compiled flat synopsis; the pointer-based
-        # traversal remains available as tree.range_count.
         return self.flat().range_count(box)
 
     def range_count_many(self, boxes: Sequence[Box]) -> np.ndarray:
@@ -134,7 +129,7 @@ class SpatialTreeRelease(SpatialRelease):
         return self.flat().range_count_arrays(q_lows, q_highs)
 
     def warm(self) -> None:
-        """Compile (and cache) the flat synopsis engine."""
+        """Nothing to compile: the tree is its flat arrays."""
         self.flat()
 
     def to_grid(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -142,8 +137,6 @@ class SpatialTreeRelease(SpatialRelease):
         return self.tree.to_grid(shape)
 
     def _payload(self) -> dict[str, Any]:
-        # Written from the flat arrays: publishing never builds the
-        # pointer tree.
         return flat_to_dict(self.flat())
 
     def _payload_text(self) -> str:

@@ -87,9 +87,11 @@ def privtree_kmeans(
     gen = ensure_rng(rng)
     if synopsis is None:
         synopsis = _privtree_histogram(dataset, epsilon, rng=gen)
-    leaves = [n for n in synopsis.root.iter_nodes() if n.is_leaf]
-    centers = np.array([leaf.box.center for leaf in leaves])
-    weights = np.array([max(leaf.count, 0.0) for leaf in leaves])
+    flat = synopsis.flat()
+    leaves = flat.leaf_rows()  # pre-order: the seeding draws index into it
+    centers = (flat.lows[leaves] + flat.highs[leaves]) / 2.0
+    counts = flat.counts[leaves]
+    weights = np.where(counts < 0.0, 0.0, counts)
     return _weighted_lloyd(centers, weights, k, iterations, gen)
 
 

@@ -5,12 +5,17 @@ DAWA's idea: spend part of the budget finding a partition of the
 spend the rest releasing one noisy total per bucket.  On skewed data this
 beats flat grids because large empty regions collapse into single buckets.
 
-This implementation is a faithful *simulation*, with two documented
-substitutions (see DESIGN.md):
+This implementation is a *simulation*, with two substitutions (see
+"Reproduction notes" in the README):
 
 * bucket deviation cost uses the L2 deviation (computable from prefix sums
-  in O(1)) instead of DAWA's L1 deviation — same role: penalize
-  non-uniform buckets;
+  in O(1)) instead of DAWA's L1 deviation.  It plays the same role, but
+  its sensitivity is not DAWA's: one point added to a cell holding ``x``
+  points moves the L2 cost of every interval around it by about
+  ``2·x + 1``, while the stage-1 noise is scaled for
+  :data:`COST_SENSITIVITY`.  On dense cells that noise is
+  under-calibrated, so stage 1 is not ε-DP as the ledger records; the
+  fix (the L1 deviation) is open on the ROADMAP;
 * stage 2 releases plain Laplace bucket totals instead of the
   workload-aware matrix mechanism, keeping our DAWA query-independent.
 
@@ -37,10 +42,11 @@ __all__ = ["DawaHistogram", "private_partition"]
 
 #: Share of the budget spent on the private partitioning stage.
 DAWA_RHO = 0.25
-#: Effective sensitivity used to scale the partition-cost noise.  Moving one
-#: point changes one cell count by one, which changes the L2 deviation of any
-#: containing interval by at most ~2x+1 ≈ 2 for unit changes; we follow
-#: DAWA's use of a small constant.
+#: The per-length-class cost sensitivity the partition-cost noise is scaled
+#: for.  It holds for DAWA's L1 deviation, not for the L2 deviation computed
+#: here: one point added to a cell holding ``x`` points moves the L2 cost of
+#: every containing interval by about ``2·x + 1``, so on dense cells the
+#: stage-1 noise is under-calibrated (the fix is open on the ROADMAP).
 COST_SENSITIVITY = 2.0
 
 

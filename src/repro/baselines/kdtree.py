@@ -20,7 +20,7 @@ from ..mechanisms.exponential import exponential_mechanism
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
-from ..spatial.histogram_tree import HistogramNode, HistogramTree
+from ..spatial.flat import FlatHistogram, _from_parents
 
 __all__: list[str] = []
 
@@ -49,14 +49,14 @@ def _private_split_position(
     )
 
 
-def _kdtree_histogram(
+def _kdtree_flat(
     dataset: SpatialDataset,
     epsilon: float,
     height: int = 7,
     split_fraction: float = 0.3,
     rng: RngLike = None,
-) -> HistogramTree:
-    """Build the private k-d tree synopsis.
+) -> FlatHistogram:
+    """Build the private k-d tree synopsis as flat arrays, in pre-order.
 
     ``height`` levels with round-robin split dimensions; leaves receive
     ``Lap(1 / ((1 - split_fraction) * eps))`` noisy counts, and internal
@@ -72,35 +72,35 @@ def _kdtree_histogram(
     levels = height - 1
     eps_split_level = split_fraction * epsilon / levels if levels else 0.0
     count_scale = 1.0 / ((1.0 - split_fraction) * epsilon)
+    lows: list[tuple[float, ...]] = []
+    highs: list[tuple[float, ...]] = []
+    counts: list[float] = []
+    parents: list[int] = []
 
-    def build(box, points: np.ndarray, depth: int) -> HistogramNode:
+    def build(low, high, points: np.ndarray, depth: int, parent: int) -> float:
+        """Append the subtree's rows, this node first; return its count."""
+        row = len(counts)
+        lows.append(low)
+        highs.append(high)
+        counts.append(0.0)
+        parents.append(parent)
         if depth >= levels:
-            noisy = points.shape[0] + laplace_noise(count_scale, rng=gen)
-            return HistogramNode(box=box, count=noisy)
+            counts[row] = points.shape[0] + laplace_noise(count_scale, rng=gen)
+            return counts[row]
         axis = depth % d
-        lo, hi = box.low[axis], box.high[axis]
-        cut = _private_split_position(points[:, axis], lo, hi, eps_split_level, gen)
-        left_box, right_box = _split_box(box, axis, cut)
+        cut = _private_split_position(
+            points[:, axis], low[axis], high[axis], eps_split_level, gen
+        )
         mask = points[:, axis] < cut
-        children = [
-            build(left_box, points[mask], depth + 1),
-            build(right_box, points[~mask], depth + 1),
-        ]
-        total = sum(c.count for c in children)
-        return HistogramNode(box=box, count=total, children=children)
+        left = build(low, _replace(high, axis, cut), points[mask], depth + 1, row)
+        right = build(_replace(low, axis, cut), high, points[~mask], depth + 1, row)
+        counts[row] = 0 + left + right
+        return counts[row]
 
-    root = build(dataset.domain, dataset.points, 0)
-    return HistogramTree(root=root)
+    build(dataset.domain.low, dataset.domain.high, dataset.points, 0, -1)
+    return _from_parents(lows, highs, counts, parents)
 
 
-def _split_box(box, axis: int, cut: float):
-    from ..domains.box import Box
-
-    left_high = list(box.high)
-    left_high[axis] = cut
-    right_low = list(box.low)
-    right_low[axis] = cut
-    return (
-        Box(box.low, tuple(left_high)),
-        Box(tuple(right_low), box.high),
-    )
+def _replace(bounds: tuple[float, ...], axis: int, value: float) -> tuple[float, ...]:
+    """``bounds`` with entry ``axis`` set to ``value``."""
+    return bounds[:axis] + (value,) + bounds[axis + 1 :]

@@ -12,7 +12,7 @@ Multi-dimensional grids use the standard decomposition (transform each axis
 in turn); weights multiply across axes and the sensitivity becomes
 ``prod_i (h_i + 1)``.  This is the paper's Privelet* comparison method,
 minus the subdomain-partitioning constant-factor optimization (see
-DESIGN.md).
+"Reproduction notes" in the README).
 """
 
 from __future__ import annotations

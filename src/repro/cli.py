@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 from typing import Sequence
 
 from .experiments import (
@@ -1064,6 +1065,10 @@ def _run_datasets() -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    # One check for every command with a budget, before any data is made.
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise SystemExit(f"--epsilon must be a positive finite number, got {epsilon:g}")
     if args.command == "run":
         print(_with_trace(args, _run_method))
     elif args.command == "methods":

@@ -2,7 +2,8 @@
 
 No network access is available, so each of the paper's datasets is replaced
 by a generator that preserves the property the experiments exercise — the
-*skewness* of the point distribution (see DESIGN.md §3):
+*skewness* of the point distribution (see "Reproduction notes" in the
+README):
 
 * :func:`roadlike` — mass concentrated on a random polyline network, like
   road junctions: extreme 2-d skew.

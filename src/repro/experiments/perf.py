@@ -21,10 +21,12 @@ table behind ``repro bench --compare``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from ..core.node import DecompositionTree, TreeNode
 from ..core.params import PrivTreeParams
 from ..datasets.sequence import msnbclike
 from ..datasets.spatial import gowallalike
+from ..domains.box import Box
 from ..federated.driver import (
     FederatedPrivTree,
     federated_privtree_histogram,
@@ -51,18 +54,23 @@ from ..sequence.tasks import (
 )
 from ..spatial.dataset import SpatialDataset
 from ..spatial.flat import FlatHistogram
-from ..spatial.histogram_tree import HistogramNode, HistogramTree
+from ..spatial.histogram_tree import HistogramTree
 from ..spatial.quadtree import _privtree_flat
 from ..spatial.queries import generate_workload
 
 __all__ = [
     "BENCH_CASES",
     "FROZEN_REFERENCE_CASES",
+    "HistogramNode",
     "bench_new_cases",
     "bench_regression_failures",
     "build_mixed_workload",
     "compare_bench_results",
+    "reference_flat_from_nodes",
+    "reference_nodes_from_dict",
     "reference_privtree_histogram",
+    "reference_privtree_nodes",
+    "reference_range_count",
     "reference_range_count_arrays",
     "reference_release_json",
     "reference_workload_answers",
@@ -144,7 +152,7 @@ def _reference_privtree(root_payload, params, gen, max_depth):
     return DecompositionTree(root=root)
 
 
-def reference_privtree_histogram(
+def reference_privtree_nodes(
     dataset: SpatialDataset,
     epsilon: float,
     rng=None,
@@ -155,7 +163,7 @@ def reference_privtree_histogram(
     tuples_per_individual: int = 1,
     count_mechanism: str = "laplace",
     max_depth: int | None = 64,
-) -> HistogramTree:
+) -> HistogramNode:
     """The pre-optimization §3.3+§3.4 pipeline (node-at-a-time, scalar RNG).
 
     Stream-compatible with :func:`repro.spatial.quadtree._privtree_histogram`
@@ -163,7 +171,7 @@ def reference_privtree_histogram(
     seed.  It shares no code with the array levels, which makes it the
     frozen reference the bit-identity tests hold every PrivTree fit to,
     and the speedup baseline for ``repro bench``.  The max-depth guard
-    stops splitting silently.
+    stops splitting silently.  Returns the released root node.
     """
     gen = ensure_rng(rng)
     if dims_per_split is None:
@@ -202,12 +210,161 @@ def reference_privtree_histogram(
             children=children,
         )
 
-    return HistogramTree(root=release(tree.root))
+    return release(tree.root)
 
 
-def reference_workload_answers(tree: HistogramTree, queries) -> np.ndarray:
+def reference_privtree_histogram(
+    dataset: SpatialDataset, epsilon: float, rng=None, **knobs
+) -> HistogramTree:
+    """:func:`reference_privtree_nodes`, compiled by :func:`reference_flat_from_nodes`."""
+    root = reference_privtree_nodes(dataset, epsilon, rng, **knobs)
+    return reference_flat_from_nodes(root).to_tree()
+
+
+@dataclass
+class HistogramNode:
+    """A released node: sub-domain, noisy count, children.
+
+    The pointer form a released tree had before :class:`FlatHistogram`
+    became its only in-memory form, frozen with its compile, traversal
+    and JSON decoder below as the references the tests and ``repro
+    bench`` hold the array paths to.
+    """
+
+    box: Box
+    count: float
+    children: list["HistogramNode"] = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        """Whether the node has no children."""
+        return not self.children
+
+    def iter_nodes(self) -> Iterator["HistogramNode"]:
+        """All nodes of the subtree, pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+
+def reference_flat_from_nodes(root: HistogramNode) -> FlatHistogram:
+    """Compile a tree of nodes into flat arrays, laid out in pre-order."""
+    nodes = list(root.iter_nodes())  # pre-order
+    m = len(nodes)
+    d = root.box.ndim
+    lows = np.empty((m, d))
+    highs = np.empty((m, d))
+    counts = np.empty(m)
+    parents = np.full(m, -1, dtype=np.intp)
+    n_children = np.empty(m, dtype=np.intp)
+    index_of = {id(node): i for i, node in enumerate(nodes)}
+    for i, node in enumerate(nodes):
+        lows[i] = node.box.low
+        highs[i] = node.box.high
+        counts[i] = node.count
+        n_children[i] = len(node.children)
+        for child in node.children:
+            parents[index_of[id(child)]] = i
+    child_offsets = np.concatenate(([0], np.cumsum(n_children)))
+    child_index = np.empty(int(child_offsets[-1]), dtype=np.intp)
+    cursor = child_offsets[:-1].copy()
+    for i in range(1, m):
+        p = parents[i]
+        child_index[cursor[p]] = i
+        cursor[p] += 1
+    return FlatHistogram(
+        lows=lows,
+        highs=highs,
+        counts=counts,
+        parents=parents,
+        child_offsets=child_offsets,
+        child_index=child_index,
+    )
+
+
+def reference_range_count(root: HistogramNode, query: Box) -> float:
+    """The §2.2 traversal, one node at a time — the pointer-chasing reference."""
+    answer = 0.0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not node.box.intersects(query):
+            continue
+        if query.contains_box(node.box):
+            answer += node.count
+        elif node.is_leaf:
+            answer += node.count * node.box.overlap_fraction(query)
+        else:
+            stack.extend(node.children)
+    return answer
+
+
+def reference_workload_answers(root: HistogramNode, queries) -> np.ndarray:
     """Per-query recursive traversal — the pre-optimization query path."""
-    return np.array([tree.range_count(q) for q in queries])
+    return np.array([reference_range_count(root, q) for q in queries])
+
+
+def _load_box(data: dict[str, Any]) -> Box:
+    try:
+        low = tuple(float(x) for x in data["low"])
+        high = tuple(float(x) for x in data["high"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            f"node must carry numeric 'low'/'high' coordinate lists, "
+            f"got low={data.get('low')!r} high={data.get('high')!r}"
+        ) from None
+    if len(low) != len(high) or not low:
+        raise ValueError(
+            f"box extents disagree: low has {len(low)} dims, high has {len(high)}"
+        )
+    for lo, hi in zip(low, high):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"non-finite box coordinate in [{lo!r}, {hi!r})")
+        if not lo < hi:
+            raise ValueError(f"invalid box extent [{lo!r}, {hi!r}): low must be < high")
+    return Box(low, high)
+
+
+def _node_from_dict(data: dict[str, Any], parent_box: Box | None = None) -> HistogramNode:
+    box = _load_box(data)
+    if parent_box is not None:
+        if box.ndim != parent_box.ndim:
+            raise ValueError(
+                f"child box has {box.ndim} dims but its parent has {parent_box.ndim}"
+            )
+        if not parent_box.contains_box(box):
+            raise ValueError(
+                f"child box [{box.low}, {box.high}) escapes its parent "
+                f"[{parent_box.low}, {parent_box.high})"
+            )
+    try:
+        count = float(data["count"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            f"node must carry a numeric 'count', got {data.get('count')!r}"
+        ) from None
+    if not math.isfinite(count):
+        raise ValueError(f"non-finite node count {count!r}")
+    children = [_node_from_dict(c, box) for c in data.get("children", [])]
+    return HistogramNode(box=box, count=count, children=children)
+
+
+def reference_nodes_from_dict(data: dict[str, Any]) -> HistogramNode:
+    """The ``repro.histogram_tree`` decoder, recursive and one node at a time.
+
+    Returns the root node.  Raises :class:`ValueError` on the documents
+    :func:`repro.spatial.serialize.tree_from_dict` rejects, except that a
+    node or child list of the wrong JSON type raises what Python raises.
+    """
+    if data.get("format") != "repro.histogram_tree":
+        raise ValueError(f"not a histogram-tree document: {data.get('format')!r}")
+    if data.get("version") != 1:
+        raise ValueError(f"unsupported version {data.get('version')!r}")
+    if "root" not in data:
+        raise ValueError("histogram-tree document has no 'root' node")
+    return _node_from_dict(data["root"])
 
 
 def reference_release_json(release) -> str:
@@ -647,10 +804,11 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
 
     Writes one synthetic ~100k-node release in both on-disk forms, then
     times file -> warmed query engine for each.  The v2 path is a header
-    parse + checksum + ``np.memmap`` per array segment; the v1 path is a
-    full JSON parse plus pointer-tree reconstruction and flat-engine
-    compilation.  Both loaded engines must answer a probe workload
-    bit-identically — the format change can't move a single float.
+    parse + checksum + ``np.memmap`` per array segment; the reference is
+    the v1 path as it was before JSON decoded straight into arrays: a full
+    JSON parse, the frozen node decoder and the frozen node compile.  The
+    two loaded engines, and the library's JSON decoder, must answer a
+    probe workload bit-identically — the format can't move a single float.
     """
     import tempfile
     from pathlib import Path
@@ -659,9 +817,9 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
     from ..api.releases import SpatialTreeRelease
     from ..serve.artifact import read_artifact, write_artifact
 
-    # Canonicalize the synthetic level-order arrays through the pointer
-    # tree: the v1 JSON path recompiles its engine in from_tree's
-    # pre-order, and bit-identity needs both loads summing in one layout.
+    # Lay the synthetic level-order arrays out in pre-order: the JSON
+    # paths load in pre-order, and bit-identity needs every load summing
+    # in one layout.
     flat = FlatHistogram.from_tree(synthetic_flat_histogram(depth).to_tree())
     release = SpatialTreeRelease(flat=flat, method="privtree", epsilon_spent=1.0)
     probe = [
@@ -686,18 +844,19 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
             return loaded
 
         def _load_v1():
-            loaded = release_from_json(json.loads(json_path.read_text()))
-            loaded.warm()
-            return loaded
+            document = json.loads(json_path.read_text())
+            return reference_flat_from_nodes(
+                reference_nodes_from_dict(document["payload"])
+            )
 
         v2_s, v2_release = _best_of(repeats, _load_v2)
-        v1_s, v1_release = _best_of(repeats, _load_v1)
-        v2_answers = v2_release.range_count_arrays(probe_lows, probe_highs)
-        v1_answers = v1_release.range_count_arrays(probe_lows, probe_highs)
-        if not (
-            np.array_equal(v2_answers, expected)
-            and np.array_equal(v1_answers, expected)
-        ):
+        v1_s, v1_flat = _best_of(repeats, _load_v1)
+        decoded = release_from_json(json.loads(json_path.read_text()))
+        answers = [
+            engine.range_count_arrays(probe_lows, probe_highs)
+            for engine in (v2_release, v1_flat, decoded)
+        ]
+        if not all(np.array_equal(each, expected) for each in answers):
             raise AssertionError(
                 "artifact-loaded engines deviate from the in-memory flat engine"
             )
@@ -930,14 +1089,11 @@ def run_perf_bench(
     data = gowallalike(n_points, rng=rng)
     queries = generate_workload(data.domain, band, n_queries, rng=rng + 1)
 
-    # The build is the fit's own output, the flat arrays; the pointer tree
-    # is made once, untimed, for the recursive reference traversal.  Its
-    # nodes are built on the first root read, so read it before any timing.
+    # The build is the fit's own output, the flat arrays.
     build_s, flat = _best_of(
         repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
     )
     synopsis = flat.to_tree()
-    synopsis.root
 
     # Telemetry overhead.  The disabled-mode claim ("span sites add at
     # most a few percent to privtree_build") is asserted from first
@@ -983,10 +1139,12 @@ def run_perf_bench(
             "span path must stay within 5%"
         )
 
+    # The reference builds nodes; they are compiled to arrays untimed, and
+    # its recursive traversal below walks them.
     build_ref_s, reference = _best_of(
-        repeats, lambda: reference_privtree_histogram(data, epsilon=epsilon, rng=rng)
+        repeats, lambda: reference_privtree_nodes(data, epsilon=epsilon, rng=rng)
     )
-    expected = FlatHistogram.from_tree(reference)
+    expected = reference_flat_from_nodes(reference)
     for name in ("lows", "highs", "counts", "parents", "child_offsets", "child_index"):
         if not np.array_equal(getattr(flat, name), getattr(expected, name)):
             raise AssertionError(
@@ -996,7 +1154,7 @@ def run_perf_bench(
 
     query_s, batched = _best_of(repeats, lambda: flat.range_count_many(queries))
     query_ref_s, recursive = _best_of(
-        repeats, lambda: reference_workload_answers(synopsis, queries)
+        repeats, lambda: reference_workload_answers(reference, queries)
     )
     scale = max(1.0, float(np.abs(recursive).max()))
     max_deviation = float(np.abs(batched - recursive).max())

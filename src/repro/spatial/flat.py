@@ -2,11 +2,14 @@
 
 A :class:`FlatHistogram` is a structure-of-arrays synopsis: node boxes as
 ``(m, d)`` ``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and
-the topology as ``parents`` plus CSR-style child offsets.  The PrivTree
-fits write these arrays directly; :meth:`FlatHistogram.from_tree`
-compiles a :class:`~repro.spatial.histogram_tree.HistogramTree` of nodes,
-and :meth:`FlatHistogram.to_tree` returns a tree over the arrays, which
-builds its nodes only when its ``root`` is first read.
+the topology as ``parents`` plus CSR-style child offsets.  It is the only
+in-memory form of a released spatial tree: every fit, the JSON decoder
+and the v2 artifact loader produce these arrays, and
+:meth:`FlatHistogram.to_tree` wraps them in the
+:class:`~repro.spatial.histogram_tree.HistogramTree` view.
+:meth:`FlatHistogram.preorder` is the one pre-order walk; the JSON writer
+and the leaf readers use it, and :meth:`FlatHistogram.from_tree` lays a
+tree's arrays out in that order.
 
 Range counts run the §2.2 top-down answer for a whole batch at once.  A
 query's answer is
@@ -39,7 +42,7 @@ import numpy as np
 from ..domains.box import Box
 from .histogram_tree import HistogramTree
 
-__all__ = ["FlatHistogram", "flatten_tree"]
+__all__ = ["FlatHistogram"]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -52,10 +55,11 @@ class FlatHistogram:
     """A structure-of-arrays spatial synopsis.
 
     Node 0 is the root, and every parent comes before its children.  The
-    fits and :meth:`from_tree` lay the nodes out in pre-order; the v2
-    artifact loader accepts any layout with parents first, and
-    :func:`~repro.experiments.perf.synthetic_flat_histogram` writes level
-    order.  The nesting is the CSR child lists', whatever the layout.
+    fits, the JSON decoder and :meth:`from_tree` lay the nodes out in
+    pre-order; the v2 artifact loader accepts any layout with parents
+    first, and :func:`~repro.experiments.perf.synthetic_flat_histogram`
+    writes level order.  The nesting is the CSR child lists', whatever the
+    layout.
 
     Attributes
     ----------
@@ -127,74 +131,78 @@ class FlatHistogram:
         shifts = np.repeat(starts - np.cumsum(n_children) + n_children, n_children)
         return n_children, self.child_index[np.arange(shifts.size) + shifts]
 
+    def preorder(self) -> tuple[np.ndarray, np.ndarray]:
+        """(node at each pre-order position, its depth).
+
+        Walks the CSR child lists one level at a time, like :attr:`height`,
+        so any layout in which parents come before their children is read
+        in the order of its nesting.
+        """
+        levels = [np.zeros(1, dtype=np.intp)]
+        fanouts = []
+        while True:
+            n_children, children = self._children(levels[-1])
+            fanouts.append(n_children)
+            if not children.size:
+                break
+            levels.append(children)
+        # Per level, the running total of its subtree sizes (from 0), deepest
+        # level first.  A level's children are grouped by parent, in the
+        # parents' order.
+        totals = [np.arange(levels[-1].size + 1)]
+        for n_children in reversed(fanouts[:-1]):
+            stops = np.cumsum(n_children)
+            sizes = 1 + totals[0][stops] - totals[0][stops - n_children]
+            totals.insert(0, np.concatenate(([0], np.cumsum(sizes))))
+        # A child sits after its parent and the subtrees of its elder siblings.
+        order = np.empty(int(totals[0][-1]), dtype=np.intp)
+        depth = np.empty_like(order)
+        positions = np.zeros(1, dtype=np.intp)
+        for k, (nodes, n_children) in enumerate(zip(levels, fanouts)):
+            order[positions] = nodes
+            depth[positions] = k
+            if k + 1 < len(levels):
+                below = totals[k + 1]
+                starts = np.cumsum(n_children) - n_children
+                positions = np.repeat(positions + 1 - below[starts], n_children) + below[:-1]
+        return order, depth
+
+    def leaf_rows(self) -> np.ndarray:
+        """The leaf rows, in pre-order."""
+        order, _ = self.preorder()
+        return order[self.is_leaf[order]]
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     @staticmethod
     def from_tree(tree: HistogramTree) -> "FlatHistogram":
-        """Compile a released :class:`HistogramTree` into flat arrays."""
-        nodes = list(tree.root.iter_nodes())  # pre-order
-        m = len(nodes)
-        d = tree.root.box.ndim
-        lows = np.empty((m, d))
-        highs = np.empty((m, d))
-        counts = np.empty(m)
-        parents = np.full(m, -1, dtype=np.intp)
-        n_children = np.empty(m, dtype=np.intp)
-        index_of = {id(node): i for i, node in enumerate(nodes)}
-        for i, node in enumerate(nodes):
-            lows[i] = node.box.low
-            highs[i] = node.box.high
-            counts[i] = node.count
-            n_children[i] = len(node.children)
-            for child in node.children:
-                parents[index_of[id(child)]] = i
-        child_offsets = np.concatenate(([0], np.cumsum(n_children)))
-        child_index = np.empty(int(child_offsets[-1]), dtype=np.intp)
-        cursor = child_offsets[:-1].copy()
-        for i in range(1, m):
-            p = parents[i]
-            child_index[cursor[p]] = i
-            cursor[p] += 1
+        """``tree``'s arrays, laid out in pre-order.
+
+        A fitted or JSON-decoded tree is in pre-order already and comes
+        back with equal arrays; any other layout is reordered, and the
+        topology rebuilt from its CSR child lists.
+        """
+        flat = tree.flat()
+        order, _ = flat.preorder()
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        n_children, children = flat._children(order)
+        parents = np.full(order.size, -1, dtype=np.intp)
+        parents[rank[children]] = np.repeat(np.arange(order.size), n_children)
         return FlatHistogram(
-            lows=lows,
-            highs=highs,
-            counts=counts,
+            lows=np.asarray(flat.lows, dtype=float)[order],
+            highs=np.asarray(flat.highs, dtype=float)[order],
+            counts=np.asarray(flat.counts, dtype=float)[order],
             parents=parents,
-            child_offsets=child_offsets,
-            child_index=child_index,
+            child_offsets=np.concatenate(([0], np.cumsum(n_children))),
+            child_index=rank[children],
         )
 
     def to_tree(self) -> HistogramTree:
-        """The :class:`HistogramTree` over these arrays.
-
-        The tree holds the arrays as its flat engine
-        (:meth:`HistogramTree.flat`) and reads its statistics from them; it
-        builds its node objects only when :attr:`HistogramTree.root` is
-        first read.  The bounds are checked here, because the arrays may be
-        an mmap'd artifact from outside the process: ``(m, d)`` matrices of
-        one shape with ``d >= 1``, and ``low < high`` in every cell (so no
-        NaN), or :class:`Box`'s ``ValueError`` for the first offending cell.
-        """
-        lows = np.asarray(self.lows)
-        highs = np.asarray(self.highs)
-        if lows.ndim != 2 or lows.shape != highs.shape or len(lows) != self.size:
-            raise ValueError(
-                f"bounds must be matching ({self.size}, d) matrices, got "
-                f"{lows.shape} and {highs.shape}"
-            )
-        if lows.shape[1] == 0:
-            raise ValueError("a box must have at least one dimension")
-        extents = lows < highs
-        if not extents.all():
-            cell = np.unravel_index(np.argmin(extents), extents.shape)
-            raise ValueError(
-                f"degenerate extent [{lows[cell].item()}, {highs[cell].item()})"
-            )
-        tree = HistogramTree(root=None)
-        tree._flat = self
-        return tree
+        """The :class:`HistogramTree` view of these arrays (bounds checked)."""
+        return HistogramTree(self)
 
     # ------------------------------------------------------------------
     # Queries
@@ -313,6 +321,19 @@ class FlatHistogram:
         return answers
 
 
-def flatten_tree(tree: HistogramTree) -> FlatHistogram:
-    """Alias of :meth:`FlatHistogram.from_tree`."""
-    return FlatHistogram.from_tree(tree)
+def _from_parents(lows, highs, counts, parents) -> FlatHistogram:
+    """The arrays of a tree given as pre-order rows and their parents.
+
+    ``parents[i]`` is the row of node ``i``'s parent (``-1`` for the root,
+    row 0); the CSR child lists follow, each in row order.
+    """
+    parents = np.asarray(parents, dtype=np.intp)
+    n_children = np.bincount(parents[1:], minlength=parents.size)
+    return FlatHistogram(
+        lows=np.asarray(lows, dtype=float),
+        highs=np.asarray(highs, dtype=float),
+        counts=np.asarray(counts, dtype=float),
+        parents=parents,
+        child_offsets=np.concatenate(([0], np.cumsum(n_children))),
+        child_index=np.argsort(parents[1:], kind="stable") + 1,
+    )

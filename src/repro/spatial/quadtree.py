@@ -11,9 +11,9 @@
 3. rebuild intermediate counts as sums of their leaves.
 
 It returns the release as :class:`~repro.spatial.flat.FlatHistogram`
-arrays, written in pre-order by :func:`_release_leaf_counts`; no node
-object is built.  ``_privtree_histogram`` wraps the same arrays in a
-pointer :class:`HistogramTree` for callers that walk nodes.
+arrays, written in pre-order by :func:`_release_leaf_counts`.
+``_privtree_histogram`` wraps the same arrays in the
+:class:`HistogramTree` view.
 
 The federated coordinator (:class:`~repro.federated.FederatedPrivTree`)
 runs the same pipeline over aggregated shard counts: it grows the same

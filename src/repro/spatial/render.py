@@ -63,34 +63,44 @@ def render_leaf_depth(
 
     Requires a 2-d synopsis.  Depths above 9 print as ``+``.
     """
-    if tree.root.box.ndim != 2:
+    domain = tree.domain
+    if domain.ndim != 2:
         raise ValueError("leaf-depth rendering requires a 2-d decomposition")
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")
-    lo = np.asarray(tree.root.box.low)
-    hi = np.asarray(tree.root.box.high)
-    lines = []
-    for r in range(height - 1, -1, -1):
-        row = []
-        y = lo[1] + (r + 0.5) / height * (hi[1] - lo[1])
-        for c in range(width):
-            x = lo[0] + (c + 0.5) / width * (hi[0] - lo[0])
-            depth = _depth_at(tree, (x, y))
-            row.append(str(depth) if depth <= 9 else "+")
-        lines.append("".join(row))
-    return "\n".join(lines)
+    lo = np.asarray(domain.low)
+    hi = np.asarray(domain.high)
+    # Cell centres, top raster row first (y grows upward).
+    ys = lo[1] + (np.arange(height - 1, -1, -1) + 0.5) / height * (hi[1] - lo[1])
+    xs = lo[0] + (np.arange(width) + 0.5) / width * (hi[0] - lo[0])
+    points = np.column_stack([np.tile(xs, height), np.repeat(ys, width)])
+    depths = _depths_at(tree.flat(), points).reshape(height, width)
+    return "\n".join(
+        "".join(str(depth) if depth <= 9 else "+" for depth in row)
+        for row in depths.tolist()
+    )
 
 
-def _depth_at(tree: HistogramTree, point: tuple[float, float]) -> int:
-    pt = np.asarray([point])
-    node = tree.root
-    depth = 0
-    while node.children:
-        for child in node.children:
-            if child.box.contains_points(pt)[0]:
-                node = child
-                depth += 1
-                break
-        else:
-            break
+def _depths_at(flat, points: np.ndarray) -> np.ndarray:
+    """The depth at which a top-down walk stops for each point.
+
+    From the root, each walk steps into the first child (in child order)
+    whose half-open box holds the point, and stops at a leaf or where no
+    child holds it.
+    """
+    node = np.zeros(len(points), dtype=np.intp)
+    depth = np.zeros(len(points), dtype=np.intp)
+    walking = np.arange(len(points))
+    while walking.size:
+        n_children, children = flat._children(node[walking])
+        owner = np.repeat(np.arange(walking.size), n_children)
+        held = points[walking[owner]]
+        inside = np.all(
+            (flat.lows[children] <= held) & (held < flat.highs[children]), axis=1
+        )
+        # Children are grouped by owner, in child order: the first hit wins.
+        stepped, first = np.unique(owner[inside], return_index=True)
+        walking = walking[stepped]
+        node[walking] = children[inside][first]
+        depth[walking] += 1
     return depth

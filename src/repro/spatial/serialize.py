@@ -6,19 +6,19 @@ boxes and counts, no library internals — so third-party consumers can parse
 it without this package.
 
 The schema has two writers, both working from a release's
-:class:`~repro.spatial.flat.FlatHistogram` arrays, so a fitted release is
-published without building a node object:
+:class:`~repro.spatial.flat.FlatHistogram` arrays:
 
 * :func:`flat_to_dict` builds the nested dicts.  It is the reference:
-  the dict API (:func:`tree_to_dict` compiles a pointer tree to the
-  arrays first) and ``Release.to_json`` return it.
+  the dict API (:func:`tree_to_dict`) and ``Release.to_json`` return it.
 * :func:`flat_to_json_text` writes the JSON text directly, in whole-column
   operations, and is what every file writer uses.  Its output is byte for
   byte ``json.dumps(flat_to_dict(flat))``: each float's text comes from
   :func:`json.dumps` itself, and the tests hold the two writers equal.
 
-Loading validates the document: artifacts crossing a process boundary (the
-release store, the HTTP query service) are untrusted input, and a malformed
+:func:`tree_from_dict` decodes a document straight into pre-order arrays,
+so a JSON round trip of a fitted release gives back the fit's arrays.  It
+validates the document: artifacts crossing a process boundary (the release
+store, the HTTP query service) are untrusted input, and a malformed node,
 box or count must fail here with a clear :class:`ValueError`, not deep
 inside flat-engine query math.
 """
@@ -26,16 +26,14 @@ inside flat-engine query math.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .._io import atomic_write_text
-from ..domains.box import Box
-from .flat import FlatHistogram
-from .histogram_tree import HistogramNode, HistogramTree
+from .flat import FlatHistogram, _from_parents
+from .histogram_tree import HistogramTree
 
 __all__ = [
     "flat_to_dict",
@@ -50,51 +48,6 @@ _FORMAT = "repro.histogram_tree"
 _VERSION = 1
 
 
-def _load_box(data: dict[str, Any]) -> Box:
-    try:
-        low = tuple(float(x) for x in data["low"])
-        high = tuple(float(x) for x in data["high"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(
-            f"node must carry numeric 'low'/'high' coordinate lists, "
-            f"got low={data.get('low')!r} high={data.get('high')!r}"
-        ) from None
-    if len(low) != len(high) or not low:
-        raise ValueError(
-            f"box extents disagree: low has {len(low)} dims, high has {len(high)}"
-        )
-    for lo, hi in zip(low, high):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"non-finite box coordinate in [{lo!r}, {hi!r})")
-        if not lo < hi:
-            raise ValueError(f"invalid box extent [{lo!r}, {hi!r}): low must be < high")
-    return Box(low, high)
-
-
-def _node_from_dict(data: dict[str, Any], parent_box: Box | None = None) -> HistogramNode:
-    box = _load_box(data)
-    if parent_box is not None:
-        if box.ndim != parent_box.ndim:
-            raise ValueError(
-                f"child box has {box.ndim} dims but its parent has {parent_box.ndim}"
-            )
-        if not parent_box.contains_box(box):
-            raise ValueError(
-                f"child box [{box.low}, {box.high}) escapes its parent "
-                f"[{parent_box.low}, {parent_box.high})"
-            )
-    try:
-        count = float(data["count"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(
-            f"node must carry a numeric 'count', got {data.get('count')!r}"
-        ) from None
-    if not math.isfinite(count):
-        raise ValueError(f"non-finite node count {count!r}")
-    children = [_node_from_dict(c, box) for c in data.get("children", [])]
-    return HistogramNode(box=box, count=count, children=children)
-
-
 def tree_to_dict(tree: HistogramTree) -> dict[str, Any]:
     """Plain-JSON representation of a released histogram tree."""
     return flat_to_dict(tree.flat())
@@ -104,8 +57,7 @@ def flat_to_dict(flat: FlatHistogram) -> dict[str, Any]:
     """The :func:`tree_to_dict` document, written from the flat arrays.
 
     The arrays are converted to Python lists once and the nested node
-    dicts are built children first, in reverse pre-order; no
-    :class:`HistogramNode` is made.
+    dicts are built children first, in reverse pre-order.
     """
     lows = flat.lows.tolist()
     highs = flat.highs.tolist()
@@ -141,43 +93,6 @@ def _bound_texts(column: np.ndarray) -> np.ndarray:
     return _json_texts(distinct.view(column.dtype))[inverse]
 
 
-def _preorder(flat: FlatHistogram) -> tuple[np.ndarray, np.ndarray]:
-    """(node at each pre-order position, its depth).
-
-    Walks the CSR child lists one level at a time, like
-    :attr:`FlatHistogram.height`, so any layout in which parents come
-    before their children nests as :func:`flat_to_dict` nests it.
-    """
-    levels = [np.zeros(1, dtype=np.intp)]
-    fanouts = []
-    while True:
-        n_children, children = flat._children(levels[-1])
-        fanouts.append(n_children)
-        if not children.size:
-            break
-        levels.append(children)
-    # Per level, the running total of its subtree sizes (from 0), deepest
-    # level first.  A level's children are grouped by parent, in the
-    # parents' order.
-    totals = [np.arange(levels[-1].size + 1)]
-    for n_children in reversed(fanouts[:-1]):
-        stops = np.cumsum(n_children)
-        sizes = 1 + totals[0][stops] - totals[0][stops - n_children]
-        totals.insert(0, np.concatenate(([0], np.cumsum(sizes))))
-    # A child sits after its parent and the subtrees of its elder siblings.
-    order = np.empty(int(totals[0][-1]), dtype=np.intp)
-    depth = np.empty_like(order)
-    positions = np.zeros(1, dtype=np.intp)
-    for k, (nodes, n_children) in enumerate(zip(levels, fanouts)):
-        order[positions] = nodes
-        depth[positions] = k
-        if k + 1 < len(levels):
-            below = totals[k + 1]
-            starts = np.cumsum(n_children) - n_children
-            positions = np.repeat(positions + 1 - below[starts], n_children) + below[:-1]
-    return order, depth
-
-
 def flat_to_json_text(flat: FlatHistogram) -> str:
     """``json.dumps(flat_to_dict(flat))``, written from the arrays in bulk.
 
@@ -187,7 +102,7 @@ def flat_to_json_text(flat: FlatHistogram) -> str:
     with it.  The texts and separators fill one ``(m, 4d + 3)`` object
     array, joined once.
     """
-    order, depth = _preorder(flat)
+    order, depth = flat.preorder()
     # The next node is an internal node's first child, one level deeper
     # (-1 below); after a leaf it is k >= 0 levels up, closing k lists.
     closes = depth - np.append(depth[1:], 0)
@@ -212,17 +127,114 @@ def flat_to_json_text(flat: FlatHistogram) -> str:
 def tree_from_dict(data: dict[str, Any]) -> HistogramTree:
     """Inverse of :func:`tree_to_dict` (validates header and geometry).
 
-    Raises :class:`ValueError` on malformed documents: inverted or
-    non-finite boxes, children escaping their parent box, non-finite
-    counts.
+    Walks the nodes once, in pre-order, into rows, then checks whole
+    arrays.  Raises :class:`ValueError` on malformed documents: a node that
+    is not an object, children that are not a list, missing or
+    non-numeric bounds and counts, inverted or non-finite boxes, children
+    escaping their parent box, non-finite counts.
     """
-    if data.get("format") != _FORMAT:
-        raise ValueError(f"not a histogram-tree document: {data.get('format')!r}")
+    header = data if isinstance(data, dict) else {}
+    if header.get("format") != _FORMAT:
+        raise ValueError(f"not a histogram-tree document: {header.get('format')!r}")
     if data.get("version") != _VERSION:
         raise ValueError(f"unsupported version {data.get('version')!r}")
     if "root" not in data:
         raise ValueError("histogram-tree document has no 'root' node")
-    return HistogramTree(root=_node_from_dict(data["root"]))
+    lows: list = []
+    highs: list = []
+    counts: list[float] = []
+    parents: list[int] = []
+    stack, stack_parents = [data["root"]], [-1]
+    while stack:
+        node, parent = stack.pop(), stack_parents.pop()
+        if not isinstance(node, dict):
+            raise ValueError(f"a tree node must be an object, got {node!r}")
+        low, high = node.get("low"), node.get("high")
+        if not (isinstance(low, (list, tuple)) and isinstance(high, (list, tuple))):
+            raise ValueError(
+                f"node must carry numeric 'low'/'high' coordinate lists, "
+                f"got low={low!r} high={high!r}"
+            )
+        if len(low) != len(high) or not low:
+            raise ValueError(
+                f"box extents disagree: low has {len(low)} dims, high has {len(high)}"
+            )
+        if parent >= 0 and len(low) != len(lows[0]):
+            raise ValueError(
+                f"child box has {len(low)} dims but its parent has {len(lows[0])}"
+            )
+        try:
+            count = float(node["count"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"node must carry a numeric 'count', got {node.get('count')!r}"
+            ) from None
+        children = node.get("children", [])
+        if not isinstance(children, (list, tuple)):
+            raise ValueError(f"a node's 'children' must be a list, got {children!r}")
+        stack_parents.extend([len(counts)] * len(children))
+        stack.extend(reversed(children))
+        lows.append(low)
+        highs.append(high)
+        counts.append(count)
+        parents.append(parent)
+    low_array, high_array = _bound_matrices(lows, highs)
+    finite = np.isfinite(low_array) & np.isfinite(high_array)
+    if not finite.all():
+        lo, hi = _first_cell(~finite, low_array, high_array)
+        raise ValueError(f"non-finite box coordinate in [{lo!r}, {hi!r})")
+    inverted = ~(low_array < high_array)
+    if inverted.any():
+        lo, hi = _first_cell(inverted, low_array, high_array)
+        raise ValueError(f"invalid box extent [{lo!r}, {hi!r}): low must be < high")
+    parent_rows = np.array(parents[1:], dtype=np.intp)
+    escapes = (low_array[1:] < low_array[parent_rows]) | (
+        high_array[1:] > high_array[parent_rows]
+    )
+    if escapes.any():
+        child = int(np.argmax(escapes.any(axis=1))) + 1
+        parent = parents[child]
+        low, high = tuple(low_array[child].tolist()), tuple(high_array[child].tolist())
+        parent_low = tuple(low_array[parent].tolist())
+        parent_high = tuple(high_array[parent].tolist())
+        raise ValueError(
+            f"child box [{low}, {high}) escapes its parent [{parent_low}, {parent_high})"
+        )
+    count_array = np.array(counts)
+    finite_counts = np.isfinite(count_array)
+    if not finite_counts.all():
+        count = counts[int(np.argmin(finite_counts))]
+        raise ValueError(f"non-finite node count {count!r}")
+    return _from_parents(low_array, high_array, count_array, parents).to_tree()
+
+
+def _bound_matrices(lows: list, highs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The bound rows, ``d`` entries each, as ``(m, d)`` float matrices.
+
+    Converted in one call; if an entry is not a number, the first node
+    holding one is named.
+    """
+    try:
+        bounds = np.array([lows, highs], dtype=float)
+        if bounds.ndim == 3:
+            return bounds[0], bounds[1]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for low, high in zip(lows, highs):
+        try:
+            [float(x) for x in (*low, *high)]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"node must carry numeric 'low'/'high' coordinate lists, "
+                f"got low={low!r} high={high!r}"
+            ) from None
+    raise ValueError("node bounds must be lists of numbers")
+
+
+def _first_cell(mask: np.ndarray, lows: np.ndarray, highs: np.ndarray):
+    """(low, high) of the first flagged cell, row-major, as Python floats."""
+    cell = np.unravel_index(np.argmax(mask), mask.shape)
+    return lows[cell].item(), highs[cell].item()
 
 
 def save_tree(tree: HistogramTree, path: str | Path) -> None:

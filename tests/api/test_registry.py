@@ -9,7 +9,7 @@ from repro.api import Estimator, Release, from_spec, registry
 from repro.baselines.ag import _ag_histogram
 from repro.baselines.dawa import _dawa_histogram
 from repro.baselines.hierarchy import _hierarchy_histogram
-from repro.baselines.kdtree import _kdtree_histogram
+from repro.baselines.kdtree import _kdtree_flat
 from repro.baselines.privelet import _privelet_histogram
 from repro.baselines.ug import _ug_histogram
 from repro.domains import Box
@@ -115,7 +115,7 @@ IMPLEMENTATIONS = [
     (_hierarchy_histogram, "hierarchy", {}, {}),
     (_dawa_histogram, "dawa", {"cells_per_dim": 32}, {"cells_per_dim": 32}),
     (_privelet_histogram, "privelet", {"cells_per_dim": 32}, {"cells_per_dim": 32}),
-    (_kdtree_histogram, "kdtree", {"height": 4}, {"height": 4}),
+    (_kdtree_flat, "kdtree", {"height": 4}, {"height": 4}),
 ]
 
 

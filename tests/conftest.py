@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.domains import Box
-from repro.spatial import HistogramNode, SpatialDataset
+from repro.spatial import SpatialDataset
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 
@@ -80,16 +80,3 @@ def clustered_2d() -> SpatialDataset:
     pts = np.clip(np.vstack([cluster, background]), 0.0, 0.999999)
     return SpatialDataset(pts, Box.unit(2), name="clustered2d")
 
-
-@pytest.fixture
-def built_nodes(monkeypatch) -> list:
-    """One entry per :class:`HistogramNode` constructed during the test."""
-    built: list = []
-    init = HistogramNode.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(HistogramNode, "__init__", counting_init)
-    return built

@@ -215,10 +215,10 @@ class TestBitIdentity:
         assert tree_to_dict(federated) == tree_to_dict(central)
 
 
-class TestLazyTree:
-    """The fit returns the tree over its arrays: nodes only on a root read."""
+class TestTreeOverArrays:
+    """The fit returns the tree over its arrays, equal to the centralized one."""
 
-    def test_loopback_fit_builds_no_node(self, clustered_2d, built_nodes):
+    def test_loopback_fit_reads_the_centralized_arrays(self, clustered_2d):
         tree = federated_privtree_histogram(
             shard_dataset(clustered_2d, 3), epsilon=1.0, rng=0
         )
@@ -231,18 +231,15 @@ class TestLazyTree:
         assert release.query_domain == clustered_2d.domain
         central = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert tree_to_dict(tree) == tree_to_dict(central)
-        assert not built_nodes
         assert tree == central
-        assert len(built_nodes) == 2 * tree.size
 
-    def test_estimator_fit_builds_no_node(self, clustered_2d, built_nodes):
+    def test_estimator_fit_statistics_read_the_arrays(self, clustered_2d):
         release = from_spec("privtree_federated", epsilon=1.0, n_shards=3).fit(
             clustered_2d, rng=0
         )
         assert release.size == release.flat().size
         assert release.height == release.flat().height
         assert release.query_domain == clustered_2d.domain
-        assert not built_nodes
 
 
 class TestAccounting:
@@ -338,10 +335,11 @@ class _WireTap(ShardCollector):
 
 def _node_box(tree, node_id: str) -> Box:
     """The box of ``node_id`` in a released tree: walk its path from the root."""
-    node = tree.root
+    flat = tree.flat()
+    row = 0
     for rank in node_id.split(".")[1:]:
-        node = node.children[int(rank)]
-    return node.box
+        row = flat.child_index[flat.child_offsets[row] + int(rank)]
+    return Box.from_arrays(flat.lows[row], flat.highs[row])
 
 
 class TestNoRawCountExposure:

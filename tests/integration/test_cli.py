@@ -284,6 +284,41 @@ class TestQueryCommand:
                 ]
             )
 
+    def test_query_rejects_malformed_tree_release(self, tmp_path):
+        import json
+
+        root = {"low": [0.0, 0.0], "high": [1.0, 1.0], "count": 3.0, "children": [None]}
+        release_file = tmp_path / "bad.json"
+        release_file.write_text(
+            json.dumps(
+                {
+                    "format": "repro.release",
+                    "version": 1,
+                    "kind": "spatial-tree",
+                    "method": "privtree",
+                    "epsilon_spent": 1.0,
+                    "payload": {
+                        "format": "repro.histogram_tree", "version": 1, "root": root,
+                    },
+                }
+            )
+        )
+        workload_file = tmp_path / "workload.json"
+        workload_file.write_text('{"format": "repro.workload", "version": 1, "queries": []}')
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "query",
+                    "--release",
+                    str(release_file),
+                    "--workload",
+                    str(workload_file),
+                ]
+            )
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("cannot load release")
+
     def test_query_rejects_missing_release(self, tmp_path):
         workload_file = tmp_path / "workload.json"
         workload_file.write_text("{}")
@@ -809,6 +844,49 @@ class TestRejectedParameterValues:
         store = tmp_path / "store"
         assert not store.exists() or not ReleaseStore(store, create=False).ids()
         assert accountants and all(not a.ledger for a in accountants)
+
+
+class TestRejectedEpsilon:
+    """A budget that is not a positive finite number is refused with one line
+    naming ``--epsilon``, before any data is generated or budget spent."""
+
+    #: Command prefix per fit command; each writes --out or a store entry.
+    COMMANDS = {
+        "run": ["run", "--method", "privtree", "--out", "{tmp}/out.json"],
+        "store-put": ["store", "put", "--store", "{tmp}/store", "--method", "privtree"],
+        "federated-fit": [
+            "federated-fit", "--shards", "2",
+            "--out", "{tmp}/out.json", "--store", "{tmp}/store",
+        ],
+    }
+
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exits_with_one_line(self, command, epsilon, monkeypatch, tmp_path):
+        import repro.mechanisms
+        from repro.serve import ReleaseStore
+
+        accountants = []
+
+        class Recorded(repro.mechanisms.PrivacyAccountant):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                accountants.append(self)
+
+        monkeypatch.setattr(repro.mechanisms, "PrivacyAccountant", Recorded)
+        argv = [arg.format(tmp=tmp_path) for arg in self.COMMANDS[command]] + [
+            "--dataset", "gowalla", "--n", "500", "--epsilon", epsilon,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        # A message as the exit code: one line on stderr, exit status 1.
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "--epsilon" in message
+        assert not (tmp_path / "out.json").exists()
+        store = tmp_path / "store"
+        assert not store.exists() or not ReleaseStore(store, create=False).ids()
+        assert not accountants
 
 
 class TestLedgerReconciliation:

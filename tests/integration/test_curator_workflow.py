@@ -35,7 +35,7 @@ class TestSpatialCuratorWorkflow:
 
         # Consumer side: loads the artifact, never touches the points.
         release = load_tree(path)
-        queries = generate_workload(release.root.box, "medium", 40, rng=1)
+        queries = generate_workload(release.domain, "medium", 40, rng=1)
         answers = [release.range_count(q) for q in queries]
         assert all(np.isfinite(a) for a in answers)
 
@@ -45,7 +45,7 @@ class TestSpatialCuratorWorkflow:
 
         # The artifact carries no raw coordinates: its JSON mentions only
         # boxes and counts, and the number of stored values is far below n.
-        n_values = sum(1 for _ in release.root.iter_nodes())
+        n_values = release.flat().counts.size
         assert n_values < clustered_2d.n / 3
 
     def test_release_reuse_is_free(self, clustered_2d):

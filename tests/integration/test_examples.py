@@ -35,6 +35,11 @@ class TestFastExamples:
         assert "mixed-domain PrivTree" in out
         assert "coffee" in out
 
+    def test_private_kmeans(self, capsys):
+        out = run_example("private_kmeans.py", capsys)
+        assert "PrivTree+Lloyd" in out
+        assert "recovered centers at eps=1.0" in out
+
     def test_all_examples_importable(self):
         # Every example must at least parse and expose a main().
         import ast

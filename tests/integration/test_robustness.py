@@ -11,7 +11,7 @@ from repro.baselines import ngram_model
 from repro.baselines.ag import _ag_histogram
 from repro.baselines.dawa import _dawa_histogram
 from repro.baselines.hierarchy import _hierarchy_histogram
-from repro.baselines.kdtree import _kdtree_histogram
+from repro.baselines.kdtree import _kdtree_flat
 from repro.baselines.privelet import _privelet_histogram
 from repro.baselines.ug import _ug_histogram
 from repro.domains import Box
@@ -57,7 +57,7 @@ class TestEmptySpatialData:
         assert np.isfinite(hist.grid.counts).all()
 
     def test_kdtree(self, empty_2d):
-        tree = _kdtree_histogram(empty_2d, epsilon=1.0, height=3, rng=0)
+        tree = _kdtree_flat(empty_2d, epsilon=1.0, height=3, rng=0)
         assert tree.height <= 2
 
 

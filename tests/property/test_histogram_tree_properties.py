@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.domains import Box
-from repro.spatial.histogram_tree import HistogramNode, HistogramTree
+from repro.experiments.perf import HistogramNode, reference_flat_from_nodes
 
 
 @st.composite
@@ -34,13 +34,13 @@ class TestTraversalProperties:
     @given(root=trees())
     @settings(max_examples=60)
     def test_full_domain_equals_root_count(self, root):
-        tree = HistogramTree(root=root)
+        tree = reference_flat_from_nodes(root).to_tree()
         assert np.isclose(tree.range_count(Box.unit(2)), root.count, rtol=1e-9)
 
     @given(root=trees(), query=queries(), data=st.data())
     @settings(max_examples=80)
     def test_additive_over_split_queries(self, root, query, data):
-        tree = HistogramTree(root=root)
+        tree = reference_flat_from_nodes(root).to_tree()
         frac = data.draw(st.floats(min_value=0.2, max_value=0.8))
         cut = query.low[0] + frac * (query.high[0] - query.low[0])
         if not (query.low[0] < cut < query.high[0]):
@@ -56,7 +56,7 @@ class TestTraversalProperties:
     @given(root=trees(), query=queries())
     @settings(max_examples=60)
     def test_monotone_in_query_for_nonnegative_counts(self, root, query):
-        tree = HistogramTree(root=root)
+        tree = reference_flat_from_nodes(root).to_tree()
         grown = Box(
             tuple(max(0.0, lo - 0.05) for lo in query.low),
             tuple(min(1.0, hi + 0.05) for hi in query.high),
@@ -66,6 +66,6 @@ class TestTraversalProperties:
     @given(root=trees(), query=queries())
     @settings(max_examples=60)
     def test_to_grid_consistent_with_range_count(self, root, query):
-        tree = HistogramTree(root=root)
+        tree = reference_flat_from_nodes(root).to_tree()
         grid = tree.to_grid((4, 4))
         assert np.isclose(grid.sum(), tree.range_count(Box.unit(2)), rtol=1e-9, atol=1e-6)

@@ -3,16 +3,22 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SpatialTreeRelease
 from repro.domains import Box
+from repro.experiments.perf import (
+    HistogramNode,
+    reference_flat_from_nodes,
+    reference_nodes_from_dict,
+    reference_range_count,
+)
 from repro.sequence import Alphabet, pst_from_dict, pst_to_dict
 from repro.sequence.pst import PredictionSuffixTree, PSTNode
 from repro.spatial import tree_from_dict, tree_to_dict
 from repro.spatial.flat import FlatHistogram
-from repro.spatial.histogram_tree import HistogramNode, HistogramTree
 from repro.spatial.serialize import flat_to_dict, flat_to_json_text
 
 counts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -125,11 +131,12 @@ class TestHistogramTreeRoundTrip:
     @given(root=histogram_trees())
     @settings(max_examples=60)
     def test_structure_and_counts_preserved(self, root):
-        tree = HistogramTree(root=root)
+        tree = reference_flat_from_nodes(root).to_tree()
         restored = tree_from_dict(tree_to_dict(tree))
         assert restored.size == tree.size
-        originals = [(n.box, n.count) for n in tree.root.iter_nodes()]
-        restoreds = [(n.box, n.count) for n in restored.root.iter_nodes()]
+        restored_root = reference_nodes_from_dict(tree_to_dict(restored))
+        originals = [(n.box, n.count) for n in root.iter_nodes()]
+        restoreds = [(n.box, n.count) for n in restored_root.iter_nodes()]
         for (box_a, count_a), (box_b, count_b) in zip(originals, restoreds):
             assert box_a == box_b
             assert count_a == count_b
@@ -137,10 +144,77 @@ class TestHistogramTreeRoundTrip:
     @given(root=histogram_trees())
     @settings(max_examples=30)
     def test_query_equivalence(self, root):
-        tree = HistogramTree(root=root)
+        tree = reference_flat_from_nodes(root).to_tree()
         restored = tree_from_dict(tree_to_dict(tree))
         query = Box((0.25, 0.1), (0.8, 0.7))
         assert restored.range_count(query) == tree.range_count(query)
+        restored_root = reference_nodes_from_dict(tree_to_dict(restored))
+        assert reference_range_count(restored_root, query) == reference_range_count(
+            root, query
+        )
+
+
+#: Node counts a JSON document may carry besides finite numbers:
+#: non-finite values, and values ``float()`` takes or refuses.
+ODD_COUNTS = [float("nan"), float("inf"), None, "1.5", "lots", True, 7]
+
+
+@st.composite
+def nested_boxes(draw, low, high):
+    """A box inside ``[low, high]``; now and then an extent is empty."""
+    new_low, new_high = [], []
+    for lo, hi in zip(low, high):
+        if lo < hi and draw(st.integers(0, 15)):
+            pair = st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)
+            a, b = sorted(draw(pair))
+        else:
+            a = b = draw(st.floats(lo, hi))
+        new_low.append(a)
+        new_high.append(b)
+    return new_low, new_high
+
+
+@st.composite
+def tree_documents(draw, low=None, high=None, depth=0):
+    """A ``repro.histogram_tree`` node in which every child lies inside its
+    parent; now and then an extent is empty or a count malformed."""
+    if low is None:
+        d = draw(st.integers(1, 3))
+        low, high = draw(nested_boxes([-10.0] * d, [10.0] * d))
+    node = {"low": low, "high": high}
+    odd = draw(st.integers(0, 15))
+    if odd == 0:
+        node["count"] = draw(st.sampled_from(ODD_COUNTS))
+    elif odd != 1:  # and now and then a node has no count
+        node["count"] = draw(st.floats(min_value=-1e6, max_value=1e6))
+    if depth < 3 and draw(st.booleans()):
+        node["children"] = [
+            draw(tree_documents(*draw(nested_boxes(low, high)), depth=depth + 1))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    return node
+
+
+class TestArrayDecoderAgreesWithFrozenNodeDecoder:
+    """``tree_from_dict`` decodes into arrays what the frozen node decoder
+    decodes into nodes, and refuses what it refuses."""
+
+    @given(root=tree_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_same_arrays_or_both_reject(self, root):
+        document = {"format": "repro.histogram_tree", "version": 1, "root": root}
+        try:
+            expected = reference_flat_from_nodes(reference_nodes_from_dict(document))
+        except ValueError:
+            with pytest.raises(ValueError):
+                tree_from_dict(document)
+            return
+        got = tree_from_dict(document).flat()
+        for name in ("lows", "highs", "counts", "parents", "child_offsets", "child_index"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+            np.testing.assert_array_equal(
+                getattr(got, name), getattr(expected, name), err_msg=name
+            )
 
 
 class TestJsonTextIdentity:

@@ -714,7 +714,7 @@ class TestConcurrency:
         httpd, ids, releases = server
         from repro.spatial import generate_workload
 
-        boxes = generate_workload(releases["spatial"].tree.root.box, "medium", 50, rng=7)
+        boxes = generate_workload(releases["spatial"].tree.domain, "medium", 50, rng=7)
         expected = releases["spatial"].query_many(boxes)
         seq_expected = [float(v) for v in releases["sequence"].query_many(QUERY_CODES)]
         failures = []

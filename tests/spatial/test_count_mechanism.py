@@ -11,9 +11,9 @@ class TestGeometricCounts:
         syn = _privtree_histogram(
             uniform_2d, epsilon=1.0, count_mechanism="geometric", rng=0
         )
-        leaves = [n for n in syn.root.iter_nodes() if n.is_leaf]
-        for leaf in leaves:
-            assert leaf.count == int(leaf.count)
+        flat = syn.flat()
+        for count in flat.counts[flat.is_leaf].tolist():
+            assert count == int(count)
 
     def test_total_count_near_n(self, uniform_2d):
         syn = _privtree_histogram(

@@ -1,9 +1,10 @@
 """Equivalence tests for the flat array-backed query engine.
 
-The flat engine must answer exactly like the recursive §2.2 traversal (to
-float round-off) on any released tree — including SimpleTree releases,
-whose internal counts are NOT the sum of their children, which exercises
-the maximal-covered-node logic rather than leaf-only shortcuts.
+The flat engine must answer exactly like the frozen recursive §2.2
+traversal over nodes (to float round-off) on any released tree — including
+SimpleTree releases, whose internal counts are NOT the sum of their
+children, which exercises the maximal-covered-node logic rather than
+leaf-only shortcuts.
 """
 
 import numpy as np
@@ -11,19 +12,19 @@ import pytest
 
 from repro import from_spec
 from repro.domains import Box
-from repro.experiments.perf import reference_range_count_arrays
-from repro.spatial import (
-    FlatHistogram,
+from repro.experiments.perf import (
     HistogramNode,
-    HistogramTree,
-    SpatialDataset,
-    flatten_tree,
-    generate_workload,
+    reference_flat_from_nodes,
+    reference_nodes_from_dict,
+    reference_range_count,
+    reference_range_count_arrays,
 )
+from repro.spatial import FlatHistogram, SpatialDataset, generate_workload
 from repro.queries import RangeCount, Workload
 from repro.serve import ReleaseStore
 from repro.spatial.quadtree import _privtree_flat, _privtree_histogram, _simpletree_flat
 from repro.spatial.serialize import tree_from_dict, tree_to_dict
+from repro.experiments.perf import synthetic_flat_histogram
 
 BANDS = ["small", "medium", "large"]
 
@@ -62,22 +63,27 @@ def random_trees():
     return trees
 
 
+def frozen_nodes(tree) -> HistogramNode:
+    """The root of ``tree`` as frozen reference nodes, via its JSON document."""
+    return reference_nodes_from_dict(tree_to_dict(tree))
+
+
 class TestCompilation:
     def test_arrays_mirror_tree(self):
         tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
-        flat = flatten_tree(tree)
+        flat = FlatHistogram.from_tree(tree)
         assert flat.size == tree.size
         assert flat.leaf_count == tree.leaf_count
         assert flat.total_count == tree.total_count
         assert flat.ndim == 2
-        nodes = list(tree.root.iter_nodes())
+        nodes = list(frozen_nodes(tree).iter_nodes())
         for i, node in enumerate(nodes):
             assert tuple(flat.lows[i]) == node.box.low
             assert tuple(flat.highs[i]) == node.box.high
             assert flat.counts[i] == node.count
 
     def test_topology_consistent(self):
-        flat = flatten_tree(
+        flat = FlatHistogram.from_tree(
             _privtree_histogram(random_dataset(1), epsilon=1.0, rng=1)
         )
         assert flat.parents[0] == -1
@@ -92,10 +98,10 @@ class TestCompilation:
 
     def test_to_tree_round_trip(self):
         tree = _privtree_histogram(random_dataset(2), epsilon=1.0, rng=2)
-        rebuilt = flatten_tree(tree).to_tree()
+        rebuilt = FlatHistogram.from_tree(tree).to_tree()
         assert rebuilt.size == tree.size
-        originals = list(tree.root.iter_nodes())
-        copies = list(rebuilt.root.iter_nodes())
+        originals = list(frozen_nodes(tree).iter_nodes())
+        copies = list(frozen_nodes(rebuilt).iter_nodes())
         for a, b in zip(originals, copies):
             assert a.box == b.box
             assert a.count == b.count
@@ -118,11 +124,7 @@ class TestCompilation:
         tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         assert tree.flat() is tree.flat()
 
-
-class TestLazyTree:
-    """``to_tree()`` builds the nodes on the first ``root`` read, not before."""
-
-    def test_to_tree_and_its_statistics_build_no_node(self, built_nodes):
+    def test_to_tree_statistics_read_the_arrays(self):
         flat = _privtree_flat(random_dataset(0), epsilon=1.0, rng=0)
         tree = flat.to_tree()
         assert (tree.size, tree.leaf_count, tree.height) == (
@@ -130,27 +132,39 @@ class TestLazyTree:
         )
         assert tree.total_count == flat.total_count
         assert tree.flat() is flat
-        assert not built_nodes
 
-    def test_first_root_read_builds_each_node_once(self, built_nodes):
-        tree = _privtree_histogram(random_dataset(1), epsilon=1.0, rng=1)
-        assert not built_nodes
-        root = tree.root
-        assert len(built_nodes) == tree.size
-        assert tree.root is root
-        assert len(built_nodes) == tree.size
-
-    def test_matches_the_node_walk(self):
+    def test_statistics_match_the_frozen_node_walk(self):
         for tree in random_trees():
-            lazy = tree.flat().to_tree()
-            # Loaded from JSON: a tree of nodes, its statistics from a walk.
-            eager = tree_from_dict(tree_to_dict(tree))
-            assert (eager.size, eager.leaf_count, eager.height, eager.total_count) == (
-                lazy.size, lazy.leaf_count, lazy.height, lazy.total_count
+            root = frozen_nodes(tree)
+            nodes = list(root.iter_nodes())
+            leaves = [node for node in nodes if node.is_leaf]
+            decoded = tree_from_dict(tree_to_dict(tree))
+            assert (decoded.size, decoded.leaf_count, decoded.total_count) == (
+                len(nodes), len(leaves), root.count
             )
-            assert lazy == eager
+            assert decoded.height == tree.height
+            assert decoded == tree
 
-    def test_fit_put_get_answer_build_no_node(self, built_nodes, tmp_path):
+    def test_json_round_trip_returns_the_fit_arrays(self):
+        for tree in random_trees():
+            flat, decoded = tree.flat(), tree_from_dict(tree_to_dict(tree)).flat()
+            for name in ("lows", "highs", "counts", "parents", "child_offsets",
+                         "child_index"):
+                got, want = getattr(decoded, name), getattr(flat, name)
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_from_tree_matches_the_frozen_node_compile(self):
+        for tree in [*random_trees(), synthetic_flat_histogram(3).to_tree()]:
+            flat = FlatHistogram.from_tree(tree)
+            expected = reference_flat_from_nodes(frozen_nodes(tree))
+            for name in ("lows", "highs", "counts", "parents", "child_offsets",
+                         "child_index"):
+                got, want = getattr(flat, name), getattr(expected, name)
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_fit_put_get_answer_agree(self, tmp_path):
         data = random_dataset(2)
         boxes = generate_workload(data.domain, "medium", 20, rng=3)
         workload = Workload.of([RangeCount.of(box) for box in boxes])
@@ -164,7 +178,6 @@ class TestLazyTree:
             assert each.query_domain == data.domain
             each.to_json_text()
         assert np.array_equal(loaded.answer(workload), release.answer(workload))
-        assert not built_nodes
 
 
 class TestEquivalence:
@@ -172,9 +185,9 @@ class TestEquivalence:
     def test_flat_matches_recursive_on_randomized_trees(self, band):
         for i, tree in enumerate(random_trees()):
             flat = tree.flat()
-            domain = tree.root.box
-            queries = generate_workload(domain, band, 40, rng=100 + i)
-            recursive = np.array([tree.range_count(q) for q in queries])
+            root = frozen_nodes(tree)
+            queries = generate_workload(tree.domain, band, 40, rng=100 + i)
+            recursive = np.array([reference_range_count(root, q) for q in queries])
             batched = flat.range_count_many(queries)
             single = np.array([flat.range_count(q) for q in queries])
             scale = max(1.0, float(np.abs(recursive).max()))
@@ -192,8 +205,10 @@ class TestEquivalence:
         assert tree.flat().range_count(outside) == 0.0
 
     def test_single_node_tree(self):
-        tree = HistogramTree(root=HistogramNode(box=Box.unit(2), count=42.0))
-        flat = flatten_tree(tree)
+        tree = reference_flat_from_nodes(
+            HistogramNode(box=Box.unit(2), count=42.0)
+        ).to_tree()
+        flat = FlatHistogram.from_tree(tree)
         assert flat.range_count(Box((0.0, 0.0), (0.5, 0.5))) == pytest.approx(10.5)
         assert flat.range_count(Box((-1.0, -1.0), (2.0, 2.0))) == pytest.approx(42.0)
 
@@ -205,16 +220,14 @@ class TestEquivalence:
             HistogramNode(box=b, count=c)
             for b, c in zip(quadrants, [1.0, 2.0, 3.0, 4.0])
         ]
-        tree = HistogramTree(
-            root=HistogramNode(box=Box.unit(2), count=999.0, children=children)
-        )
-        flat = flatten_tree(tree)
+        root = HistogramNode(box=Box.unit(2), count=999.0, children=children)
+        flat = reference_flat_from_nodes(root)
         whole = Box((-0.5, -0.5), (1.5, 1.5))
         # Whole-domain query hits the covered root: 999, not 1+2+3+4.
         assert flat.range_count(whole) == pytest.approx(999.0)
-        assert tree.range_count(whole) == pytest.approx(999.0)
+        assert reference_range_count(root, whole) == pytest.approx(999.0)
         half = Box((0.0, 0.0), (0.5, 1.0))
-        assert flat.range_count(half) == pytest.approx(tree.range_count(half))
+        assert flat.range_count(half) == pytest.approx(reference_range_count(root, half))
 
 
 #: The releases the column traversal is held to byte for byte, as
@@ -282,7 +295,7 @@ class TestBatchedSurface:
         assert tree.flat().range_count_many([]).shape == (0,)
 
     def test_dimension_mismatch_raises(self):
-        flat = flatten_tree(
+        flat = FlatHistogram.from_tree(
             _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         )
         with pytest.raises(ValueError):
@@ -292,16 +305,17 @@ class TestBatchedSurface:
 
     def test_tree_range_count_many_delegates(self):
         tree = _privtree_histogram(random_dataset(3), epsilon=1.0, rng=3)
-        queries = generate_workload(tree.root.box, "medium", 10, rng=9)
+        queries = generate_workload(tree.domain, "medium", 10, rng=9)
+        root = frozen_nodes(tree)
         assert np.allclose(
             tree.range_count_many(queries),
-            [tree.range_count(q) for q in queries],
+            [reference_range_count(root, q) for q in queries],
         )
 
 
 class TestFlatHistogramIsFrozen:
     def test_dataclass_frozen(self):
-        flat = flatten_tree(
+        flat = FlatHistogram.from_tree(
             _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
         )
         with pytest.raises(AttributeError):

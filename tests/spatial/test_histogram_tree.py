@@ -3,16 +3,27 @@
 import pytest
 
 from repro.domains import Box
-from repro.spatial import HistogramNode, HistogramTree
+from repro.spatial import HistogramTree, tree_from_dict
+
+
+def node(box: Box, count: float, children=()) -> dict:
+    """One node of a ``repro.histogram_tree`` document."""
+    doc = {"low": list(box.low), "high": list(box.high), "count": count}
+    if children:
+        doc["children"] = list(children)
+    return doc
+
+
+def tree_of(root: dict) -> HistogramTree:
+    return tree_from_dict({"format": "repro.histogram_tree", "version": 1, "root": root})
 
 
 def two_level_tree() -> HistogramTree:
     """Unit square split into quadrants with known counts 10/20/30/40."""
     quadrants = Box.unit(2).bisect()
     counts = [10.0, 20.0, 30.0, 40.0]
-    children = [HistogramNode(box=b, count=c) for b, c in zip(quadrants, counts)]
-    root = HistogramNode(box=Box.unit(2), count=100.0, children=children)
-    return HistogramTree(root=root)
+    children = [node(b, c) for b, c in zip(quadrants, counts)]
+    return tree_of(node(Box.unit(2), 100.0, children))
 
 
 class TestStructure:
@@ -38,7 +49,6 @@ class TestRangeCount:
 
     def test_disjoint_query_is_zero(self):
         tree = two_level_tree()
-        tree.root.box = Box.unit(2)
         outside = Box((2.0, 2.0), (3.0, 3.0))
         assert tree.range_count(outside) == 0.0
 
@@ -65,6 +75,6 @@ class TestRangeCount:
 
     def test_intermediate_count_used_when_fully_contained(self):
         # A root-only tree answers from the root count directly.
-        tree = HistogramTree(root=HistogramNode(box=Box.unit(2), count=55.0))
+        tree = tree_of(node(Box.unit(2), 55.0))
         assert tree.range_count(Box.unit(2)) == pytest.approx(55.0)
         assert tree.range_count(Box((0.0, 0.0), (0.5, 1.0))) == pytest.approx(27.5)

@@ -5,6 +5,7 @@ import pytest
 
 from repro import from_spec
 from repro.domains import Box
+from repro.experiments.perf import reference_nodes_from_dict
 from repro.federated import federated_privtree_histogram, shard_dataset
 from repro.mechanisms import PrivacyAccountant
 from repro.spatial import (
@@ -13,6 +14,7 @@ from repro.spatial import (
     privtree_decomposition,
 )
 from repro.spatial.quadtree import _privtree_histogram, _simpletree_flat
+from repro.spatial.serialize import tree_to_dict
 
 
 class TestPrivTreeHistogram:
@@ -22,7 +24,7 @@ class TestPrivTreeHistogram:
 
     def test_intermediate_counts_are_leaf_sums(self, uniform_2d):
         syn = _privtree_histogram(uniform_2d, epsilon=1.0, rng=0)
-        for node in syn.root.iter_nodes():
+        for node in reference_nodes_from_dict(tree_to_dict(syn)).iter_nodes():
             if not node.is_leaf:
                 assert node.count == pytest.approx(sum(c.count for c in node.children))
 
@@ -154,11 +156,9 @@ class TestSimpleTreeHistogram:
         assert syn.height <= 2
 
     def test_all_nodes_have_counts(self, uniform_2d):
-        syn = _simpletree_flat(
-            uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0
-        ).to_tree()
-        for node in syn.root.iter_nodes():
-            assert isinstance(node.count, float)
+        syn = _simpletree_flat(uniform_2d, epsilon=1.0, height=3, theta=0.0, rng=0)
+        for count in syn.counts.tolist():
+            assert isinstance(count, float)
 
     def test_privtree_beats_simpletree_on_skewed_data(self, clustered_2d):
         # The headline claim, in miniature: with deep structure available,

@@ -136,6 +136,21 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="dims"):
             tree_from_dict(_doc(root))
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            _doc(None),
+            _doc([1, 2]),
+            _doc({"low": [0.0], "high": [1.0], "count": 1.0, "children": [None]}),
+            _doc({"low": [0.0], "high": [1.0], "count": 1.0, "children": {"a": 1}}),
+            _doc({"low": [0.0], "high": [1.0], "count": 1.0, "children": "ab"}),
+        ],
+        ids=["null-root", "list-root", "null-child", "object-children", "string-children"],
+    )
+    def test_wrongly_typed_node_rejected(self, document):
+        with pytest.raises(ValueError):
+            tree_from_dict(document)
+
     def test_valid_nested_document_still_loads(self, uniform_2d):
         doc = tree_to_dict(_privtree_histogram(uniform_2d, epsilon=1.0, rng=0))
         restored = tree_from_dict(json.loads(json.dumps(doc)))

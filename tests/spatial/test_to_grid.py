@@ -5,16 +5,19 @@ import pytest
 
 from repro.domains import Box
 from repro.spatial.quadtree import _privtree_histogram
-from repro.spatial.histogram_tree import HistogramNode, HistogramTree
+from repro.spatial.histogram_tree import HistogramTree
+from repro.spatial.serialize import tree_from_dict
 
 
 def quadrant_tree() -> HistogramTree:
     quadrants = Box.unit(2).bisect()
     counts = [10.0, 20.0, 30.0, 40.0]
-    children = [HistogramNode(box=b, count=c) for b, c in zip(quadrants, counts)]
-    return HistogramTree(
-        root=HistogramNode(box=Box.unit(2), count=100.0, children=children)
-    )
+    children = [
+        {"low": list(b.low), "high": list(b.high), "count": c}
+        for b, c in zip(quadrants, counts)
+    ]
+    root = {"low": [0.0, 0.0], "high": [1.0, 1.0], "count": 100.0, "children": children}
+    return tree_from_dict({"format": "repro.histogram_tree", "version": 1, "root": root})
 
 
 class TestToGrid:

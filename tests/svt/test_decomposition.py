@@ -10,16 +10,15 @@ class TestSvtDecomposition:
     def test_builds_a_tree(self, clustered_2d):
         tree = binary_svt_decomposition(clustered_2d, epsilon=1.0, theta=100.0, rng=0)
         assert tree.size >= 1
-        assert tree.root.box == clustered_2d.domain
+        assert tree.domain == clustered_2d.domain
 
     def test_adapts_to_density(self, clustered_2d):
         tree = binary_svt_decomposition(clustered_2d, epsilon=2.0, theta=50.0, rng=1)
         if tree.size > 1:
             # Deepest leaves should sit near the cluster at (0.25, 0.25).
-            leaves = [n for n in tree.root.iter_nodes() if n.is_leaf]
-            smallest = min(leaves, key=lambda n: n.box.volume)
-            assert abs(smallest.box.center[0] - 0.25) < 0.3
-            assert abs(smallest.box.center[1] - 0.25) < 0.3
+            smallest = min(tree.leaf_boxes(), key=lambda box: box.volume)
+            assert abs(smallest.center[0] - 0.25) < 0.3
+            assert abs(smallest.center[1] - 0.25) < 0.3
 
     def test_max_depth_respected(self, clustered_2d):
         tree = binary_svt_decomposition(
