@@ -294,7 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--band", default="medium", choices=["small", "medium", "large"]
     )
     bench.add_argument("--epsilon", type=float, default=1.0, help="privacy budget")
-    bench.add_argument("--repeats", type=int, default=3, help="best-of repetitions")
+    bench.add_argument(
+        "--repeats",
+        type=int,
+        default=5,
+        help="rounds per case; each round runs the optimized path, then the "
+        "reference, and the bench reports each side's median and IQR",
+    )
     bench.add_argument("--seed", type=int, default=0, help="rng seed")
     bench.add_argument(
         "--sequences",
@@ -924,7 +930,7 @@ def _run_bench(args: argparse.Namespace) -> tuple[str, int]:
     )
     lines = [
         f"perf bench (n={args.n:,}, {args.queries:,} {args.band} queries, "
-        f"{args.sequences:,} sequences, best of {args.repeats})",
+        f"{args.sequences:,} sequences, median of {args.repeats})",
     ]
     for name, case in results["cases"].items():
         line = f"  {name:20s} {case['optimized_s']*1e3:9.1f} ms"
@@ -1069,6 +1075,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise SystemExit(f"--epsilon must be a positive finite number, got {epsilon:g}")
+    repeats = getattr(args, "repeats", None)
+    if repeats is not None and repeats < 1:
+        raise SystemExit(f"--repeats must be at least 1, got {repeats}")
     if args.command == "run":
         print(_with_trace(args, _run_method))
     elif args.command == "methods":

@@ -31,7 +31,6 @@ from .perf import (
     run_perf_bench,
     run_sequence_perf_bench,
     run_service_perf_bench,
-    run_service_throughput_bench,
     write_bench_json,
 )
 from .timing import run_privtree_timing
@@ -60,7 +59,6 @@ __all__ = [
     "run_privtree_timing",
     "run_sequence_perf_bench",
     "run_service_perf_bench",
-    "run_service_throughput_bench",
     "write_bench_json",
     "run_range_query_experiment",
     "run_topk_experiment",

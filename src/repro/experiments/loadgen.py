@@ -1,5 +1,10 @@
 """A closed-loop HTTP load generator for the synopsis service.
 
+Deprecated since 5.0.0, and removed in 6.0.0: ``repro bench`` no longer
+calls it, and perfbench's serve-bulk workload (``python3 perfbench/run.py
+--workload serve-bulk``) measures the served binary path end to end, with
+every failed request counted.
+
 Measures what a consumer of ``repro serve`` actually sees: ``clients``
 concurrent keep-alive connections, each POSTing the same query batch
 back-to-back against one release and timing every request.  Closed-loop
@@ -31,6 +36,7 @@ from __future__ import annotations
 import http.client
 import threading
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +135,17 @@ def run_load(
     and closes when the last batch completes, so ``queries_per_s`` never
     counts connection setup.  Raises :class:`LoadError` if any request
     fails — a throughput number measured over errors would be fiction.
+
+    .. deprecated:: 5.0.0
+        Removed in 6.0.0; use perfbench's serve-bulk workload.
     """
+    warnings.warn(
+        "repro.experiments.run_load is deprecated and will be removed in "
+        "6.0.0; perfbench's serve-bulk workload (python3 perfbench/run.py "
+        "--workload serve-bulk) measures served throughput instead",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients!r}")
     if batches_per_client < 1:

@@ -12,10 +12,13 @@ both paths consume the RNG stream identically the reference produces the
 is preserved (batched generation) the harness checks distributional
 agreement instead.
 
-Results are returned as a plain dict (and written as ``BENCH_perf.json`` by
-the CLI) so CI can archive the numbers and the perf trajectory is
-machine-readable; :func:`compare_bench_results` renders the regression
-table behind ``repro bench --compare``.
+Each case runs its optimized and reference paths alternately and records
+each side's median and interquartile range.  Results are returned as a
+plain dict (and written as ``BENCH_perf.json`` by the CLI) so CI can
+archive the numbers and the perf trajectory is machine-readable;
+:func:`compare_bench_results` renders the regression table behind
+``repro bench --compare``, and :func:`bench_markdown_table` the README's
+Performance table.
 """
 
 from __future__ import annotations
@@ -36,11 +39,7 @@ from ..core.params import PrivTreeParams
 from ..datasets.sequence import msnbclike
 from ..datasets.spatial import gowallalike
 from ..domains.box import Box
-from ..federated.driver import (
-    FederatedPrivTree,
-    federated_privtree_histogram,
-    shard_dataset,
-)
+from ..federated.driver import federated_privtree_histogram, shard_dataset
 from ..mechanisms.geometric import geometric_noise
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import ensure_rng
@@ -62,6 +61,7 @@ __all__ = [
     "BENCH_CASES",
     "FROZEN_REFERENCE_CASES",
     "HistogramNode",
+    "bench_markdown_table",
     "bench_new_cases",
     "bench_regression_failures",
     "build_mixed_workload",
@@ -78,7 +78,6 @@ __all__ = [
     "run_perf_bench",
     "run_sequence_perf_bench",
     "run_service_perf_bench",
-    "run_service_throughput_bench",
     "scalar_query_loop",
     "synthetic_flat_histogram",
     "write_bench_json",
@@ -523,22 +522,47 @@ def scalar_query_loop(release, workload) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _best_of(repeats: int, fn: Callable[[], object]) -> tuple[float, object]:
-    """(best wall time, last result) over ``repeats`` runs."""
-    best = float("inf")
-    result = None
+def _timed(
+    repeats: int,
+    optimized: Callable[[], Any],
+    reference: Callable[[], Any] | None = None,
+) -> tuple[dict[str, float], Any, Any]:
+    """Time a case's optimized (and reference) callable ``repeats`` times.
+
+    Each round runs the optimized callable, then the reference, so a swing
+    in the host's speed reaches both sides alike.  Returns the case's
+    timing fields — each side's median (``optimized_s``, ``reference_s``)
+    and interquartile range (``optimized_iqr_s``, ``reference_iqr_s``),
+    and ``speedup``, the ratio of the medians — with each side's last
+    result (``None`` for a missing reference).
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    sides = {"optimized": optimized}
+    if reference is not None:
+        sides["reference"] = reference
+    seconds: dict[str, list[float]] = {side: [] for side in sides}
+    last: dict[str, Any] = {}
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for side, fn in sides.items():
+            start = time.perf_counter()
+            last[side] = fn()
+            seconds[side].append(time.perf_counter() - start)
+    timing = {}
+    for side, samples in seconds.items():
+        q1, median, q3 = np.percentile(samples, [25, 50, 75])
+        timing[f"{side}_s"] = float(median)
+        timing[f"{side}_iqr_s"] = float(q3 - q1)
+    if reference is not None:
+        timing["speedup"] = timing["reference_s"] / timing["optimized_s"]
+    return timing, last.get("optimized"), last.get("reference")
 
 
 def run_sequence_perf_bench(
     n_sequences: int = 200_000,
     n_synthetic: int = 20_000,
     epsilon: float = 1.0,
-    repeats: int = 3,
+    repeats: int = 5,
     rng: int = 0,
     l_top: int = 20,
     n_max: int = 5,
@@ -557,9 +581,10 @@ def run_sequence_perf_bench(
     data = msnbclike(n_sequences, rng=rng)
     store = data.truncate(l_top)
 
-    gram_s, grams = _best_of(repeats, lambda: count_grams(store, n_max))
-    gram_ref_s, grams_ref = _best_of(
-        repeats, lambda: count_grams_reference(store, n_max)
+    gram, grams, grams_ref = _timed(
+        repeats,
+        lambda: count_grams(store, n_max),
+        lambda: count_grams_reference(store, n_max),
     )
     if grams != grams_ref:
         raise AssertionError("vectorized gram counts deviate from the dict reference")
@@ -568,11 +593,6 @@ def run_sequence_perf_bench(
     # (-count, codes), keep the top candidates.  The optimized path stays
     # array-native end to end; the reference is the dict triple loop plus
     # the Python sort the experiments historically ran.
-    sub_s, ranked = _best_of(
-        repeats,
-        lambda: top_k_substrings(data, n_candidates, topk_max_length),
-    )
-
     def _reference_substring_topk():
         # The pre-optimization path the §6.2 ground truth used to take:
         # dict triple loop + Python sort of the whole table.  Returns the
@@ -581,13 +601,17 @@ def run_sequence_perf_bench(
         counts = count_substrings_reference(data, topk_max_length)
         return rank_substring_counts(counts, n_candidates), counts
 
-    sub_ref_s, (subs_ref, table_ref) = _best_of(repeats, _reference_substring_topk)
+    substring, ranked, (subs_ref, table_ref) = _timed(
+        repeats,
+        lambda: top_k_substrings(data, n_candidates, topk_max_length),
+        _reference_substring_topk,
+    )
     if ranked != subs_ref:
         raise AssertionError(
             "vectorized substring ranking deviates from the dict reference"
         )
 
-    table_s, subs = _best_of(
+    table, subs, _ = _timed(
         repeats, lambda: count_substrings(data, topk_max_length)
     )
     if subs != table_ref:
@@ -595,17 +619,15 @@ def run_sequence_perf_bench(
             "vectorized substring counts deviate from the dict reference"
         )
 
-    build_s, pst = _best_of(
+    build, pst, _ = _timed(
         repeats, lambda: private_pst(data, epsilon=epsilon, l_top=l_top, rng=rng)
     )
     flat = pst.flat()  # compile outside the timed regions, like callers do
 
     candidates = [codes for codes, _ in ranked]
-    score_s, batched_scores = _best_of(
-        repeats, lambda: flat.frequency_many(candidates)
-    )
-    score_ref_s, recursive_scores = _best_of(
+    score, batched_scores, recursive_scores = _timed(
         repeats,
+        lambda: flat.frequency_many(candidates),
         lambda: np.array([pst.string_frequency(c) for c in candidates]),
     )
     scale = max(1.0, float(np.abs(recursive_scores).max()))
@@ -615,12 +637,9 @@ def run_sequence_perf_bench(
             f"flat engine deviates from the recursive PST by {score_deviation}"
         )
 
-    generate_s, synthetic = _best_of(
+    generate, synthetic, reference_sample = _timed(
         repeats,
         lambda: flat.sample_dataset(n_synthetic, rng=rng + 1, max_length=l_top),
-    )
-    generate_ref_s, reference_sample = _best_of(
-        repeats,
         lambda: pst.sample_dataset(n_synthetic, rng=rng + 1, max_length=l_top),
     )
     support = l_top + 1
@@ -638,10 +657,11 @@ def run_sequence_perf_bench(
             f"(TVD {generation_tvd} > {tvd_limit})"
         )
 
+    n_tokens = int(store.flat.shape[0] - store.n)  # without $
     return {
         "config": {
             "n_sequences": n_sequences,
-            "n_tokens": int(store.flat.shape[0] - store.n),  # without $
+            "n_tokens": n_tokens,
             "n_synthetic": n_synthetic,
             "epsilon": epsilon,
             "repeats": repeats,
@@ -655,33 +675,29 @@ def run_sequence_perf_bench(
         },
         "cases": {
             "gram_counting": {
-                "optimized_s": gram_s,
-                "reference_s": gram_ref_s,
-                "speedup": gram_ref_s / gram_s,
+                "workload": f"n-grams up to n = {n_max} over {n_tokens:,} tokens",
+                **gram,
             },
             "substring_counting": {
                 "workload": "count + rank top candidates (exact_top_k)",
-                "optimized_s": sub_s,
-                "reference_s": sub_ref_s,
-                "speedup": sub_ref_s / sub_s,
+                **substring,
             },
             "substring_count_table": {
                 "workload": "full tuple-keyed Counter (dict materialization)",
-                "optimized_s": table_s,
+                **table,
             },
             "pst_build_release": {
-                "optimized_s": build_s,
+                "workload": f"private PST over {n_sequences:,} sequences",
+                **build,
             },
             "topk_scoring": {
-                "optimized_s": score_s,
-                "reference_s": score_ref_s,
-                "speedup": score_ref_s / score_s,
+                "workload": f"{len(candidates):,} candidate frequencies on the PST",
+                **score,
                 "max_abs_deviation": score_deviation,
             },
             "pst_generation": {
-                "optimized_s": generate_s,
-                "reference_s": generate_ref_s,
-                "speedup": generate_ref_s / generate_s,
+                "workload": f"{n_synthetic:,} synthetic sequences from the PST",
+                **generate,
                 "length_tvd_vs_reference": generation_tvd,
             },
         },
@@ -692,7 +708,7 @@ def run_service_perf_bench(
     synopsis: HistogramTree,
     queries,
     epsilon: float,
-    repeats: int = 3,
+    repeats: int = 5,
 ) -> dict:
     """Time cache-hit batched queries through the serving stack.
 
@@ -720,12 +736,13 @@ def run_service_perf_bench(
             raise AssertionError(
                 "served answers deviate from the in-process flat engine"
             )
-        service_s, _ = _best_of(
+        timing, _, _ = _timed(
             repeats, lambda: service.query_many(release_id, queries)
         )
     return {
-        "optimized_s": service_s,
-        "queries_per_s": len(queries) / service_s,
+        "workload": f"{len(queries):,} cache-hit range counts via SynopsisService",
+        **timing,
+        "queries_per_s": len(queries) / timing["optimized_s"],
         "cache_hit": True,
     }
 
@@ -799,7 +816,7 @@ def _quadtree_depth(n_points: int) -> int:
     return depth
 
 
-def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
+def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 5) -> dict:
     """Time a cold release load: v2 binary mmap vs. the v1 JSON envelope.
 
     Writes one synthetic ~100k-node release in both on-disk forms, then
@@ -849,8 +866,7 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
                 reference_nodes_from_dict(document["payload"])
             )
 
-        v2_s, v2_release = _best_of(repeats, _load_v2)
-        v1_s, v1_flat = _best_of(repeats, _load_v1)
+        timing, v2_release, v1_flat = _timed(repeats, _load_v2, _load_v1)
         decoded = release_from_json(json.loads(json_path.read_text()))
         answers = [
             engine.range_count_arrays(probe_lows, probe_highs)
@@ -862,208 +878,12 @@ def run_artifact_cold_load_bench(depth: int = 8, repeats: int = 3) -> dict:
             )
     return {
         "workload": f"{flat.size:,}-node release, file -> warmed engine",
-        "optimized_s": v2_s,
-        "reference_s": v1_s,
-        "speedup": v1_s / v2_s,
-        "cold_load_ms": v2_s * 1e3,
+        **timing,
+        "cold_load_ms": timing["optimized_s"] * 1e3,
         "artifact_bytes": n_bytes,
         "json_bytes": json_bytes,
         "bit_identical_to_json": True,
     }
-
-
-def _serve_subprocess(store_root: str, port: int, workers: int):
-    """Start ``repro serve`` in a subprocess; yields once /healthz answers."""
-    import contextlib
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import urllib.error
-    import urllib.request
-
-    import repro
-
-    # The child must import repro even when only the parent's sys.path
-    # knows where it lives (pytest's pythonpath=src, editable checkouts).
-    env = dict(os.environ)
-    package_root = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-
-    @contextlib.contextmanager
-    def _running():
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
-                "serve",
-                "--store",
-                store_root,
-                "--port",
-                str(port),
-                "--workers",
-                str(workers),
-                "--quiet",
-            ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env=env,
-        )
-        try:
-            deadline = time.perf_counter() + 30.0
-            while True:
-                try:
-                    with urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/healthz", timeout=1.0
-                    ):
-                        break
-                except (urllib.error.URLError, ConnectionError, OSError):
-                    if proc.poll() is not None:
-                        raise RuntimeError(
-                            f"serve subprocess exited with {proc.returncode}"
-                        ) from None
-                    if time.perf_counter() > deadline:
-                        raise RuntimeError("serve subprocess never became healthy")
-                    time.sleep(0.05)
-            yield
-        finally:
-            proc.terminate()
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-
-    return _running()
-
-
-def run_service_throughput_bench(
-    synopsis: HistogramTree,
-    domain,
-    epsilon: float,
-    n_batch_queries: int = 10_000,
-    clients: int = 2,
-    worker_counts: tuple[int, ...] = (1, 2),
-    rng: int = 0,
-) -> dict:
-    """End-to-end served q/s: binary wire + mmap artifacts vs. JSON.
-
-    Publishes the synopsis to a store, runs ``repro serve`` as a real
-    subprocess (per worker count), and drives it with
-    :func:`~repro.experiments.loadgen.run_load`: ``clients`` keep-alive
-    connections each POSTing a ``n_batch_queries``-range-count batch
-    back-to-back.  The optimized path is the packed binary wire form; the
-    reference is the identical workload as a v1 JSON batch against the
-    same server.  One binary response is decoded and asserted
-    bit-identical to the in-process ``release.answer`` before any timing
-    counts.
-    """
-    import tempfile
-    import urllib.request
-
-    from ..api.releases import SpatialTreeRelease
-    from ..queries import (
-        BINARY_WIRE_CONTENT_TYPE,
-        RangeCount,
-        Workload,
-        decode_binary_answers,
-        encode_binary_workload,
-    )
-    from ..serve import ReleaseStore
-    from .loadgen import run_load
-
-    boxes = generate_workload(domain, "medium", n_batch_queries, rng=rng + 9)
-    workload = Workload.of(
-        [RangeCount(low=tuple(b.low), high=tuple(b.high)) for b in boxes]
-    )
-    release = SpatialTreeRelease(synopsis, method="privtree", epsilon_spent=epsilon)
-    expected = release.answer(workload)
-    binary_payload = encode_binary_workload(workload)
-    json_payload = json.dumps(
-        {"queries": [query.to_wire() for query in workload]}
-    ).encode("utf-8")
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as root:
-        store = ReleaseStore(root)
-        release_id = store.put(release, dataset="bench")
-        port = _free_port()
-        runs: dict[str, dict] = {}
-        reference_s = None
-        for workers in worker_counts:
-            with _serve_subprocess(root, port, workers):
-                url = f"http://127.0.0.1:{port}/releases/{release_id}/query"
-                request = urllib.request.Request(
-                    url,
-                    data=binary_payload,
-                    headers={"Content-Type": BINARY_WIRE_CONTENT_TYPE},
-                )
-                with urllib.request.urlopen(request, timeout=30.0) as response:
-                    values, _ = decode_binary_answers(response.read())
-                if not np.array_equal(values, expected):
-                    raise AssertionError(
-                        "served binary answers deviate from in-process answer()"
-                    )
-                result = run_load(
-                    "127.0.0.1",
-                    port,
-                    release_id,
-                    binary_payload,
-                    content_type=BINARY_WIRE_CONTENT_TYPE,
-                    queries_per_batch=len(workload),
-                    clients=clients,
-                    batches_per_client=25,
-                )
-                runs[f"binary_workers_{workers}"] = result.to_json()
-                if workers == worker_counts[0]:
-                    json_result = run_load(
-                        "127.0.0.1",
-                        port,
-                        release_id,
-                        json_payload,
-                        content_type="application/json",
-                        queries_per_batch=len(workload),
-                        clients=clients,
-                        batches_per_client=3,
-                    )
-                    runs[f"json_workers_{workers}"] = json_result.to_json()
-                    reference_s = 1.0 / json_result.batches_per_s
-    best = max(
-        (runs[k] for k in runs if k.startswith("binary_")),
-        key=lambda r: r["queries_per_s"],
-    )
-    optimized_s = 1.0 / best["batches_per_s"]
-    import os
-
-    return {
-        "workload": (
-            f"{n_batch_queries:,} range counts per batch, "
-            f"{clients} keep-alive clients, served over HTTP"
-        ),
-        "optimized_s": optimized_s,
-        "reference_s": reference_s,
-        "speedup": reference_s / optimized_s,
-        "queries_per_s": best["queries_per_s"],
-        "p50_ms": best["p50_ms"],
-        "p99_ms": best["p99_ms"],
-        "bit_identical_to_inprocess": True,
-        # Worker scaling is core-bound: on a 1-CPU container every worker
-        # shares the same core and q/s is the engine's traversal rate.
-        "cpu_count": os.cpu_count(),
-        "runs": runs,
-    }
-
-
-def _free_port() -> int:
-    """An OS-assigned free TCP port (closed again; tiny reuse race is fine)."""
-    import socket
-
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 def run_perf_bench(
@@ -1071,29 +891,42 @@ def run_perf_bench(
     n_queries: int = 1_000,
     band: str = "medium",
     epsilon: float = 1.0,
-    repeats: int = 3,
+    repeats: int = 5,
     rng: int = 0,
     n_sequences: int = 200_000,
     n_synthetic: int = 20_000,
 ) -> dict:
     """Time the optimized vs. reference spatial *and* sequence hot paths.
 
-    Returns a JSON-ready dict: per-case best-of-``repeats`` wall times, the
-    speedup ratios, and the max |flat - recursive| query deviation (the
-    harness fails loudly if the engines disagree beyond 1e-9 relative).
-    The served batches and the mixed workload hold ``10 * n_queries``
+    Returns a JSON-ready dict: per case, the median and interquartile
+    range of ``repeats`` wall times of each side (the two sides run
+    alternately), the ratio of the medians, and the max |flat - recursive|
+    query deviation (the harness fails loudly if the engines disagree
+    beyond 1e-9 relative).  The mixed workload holds ``10 * n_queries``
     queries, and the cold-loaded release scales with ``n_points``, so the
-    defaults time 10k-query workloads and an 87k-node release.
+    defaults time a 10k-query workload and an 87k-node release.
     """
     n_mixed_queries = 10 * n_queries
     data = gowallalike(n_points, rng=rng)
     queries = generate_workload(data.domain, band, n_queries, rng=rng + 1)
 
-    # The build is the fit's own output, the flat arrays.
-    build_s, flat = _best_of(
-        repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
+    # The build is the fit's own output, the flat arrays.  The reference
+    # builds nodes; they are compiled to arrays untimed, and its recursive
+    # traversal below walks them.
+    build, flat, reference = _timed(
+        repeats,
+        lambda: _privtree_flat(data, epsilon=epsilon, rng=rng),
+        lambda: reference_privtree_nodes(data, epsilon=epsilon, rng=rng),
     )
+    build_s = build["optimized_s"]
     synopsis = flat.to_tree()
+    expected = reference_flat_from_nodes(reference)
+    for name in ("lows", "highs", "counts", "parents", "child_offsets", "child_index"):
+        if not np.array_equal(getattr(flat, name), getattr(expected, name)):
+            raise AssertionError(
+                f"optimized and reference builds diverged in {name}: "
+                f"size {flat.size} vs {expected.size}"
+            )
 
     # Telemetry overhead.  The disabled-mode claim ("span sites add at
     # most a few percent to privtree_build") is asserted from first
@@ -1105,7 +938,7 @@ def run_perf_bench(
     # enabled-mode build is timed too — recorded, never gated.
     from .. import telemetry as _telemetry
 
-    disabled_s, _ = _best_of(
+    disabled, _, _ = _timed(
         repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
     )
     n_noop_calls = 200_000
@@ -1116,7 +949,7 @@ def run_perf_bench(
     noop_span_s = (time.perf_counter() - noop_start) / n_noop_calls
     tracer = _telemetry.enable()
     try:
-        enabled_s, _ = _best_of(
+        enabled, _, _ = _timed(
             repeats, lambda: _privtree_flat(data, epsilon=epsilon, rng=rng)
         )
     finally:
@@ -1129,7 +962,7 @@ def run_perf_bench(
     # Every record the enabled build produced is one call site that the
     # disabled build paid the no-op price for (events are cheaper than
     # spans, so this over-counts — a conservative bound).
-    sites_per_build = spans_recorded / max(repeats, 1)
+    sites_per_build = spans_recorded / repeats
     overhead_disabled = (noop_span_s * sites_per_build) / build_s
     if overhead_disabled > 0.05:
         raise AssertionError(
@@ -1139,22 +972,10 @@ def run_perf_bench(
             "span path must stay within 5%"
         )
 
-    # The reference builds nodes; they are compiled to arrays untimed, and
-    # its recursive traversal below walks them.
-    build_ref_s, reference = _best_of(
-        repeats, lambda: reference_privtree_nodes(data, epsilon=epsilon, rng=rng)
-    )
-    expected = reference_flat_from_nodes(reference)
-    for name in ("lows", "highs", "counts", "parents", "child_offsets", "child_index"):
-        if not np.array_equal(getattr(flat, name), getattr(expected, name)):
-            raise AssertionError(
-                f"optimized and reference builds diverged in {name}: "
-                f"size {flat.size} vs {expected.size}"
-            )
-
-    query_s, batched = _best_of(repeats, lambda: flat.range_count_many(queries))
-    query_ref_s, recursive = _best_of(
-        repeats, lambda: reference_workload_answers(reference, queries)
+    traversal, batched, recursive = _timed(
+        repeats,
+        lambda: flat.range_count_many(queries),
+        lambda: reference_workload_answers(reference, queries),
     )
     scale = max(1.0, float(np.abs(recursive).max()))
     max_deviation = float(np.abs(batched - recursive).max())
@@ -1163,7 +984,7 @@ def run_perf_bench(
             f"flat engine deviates from the recursive traversal by {max_deviation}"
         )
 
-    workload_s, _ = _best_of(
+    generation, _, _ = _timed(
         repeats, lambda: generate_workload(data.domain, band, n_queries, rng=rng + 1)
     )
 
@@ -1175,7 +996,7 @@ def run_perf_bench(
     from ..spatial.serialize import tree_to_dict
 
     n_shards = 4
-    fed_s, fed_tree = _best_of(
+    federated, fed_tree, _ = _timed(
         repeats,
         lambda: federated_privtree_histogram(
             shard_dataset(data, n_shards), epsilon=epsilon, rng=rng
@@ -1186,57 +1007,11 @@ def run_perf_bench(
             "federated fit deviates from the centralized release"
         )
 
-    # The same fit through the full TCP transport stack — real sockets,
-    # framed messages, key exchange, retry engine — against collector
-    # servers in this process.  Times the wire overhead per fit and guards
-    # the transport's bit-identity the same way the in-process case does.
-    def _tcp_fit() -> HistogramTree:
-        from ..federated.collector import ShardCollector
-        from ..federated.net import (
-            CollectorEndpoint,
-            CollectorServer,
-            connect_collectors,
-        )
-
-        servers, addresses = [], []
-        try:
-            for i, shard in enumerate(shard_dataset(data, n_shards)):
-                server = CollectorServer(
-                    ("127.0.0.1", 0),
-                    CollectorEndpoint(ShardCollector(i, n_shards, shard)),
-                )
-                server.serve_in_thread()
-                servers.append(server)
-                addresses.append(("127.0.0.1", server.port))
-            clients = connect_collectors(addresses, session="perf")
-            driver = FederatedPrivTree(clients)
-            tree = driver.fit_histogram(epsilon, rng=rng)
-            for client in clients:
-                client.finish()
-            return tree
-        finally:
-            for server in servers:
-                server.shutdown()
-                server.server_close()
-
-    fed_tcp_s, fed_tcp_tree = _best_of(repeats, _tcp_fit)
-    if tree_to_dict(fed_tcp_tree) != tree_to_dict(synopsis):
-        raise AssertionError(
-            "TCP federated fit deviates from the centralized release"
-        )
-
     service_case = run_service_perf_bench(
         synopsis, queries, epsilon=epsilon, repeats=repeats
     )
     artifact_case = run_artifact_cold_load_bench(
         depth=_quadtree_depth(n_points), repeats=repeats
-    )
-    throughput_case = run_service_throughput_bench(
-        synopsis,
-        data.domain,
-        epsilon=epsilon,
-        n_batch_queries=10 * n_queries,
-        rng=rng,
     )
 
     # The typed query surface: a mixed range/point/marginal workload
@@ -1246,9 +1021,10 @@ def run_perf_bench(
 
     release = SpatialTreeRelease(synopsis, method="privtree", epsilon_spent=epsilon)
     mixed = build_mixed_workload(data.domain, queries, n_mixed_queries, rng + 2)
-    answer_s, typed_answers = _best_of(repeats, lambda: release.answer(mixed))
-    scalar_s, scalar_answers = _best_of(
-        repeats, lambda: scalar_query_loop(release, mixed)
+    answering, typed_answers, scalar_answers = _timed(
+        repeats,
+        lambda: release.answer(mixed),
+        lambda: scalar_query_loop(release, mixed),
     )
     if not np.array_equal(typed_answers, scalar_answers):
         raise AssertionError(
@@ -1257,9 +1033,8 @@ def run_perf_bench(
 
     # Publishing: the fit's document written from the flat arrays vs. the
     # frozen dict-then-json.dumps path, which must give the same bytes.
-    json_s, json_text = _best_of(repeats, release.to_json_text)
-    json_ref_s, reference_text = _best_of(
-        repeats, lambda: reference_release_json(release)
+    publishing, json_text, reference_text = _timed(
+        repeats, release.to_json_text, lambda: reference_release_json(release)
     )
     if json_text != reference_text:
         raise AssertionError(
@@ -1290,71 +1065,59 @@ def run_perf_bench(
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "platform": platform.platform(),
+            # Not platform.platform(): it runs `uname -p` in a subprocess,
+            # and the bench starts no process.
+            "platform": "-".join(
+                (platform.system(), platform.release(), platform.machine())
+            ),
         },
         "cases": {
             "privtree_build": {
-                "optimized_s": build_s,
-                "reference_s": build_ref_s,
-                "speedup": build_ref_s / build_s,
+                "workload": f"{n_points:,}-point PrivTree fit",
+                **build,
             },
             "workload_queries": {
-                "optimized_s": query_s,
-                "reference_s": query_ref_s,
-                "speedup": query_ref_s / query_s,
+                "workload": f"{n_queries:,} {band} range counts",
+                **traversal,
                 "max_abs_deviation": max_deviation,
             },
             "workload_generation": {
-                "optimized_s": workload_s,
+                "workload": f"{n_queries:,} {band} range-count boxes",
+                **generation,
             },
             "federated_fit": {
                 "workload": (
                     f"{n_shards} blinded shard collectors -> secure aggregation"
                 ),
-                "optimized_s": fed_s,
+                **federated,
                 "centralized_s": build_s,
-                "overhead_vs_centralized": fed_s / build_s,
-                "bit_identical_to_centralized": True,
-            },
-            "federated_fit_tcp": {
-                "workload": (
-                    f"{n_shards} collector servers over framed TCP "
-                    "(hello + key exchange + all rounds)"
-                ),
-                "optimized_s": fed_tcp_s,
-                "inproc_s": fed_s,
-                "overhead_vs_inproc": fed_tcp_s / fed_s,
+                "overhead_vs_centralized": federated["optimized_s"] / build_s,
                 "bit_identical_to_centralized": True,
             },
             "workload_answering": {
                 "workload": (
                     f"{n_mixed_queries:,} mixed range/point/marginal queries"
                 ),
-                "optimized_s": answer_s,
-                "reference_s": scalar_s,
-                "speedup": scalar_s / answer_s,
+                **answering,
                 "n_answers": int(typed_answers.shape[0]),
             },
             "release_json": {
                 "workload": f"{synopsis.size:,}-node fitted release -> JSON text",
-                "optimized_s": json_s,
-                "reference_s": json_ref_s,
-                "speedup": json_ref_s / json_s,
+                **publishing,
                 "json_bytes": len(json_text.encode("utf-8")),
                 "bytes_identical_to_reference": True,
             },
             "service_cached_queries": service_case,
             "artifact_cold_load": artifact_case,
-            "service_throughput": throughput_case,
             "telemetry_overhead": {
                 "workload": "privtree build: tracing disabled vs enabled",
-                "optimized_s": disabled_s,
+                **disabled,
                 "build_s": build_s,
                 "noop_span_s": noop_span_s,
                 "sites_per_build": sites_per_build,
                 "overhead_disabled": overhead_disabled,
-                "enabled_s": enabled_s,
-                "overhead_enabled": enabled_s / disabled_s,
+                "enabled_s": enabled["optimized_s"],
+                "overhead_enabled": enabled["optimized_s"] / disabled["optimized_s"],
                 "spans_recorded": spans_recorded,
             },
             **sequence["cases"],
@@ -1372,10 +1135,8 @@ BENCH_CASES = frozenset({
     "workload_answering",
     "release_json",
     "federated_fit",
-    "federated_fit_tcp",
     "service_cached_queries",
     "artifact_cold_load",
-    "service_throughput",
     "telemetry_overhead",
     "gram_counting",
     "substring_counting",
@@ -1388,9 +1149,8 @@ BENCH_CASES = frozenset({
 #: The cases whose ``speedup`` is against a reference the timed path
 #: never runs (a frozen replica or the pointer-tree walk), so only these
 #: speedups are gated.  The others share code with what they time:
-#: ``workload_answering``'s scalar loop runs the same flat engine,
-#: ``artifact_cold_load``'s JSON load the same store code and
-#: ``service_throughput``'s JSON requests the same server, so a slowdown
+#: ``workload_answering``'s scalar loop runs the same flat engine and
+#: ``artifact_cold_load``'s JSON load the same store code, so a slowdown
 #: there cancels out of the ratio; they are gated on seconds.
 FROZEN_REFERENCE_CASES = frozenset({
     "privtree_build",
@@ -1520,6 +1280,37 @@ def compare_bench_results(results: dict, baseline: dict) -> tuple[str, int]:
     else:
         lines.append("no case regressed vs the baseline")
     return "\n".join(lines), n_regressions
+
+
+def _ms(seconds: float) -> str:
+    """Milliseconds to about three significant figures."""
+    ms = seconds * 1e3
+    decimals = 0 if ms >= 100 else 1 if ms >= 10 else 2
+    return f"{ms:,.{decimals}f}"
+
+
+def bench_markdown_table(document: dict) -> str:
+    """The README's Performance table, one row per case of a bench document.
+
+    Columns: the case, its workload, the reference's median, the
+    optimized median ± its interquartile range, and the ratio of the
+    medians.  A case without a reference shows a dash in both the
+    reference and the speedup column.
+    """
+    lines = [
+        "| case | workload | reference | median ± IQR | speedup |",
+        "| --- | --- | --- | --- | --- |",
+    ]
+    for name, case in sorted(document["cases"].items()):
+        median = f"{_ms(case['optimized_s'])} ± {_ms(case['optimized_iqr_s'])} ms"
+        reference, speedup = "—", "—"
+        if "reference_s" in case:
+            reference = f"{_ms(case['reference_s'])} ms"
+            speedup = f"{case['speedup']:.1f}×"
+        lines.append(
+            f"| `{name}` | {case['workload']} | {reference} | {median} | {speedup} |"
+        )
+    return "\n".join(lines)
 
 
 def bench_regression_failures(

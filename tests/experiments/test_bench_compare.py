@@ -22,6 +22,7 @@ from repro.experiments.perf import (
     BENCH_CASES,
     FROZEN_REFERENCE_CASES,
     REGRESSION_THRESHOLD,
+    bench_markdown_table,
     bench_new_cases,
     bench_regression_failures,
     compare_bench_results,
@@ -241,3 +242,20 @@ class TestCommittedBaseline:
         # The cases gated on another runner all have a speedup to gate.
         for name in FROZEN_REFERENCE_CASES:
             assert baseline["cases"][name]["speedup"] > 0
+
+    def test_every_side_has_a_median_and_an_iqr(self):
+        baseline = json.loads((ROOT / "BENCH_perf.json").read_text())
+        assert baseline["config"]["repeats"] >= 5
+        for case in baseline["cases"].values():
+            sides = ["optimized"] + (["reference"] if "reference_s" in case else [])
+            for side in sides:
+                assert case[f"{side}_s"] > 0
+                assert case[f"{side}_iqr_s"] >= 0
+            if "reference_s" in case:
+                assert case["speedup"] == case["reference_s"] / case["optimized_s"]
+
+    def test_readme_performance_table_is_the_baseline(self):
+        baseline = json.loads((ROOT / "BENCH_perf.json").read_text())
+        table = bench_markdown_table(baseline)
+        assert table.count("\n") == len(BENCH_CASES) + 1
+        assert table in (ROOT / "README.md").read_text()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.api import from_spec
-from repro.experiments import LoadError, run_load
+from repro.experiments import LoadError
+from repro.experiments import run_load as deprecated_run_load
 from repro.experiments.perf import synthetic_flat_histogram
 from repro.queries import RangeCount
 from repro.serve import ReleaseStore, SynopsisHTTPServer
@@ -44,6 +45,12 @@ class TestSyntheticFlatHistogram:
         assert np.isclose(rebuilt.counts.sum(), flat.counts.sum())
         assert np.array_equal(rebuilt.lows[0], flat.lows[0])
         assert np.array_equal(rebuilt.highs[0], flat.highs[0])
+
+
+def run_load(*args, **kwargs):
+    """``run_load``, asserting the deprecation warning every call emits."""
+    with pytest.warns(DeprecationWarning, match=r"removed in 6\.0\.0.*serve-bulk"):
+        return deprecated_run_load(*args, **kwargs)
 
 
 @pytest.fixture

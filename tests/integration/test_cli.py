@@ -117,9 +117,15 @@ class TestCommands:
         assert code == 0
         assert "road" in capsys.readouterr().out
 
-    def test_bench_small_run(self, capsys, tmp_path):
+    def test_bench_small_run(self, capsys, monkeypatch, tmp_path):
         import json
 
+        def no_process(*args, **kwargs):
+            raise AssertionError(f"repro bench started a process: {args!r}")
+
+        # Every case runs in this process: the bench starts no server,
+        # collector or helper process.
+        monkeypatch.setattr(subprocess, "Popen", no_process)
         out_file = tmp_path / "BENCH_perf.json"
         code = main(
             [
@@ -140,10 +146,16 @@ class TestCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert "median of 1" in out
         assert "privtree_build" in out
         assert "speedup" in out
         results = json.loads(out_file.read_text())
         assert set(results["cases"]) == BENCH_CASES
+        for case in results["cases"].values():
+            assert case["optimized_iqr_s"] == 0.0  # one round per side
+            if "reference_s" in case:
+                assert case["reference_iqr_s"] == 0.0
+                assert case["speedup"] == case["reference_s"] / case["optimized_s"]
         assert results["cases"]["federated_fit"]["bit_identical_to_centralized"] is True
         assert results["cases"]["federated_fit"]["overhead_vs_centralized"] > 0
         assert results["cases"]["workload_queries"]["max_abs_deviation"] < 1e-6
@@ -553,6 +565,17 @@ class TestBenchGate:
         "--synthetic", "100",
         "--repeats", "1",
     ]
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_is_a_usage_error(self, repeats, monkeypatch):
+        # Refused in one line before any data is generated.
+        def bench(**kwargs):
+            raise AssertionError("the bench ran")
+
+        monkeypatch.setattr("repro.experiments.run_perf_bench", bench)
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--repeats", repeats])
+        assert exc.value.code == f"--repeats must be at least 1, got {repeats}"
 
     def test_fail_above_requires_compare(self):
         with pytest.raises(SystemExit, match="requires --compare"):
