@@ -15,6 +15,7 @@ from repro.baselines.ngram import count_grams, count_grams_reference
 from repro.datasets import gowallalike, msnbclike
 from repro.domains import Box
 from repro.experiments.perf import (
+    reference_private_pst,
     reference_privtree_nodes,
     reference_range_count,
     reference_workload_answers,
@@ -84,13 +85,13 @@ def bench_perf_pst_sampling(benchmark):
     # The frozen scalar reference path; the batched case below must come in
     # at least 5x faster (tracked numerically by `repro bench`).
     data = msnbclike(10_000, rng=0)
-    pst = private_pst(data, epsilon=1.0, l_top=20, rng=0)
+    pst = reference_private_pst(data, epsilon=1.0, l_top=20, rng=0)
     benchmark(lambda: pst.sample_dataset(200, rng=1, max_length=20))
 
 
 def bench_perf_pst_sampling_batched_5k(benchmark):
     data = msnbclike(10_000, rng=0)
-    flat = private_pst(data, epsilon=1.0, l_top=20, rng=0).flat()
+    flat = private_pst(data, epsilon=1.0, l_top=20, rng=0)
     benchmark(lambda: flat.sample_dataset(5_000, rng=1, max_length=20))
 
 
@@ -113,7 +114,7 @@ def bench_perf_substring_counting_50k(benchmark):
 
 def bench_perf_topk_scoring(benchmark):
     data = msnbclike(10_000, rng=0)
-    flat = private_pst(data, epsilon=1.0, l_top=20, rng=0).flat()
+    flat = private_pst(data, epsilon=1.0, l_top=20, rng=0)
     benchmark(lambda: flat.top_k_strings(100, max_length=8))
 
 

@@ -40,7 +40,7 @@ from .core import (
 from .mechanisms import BudgetExceededError, PrivacyAccountant, ensure_rng
 from .sequence import (
     Alphabet,
-    PredictionSuffixTree,
+    FlatPST,
     SequenceDataset,
     private_pst,
 )
@@ -51,15 +51,15 @@ from .spatial import (
     generate_workload,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Alphabet",
     "BudgetExceededError",
     "DecompositionTree",
     "Estimator",
+    "FlatPST",
     "HistogramTree",
-    "PredictionSuffixTree",
     "PrivTreeParams",
     "PrivacyAccountant",
     "Release",

@@ -408,7 +408,7 @@ class PSTEstimator(Estimator):
     ) -> SequenceRelease:
         acct = self._accountant(accountant)
         with acct.transaction():
-            model = private_pst(
+            flat = private_pst(
                 dataset,
                 self.epsilon,
                 self.l_top,
@@ -417,7 +417,7 @@ class PSTEstimator(Estimator):
                 max_depth=self.max_depth,
                 accountant=acct,
             )
-        return SequenceRelease(model, method=self.name, epsilon_spent=self.epsilon)
+        return SequenceRelease(flat, method=self.name, epsilon_spent=self.epsilon)
 
 
 @register

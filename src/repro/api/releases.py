@@ -19,14 +19,13 @@ from ..baselines.grid import UniformGrid
 from ..baselines.ngram import NGramModel
 from ..domains.box import Box
 from ..sequence.alphabet import Alphabet
-from ..sequence.pst import PredictionSuffixTree
+from ..sequence.flat import FlatPST
 from ..sequence.serialize import pst_from_dict, pst_to_dict
 from ..spatial.histogram_tree import HistogramTree
 from ..spatial.serialize import flat_to_dict, flat_to_json_text, tree_from_dict
 from .base import Release
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sequence.flat import FlatPST
     from ..spatial.flat import FlatHistogram
 
 __all__ = [
@@ -263,106 +262,68 @@ class AdaptiveGridRelease(SpatialRelease):
 class SequenceRelease(Release):
     """A released private Markov model (the modified-PrivTree PST).
 
+    Holds one :class:`~repro.sequence.flat.FlatPST`: the arrays the fit
+    writes, the JSON decoder fills or the v2 loader maps.
     ``query(codes)`` estimates how many input sequences contain the coded
-    string; generation and mining run on the compiled
-    :class:`~repro.sequence.flat.FlatPST` engine (cached on the model), the
-    recursive walks remain available on ``release.model``.
+    string; mining and generation run on the same arrays.
     """
 
     kind = "sequence-pst"
 
-    def __init__(
-        self,
-        model: PredictionSuffixTree | None = None,
-        *,
-        method: str,
-        epsilon_spent: float,
-        flat: "FlatPST | None" = None,
-    ) -> None:
+    def __init__(self, flat: FlatPST, *, method: str, epsilon_spent: float) -> None:
         super().__init__(method=method, epsilon_spent=epsilon_spent)
-        if model is None and flat is None:
-            raise ValueError("SequenceRelease needs a model or a flat engine")
-        self._model = model
         self._flat = flat
 
-    @property
-    def model(self) -> PredictionSuffixTree:
-        """The pointer-based PST (materialized from the flat form on demand)."""
-        if self._model is None:
-            self._model = self._flat.to_pst()
-            self._model._flat = self._flat  # share the compiled engine
-        return self._model
-
-    def flat(self) -> "FlatPST":
-        """The compiled flat PST engine (cached)."""
-        if self._flat is None:
-            self._flat = self._model.flat()
+    def flat(self) -> FlatPST:
+        """The released PST."""
         return self._flat
 
     @property
     def size(self) -> int:
-        if self._model is not None:
-            return self._model.size
         return self._flat.size
 
     @property
     def height(self) -> int:
         """Longest released context length."""
-        if self._model is not None:
-            return self._model.height
         return self._flat.height
 
     @property
     def query_domain(self) -> Alphabet:
-        if self._model is not None:
-            return self._model.alphabet
         return self._flat.alphabet
 
     def has_start_context(self) -> bool:
-        """Whether the released tree carries sequence-start ($) statistics.
-
-        Checked on the flat child table so an mmap-loaded release never
-        materializes the pointer model just to answer a capability probe.
-        """
-        flat = self.flat()
+        """Whether the released tree carries sequence-start ($) statistics."""
+        flat = self._flat
         return bool(flat.child_table[0, flat.alphabet.start_code] >= 0)
 
     def query(self, codes: Sequence[int]) -> float:
-        """Estimated frequency of the coded string (flat engine; numerically
-        identical to ``model.string_frequency``)."""
-        return self.flat().string_frequency(codes)
+        """Estimated frequency of the coded string (Equation (12))."""
+        return self._flat.string_frequency(codes)
 
     def query_many(self, queries: Sequence[Sequence[int]]) -> np.ndarray:
         """Estimated frequencies for a whole batch of coded strings."""
-        return self.flat().frequency_many(queries)
-
-    def warm(self) -> None:
-        """Compile (and cache) the flat PST engine."""
-        self.flat()
+        return self._flat.frequency_many(queries)
 
     def top_k_strings(self, k: int, max_length: int = 12):
-        """The model's ``k`` most frequent strings (mining task, §6.2).
-
-        Batched frequency scoring; explores and returns exactly what the
-        recursive ``model.top_k_strings`` would.
-        """
-        return self.flat().top_k_strings(k, max_length=max_length)
+        """The model's ``k`` most frequent strings (mining task, §6.2)."""
+        return self._flat.top_k_strings(k, max_length=max_length)
 
     def sample_sequence(self, rng=None, max_length: int | None = None):
         """Draw one synthetic sequence from the model."""
-        return self.model.sample_sequence(rng, max_length)
+        return self._flat.sample_sequence(rng, max_length)
 
     def sample_dataset(self, n: int, rng=None, max_length: int | None = None):
         """Draw ``n`` synthetic sequences (generation task, §6.2).
 
-        Batched lockstep generation — identically distributed to the
-        per-sequence loop, but a seed yields a different (equally valid)
-        sample because the RNG stream interleaves across sequences.
+        Batched lockstep generation — identically distributed to ``n``
+        calls of :meth:`sample_sequence`, but a seed yields a different
+        (equally valid) sample because the RNG stream interleaves across
+        sequences.
         """
-        return self.flat().sample_dataset(n, rng=rng, max_length=max_length)
+        return self._flat.sample_dataset(n, rng=rng, max_length=max_length)
 
     def _payload(self) -> dict[str, Any]:
-        return pst_to_dict(self.model)
+        return pst_to_dict(self._flat)
 
     @classmethod
     def _from_payload(

@@ -21,7 +21,6 @@ from .spatial_error import (
     run_ug_gridsize_ablation,
     spatial_method_registry,
 )
-from .loadgen import LoadError, LoadResult, run_load
 from .perf import (
     BENCH_CASES,
     bench_new_cases,
@@ -37,11 +36,8 @@ from .timing import run_privtree_timing
 
 __all__ = [
     "BENCH_CASES",
-    "LoadError",
-    "LoadResult",
     "PAPER_EPSILONS",
     "SweepResult",
-    "run_load",
     "format_float",
     "format_percent",
     "format_seconds",

@@ -2,12 +2,11 @@
 
 from .alphabet import Alphabet, END_SYMBOL, START_SYMBOL
 from .dataset import SequenceDataset, TokenStore
-from .flat import FlatPST, flatten_pst
+from .flat import FlatPST
 from .markov import MarkovModel
 from .metrics import length_distribution, top_k_precision, total_variation_distance
 from .payload import PSTNodeData, equation_13_score
 from .private_pst import exact_pst, private_pst
-from .pst import PredictionSuffixTree, PSTNode
 from .serialize import load_pst, pst_from_dict, pst_to_dict, save_pst
 from .tasks import (
     count_substrings,
@@ -21,9 +20,7 @@ __all__ = [
     "END_SYMBOL",
     "FlatPST",
     "MarkovModel",
-    "PSTNode",
     "PSTNodeData",
-    "PredictionSuffixTree",
     "START_SYMBOL",
     "SequenceDataset",
     "TokenStore",
@@ -32,7 +29,6 @@ __all__ = [
     "equation_13_score",
     "exact_pst",
     "exact_top_k",
-    "flatten_pst",
     "length_distribution",
     "load_pst",
     "private_pst",

@@ -1,36 +1,37 @@
-"""Flat, array-backed view of a released prediction suffix tree.
+"""A released prediction suffix tree as structure-of-arrays.
 
-A :class:`FlatPST` compiles a :class:`~repro.sequence.pst.
-PredictionSuffixTree` into structure-of-arrays form: stacked prediction
-histograms, per-node totals and cumulative-probability rows, and the
-topology as a dense child table indexed by prepended symbol code.  The
-hot sequence operations then run as batched NumPy passes instead of
-per-node dict walks:
+:class:`FlatPST` is the only in-memory form of a released PST (Section
+4.1).  A release is three pre-order arrays -- the prediction histograms,
+each node's parent and the symbol it prepends to its parent's context --
+and the constructor checks that they form a tree before it derives the
+rest: context lengths, a dense child table indexed by prepended symbol
+code, histogram totals and cumulative-probability rows.  ``private_pst``
+and ``exact_pst`` write the arrays, ``pst_from_dict`` decodes them from
+JSON, and the v2 artifact loader maps them from disk.
 
-* :meth:`lookup_many` — longest-suffix context resolution for a whole
-  batch, one vectorized step per tree level;
-* :meth:`frequency_many` — Equation (12) string-frequency estimates for a
-  whole query batch, numerically identical to the recursive
-  ``string_frequency`` (same operations in the same order);
-* :meth:`sample_dataset` — batched synthetic generation: every active
-  sequence advances one symbol per iteration from a single sized uniform
-  draw (per-row inverse CDF), instead of one Python ``lookup`` + scalar
-  draw per symbol per sequence.
+The sequence operations run as batched NumPy passes:
+
+* :meth:`FlatPST.lookup_many` -- longest-suffix context resolution for a
+  whole batch, one vectorized step per tree level;
+* :meth:`FlatPST.frequency_many` -- Equation (12) string-frequency
+  estimates for a whole query batch;
+* :meth:`FlatPST.sample_dataset` -- batched synthetic generation: every
+  active sequence advances one symbol per iteration from a single sized
+  uniform draw (per-row inverse CDF).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ..mechanisms.rng import RngLike, ensure_rng
 from .alphabet import Alphabet
-from .pst import PredictionSuffixTree, PSTNode
 
-__all__ = ["FlatPST", "assemble_batches", "flatten_pst", "sample_lockstep"]
+__all__ = ["FlatPST", "assemble_batches", "sample_lockstep"]
 
 
 def assemble_batches(
@@ -96,37 +97,106 @@ def sample_lockstep(
     return assemble_batches(n, row_chunks, code_chunks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatPST:
-    """A released PST compiled to structure-of-arrays (pre-order layout).
+    """A released PST in pre-order structure-of-arrays form.
+
+    Built from ``hists``, ``parents`` and ``edge_symbols``; the
+    constructor raises :class:`ValueError` unless they form a tree rooted
+    at row 0, and derives every other array from them.
 
     Attributes
     ----------
     hists:
-        ``(m, hist_size)`` prediction histograms, nodes in pre-order
-        (children visited in prepended-code order).
-    totals:
-        ``(m,)`` histogram magnitudes (``hists.sum(axis=1)``).
-    cum_probs:
-        ``(m, hist_size)`` cumulative conditional probabilities
-        (``cumsum(hist / total)``; zero rows where ``total <= 0``).
-    parents, depths, edge_symbols:
-        ``(m,)`` topology: pre-order parent index (``-1`` for the root),
-        context length, and the symbol the node prepends to its parent's
-        context (``-1`` for the root).
+        ``(m, hist_size)`` finite prediction histograms over ``I ∪ {&}``,
+        one row per node, the root first.
+    parents, edge_symbols:
+        ``(m,)`` topology: the parent's row (``-1`` for the root, below
+        the node's own row otherwise) and the symbol of ``I ∪ {$}`` the
+        node prepends to its parent's context (``-1`` for the root).  Two
+        children of one node never share a symbol.
+    depths:
+        ``(m,)`` context lengths (derived).
     child_table:
-        ``(m, |I| + 2)`` dense child index by prepended code (columns cover
-        ``I ∪ {&, $}``; ``-1`` marks a missing child).
+        ``(m, |I| + 2)`` child row by prepended code (columns cover
+        ``I ∪ {&, $}``; ``-1`` marks a missing child; derived).
+    totals:
+        ``(m,)`` histogram magnitudes, ``hists.sum(axis=1)`` (derived).
+    cum_probs:
+        ``(m, hist_size)`` cumulative conditional probabilities,
+        ``cumsum(hist / total)``, zero rows where ``total <= 0`` (derived).
     """
 
     alphabet: Alphabet
     hists: np.ndarray
-    totals: np.ndarray
-    cum_probs: np.ndarray
     parents: np.ndarray
-    depths: np.ndarray
     edge_symbols: np.ndarray
-    child_table: np.ndarray
+    depths: np.ndarray = field(init=False, repr=False)
+    child_table: np.ndarray = field(init=False, repr=False)
+    totals: np.ndarray = field(init=False, repr=False)
+    cum_probs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        alphabet = self.alphabet
+        # Plain views: a memmap's Python-level hooks would run on every
+        # array operation below.
+        hists = np.asarray(self.hists)
+        if hists.ndim != 2 or hists.shape[0] == 0 or hists.dtype.kind != "f":
+            raise ValueError("PST hists must be a non-empty (m, hist_size) float array")
+        m, hist_size = hists.shape
+        if hist_size != alphabet.hist_size:
+            raise ValueError(
+                f"PST hists have {hist_size} columns; the alphabet requires "
+                f"{alphabet.hist_size}"
+            )
+        if not np.isfinite(hists).all():
+            raise ValueError("PST histograms must be finite")
+        topology = {}
+        for name, dtype in (("parents", np.intp), ("edge_symbols", np.int64)):
+            array = np.asarray(getattr(self, name))
+            if array.shape != (m,) or array.dtype.kind not in "iu":
+                raise ValueError(f"PST {name} must be {m} integers, one per node")
+            # An unsigned value past the signed range wraps negative and
+            # fails the range checks below.
+            topology[name] = array.astype(dtype, copy=False)
+        parents, edges = topology["parents"], topology["edge_symbols"]
+        n_codes = alphabet.start_code + 1
+        if parents[0] != -1 or edges[0] != -1:
+            raise ValueError("the PST root (row 0) must have parent -1 and edge -1")
+        kids = np.arange(1, m)
+        if np.any(parents[1:] < 0) or np.any(parents[1:] >= kids):
+            raise ValueError("every PST node's parent must precede it")
+        child_edges = edges[1:]
+        if np.any(child_edges < 0) or np.any(child_edges >= n_codes) or np.any(
+            child_edges == alphabet.end_code
+        ):
+            raise ValueError("PST edge symbols must be codes of I ∪ {$}")
+        child_table = np.full((m, n_codes), -1, dtype=np.intp)
+        child_table[parents[1:], child_edges] = kids
+        if m > 1 and np.count_nonzero(child_table >= 0) != m - 1:
+            raise ValueError("two children of one PST node share an edge symbol")
+        # Every parent precedes its child, so every row hangs off the root
+        # and one pass per level reaches all of them.
+        depths = np.zeros(m, dtype=np.int64)
+        level, depth = np.zeros(1, dtype=np.intp), 0
+        while level.size:
+            depths[level] = depth
+            below = child_table[level].ravel()
+            level, depth = below[below >= 0], depth + 1
+        totals = hists.sum(axis=1)
+        safe = np.where(totals > 0, totals, 1.0)
+        cum_probs = np.cumsum(hists / safe[:, None], axis=1)
+        cum_probs[totals <= 0] = 0.0
+        for name, value in (
+            ("hists", hists),
+            ("parents", parents),
+            ("edge_symbols", edges),
+            ("depths", depths),
+            ("child_table", child_table),
+            ("totals", totals),
+            ("cum_probs", cum_probs),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -137,76 +207,6 @@ class FlatPST:
     def height(self) -> int:
         """Longest context length."""
         return int(self.depths.max())
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def from_pst(pst: PredictionSuffixTree) -> "FlatPST":
-        """Compile a released :class:`PredictionSuffixTree`."""
-        alphabet = pst.alphabet
-        nodes: list[PSTNode] = []
-        parents: list[int] = []
-        edges: list[int] = []
-        stack: list[tuple[PSTNode, int, int]] = [(pst.root, -1, -1)]
-        while stack:
-            node, parent, edge = stack.pop()
-            index = len(nodes)
-            nodes.append(node)
-            parents.append(parent)
-            edges.append(edge)
-            for code, child in sorted(node.children.items(), reverse=True):
-                stack.append((child, index, int(code)))
-        m = len(nodes)
-        hist_size = alphabet.hist_size
-        hists = np.empty((m, hist_size))
-        for i, node in enumerate(nodes):
-            hists[i] = node.hist
-        parents_arr = np.asarray(parents, dtype=np.intp)
-        edges_arr = np.asarray(edges, dtype=np.int64)
-        depths = np.zeros(m, dtype=np.int64)
-        for i in range(1, m):
-            depths[i] = depths[parents_arr[i]] + 1
-        child_table = np.full((m, alphabet.start_code + 1), -1, dtype=np.intp)
-        for i in range(1, m):
-            child_table[parents_arr[i], edges_arr[i]] = i
-        totals = hists.sum(axis=1)
-        safe = np.where(totals > 0, totals, 1.0)
-        cum_probs = np.cumsum(hists / safe[:, None], axis=1)
-        cum_probs[totals <= 0] = 0.0
-        return FlatPST(
-            alphabet=alphabet,
-            hists=hists,
-            totals=totals,
-            cum_probs=cum_probs,
-            parents=parents_arr,
-            depths=depths,
-            edge_symbols=edges_arr,
-            child_table=child_table,
-        )
-
-    def to_pst(self) -> PredictionSuffixTree:
-        """Reconstruct the pointer-based :class:`PredictionSuffixTree`.
-
-        The inverse of :meth:`from_pst` (up to child-dict insertion order):
-        used to materialize a model on demand when a release was loaded
-        from a flat binary artifact.
-        """
-        m = self.size
-        contexts: list[tuple[int, ...]] = [()] * m
-        nodes: list[PSTNode] = [None] * m  # type: ignore[list-item]
-        for i in range(m):
-            parent = int(self.parents[i])
-            if parent >= 0:
-                contexts[i] = (int(self.edge_symbols[i]),) + contexts[parent]
-            nodes[i] = PSTNode(
-                context=contexts[i], hist=np.array(self.hists[i], dtype=float)
-            )
-        for i in range(1, m):
-            parent = int(self.parents[i])
-            nodes[parent].children[int(self.edge_symbols[i])] = nodes[i]
-        return PredictionSuffixTree(alphabet=self.alphabet, root=nodes[0])
 
     def node_context(self, index: int) -> tuple[int, ...]:
         """The predictor string of node ``index`` (root: ``()``)."""
@@ -225,7 +225,7 @@ class FlatPST:
 
         ``contexts`` is ``(B, W)`` right-aligned (last symbol in the last
         column) with ``-1`` padding on the left; any out-of-range code ends
-        that row's walk, like a missing child in the recursive lookup.
+        that row's walk, like a missing child does.
         """
         n_rows, width = contexts.shape
         cur = np.zeros(n_rows, dtype=np.intp)
@@ -247,8 +247,11 @@ class FlatPST:
         return cur
 
     def lookup(self, context: Sequence[int]) -> int:
-        """Index of the node whose context is the longest suffix of
-        ``context`` (the flat counterpart of ``PredictionSuffixTree.lookup``)."""
+        """Row of the node whose context is the longest suffix of ``context``.
+
+        Children prepend symbols, so the walk consumes ``context`` from its
+        end backwards; the empty context resolves to the root, row 0.
+        """
         return int(self.lookup_many([context])[0])
 
     def lookup_many(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
@@ -266,7 +269,13 @@ class FlatPST:
         return self._lookup_rows(padded)
 
     def string_frequency(self, codes: Sequence[int]) -> float:
-        """Equation (12) estimate for one string (flat engine)."""
+        """Estimate how often the coded string occurs in ``D`` (Equation (12)).
+
+        ``codes`` must be plain symbols (no sentinels).  The first symbol's
+        count comes from the root histogram; every further symbol
+        multiplies by the conditional probability predicted by the longest
+        matching context.
+        """
         return float(self.frequency_many([codes])[0])
 
     def _frequency_chain(
@@ -333,7 +342,8 @@ class FlatPST:
         """Equation (12) estimates for a whole batch of strings.
 
         Performs the same floating-point operations in the same order as
-        the recursive ``string_frequency``, so answers agree exactly.
+        the one-node-at-a-time walk frozen in :mod:`repro.experiments.perf`,
+        so answers agree with it exactly.
         """
         return self._frequency_chain(queries, anchored=False)
 
@@ -392,15 +402,28 @@ class FlatPST:
     # Batched generation and mining
     # ------------------------------------------------------------------
 
+    def sample_sequence(
+        self, rng: RngLike = None, max_length: int | None = None
+    ) -> np.ndarray:
+        """Generate one synthetic sequence (Section 4.1's sampling procedure).
+
+        Starts from the context ``[$]`` and repeatedly samples the next
+        symbol from the longest-matching node's histogram until ``&`` or
+        ``max_length`` symbols (10,000 when ``None``).  Returns plain
+        symbol codes (no sentinels).  One sequence in lockstep draws the
+        same uniforms, in the same order, as a per-symbol walk.
+        """
+        return self.sample_dataset(1, rng=rng, max_length=max_length)[0]
+
     def sample_dataset(
         self, n: int, rng: RngLike = None, max_length: int | None = None
     ) -> list[np.ndarray]:
         """Generate ``n`` synthetic sequences in lockstep.
 
-        Identically distributed to ``PredictionSuffixTree.sample_dataset``
+        Identically distributed to ``n`` calls of :meth:`sample_sequence`
         (same per-step conditional laws, independent uniforms), but the RNG
         stream interleaves across sequences per *step* instead of per
-        sequence, so fixed-seed outputs differ from the scalar reference.
+        sequence, so fixed-seed outputs differ from a per-sequence loop.
         """
         gen = ensure_rng(rng)
         if max_length is None:
@@ -425,12 +448,14 @@ class FlatPST:
     def top_k_strings(
         self, k: int, max_length: int = 12
     ) -> list[tuple[tuple[int, ...], float]]:
-        """Best-first top-k mining with batched frequency scoring.
+        """The model's ``k`` most frequent strings, by best-first search.
 
-        Explores exactly the candidates of the recursive
-        ``PredictionSuffixTree.top_k_strings`` (same heap discipline, same
-        tie-breaking) but scores each popped prefix's β extensions in one
-        :meth:`frequency_many` call.
+        Equation (12) estimates are non-increasing under extension (each
+        step multiplies by a probability), so a priority queue over
+        prefixes explores exactly the candidates that can still reach the
+        answer set; each popped prefix's β extensions are scored in one
+        :meth:`frequency_many` call.  Returns ``(codes, estimated_count)``
+        pairs, most frequent first.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k!r}")
@@ -456,8 +481,3 @@ class FlatPST:
                         heapq.heappush(heap, (-ext_est, counter, extensions[code]))
                         counter += 1
         return results
-
-
-def flatten_pst(pst: PredictionSuffixTree) -> FlatPST:
-    """Alias of :meth:`FlatPST.from_pst`."""
-    return FlatPST.from_pst(pst)

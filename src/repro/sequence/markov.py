@@ -3,9 +3,11 @@
 Section 4.1 presents the PST as a Markov model; beyond the paper's two
 tasks it supports the standard language-model API: next-symbol prediction,
 sequence log-likelihood, and per-symbol perplexity.  This module wraps a
-(private or exact) :class:`~repro.sequence.pst.PredictionSuffixTree` with
-those operations, with additive smoothing so noisy zero counts never
-produce infinite surprisal.
+(private or exact) released PST, a :class:`~repro.sequence.flat.FlatPST`,
+with those operations, with additive smoothing so noisy zero counts never
+produce infinite surprisal.  A sequence's contexts resolve in one batched
+lookup; each step's distribution is the same float arithmetic as a single
+:meth:`MarkovModel.predict_distribution`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SequenceDataset
-from .pst import PredictionSuffixTree
+from .flat import FlatPST
 
 __all__ = ["MarkovModel"]
 
@@ -30,7 +32,7 @@ class MarkovModel:
     *private* PSTs whose clamped noisy counts can be all-zero.
     """
 
-    pst: PredictionSuffixTree
+    pst: FlatPST
     smoothing: float = 0.5
 
     def __post_init__(self) -> None:
@@ -58,8 +60,10 @@ class MarkovModel:
                 raise ValueError("start marker may only open the context")
             if not is_start and not 0 <= code < self.alphabet.size:
                 raise ValueError(f"invalid context code {code!r}")
-        node = self.pst.lookup(codes)
-        hist = np.maximum(node.hist, 0.0) + self.smoothing
+        return self._smoothed(self.pst.hists[self.pst.lookup(codes)])
+
+    def _smoothed(self, hist: np.ndarray) -> np.ndarray:
+        hist = np.maximum(hist, 0.0) + self.smoothing
         return hist / hist.sum()
 
     def predict_after_start(self) -> np.ndarray:
@@ -75,11 +79,11 @@ class MarkovModel:
         codes = [int(c) for c in codes]
         if any(not 0 <= c < self.alphabet.size for c in codes):
             raise ValueError("sequence must contain ordinary symbols only")
-        context: list[int] = [self.alphabet.start_code]
+        context = [self.alphabet.start_code] + codes
+        rows = self.pst.lookup_many([context[: i + 1] for i in range(len(context))])
         total = 0.0
-        for code in codes + [self.alphabet.end_code]:
-            total += math.log(self.predict_distribution(context)[code])
-            context.append(code)
+        for row, code in zip(rows, codes + [self.alphabet.end_code]):
+            total += math.log(self._smoothed(self.pst.hists[row])[code])
         return total
 
     def dataset_log_likelihood(self, dataset: SequenceDataset) -> float:

@@ -12,6 +12,11 @@ Pipeline (Theorems 4.1 and 4.2, plus the §4.2 budget split):
    vector has sensitivity ``l⊤``).
 3. **Postprocess** — internal histograms are sums of their leaves; negative
    counts clamp to zero so every histogram is a valid distribution.
+
+The release is written straight into :class:`~repro.sequence.flat.FlatPST`
+arrays in pre-order: leaf noise is drawn for the leaves in pre-order,
+every internal histogram sums its children's unclamped histograms in
+child order, and the clamp comes last.
 """
 
 from __future__ import annotations
@@ -23,31 +28,71 @@ from ..core.params import PrivTreeParams
 from ..core.privtree import DEFAULT_MAX_DEPTH, privtree
 from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.rng import RngLike, ensure_rng
+from .alphabet import Alphabet
 from .dataset import SequenceDataset, TokenStore
+from .flat import FlatPST
 from .payload import PSTNodeData
-from .pst import PredictionSuffixTree, PSTNode
 
 __all__ = ["private_pst", "exact_pst"]
 
 
 def _release(
-    node: TreeNode[PSTNodeData],
+    root: TreeNode[PSTNodeData],
+    alphabet: Alphabet,
     scale: float | None,
-    rng: np.random.Generator,
-) -> PSTNode:
-    """Recursively build the released PST; ``scale=None`` means no noise."""
-    if node.is_leaf:
-        hist = node.payload.hist().astype(float)
-        if scale is not None:
-            hist = hist + rng.laplace(0.0, scale, size=hist.shape)
-        return PSTNode(context=node.payload.context, hist=hist)
-    children = {}
-    total = None
-    for child in node.children:
-        released = _release(child, scale, rng)
-        children[released.context[0]] = released
-        total = released.hist if total is None else total + released.hist
-    return PSTNode(context=node.payload.context, hist=total, children=children)
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hists, parents, edge_symbols)`` of a grown tree, in pre-order.
+
+    ``scale=None`` means no noise.  Negative counts are left for the
+    caller to clamp.
+    """
+    parents: list[int] = []
+    edges: list[int] = []
+    ranks: list[int] = []
+    depths: list[int] = []
+    leaves: list[int] = []
+    leaf_hists: list[np.ndarray] = []
+    stack = [(root, -1, -1, 0, 0)]
+    while stack:
+        node, parent, edge, rank, depth = stack.pop()
+        index = len(parents)
+        parents.append(parent)
+        edges.append(edge)
+        ranks.append(rank)
+        depths.append(depth)
+        if node.is_leaf:
+            leaves.append(index)
+            leaf_hists.append(node.payload.hist())
+            continue
+        for child_rank, child in reversed(list(enumerate(node.children))):
+            code = child.payload.context[0]
+            stack.append((child, index, code, child_rank, depth + 1))
+    hists = np.zeros((len(parents), alphabet.hist_size))
+    hists[leaves] = leaf_hists
+    if scale is not None:
+        hists[leaves] += rng.laplace(0.0, scale, size=(len(leaves), alphabet.hist_size))
+    # Each internal histogram is ((c0 + c1) + c2) + ... over its children
+    # in child order; deeper levels go first, so every child is final.
+    kids = np.arange(1, len(parents))
+    kid_parents = np.asarray(parents)[1:]
+    kid_ranks = np.asarray(ranks)[1:]
+    kid_depths = np.asarray(depths)[1:]
+    order = np.lexsort((kid_ranks, -kid_depths))
+    starts = (np.diff(kid_depths[order]) != 0) | (np.diff(kid_ranks[order]) != 0)
+    for group in np.split(order, np.flatnonzero(starts) + 1):
+        if not group.size:
+            continue
+        targets, sources = kid_parents[group], kids[group]
+        if kid_ranks[group[0]] == 0:
+            hists[targets] = hists[sources]
+        else:
+            hists[targets] += hists[sources]
+    return (
+        hists,
+        np.asarray(parents, dtype=np.intp),
+        np.asarray(edges, dtype=np.int64),
+    )
 
 
 def private_pst(
@@ -58,7 +103,7 @@ def private_pst(
     rng: RngLike = None,
     max_depth: int | None = DEFAULT_MAX_DEPTH,
     accountant: PrivacyAccountant | None = None,
-) -> PredictionSuffixTree:
+) -> FlatPST:
     """Build an ε-DP prediction suffix tree over ``dataset``.
 
     ``l_top`` is the Section 4.2 length bound; sequences longer than it are
@@ -80,9 +125,9 @@ def private_pst(
     tree = privtree(PSTNodeData.root(store), params, rng=gen, max_depth=max_depth)
 
     hist_scale = l_top / eps_hist  # Theorem 4.2
-    root = _release(tree.root, hist_scale, gen)
-    _clamp_nonnegative(root)
-    return PredictionSuffixTree(alphabet=dataset.alphabet, root=root)
+    hists, parents, edges = _release(tree.root, dataset.alphabet, hist_scale, gen)
+    np.maximum(hists, 0.0, out=hists)
+    return FlatPST(dataset.alphabet, hists, parents, edges)
 
 
 def exact_pst(
@@ -90,7 +135,7 @@ def exact_pst(
     l_top: int,
     split_threshold: float = 0.0,
     max_context: int = 16,
-) -> PredictionSuffixTree:
+) -> FlatPST:
     """A non-private PST: split while Equation (13) exceeds the threshold.
 
     Used by tests (ground truth) and by the Truncate baseline's synthetic
@@ -112,13 +157,4 @@ def exact_pst(
                 TreeNode(payload=c, depth=node.depth + 1) for c in payload.split()
             ]
             frontier.extend(node.children)
-    gen = ensure_rng(0)  # unused: scale is None
-    root = _release(root_node, None, gen)
-    return PredictionSuffixTree(alphabet=dataset.alphabet, root=root)
-
-
-def _clamp_nonnegative(node: PSTNode) -> None:
-    """Reset negative histogram counts to zero, bottom-up (Section 4.2)."""
-    for child in node.children.values():
-        _clamp_nonnegative(child)
-    np.maximum(node.hist, 0.0, out=node.hist)
+    return FlatPST(dataset.alphabet, *_release(root_node, dataset.alphabet, None, None))

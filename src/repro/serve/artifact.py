@@ -263,21 +263,39 @@ def _encode_pst(release: Release) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _decode_pst(meta: dict, arrays: dict[str, np.ndarray], **prov) -> Release:
+    """Build the PST from its stored ``hists``, ``parents`` and
+    ``edge_symbols``, through the one constructor that checks them.
+
+    The footer proves intact bytes, not a fit: a child table that loops a
+    node to itself or points past the arrays, or totals and probability
+    rows that disagree with the histograms, would answer and sample
+    wrongly.  So every stored derived array must equal what the
+    constructor derives.
+    """
     from ..api.releases import SequenceRelease
     from ..sequence.alphabet import Alphabet
     from ..sequence.flat import FlatPST
 
-    flat = FlatPST(
-        alphabet=Alphabet(tuple(meta["alphabet"])),
-        hists=arrays["hists"],
-        totals=arrays["totals"],
-        cum_probs=arrays["cum_probs"],
-        parents=arrays["parents"],
-        depths=arrays["depths"],
-        edge_symbols=arrays["edge_symbols"],
-        child_table=arrays["child_table"],
-    )
-    return SequenceRelease(flat=flat, **prov)
+    try:
+        flat = FlatPST(
+            alphabet=Alphabet(tuple(meta["alphabet"])),
+            hists=arrays["hists"],
+            parents=arrays["parents"],
+            edge_symbols=arrays["edge_symbols"],
+        )
+    except ValueError as exc:
+        raise ArtifactError(f"invalid PST artifact: {exc}") from None
+    for name in ("depths", "child_table", "totals", "cum_probs"):
+        stored, derived = np.asarray(arrays[name]), getattr(flat, name)
+        if (
+            stored.dtype != derived.dtype
+            or stored.shape != derived.shape
+            or not np.array_equal(stored, derived)
+        ):
+            raise ArtifactError(
+                f"PST {name} disagrees with its hists, parents and edge_symbols"
+            )
+    return SequenceRelease(flat, **prov)
 
 
 def _encode_ngram(release: Release) -> tuple[dict, dict[str, np.ndarray]]:

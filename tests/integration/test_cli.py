@@ -331,6 +331,49 @@ class TestQueryCommand:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("cannot load release")
 
+    @pytest.mark.parametrize(
+        "children",
+        [{"0": None}, [], {"99": {"context": [99], "hist": [1.0, 1.0, 1.0]}}],
+        ids=["null-child", "list", "key-99"],
+    )
+    def test_query_rejects_malformed_pst_release(self, tmp_path, children):
+        import json
+
+        root = {"context": [], "hist": [1.0, 2.0, 3.0], "children": children}
+        release_file = tmp_path / "bad.json"
+        release_file.write_text(
+            json.dumps(
+                {
+                    "format": "repro.release",
+                    "version": 1,
+                    "kind": "sequence-pst",
+                    "method": "pst",
+                    "epsilon_spent": 1.0,
+                    "payload": {
+                        "format": "repro.prediction_suffix_tree",
+                        "version": 1,
+                        "alphabet": ["A", "B"],
+                        "root": root,
+                    },
+                }
+            )
+        )
+        workload_file = tmp_path / "workload.json"
+        workload_file.write_text('{"format": "repro.workload", "version": 1, "queries": []}')
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "query",
+                    "--release",
+                    str(release_file),
+                    "--workload",
+                    str(workload_file),
+                ]
+            )
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("cannot load release")
+
     def test_query_rejects_missing_release(self, tmp_path):
         workload_file = tmp_path / "workload.json"
         workload_file.write_text("{}")

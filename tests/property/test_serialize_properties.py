@@ -11,12 +11,14 @@ from repro.api import SpatialTreeRelease
 from repro.domains import Box
 from repro.experiments.perf import (
     HistogramNode,
+    PredictionSuffixTree,
+    PSTNode,
     reference_flat_from_nodes,
     reference_nodes_from_dict,
+    reference_pst_to_dict,
     reference_range_count,
 )
 from repro.sequence import Alphabet, pst_from_dict, pst_to_dict
-from repro.sequence.pst import PredictionSuffixTree, PSTNode
 from repro.spatial import tree_from_dict, tree_to_dict
 from repro.spatial.flat import FlatHistogram
 from repro.spatial.serialize import flat_to_dict, flat_to_json_text
@@ -238,18 +240,21 @@ class TestJsonTextIdentity:
 
 
 class TestPstRoundTrip:
+    """A PST written by the frozen node encoder, decoded into arrays and
+    written again, keeps its structure and answers."""
+
     @given(model=psts())
     @settings(max_examples=60)
     def test_structure_preserved(self, model):
-        restored = pst_from_dict(pst_to_dict(model))
+        restored = pst_from_dict(pst_to_dict(pst_from_dict(reference_pst_to_dict(model))))
         assert restored.size == model.size
         assert restored.alphabet == model.alphabet
-        np.testing.assert_allclose(restored.root.hist, model.root.hist)
+        np.testing.assert_allclose(restored.hists[0], model.root.hist)
 
     @given(model=psts())
     @settings(max_examples=30)
     def test_frequency_equivalence(self, model):
-        restored = pst_from_dict(pst_to_dict(model))
+        restored = pst_from_dict(pst_to_dict(pst_from_dict(reference_pst_to_dict(model))))
         for code in range(model.alphabet.size):
             assert restored.string_frequency((code,)) == model.string_frequency(
                 (code,)

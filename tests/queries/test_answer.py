@@ -2,8 +2,8 @@
 
 For each of the 10 registry methods: every supported query type answers
 through one vectorized ``answer`` dispatch, bit-identical to the scalar
-reference (the per-box ``query`` loop for spatial releases; the recursive
-model walks for sequence releases).
+reference (the per-box ``query`` loop for spatial releases; the frozen
+pointer PST's walks, or the n-gram model's, for sequence releases).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.perf import reference_pst_from_dict
 from repro.queries import (
     Marginal1D,
     NextSymbolDistribution,
@@ -22,6 +23,8 @@ from repro.queries import (
     UnsupportedQueryTypeError,
     Workload,
 )
+
+from repro.sequence import pst_to_dict
 
 from .conftest import FAST_PARAMS, example_queries, fitted_release
 
@@ -43,6 +46,11 @@ def mixed_workload(release):
     # Interleave so homogeneous grouping inside answer() is exercised.
     queries = queries[::2] + queries[1::2]
     return Workload.of(queries)
+
+
+def pointer_pst(release):
+    """The release as frozen pointer nodes, one node at a time."""
+    return reference_pst_from_dict(pst_to_dict(release.flat()))
 
 
 def reference_prefix_count(model, codes):
@@ -146,25 +154,24 @@ class TestSequenceAnswer:
         release = fitted_release("pst", None, sequence_data)
         queries = example_queries(StringFrequency, release.query_domain)
         flat = release.answer(Workload.of(queries))
-        recursive = np.array(
-            [release.model.string_frequency(q.codes) for q in queries]
-        )
+        model = pointer_pst(release)
+        recursive = np.array([model.string_frequency(q.codes) for q in queries])
         assert np.array_equal(flat, recursive)
 
     def test_pst_prefix_count_matches_anchored_walk(self, sequence_data):
         release = fitted_release("pst", None, sequence_data)
         queries = example_queries(PrefixCount, release.query_domain)
         flat = release.answer(Workload.of(queries))
-        reference = np.array(
-            [reference_prefix_count(release.model, q.codes) for q in queries]
-        )
+        model = pointer_pst(release)
+        reference = np.array([reference_prefix_count(model, q.codes) for q in queries])
         assert np.array_equal(flat, reference)
 
     def test_pst_prefix_counts_bounded_by_sequence_openings(self, sequence_data):
         """Prefix mass can only shrink under extension, and a one-symbol
         prefix count is exactly the $-context histogram entry."""
         release = fitted_release("pst", None, sequence_data)
-        start_node = release.model.lookup([release.model.alphabet.start_code])
+        model = pointer_pst(release)
+        start_node = model.lookup([model.alphabet.start_code])
         one = release.answer(Workload.of([PrefixCount(codes=(0,))]))[0]
         two = release.answer(Workload.of([PrefixCount(codes=(0, 1))]))[0]
         assert one == float(start_node.hist[0])
@@ -176,8 +183,9 @@ class TestSequenceAnswer:
         queries = example_queries(NextSymbolDistribution, domain, include_anchored=True)
         workload = Workload.of(queries)
         parts = workload.split(release.answer(workload), domain)
+        model = pointer_pst(release)
         for query, part in zip(queries, parts):
-            assert np.array_equal(part, reference_next_symbol(release.model, query))
+            assert np.array_equal(part, reference_next_symbol(model, query))
 
     def test_pst_mixed_workload_matches_per_type_answers(self, sequence_data):
         release = fitted_release("pst", None, sequence_data)
@@ -225,21 +233,20 @@ class TestSequenceAnswer:
         PrefixCount must be rejected, not silently answered with
         occurrence counts exceeding n."""
         from repro.api.releases import SequenceRelease
-        from repro.sequence.alphabet import Alphabet
-        from repro.sequence.pst import PredictionSuffixTree, PSTNode
+        from repro.sequence import Alphabet, FlatPST
 
-        alphabet = Alphabet.of_size(3)
-        root = PSTNode(context=(), hist=np.array([5.0, 3.0, 2.0, 1.0]))
-        release = SequenceRelease(
-            PredictionSuffixTree(alphabet=alphabet, root=root),
-            method="pst",
-            epsilon_spent=0.1,
+        flat = FlatPST(
+            alphabet=Alphabet.of_size(3),
+            hists=np.array([[5.0, 3.0, 2.0, 1.0]]),
+            parents=np.array([-1]),
+            edge_symbols=np.array([-1]),
         )
+        release = SequenceRelease(flat, method="pst", epsilon_spent=0.1)
         assert PrefixCount not in release.supported_query_types()
         with pytest.raises(UnsupportedQueryTypeError, match="prefix_count"):
             release.answer(Workload.of([PrefixCount(codes=(0,))]))
         with pytest.raises(ValueError, match="no '\\$' context"):
-            release.model.flat().prefix_frequency_many([(0,)])
+            release.flat().prefix_frequency_many([(0,)])
         # The other sequence types still answer.
         flat = release.answer(
             Workload.of(

@@ -6,8 +6,9 @@ Three contracts, mirroring the spatial flat-engine suite:
   *exactly* (same keys, same integer counts) across randomized alphabets,
   lengths, truncations and ``n_max``;
 * :class:`~repro.sequence.flat.FlatPST` must answer lookup/frequency/size
-  exactly like the recursive :class:`PredictionSuffixTree` (frequency is
-  the same float ops in the same order, so agreement is bit-level);
+  exactly like the frozen pointer PST of :mod:`repro.experiments.perf`
+  (frequency is the same float ops in the same order, so agreement is
+  bit-level);
 * batched generation is *identically distributed* to the scalar reference
   (different stream interleaving), checked on fixed seeds via length- and
   symbol-distribution TVD.
@@ -22,16 +23,20 @@ from repro.baselines.ngram import (
     count_grams_reference,
     ngram_model,
 )
+from repro.api.releases import SequenceRelease
+from repro.experiments.perf import (
+    PredictionSuffixTree,
+    reference_exact_pst,
+    reference_private_pst,
+)
 from repro.sequence import (
     Alphabet,
     FlatPST,
-    PredictionSuffixTree,
     SequenceDataset,
     count_substrings,
     count_substrings_reference,
     exact_pst,
     exact_top_k,
-    flatten_pst,
     private_pst,
     top_k_substrings,
 )
@@ -49,14 +54,21 @@ def random_dataset(seed: int, size: int | None = None, n: int = 80) -> SequenceD
     return SequenceDataset(alphabet=Alphabet.of_size(size), sequences=sequences)
 
 
-def random_psts() -> list[PredictionSuffixTree]:
-    """A varied set of released PSTs: exact and private, several alphabets."""
+def random_psts() -> list[tuple[FlatPST, PredictionSuffixTree]]:
+    """A varied set of released PSTs, exact and private over several
+    alphabets, each with the frozen pointer PST of the same release."""
     psts = []
     for seed in range(3):
         data = random_dataset(seed, n=150)
-        psts.append(exact_pst(data, l_top=8))
-        psts.append(private_pst(data, epsilon=2.0, l_top=8, rng=seed))
-    psts.append(exact_pst(random_dataset(7, size=1, n=40), l_top=5))
+        psts.append((exact_pst(data, l_top=8), reference_exact_pst(data, l_top=8)))
+        psts.append(
+            (
+                private_pst(data, epsilon=2.0, l_top=8, rng=seed),
+                reference_private_pst(data, epsilon=2.0, l_top=8, rng=seed),
+            )
+        )
+    data = random_dataset(7, size=1, n=40)
+    psts.append((exact_pst(data, l_top=5), reference_exact_pst(data, l_top=5)))
     return psts
 
 
@@ -139,16 +151,14 @@ class TestTopKSubstrings:
 
 class TestFlatPSTCompilation:
     def test_mirrors_tree(self):
-        for pst in random_psts():
-            flat = flatten_pst(pst)
+        for flat, pst in random_psts():
             assert flat.size == pst.size
             assert flat.height == pst.height
             contexts = {node.context for node in pst.root.iter_nodes()}
             assert {flat.node_context(i) for i in range(flat.size)} == contexts
 
     def test_histograms_match_nodes(self):
-        pst = random_psts()[0]
-        flat = pst.flat()
+        flat, pst = random_psts()[0]
         by_context = {n.context: n.hist for n in pst.root.iter_nodes()}
         for i in range(flat.size):
             np.testing.assert_array_equal(
@@ -156,22 +166,26 @@ class TestFlatPSTCompilation:
             )
 
     def test_flat_is_cached(self):
-        pst = random_psts()[0]
-        assert pst.flat() is pst.flat()
+        # A release holds one FlatPST and hands out that same object.
+        flat, _ = random_psts()[0]
+        release = SequenceRelease(flat, method="pst", epsilon_spent=1.0)
+        assert release.flat() is flat
+        assert release.flat() is release.flat()
 
     def test_stats_cached_and_correct(self):
-        pst = random_psts()[0]
+        flat, pst = random_psts()[0]
         size = sum(1 for _ in pst.root.iter_nodes())
         height = max(len(n.context) for n in pst.root.iter_nodes())
-        assert (pst.size, pst.height) == (size, height)
-        assert pst._stats is not None  # filled by one traversal
+        assert (flat.size, flat.height) == (size, height)
+        assert flat.depths.tolist() == [
+            len(flat.node_context(i)) for i in range(flat.size)
+        ]
 
 
 class TestFlatPSTLookup:
     def test_lookup_matches_recursive(self):
         gen = np.random.default_rng(0)
-        for pst in random_psts():
-            flat = pst.flat()
+        for flat, pst in random_psts():
             span = pst.alphabet.start_code + 1
             for _ in range(100):
                 context = list(gen.integers(0, span, size=int(gen.integers(0, 7))))
@@ -179,8 +193,7 @@ class TestFlatPSTLookup:
                 assert flat.node_context(flat.lookup(context)) == expected
 
     def test_lookup_many_batches(self):
-        pst = random_psts()[0]
-        flat = pst.flat()
+        flat, pst = random_psts()[0]
         gen = np.random.default_rng(1)
         contexts = [
             list(gen.integers(0, pst.alphabet.size, size=int(gen.integers(0, 6))))
@@ -191,12 +204,11 @@ class TestFlatPSTLookup:
             assert flat.node_context(int(index)) == pst.lookup(ctx).context
 
     def test_empty_context_is_root(self):
-        flat = random_psts()[0].flat()
+        flat, _ = random_psts()[0]
         assert flat.lookup([]) == 0
 
     def test_out_of_range_codes_stop_the_walk(self):
-        pst = random_psts()[0]
-        flat = pst.flat()
+        flat, pst = random_psts()[0]
         # A bogus code ends the walk exactly like a missing child does.
         assert flat.node_context(flat.lookup([99, 0])) == pst.lookup([99, 0]).context
 
@@ -204,8 +216,7 @@ class TestFlatPSTLookup:
 class TestFlatPSTFrequency:
     def test_bit_identical_to_recursive(self):
         gen = np.random.default_rng(2)
-        for pst in random_psts():
-            flat = pst.flat()
+        for flat, pst in random_psts():
             size = pst.alphabet.size
             queries = [
                 list(gen.integers(0, size, size=int(gen.integers(1, 8))))
@@ -216,34 +227,29 @@ class TestFlatPSTFrequency:
             np.testing.assert_array_equal(batched, recursive)
 
     def test_scalar_wrapper(self):
-        pst = random_psts()[0]
-        flat = pst.flat()
+        flat, pst = random_psts()[0]
         assert flat.string_frequency([0]) == pst.string_frequency([0])
 
     def test_rejects_bad_queries(self):
-        flat = random_psts()[0].flat()
+        flat, _ = random_psts()[0]
         with pytest.raises(ValueError):
             flat.frequency_many([[]])
         with pytest.raises(ValueError):
             flat.frequency_many([[flat.alphabet.end_code]])
 
     def test_top_k_identical_to_recursive(self):
-        for pst in random_psts()[:4]:
-            assert flat_topk_equal(pst, k=20, max_length=5)
-
-
-def flat_topk_equal(pst: PredictionSuffixTree, k: int, max_length: int) -> bool:
-    return pst.flat().top_k_strings(k, max_length=max_length) == pst.top_k_strings(
-        k, max_length=max_length
-    )
+        for flat, pst in random_psts()[:4]:
+            assert flat.top_k_strings(20, max_length=5) == pst.top_k_strings(
+                20, max_length=5
+            )
 
 
 class TestBatchedGeneration:
     def test_sequences_valid(self):
-        pst = random_psts()[0]
-        batch = pst.flat().sample_dataset(300, rng=0, max_length=12)
+        flat, _ = random_psts()[0]
+        batch = flat.sample_dataset(300, rng=0, max_length=12)
         assert len(batch) == 300
-        size = pst.alphabet.size
+        size = flat.alphabet.size
         for seq in batch:
             assert seq.dtype == np.int64
             assert len(seq) <= 12
@@ -254,9 +260,10 @@ class TestBatchedGeneration:
         # reference's law — compare length and unigram distributions of two
         # large samples by TVD (noise floor ~sqrt(bins / n)).
         data = random_dataset(11, size=4, n=400)
-        pst = exact_pst(data, l_top=8)
+        flat = exact_pst(data, l_top=8)
+        pst = reference_exact_pst(data, l_top=8)
         n = 4000
-        batch = pst.flat().sample_dataset(n, rng=123, max_length=10)
+        batch = flat.sample_dataset(n, rng=123, max_length=10)
         reference = pst.sample_dataset(n, rng=456, max_length=10)
         lengths_tvd = total_variation_distance(
             length_distribution([len(s) for s in batch], max_length=11),
@@ -272,13 +279,13 @@ class TestBatchedGeneration:
         assert sym_tvd < 0.08
 
     def test_deterministic_under_fixed_seed(self):
-        flat = random_psts()[0].flat()
+        flat, _ = random_psts()[0]
         a = flat.sample_dataset(50, rng=9, max_length=10)
         b = flat.sample_dataset(50, rng=9, max_length=10)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_max_length_cap(self):
-        flat = random_psts()[0].flat()
+        flat, _ = random_psts()[0]
         assert all(len(s) <= 3 for s in flat.sample_dataset(100, rng=4, max_length=3))
 
 

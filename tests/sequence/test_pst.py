@@ -5,7 +5,7 @@ import pytest
 
 from repro.sequence import (
     Alphabet,
-    PredictionSuffixTree,
+    FlatPST,
     SequenceDataset,
     exact_pst,
 )
@@ -25,16 +25,29 @@ def fig3(alpha) -> SequenceDataset:
 
 
 @pytest.fixture
-def fig3_pst(fig3) -> PredictionSuffixTree:
+def fig3_pst(fig3) -> FlatPST:
     return exact_pst(fig3, l_top=10, split_threshold=-1.0, max_context=2)
 
 
-def hist_of(pst, context_symbols, alpha):
+def row_of(pst, context_symbols, alpha):
     codes = tuple(alpha.code_of(s) for s in context_symbols)
-    for node in pst.root.iter_nodes():
-        if node.context == codes:
-            return node.hist
+    for row in range(pst.size):
+        if pst.node_context(row) == codes:
+            return row
     raise AssertionError(f"node {context_symbols} not found")
+
+
+def hist_of(pst, context_symbols, alpha):
+    return pst.hists[row_of(pst, context_symbols, alpha)]
+
+
+def children_of(pst, row):
+    table = pst.child_table[row]
+    return table[table >= 0]
+
+
+def frequency_of(pst, symbols):
+    return pst.string_frequency([pst.alphabet.code_of(s) for s in symbols])
 
 
 class TestFigure3:
@@ -68,44 +81,45 @@ class TestFigure3:
 
     def test_query_ab_worked_example(self, fig3_pst):
         # Section 4.1's worked example: freq(AB) = 6 * 3/6 = 3.
-        assert fig3_pst.string_frequency_of(["A", "B"]) == pytest.approx(3.0)
+        assert frequency_of(fig3_pst, ["A", "B"]) == pytest.approx(3.0)
 
     def test_children_partition_occurrences(self, fig3_pst):
-        for node in fig3_pst.root.iter_nodes():
-            if not node.is_leaf:
-                child_sum = sum(c.hist for c in node.children.values())
-                np.testing.assert_allclose(child_sum, node.hist)
+        for row in range(fig3_pst.size):
+            kids = children_of(fig3_pst, row)
+            if kids.size:
+                child_sum = fig3_pst.hists[kids].sum(axis=0)
+                np.testing.assert_allclose(child_sum, fig3_pst.hists[row])
 
 
 class TestLookup:
     def test_longest_suffix_match(self, fig3_pst, alpha):
         # Context "AA" should land on the AA node.
-        node = fig3_pst.lookup([alpha.code_of("A"), alpha.code_of("A")])
-        assert node.context == (alpha.code_of("A"), alpha.code_of("A"))
+        row = fig3_pst.lookup([alpha.code_of("A"), alpha.code_of("A")])
+        assert fig3_pst.node_context(row) == (alpha.code_of("A"), alpha.code_of("A"))
 
     def test_unknown_context_falls_back(self, fig3_pst, alpha):
         # Context "AAA": the tree only reaches depth 2, so the walk stops at
         # the longest recorded suffix AA.
         a = alpha.code_of("A")
-        node = fig3_pst.lookup([a, a, a])
-        assert node.context == (a, a)
+        row = fig3_pst.lookup([a, a, a])
+        assert fig3_pst.node_context(row) == (a, a)
 
     def test_empty_context_is_root(self, fig3_pst):
-        assert fig3_pst.lookup([]) is fig3_pst.root
+        assert fig3_pst.lookup([]) == 0
 
 
 class TestQueries:
     def test_single_symbol_frequency(self, fig3_pst):
-        assert fig3_pst.string_frequency_of(["A"]) == pytest.approx(6.0)
-        assert fig3_pst.string_frequency_of(["B"]) == pytest.approx(4.0)
+        assert frequency_of(fig3_pst, ["A"]) == pytest.approx(6.0)
+        assert frequency_of(fig3_pst, ["B"]) == pytest.approx(4.0)
 
     def test_longer_string(self, fig3_pst):
         # freq(AA): 6 * P(A|A) = 6 * 3/6 = 3 (true count: 3).
-        assert fig3_pst.string_frequency_of(["A", "A"]) == pytest.approx(3.0)
+        assert frequency_of(fig3_pst, ["A", "A"]) == pytest.approx(3.0)
 
     def test_zero_probability_string(self, fig3_pst, alpha):
         # "BA" never occurs: after B the histogram gives & only.
-        assert fig3_pst.string_frequency_of(["B", "A"]) == pytest.approx(0.0)
+        assert frequency_of(fig3_pst, ["B", "A"]) == pytest.approx(0.0)
 
     def test_rejects_bad_queries(self, fig3_pst, alpha):
         with pytest.raises(ValueError):
@@ -160,6 +174,82 @@ class TestStructureProperties:
         assert fig3_pst.height == 2
 
     def test_start_prefixed_nodes_are_leaves(self, fig3_pst, alpha):
-        for node in fig3_pst.root.iter_nodes():
-            if node.context and node.context[0] == alpha.start_code:
-                assert node.is_leaf
+        for row in range(fig3_pst.size):
+            context = fig3_pst.node_context(row)
+            if context and context[0] == alpha.start_code:
+                assert children_of(fig3_pst, row).size == 0
+
+
+def _tree(parents, edges, size=2):
+    alphabet = Alphabet.of_size(size)
+    m = len(parents)
+    return FlatPST(
+        alphabet=alphabet,
+        hists=np.ones((m, alphabet.hist_size)),
+        parents=np.asarray(parents, dtype=np.intp),
+        edge_symbols=np.asarray(edges, dtype=np.int64),
+    )
+
+
+class TestConstructor:
+    """The one constructor checks the topology and derives the rest."""
+
+    def test_derives_depths_table_totals_and_probabilities(self):
+        # Root, its children A (0) and $ (3), and A's child B (1).
+        flat = _tree([-1, 0, 1, 0], [-1, 0, 1, 3])
+        assert flat.depths.tolist() == [0, 1, 2, 1]
+        assert flat.child_table.tolist() == [
+            [1, -1, -1, 3],
+            [-1, 2, -1, -1],
+            [-1, -1, -1, -1],
+            [-1, -1, -1, -1],
+        ]
+        assert flat.totals.tolist() == [3.0] * 4
+        np.testing.assert_allclose(flat.cum_probs[0], [1 / 3, 2 / 3, 1.0])
+        assert flat.node_context(2) == (1, 0)
+
+    def test_empty_rows_get_zero_probabilities(self):
+        alphabet = Alphabet.of_size(1)
+        flat = FlatPST(
+            alphabet=alphabet,
+            hists=np.zeros((1, 2)),
+            parents=np.array([-1]),
+            edge_symbols=np.array([-1]),
+        )
+        assert flat.cum_probs.tolist() == [[0.0, 0.0]]
+        assert flat.height == 0
+
+    @pytest.mark.parametrize(
+        "parents, edges, message",
+        [
+            ([0], [-1], "root"),
+            ([-1, 0], [-1, -1], "I ∪ {\\$}"),
+            ([-1, 0], [-1, 2], "I ∪ {\\$}"),  # & is no context symbol
+            ([-1, 0], [-1, 4], "I ∪ {\\$}"),
+            ([-1, 1], [-1, 0], "precede"),  # a node as its own parent
+            ([-1, 2, 0], [-1, 0, 1], "precede"),
+            ([-1, 0, 0], [-1, 1, 1], "share"),
+        ],
+    )
+    def test_bad_topology_rejected(self, parents, edges, message):
+        with pytest.raises(ValueError, match=message):
+            _tree(parents, edges)
+
+    def test_bad_histograms_rejected(self):
+        alphabet = Alphabet.of_size(2)
+        one = np.array([-1])
+        for hists, message in [
+            (np.ones((1, 4)), "columns"),
+            (np.ones((0, 3)), "non-empty"),
+            (np.ones((1, 3), dtype=np.int64), "float"),
+            (np.array([[1.0, np.nan, 0.0]]), "finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                FlatPST(alphabet=alphabet, hists=hists, parents=one, edge_symbols=one)
+        with pytest.raises(ValueError, match="integers"):
+            FlatPST(
+                alphabet=alphabet,
+                hists=np.ones((1, 3)),
+                parents=np.array([-1.0]),
+                edge_symbols=one,
+            )

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.releases import SequenceRelease
+from repro.queries import PrefixCount
 from repro.sequence import (
     Alphabet,
     SequenceDataset,
@@ -13,6 +15,10 @@ from repro.sequence import (
     pst_from_dict,
     pst_to_dict,
     save_pst,
+)
+
+ARRAYS = (
+    "hists", "parents", "edge_symbols", "depths", "child_table", "totals", "cum_probs"
 )
 
 
@@ -37,7 +43,10 @@ class TestRoundTrip:
 
     def test_histograms_preserved(self, model):
         restored = pst_from_dict(pst_to_dict(model))
-        np.testing.assert_allclose(restored.root.hist, model.root.hist)
+        for name in ARRAYS:
+            got, expected = getattr(restored, name), getattr(model, name)
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
 
     def test_query_answers_preserved(self, model):
         restored = pst_from_dict(pst_to_dict(model))
@@ -141,3 +150,76 @@ class TestMalformedDocuments:
     def test_valid_nested_document_still_loads(self, model):
         restored = pst_from_dict(json.loads(json.dumps(pst_to_dict(model))))
         assert restored.size == model.size
+
+    def test_null_or_list_root_rejected(self):
+        for root in (None, [], [{"context": [], "hist": [1.0, 1.0, 1.0]}]):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                pst_from_dict(_doc(root))
+
+    def test_root_context_must_be_empty(self):
+        # Children extending a non-empty root context used to load, and the
+        # writer then dropped the root's symbols from every context.
+        child = {"context": [0, 1], "hist": [1.0, 1.0, 1.0]}
+        root = {"context": [1], "hist": [1.0, 2.0, 3.0], "children": {"0": child}}
+        with pytest.raises(ValueError, match="root's context must be empty"):
+            pst_from_dict(_doc(root))
+
+    def test_null_child_rejected(self):
+        root = {"context": [], "hist": [1.0, 2.0, 3.0], "children": {"0": None}}
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            pst_from_dict(_doc(root))
+
+    @pytest.mark.parametrize("children", [[], [{"context": [0]}], "01", None])
+    def test_children_must_be_an_object(self, children):
+        root = {"context": [], "hist": [1.0, 2.0, 3.0], "children": children}
+        with pytest.raises(ValueError, match="'children' must be an object"):
+            pst_from_dict(_doc(root))
+
+    @pytest.mark.parametrize("key", ["99", "2", "4", "-1"])
+    def test_child_key_outside_the_context_symbols_rejected(self, key):
+        # Alphabet ("A", "B"): I = {0, 1}, & = 2, $ = 3.  Key -1 used to
+        # land in the last child-table column, which is the $ column.
+        child = {"context": [int(key)], "hist": [1.0, 1.0, 1.0]}
+        root = {"context": [], "hist": [1.0, 2.0, 3.0], "children": {key: child}}
+        with pytest.raises(ValueError, match=r"not a\s+symbol of I or the start"):
+            pst_from_dict(_doc(root))
+
+    def test_minus_one_key_cannot_stand_in_for_the_start_node(self, model):
+        # A release whose $ node was swapped for a "-1" child must not
+        # claim sequence-start statistics it does not have.
+        doc = pst_to_dict(model)
+        start = str(model.alphabet.start_code)
+        removed = doc["root"]["children"].pop(start)
+        removed["context"] = [-1]
+        doc["root"]["children"]["-1"] = removed
+        with pytest.raises(ValueError, match=r"not a\s+symbol of I or the start"):
+            pst_from_dict(doc)
+        del doc["root"]["children"]["-1"]
+        release = SequenceRelease(pst_from_dict(doc), method="pst", epsilon_spent=2.0)
+        assert PrefixCount not in release.supported_query_types()
+
+    def test_repeated_child_key_rejected(self):
+        child = {"context": [1], "hist": [1.0, 1.0, 1.0]}
+        root = {
+            "context": [],
+            "hist": [1.0, 2.0, 3.0],
+            "children": {"1": child, "01": child},
+        }
+        with pytest.raises(ValueError, match="two children keyed 1"):
+            pst_from_dict(_doc(root))
+
+    def test_children_laid_out_in_code_order_whatever_the_key_order(self, model):
+        doc = json.loads(json.dumps(pst_to_dict(model)))
+
+        def reverse(node):
+            if "children" in node:
+                node["children"] = {
+                    key: reverse(child)
+                    for key, child in reversed(list(node["children"].items()))
+                }
+            return node
+
+        reverse(doc["root"])
+        restored = pst_from_dict(doc)
+        for name in ARRAYS:
+            assert getattr(restored, name).tobytes() == getattr(model, name).tobytes()

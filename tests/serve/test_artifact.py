@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import release_from_json
-from repro.api.releases import SpatialTreeRelease
+from repro.api.releases import SequenceRelease, SpatialTreeRelease
 from repro.serve import (
     ArtifactError,
     ArtifactIntegrityError,
@@ -18,6 +18,7 @@ from repro.serve import (
     read_artifact,
     write_artifact,
 )
+from repro.sequence import Alphabet, SequenceDataset, exact_pst
 from repro.spatial import FlatHistogram
 
 from ..api.conftest import FAST_PARAMS
@@ -254,6 +255,127 @@ class TestCraftedArtifacts:
             read_artifact(path)
         with pytest.raises(ArtifactError, match="not a JSON object"):
             artifact_info(path)
+
+
+def _figure3_pst():
+    """The exact PST of the paper's Figure 3 corpus: ten nodes, height 2."""
+    alphabet = Alphabet(("A", "B"))
+    data = SequenceDataset.from_symbols(
+        alphabet, [["B"], ["A", "B"], ["A", "A", "B"], ["A", "A", "A", "B"]]
+    )
+    pst = exact_pst(data, l_top=10, split_threshold=-1.0, max_context=2)
+    return SequenceRelease(pst, method="pst", epsilon_spent=1.0).flat()
+
+
+def _write_pst(path, **overrides):
+    """Write the Figure 3 PST's seven arrays, some replaced, as a v2
+    artifact with a valid SHA-256 footer (through a stand-in release)."""
+    flat = _figure3_pst()
+    arrays = {
+        name: np.array(getattr(flat, name))
+        for name in (
+            "hists", "totals", "cum_probs", "parents", "depths",
+            "edge_symbols", "child_table",
+        )
+    }
+    arrays.update(overrides)
+    release = SimpleNamespace(
+        kind=SequenceRelease.kind,
+        method="pst",
+        epsilon_spent=1.0,
+        flat=lambda: SimpleNamespace(alphabet=flat.alphabet, **arrays),
+    )
+    write_artifact(release, path)
+    return path
+
+
+def _crafted_child_table(edit):
+    table = np.array(_figure3_pst().child_table)
+    edit(table)
+    return table
+
+
+#: Crafted PST arrays, each with a footer that verifies.  Each would index
+#: past the arrays, loop a lookup, or answer and sample from numbers that
+#: are not the histograms'.
+CRAFTED_PSTS = {
+    "child_table_past_the_arrays": (
+        {"child_table": _crafted_child_table(lambda t: t.__setitem__((1, 0), 10**6))},
+        "child_table disagrees",
+    ),
+    "child_table_loops_a_node_to_itself": (
+        {"child_table": _crafted_child_table(lambda t: t.__setitem__((1, 0), 1))},
+        "child_table disagrees",
+    ),
+    "child_table_of_another_dtype": (
+        {"child_table": _crafted_child_table(lambda t: None).astype(np.int32)},
+        "child_table disagrees",
+    ),
+    "totals_all_one": ({"totals": np.ones(10)}, "totals disagrees"),
+    "zeroed_cum_probs": ({"cum_probs": np.zeros((10, 3))}, "cum_probs disagrees"),
+    "depths_off_by_one": ({"depths": np.arange(10)}, "depths disagrees"),
+    "parent_after_its_child": (
+        {"parents": np.array([-1, 5, 1, 1, 1, 0, 5, 5, 5, 0], dtype=np.intp)},
+        "parent must precede",
+    ),
+    "node_its_own_parent": (
+        {"parents": np.array([-1, 1, 1, 1, 1, 0, 5, 5, 5, 0], dtype=np.intp)},
+        "parent must precede",
+    ),
+    "root_has_a_parent": (
+        {"parents": np.array([0, 0, 1, 1, 1, 0, 5, 5, 5, 0], dtype=np.intp)},
+        "root",
+    ),
+    "edge_outside_the_alphabet": (
+        {"edge_symbols": np.array([-1, 0, 0, 1, 3, 1, 0, 1, 3, 99])},
+        "I ∪ {\\$}",
+    ),
+    "minus_one_edge_below_the_root": (
+        {"edge_symbols": np.array([-1, 0, 0, 1, 3, 1, 0, 1, 3, -1])},
+        "I ∪ {\\$}",
+    ),
+    "two_children_share_an_edge": (
+        {"edge_symbols": np.array([-1, 0, 0, 1, 3, 1, 0, 1, 3, 0])},
+        "share an edge",
+    ),
+    "float_parents": (
+        {"parents": np.array([-1.0, 0, 1, 1, 1, 0, 5, 5, 5, 0])},
+        "integers",
+    ),
+    "infinite_histogram": (
+        {"hists": np.full((10, 3), np.inf)},
+        "finite",
+    ),
+    "histogram_of_the_wrong_width": ({"hists": np.ones((10, 4))}, "columns"),
+}
+
+
+class TestCraftedPstArtifacts:
+    """A PST artifact is built through the one ``FlatPST`` constructor, and
+    every stored derived array must be the one it derives."""
+
+    def test_well_formed_pst_loads_and_answers(self, tmp_path):
+        flat = _figure3_pst()
+        restored = read_artifact(_write_pst(tmp_path / "pst.bin"))
+        for name in ("hists", "parents", "edge_symbols", "depths", "child_table"):
+            assert np.array_equal(getattr(restored.flat(), name), getattr(flat, name))
+        assert restored.query([0, 1]) == flat.string_frequency([0, 1]) == 3.0
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("case", sorted(CRAFTED_PSTS))
+    def test_crafted_pst_rejected(self, tmp_path, case, verify):
+        overrides, message = CRAFTED_PSTS[case]
+        path = _write_pst(tmp_path / "crafted.bin", **overrides)
+        with pytest.raises(ArtifactError, match=message):
+            read_artifact(path, verify=verify)
+
+    def test_crafted_pst_in_a_store_fails_the_load(self, store, sequence_data):
+        release, _ = fit_release("pst", None, sequence_data)
+        store.put(release, release_id="crafted")
+        overrides, _ = CRAFTED_PSTS["totals_all_one"]
+        _write_pst(store.root / "releases" / "crafted.bin", **overrides)
+        with pytest.raises(ArtifactError):
+            store.get("crafted")
 
 
 class TestStoreIntegration:

@@ -320,3 +320,35 @@ class TestFlatHistogramIsFrozen:
         )
         with pytest.raises(AttributeError):
             flat.counts = np.zeros(1)
+
+
+class TestSyntheticFlatHistogram:
+    def test_node_count_is_complete_quadtree(self):
+        flat = synthetic_flat_histogram(depth=2)
+        assert flat.lows.shape[0] == (4**3 - 1) // 3  # 21 nodes
+
+    def test_children_tile_their_parent(self):
+        flat = synthetic_flat_histogram(depth=3)
+        m = flat.lows.shape[0]
+        for node in range(m):
+            start, stop = flat.child_offsets[node], flat.child_offsets[node + 1]
+            children = flat.child_index[start:stop]
+            if len(children) == 0:
+                continue
+            assert len(children) == 4
+            # Each child sits inside the parent, and their areas sum to it.
+            assert (flat.lows[children] >= flat.lows[node] - 1e-12).all()
+            assert (flat.highs[children] <= flat.highs[node] + 1e-12).all()
+            extents = flat.highs[children] - flat.lows[children]
+            parent_extent = flat.highs[node] - flat.lows[node]
+            assert np.isclose(extents.prod(axis=1).sum(), parent_extent.prod())
+
+    def test_round_trips_through_pointer_tree(self):
+        flat = synthetic_flat_histogram(depth=2)
+        rebuilt = FlatHistogram.from_tree(flat.to_tree())
+        # Layout changes (level-order -> pre-order) but the histogram is
+        # the same: total count and root box are preserved.
+        assert rebuilt.lows.shape == flat.lows.shape
+        assert np.isclose(rebuilt.counts.sum(), flat.counts.sum())
+        assert np.array_equal(rebuilt.lows[0], flat.lows[0])
+        assert np.array_equal(rebuilt.highs[0], flat.highs[0])
