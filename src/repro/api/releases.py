@@ -398,13 +398,24 @@ class NGramRelease(Release):
     def _from_payload(
         cls, payload: dict[str, Any], *, method: str, epsilon_spent: float
     ) -> "NGramRelease":
-        model = NGramModel(
-            alphabet=Alphabet(tuple(payload["alphabet"])),
-            n_max=int(payload["n_max"]),
-            l_top=int(payload["l_top"]),
-            counts={
-                tuple(int(c) for c in entry["gram"]): float(entry["count"])
-                for entry in payload.get("grams", [])
-            },
+        grams = payload.get("grams", [])
+        try:
+            lengths = np.array([len(entry["gram"]) for entry in grams], dtype=np.int64)
+            codes = np.array(
+                [int(c) for entry in grams for c in entry["gram"]], dtype=np.int64
+            )
+            counts = np.array([float(entry["count"]) for entry in grams])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(
+                "n-gram grams must be objects with a 'gram' list of int64 "
+                f"codes and a float 'count': {exc!r}"
+            ) from None
+        model = NGramModel.from_arrays(
+            Alphabet(tuple(payload["alphabet"])),
+            int(payload["n_max"]),
+            int(payload["l_top"]),
+            lengths,
+            codes,
+            counts,
         )
         return cls(model, method=method, epsilon_spent=epsilon_spent)

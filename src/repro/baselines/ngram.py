@@ -112,6 +112,58 @@ class NGramModel:
         default=None, init=False, repr=False, compare=False
     )
 
+    @staticmethod
+    def from_arrays(
+        alphabet: Alphabet,
+        n_max: int,
+        l_top: int,
+        lengths: np.ndarray,
+        codes: np.ndarray,
+        counts: np.ndarray,
+    ) -> "NGramModel":
+        """The model whose gram ``i`` is the next ``lengths[i]`` of ``codes``
+        and has count ``counts[i]``; what both release decoders build.
+
+        Raises ``ValueError`` unless the grams are ones :func:`ngram_model`
+        can release: lengths in ``1..n_max`` that sum to the number of
+        codes, codes in ``I ∪ {&}`` with ``&`` only in last place, one
+        finite count per gram, and no gram twice.  A decoded gram that
+        breaks these would shadow a real one or answer from garbage.
+        """
+        lengths, codes, counts = (np.asarray(a) for a in (lengths, codes, counts))
+        if lengths.ndim != 1 or codes.ndim != 1 or counts.shape != lengths.shape:
+            raise ValueError("n-gram release needs one count per gram")
+        if lengths.dtype.kind not in "iu" or codes.dtype.kind not in "iu":
+            raise ValueError("n-gram lengths and codes must be integers")
+        if counts.dtype.kind not in "fiu" or not np.isfinite(counts).all():
+            raise ValueError("n-gram counts must be finite numbers")
+        in_range = not lengths.size or (
+            lengths.min() >= 1 and lengths.max() <= min(n_max, codes.size)
+        )
+        # Each length is at most codes.size, so the sum cannot wrap.
+        if not in_range or int(lengths.sum()) != codes.size:
+            raise ValueError(
+                f"n-gram lengths must lie in 1..{n_max} and sum to the "
+                "number of codes"
+            )
+        end = alphabet.end_code
+        if codes.size and (codes.min() < 0 or codes.max() > end):
+            raise ValueError("n-gram codes must lie in I ∪ {&}")
+        ends = np.cumsum(lengths) - 1
+        if np.count_nonzero(codes == end) != np.count_nonzero(codes[ends] == end):
+            raise ValueError("n-gram '&' may only end a gram")
+        flat = codes.tolist()
+        starts = (ends + 1 - lengths).tolist()
+        released = {
+            tuple(flat[start : start + length]): count
+            for start, length, count in zip(
+                starts, lengths.tolist(), counts.astype(float).tolist()
+            )
+        }
+        if len(released) != lengths.size:
+            raise ValueError("n-gram release names a gram twice")
+        return NGramModel(alphabet=alphabet, n_max=n_max, l_top=l_top, counts=released)
+
     def unigram_total(self) -> float:
         """Total mass at level 1 (used to normalize distributions; cached)."""
         if self._unigram_total is None:

@@ -18,15 +18,25 @@ On-disk layout (all integers little-endian)::
     header    JSON      {"format": "repro.release_artifact", "version": 2,
                          "kind": ..., "method": ..., "epsilon_spent": ...,
                          "meta": {...}, "segments": [
-                             {"name": ..., "offset": ..., "length": ...}]}
-    segments  bytes     one np.lib.format (.npy v1) stream per array;
-                        segment offsets are relative to the end of the
-                        header block
+                             {"name": ..., "offset": ..., "length": ...}]},
+                        padded with trailing spaces to end on a 64-byte
+                        file offset
+    segments  bytes     one np.lib.format (.npy v1) stream per array, each
+                        after zero bytes that start it on a 64-byte file
+                        offset; segment offsets are relative to the end of
+                        the header block, and multiples of 64
     footer    40 bytes  b"SHA2-256" + sha256(everything before the footer)
 
 The footer digest covers the entire file, so truncation or a flipped bit
 anywhere — header or array data — fails the load with
 :class:`ArtifactIntegrityError` instead of silently corrupting answers.
+
+An ``.npy`` header ends on a 64-byte boundary of its stream, so every
+array's data starts on a 64-byte file offset too, and every mapped array
+is aligned: the traversal reads misaligned float64 columns about 40%
+slower.  The padding is JSON whitespace and zero bytes between segments,
+so any v2 reader reads the file.  Files written before the padding still
+map, misaligned, and answer the same.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Any, Callable
@@ -60,6 +71,7 @@ _MAGIC = b"REPROBIN"
 _FOOTER_MAGIC = b"SHA2-256"
 _FOOTER_LEN = len(_FOOTER_MAGIC) + 32  # magic + sha256 digest
 _PREAMBLE = struct.Struct("<8sII")  # magic, version, header length
+_ALIGN = 64  # bytes: the data block and every segment start on a multiple
 
 
 class ArtifactError(ValueError):
@@ -322,20 +334,17 @@ def _decode_ngram(meta: dict, arrays: dict[str, np.ndarray], **prov) -> Release:
     # The n-gram model's native engine is a tuple-keyed dict; there is no
     # zero-copy array form of a dict walk, so this codec rebuilds the dict
     # eagerly.  The format stays uniform across kinds regardless.
-    lengths = arrays["gram_lengths"]
-    codes = arrays["gram_codes"]
-    values = arrays["gram_counts"]
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    counts = {
-        tuple(int(c) for c in codes[offsets[i] : offsets[i + 1]]): float(values[i])
-        for i in range(lengths.shape[0])
-    }
-    model = NGramModel(
-        alphabet=Alphabet(tuple(meta["alphabet"])),
-        n_max=int(meta["n_max"]),
-        l_top=int(meta["l_top"]),
-        counts=counts,
-    )
+    try:
+        model = NGramModel.from_arrays(
+            Alphabet(tuple(meta["alphabet"])),
+            int(meta["n_max"]),
+            int(meta["l_top"]),
+            arrays["gram_lengths"],
+            arrays["gram_codes"],
+            arrays["gram_counts"],
+        )
+    except ValueError as exc:
+        raise ArtifactError(f"invalid n-gram artifact: {exc}") from None
     return NGramRelease(model, **prov)
 
 
@@ -371,6 +380,7 @@ def write_artifact(release: Release, path: str | Path) -> int:
     segments = []
     data = io.BytesIO()
     for name, array in arrays.items():
+        data.write(bytes(-data.tell() % _ALIGN))
         offset = data.tell()
         np.lib.format.write_array(
             data, np.ascontiguousarray(array), version=(1, 0)
@@ -390,6 +400,7 @@ def write_artifact(release: Release, path: str | Path) -> int:
         },
         sort_keys=True,
     ).encode("utf-8")
+    header += b" " * (-(_PREAMBLE.size + len(header)) % _ALIGN)
     body = _PREAMBLE.pack(_MAGIC, ARTIFACT_VERSION, len(header))
     body += header + data.getvalue()
     digest = hashlib.sha256(body).digest()
@@ -456,24 +467,55 @@ def _verify_footer(path: Path, size: int) -> None:
         )
 
 
+def _segment_table(header: dict) -> list[tuple[str, int, int]]:
+    """The header's segments as checked (name, offset, length) triples."""
+    segments = header.get("segments", [])
+    if not isinstance(segments, list):
+        raise ArtifactError("artifact header segments must be a list")
+    table = []
+    for segment in segments:
+        if not isinstance(segment, dict):
+            raise ArtifactError("artifact header segments must be objects")
+        name = segment.get("name")
+        if not isinstance(name, str):
+            raise ArtifactError("artifact segment name must be a string")
+        for key in ("offset", "length"):
+            value = segment.get(key)
+            if type(value) is not int or value < 0:  # bool is not a count
+                raise ArtifactError(
+                    f"artifact segment {name!r} {key} must be a non-negative integer"
+                )
+        table.append((name, segment["offset"], segment["length"]))
+    return table
+
+
 def _map_segment(path: Path, abs_offset: int, length: int, size: int) -> np.ndarray:
     """A read-only memmap view of one ``.npy`` segment."""
-    if abs_offset < 0 or abs_offset + length + _FOOTER_LEN > size:
+    if abs_offset + length + _FOOTER_LEN > size:
         raise ArtifactIntegrityError(
             f"artifact {str(path)!r} declares a segment outside the file"
         )
     with path.open("rb") as handle:
         handle.seek(abs_offset)
-        version = np.lib.format.read_magic(handle)
+        try:
+            version = np.lib.format.read_magic(handle)
+            if version == (1, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+        except ValueError as exc:
+            raise ArtifactError(
+                f"artifact {str(path)!r} segment at byte {abs_offset} is not "
+                f"an .npy array: {exc}"
+            ) from None
         if version != (1, 0):
             raise ArtifactError(f"unsupported .npy segment version {version}")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
         data_offset = handle.tell()
     if fortran:
         raise ArtifactError("artifact segments must be C-contiguous")
     if dtype.hasobject:
         raise ArtifactError("artifact segments must not contain objects")
-    count = int(np.prod(shape)) if shape else 1
+    if min(shape, default=0) < 0:
+        raise ArtifactError("artifact segment has a negative dimension")
+    count = math.prod(shape)
     if data_offset + count * dtype.itemsize > abs_offset + length:
         raise ArtifactIntegrityError(
             f"artifact {str(path)!r} declares a segment shorter than its array"
@@ -489,7 +531,9 @@ def read_artifact(path: str | Path, *, verify: bool = True) -> Release:
     touch and shares it across processes mapping the same file.  With
     ``verify`` (the default) the sha256 footer is checked first, so a
     truncated or bit-flipped artifact raises
-    :class:`ArtifactIntegrityError` instead of serving garbage.
+    :class:`ArtifactIntegrityError` instead of serving garbage.  A header
+    whose segment table, ``epsilon_spent`` or ``meta`` is malformed raises
+    :class:`ArtifactError` before anything is mapped.
     """
     path = Path(path)
     header, data_start, size = _read_header(path)
@@ -501,17 +545,26 @@ def read_artifact(path: str | Path, *, verify: bool = True) -> Release:
     for key in ("method", "epsilon_spent"):
         if key not in header:
             raise ArtifactError(f"artifact header is missing the {key!r} key")
-    arrays = {}
-    for segment in header.get("segments", ()):
-        arrays[segment["name"]] = _map_segment(
-            path, data_start + int(segment["offset"]), int(segment["length"]), size
-        )
+    epsilon = header["epsilon_spent"]
+    try:
+        finite = type(epsilon) in (int, float) and math.isfinite(epsilon)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        raise ArtifactError("artifact epsilon_spent must be a finite number")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ArtifactError("artifact header meta must be an object")
+    arrays = {
+        name: _map_segment(path, data_start + offset, length, size)
+        for name, offset, length in _segment_table(header)
+    }
     try:
         return codec[1](
-            header.get("meta", {}),
+            meta,
             arrays,
             method=str(header["method"]),
-            epsilon_spent=float(header["epsilon_spent"]),
+            epsilon_spent=float(epsilon),
         )
     except KeyError as exc:
         raise ArtifactError(f"artifact is missing segment {exc}") from None
@@ -528,5 +581,5 @@ def artifact_info(path: str | Path) -> dict[str, Any]:
         "method": header.get("method"),
         "epsilon_spent": header.get("epsilon_spent"),
         "bytes": size,
-        "segments": [s["name"] for s in header.get("segments", ())],
+        "segments": [name for name, _, _ in _segment_table(header)],
     }

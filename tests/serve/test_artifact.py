@@ -1,15 +1,21 @@
 """The v2 binary artifact codec and its integration into the store."""
 
 import hashlib
+import io
 import json
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import release_from_json
+from repro.api import from_spec, release_from_json
 from repro.api.releases import SequenceRelease, SpatialTreeRelease
+from repro.datasets import msnbclike
+from repro.queries import StringFrequency
+from repro.serve import artifact as artifact_module
 from repro.serve import (
     ArtifactError,
     ArtifactIntegrityError,
@@ -116,6 +122,72 @@ class TestIntegrity:
     def test_integrity_error_is_artifact_and_value_error(self):
         assert issubclass(ArtifactIntegrityError, ArtifactError)
         assert issubclass(ArtifactError, ValueError)
+
+
+def _split(path):
+    """(header document, data block) of the artifact at ``path``."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    return json.loads(blob[16 : 16 + header_len]), blob[16 + header_len : -40]
+
+
+def _join(path, header, data):
+    """Write ``header`` as compact JSON and then ``data``, with a footer
+    that verifies."""
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = struct.pack("<8sII", b"REPROBIN", 2, len(text)) + text + data
+    path.write_bytes(body + b"SHA2-256" + hashlib.sha256(body).digest())
+    return path
+
+
+def _npy(array):
+    stream = io.BytesIO()
+    np.lib.format.write_array(stream, np.ascontiguousarray(array), version=(1, 0))
+    return stream.getvalue()
+
+
+def _unpadded(path, out, **arrays):
+    """Rewrite the artifact at ``path`` to ``out`` laid out as before the
+    padding: a compact header, then the segments end to end.  ``arrays``
+    replace the named segments."""
+    header, data = _split(path)
+    chunks = []
+    for segment in header["segments"]:
+        if segment["name"] in arrays:
+            chunk = _npy(arrays[segment["name"]])
+        else:
+            chunk = data[segment["offset"] : segment["offset"] + segment["length"]]
+        segment.update(offset=sum(map(len, chunks)), length=len(chunk))
+        chunks.append(chunk)
+    return _join(out, header, b"".join(chunks))
+
+
+def _data_offsets(path):
+    """The file offset of each segment's array data."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 12)
+    stream = io.BytesIO(blob)
+    offsets = []
+    for segment in _split(path)[0]["segments"]:
+        stream.seek(16 + header_len + segment["offset"])
+        np.lib.format.read_magic(stream)
+        np.lib.format.read_array_header_1_0(stream)
+        offsets.append(stream.tell())
+    return offsets
+
+
+@pytest.fixture
+def mapped(monkeypatch):
+    """Every array ``read_artifact`` maps, in segment order."""
+    arrays = []
+    map_segment = artifact_module._map_segment
+
+    def recording(*args):
+        arrays.append(map_segment(*args))
+        return arrays[-1]
+
+    monkeypatch.setattr(artifact_module, "_map_segment", recording)
+    return arrays
 
 
 def _small_tree(**overrides):
@@ -257,6 +329,120 @@ class TestCraftedArtifacts:
             artifact_info(path)
 
 
+#: Malformed header fields, each in a file whose footer verifies.
+MALFORMED_HEADERS = {
+    "segment_without_an_offset": (lambda h: h["segments"][0].pop("offset"), "offset"),
+    "offset_that_is_text": (lambda h: h["segments"][0].update(offset="abc"), "offset"),
+    "offset_that_is_null": (lambda h: h["segments"][0].update(offset=None), "offset"),
+    "segments_as_an_object": (
+        lambda h: h.update(segments={s["name"]: s for s in h["segments"]}),
+        "segments",
+    ),
+    "segments_as_a_string": (lambda h: h.update(segments="lows"), "segments"),
+    "segments_as_lists": (
+        lambda h: h.update(segments=[list(s.values()) for s in h["segments"]]),
+        "segments",
+    ),
+    "epsilon_spent_that_is_text": (
+        lambda h: h.update(epsilon_spent="x"), "epsilon_spent"
+    ),
+    "epsilon_spent_past_the_float_range": (
+        lambda h: h.update(epsilon_spent=10**400), "epsilon_spent"
+    ),
+    "meta_as_a_list": (lambda h: h.update(meta=[]), "meta"),
+    "offset_inside_a_segment": (
+        lambda h: h["segments"][0].update(offset=h["segments"][0]["offset"] + 8),
+        "not an .npy array",
+    ),
+}
+
+_JUNK = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.lists(st.integers(-1, 3), max_size=3)
+)
+
+
+def _segment_tables(original, n_bytes):
+    """Segment tables near ``original`` and far from it, within
+    ``n_bytes`` of data and past it."""
+    names = st.sampled_from([s["name"] for s in original])
+    spans = st.integers(-2, n_bytes + 64)
+
+    def near(segment):
+        return st.fixed_dictionaries({
+            "name": st.just(segment["name"]) | names,
+            "offset": st.just(segment["offset"]) | spans,
+            "length": st.just(segment["length"]) | spans,
+        })
+
+    entry = st.fixed_dictionaries(
+        {},
+        optional={
+            "name": names | _JUNK,
+            "offset": spans | _JUNK,
+            "length": spans | _JUNK,
+        },
+    )
+    return st.one_of(
+        st.permutations(original),
+        st.tuples(*map(near, original)).map(list),
+        st.lists(entry | _JUNK, max_size=8),
+        _JUNK,
+    )
+
+
+class TestMalformedHeaders:
+    """A footer any writer can compute proves intact bytes, not a header
+    or a segment a writer made: a malformed one raises ``ArtifactError``,
+    and the header's fields are checked before anything is mapped."""
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_rejected(self, tmp_path, case, verify):
+        edit, message = MALFORMED_HEADERS[case]
+        header, data = _split(_write_tree(tmp_path / "tree.bin", _small_tree()))
+        edit(header)
+        path = _join(tmp_path / "tree.bin", header, data)
+        with pytest.raises(ArtifactError, match=message):
+            read_artifact(path, verify=verify)
+
+    def test_segment_with_a_negative_dimension_rejected(self, tmp_path):
+        header, data = _split(_write_tree(tmp_path / "tree.bin", _small_tree()))
+        # The counts segment's .npy header, one pad space traded for a sign.
+        data = data.replace(b"'shape': (5,), }  ", b"'shape': (-5,), } ", 1)
+        assert b"(-5,)" in data
+        path = _join(tmp_path / "tree.bin", header, data)
+        with pytest.raises(ArtifactError, match="negative dimension"):
+            read_artifact(path)
+
+    def test_artifact_info_checks_the_segment_table(self, tmp_path):
+        edit, message = MALFORMED_HEADERS["segments_as_lists"]
+        header, data = _split(_write_tree(tmp_path / "tree.bin", _small_tree()))
+        edit(header)
+        with pytest.raises(ArtifactError, match=message):
+            artifact_info(_join(tmp_path / "tree.bin", header, data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_segment_table_loads_or_raises_artifact_error(
+        self, tmp_path_factory, data
+    ):
+        path = _write_tree(
+            tmp_path_factory.getbasetemp() / "segment-table.bin", _small_tree()
+        )
+        header, block = _split(path)
+        header["segments"] = data.draw(_segment_tables(header["segments"], len(block)))
+        _join(path, header, block)
+        try:
+            flat = read_artifact(path).flat()
+        except ArtifactError:
+            return
+        flat.range_count_arrays(np.asarray(flat.lows[:1]), np.asarray(flat.highs[:1]))
+
+
 def _figure3_pst():
     """The exact PST of the paper's Figure 3 corpus: ten nodes, height 2."""
     alphabet = Alphabet(("A", "B"))
@@ -376,6 +562,216 @@ class TestCraftedPstArtifacts:
         _write_pst(store.root / "releases" / "crafted.bin", **overrides)
         with pytest.raises(ArtifactError):
             store.get("crafted")
+
+
+@pytest.fixture(scope="module")
+def ngram_release():
+    """A 500-sequence msnbc-like n-gram fit over 17 symbols (& is code 17,
+    $ is 18).  Its grams sort as (0,), (0, 5), ..., so gram 1 has two
+    codes."""
+    return from_spec("ngram", epsilon=1.0).fit(msnbclike(500, rng=0), rng=1)
+
+
+def _gram_arrays(release):
+    """The three segments the v2 writer stores for ``release``."""
+    grams = sorted(release.model.counts.items())
+    return {
+        "gram_lengths": np.array([len(g) for g, _ in grams]),
+        "gram_codes": np.array([c for g, _ in grams for c in g]),
+        "gram_counts": np.array([v for _, v in grams]),
+    }
+
+
+def _replaced(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+def _second_unigram_as_the_first(lengths, codes, counts):
+    second = np.flatnonzero(lengths == 1)[1]
+    return {"gram_codes": _replaced(codes, int(lengths[:second].sum()), 0)}
+
+
+#: Crafted n-gram arrays, each with a footer that verifies.  Unchecked,
+#: each would answer from a gram no fit releases, or lose a real one.
+CRAFTED_NGRAMS = {
+    "code_outside_the_alphabet": (
+        lambda l, c, v: {"gram_codes": _replaced(c, 0, 99)}, "I ∪ {&}"
+    ),
+    "start_marker_in_a_gram": (
+        lambda l, c, v: {"gram_codes": _replaced(c, 0, 18)}, "I ∪ {&}"
+    ),
+    "end_marker_before_the_last_place": (
+        lambda l, c, v: {"gram_codes": _replaced(c, 1, 17)}, "only end a gram"
+    ),
+    "negative_length": (
+        lambda l, c, v: {"gram_lengths": _replaced(l, 0, -1)}, "lengths must lie"
+    ),
+    "gram_longer_than_n_max": (
+        lambda l, c, v: {"gram_lengths": _replaced(l, 0, 6)}, "lengths must lie"
+    ),
+    "codes_past_the_last_gram": (
+        lambda l, c, v: {"gram_codes": np.append(c, 0)}, "sum to the number"
+    ),
+    "float_lengths": (lambda l, c, v: {"gram_lengths": l.astype(float)}, "integers"),
+    "nan_count": (lambda l, c, v: {"gram_counts": _replaced(v, 0, np.nan)}, "finite"),
+    "one_count_short": (lambda l, c, v: {"gram_counts": v[:-1]}, "one count per gram"),
+    "gram_named_twice": (_second_unigram_as_the_first, "twice"),
+}
+
+#: The same defects in a release document's gram list.
+CRAFTED_NGRAM_DOCUMENTS = {
+    "code_outside_the_alphabet": (lambda g: g[0].update(gram=[99]), "I ∪ {&}"),
+    "start_marker_in_a_gram": (lambda g: g[0].update(gram=[18]), "I ∪ {&}"),
+    "end_marker_before_the_last_place": (
+        lambda g: g[1].update(gram=[17, 5]), "only end a gram"
+    ),
+    "empty_gram": (lambda g: g[0].update(gram=[]), "lengths must lie"),
+    "gram_longer_than_n_max": (lambda g: g[0].update(gram=[0] * 6), "lengths must lie"),
+    "nan_count": (lambda g: g[0].update(count=float("nan")), "finite"),
+    "gram_named_twice": (lambda g: g.append(dict(g[0])), "twice"),
+    "code_past_int64": (lambda g: g[0].update(gram=[2**63]), "int64 codes"),
+    "count_past_the_float_range": (
+        lambda g: g[0].update(count=10**400), "float 'count'"
+    ),
+    "null_gram": (lambda g: g[0].update(gram=None), "'gram' list"),
+    "gram_without_a_count": (lambda g: g[0].pop("count"), "float 'count'"),
+}
+
+
+class TestCraftedNGramArtifacts:
+    """Both n-gram decoders check the grams against what a fit releases."""
+
+    def test_well_formed_ngram_loads_and_answers(self, tmp_path, ngram_release):
+        path = tmp_path / "ngram.bin"
+        write_artifact(ngram_release, path)
+        query = [StringFrequency((0,))]
+        expected = ngram_release.answer(query)
+        assert expected[0] == pytest.approx(197.39, abs=0.01)
+        # The crafted cases below edit these arrays, so unedited they must
+        # load the fitted model.
+        rewritten = _unpadded(
+            path, tmp_path / "rewritten.bin", **_gram_arrays(ngram_release)
+        )
+        for restored in (
+            read_artifact(path),
+            read_artifact(rewritten),
+            release_from_json(json.loads(json.dumps(ngram_release.to_json()))),
+        ):
+            assert restored.model.counts == ngram_release.model.counts
+            assert restored.answer(query).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("case", sorted(CRAFTED_NGRAMS))
+    def test_crafted_ngram_rejected(self, tmp_path, ngram_release, case, verify):
+        edit, message = CRAFTED_NGRAMS[case]
+        path = tmp_path / "ngram.bin"
+        write_artifact(ngram_release, path)
+        _unpadded(path, path, **edit(*_gram_arrays(ngram_release).values()))
+        with pytest.raises(ArtifactError, match=message):
+            read_artifact(path, verify=verify)
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED_NGRAM_DOCUMENTS))
+    def test_crafted_ngram_document_rejected(self, ngram_release, case):
+        edit, message = CRAFTED_NGRAM_DOCUMENTS[case]
+        document = json.loads(json.dumps(ngram_release.to_json()))
+        edit(document["payload"]["grams"])
+        with pytest.raises(ValueError, match=message):
+            release_from_json(document)
+
+
+#: One fit per release kind with a v2 codec.
+KIND_METHODS = ["privtree", "ug", "ag", "pst", "ngram"]
+
+
+class TestAlignment:
+    """Every segment's data starts on a 64-byte file offset, so every array
+    the loader maps is aligned; a file written before the padding still
+    maps and answers the same."""
+
+    def test_one_method_per_kind(self, uniform_2d, sequence_data):
+        kinds = {
+            fit_release(name, uniform_2d, sequence_data)[0].kind
+            for name in KIND_METHODS
+        }
+        assert kinds == set(artifact_module._CODECS)
+
+    @pytest.mark.parametrize("name", KIND_METHODS)
+    def test_every_array_is_mapped_aligned(
+        self, name, tmp_path, uniform_2d, sequence_data, mapped
+    ):
+        release, _ = fit_release(name, uniform_2d, sequence_data)
+        path = tmp_path / "release.bin"
+        write_artifact(release, path)
+        assert all(offset % 64 == 0 for offset in _data_offsets(path))
+        read_artifact(path)
+        assert len(mapped) == len(artifact_info(path)["segments"])
+        for array in mapped:
+            assert isinstance(array, np.memmap) and array.flags.aligned
+
+    @pytest.mark.parametrize(
+        "name, arrays",
+        [
+            ("privtree", ("lows", "highs", "counts", "parents", "child_offsets",
+                          "child_index")),
+            ("pst", ("hists", "parents", "edge_symbols")),
+        ],
+    )
+    def test_engines_hold_aligned_mapped_arrays(
+        self, name, arrays, tmp_path, uniform_2d, sequence_data
+    ):
+        """Loading stays zero-copy: each array is a memmap, or (``FlatPST``
+        keeps plain views) a view of one."""
+        release, _ = fit_release(name, uniform_2d, sequence_data)
+        path = tmp_path / "release.bin"
+        write_artifact(release, path)
+        flat = read_artifact(path).flat()
+        for array_name in arrays:
+            array = getattr(flat, array_name)
+            assert isinstance(array, np.memmap) or isinstance(
+                array.base, np.memmap
+            ), array_name
+            assert array.flags.aligned, array_name
+
+    def test_padding_is_json_whitespace_and_zero_bytes(self, tmp_path, uniform_2d):
+        release, _ = fit_release("privtree", uniform_2d, None)
+        path = tmp_path / "release.bin"
+        write_artifact(release, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        assert (16 + header_len) % 64 == 0
+        padded = blob[16 : 16 + header_len]
+        document = json.loads(padded)
+        assert padded.rstrip(b" ") == json.dumps(document, sort_keys=True).encode()
+        data = _split(path)[1]
+        end = 0
+        for segment in document["segments"]:
+            assert segment["offset"] % 64 == 0
+            assert data[end : segment["offset"]].strip(b"\0") == b""
+            end = segment["offset"] + segment["length"]
+        assert end == len(data)
+
+    @pytest.mark.parametrize("name", KIND_METHODS)
+    def test_file_written_before_the_padding_answers_the_same(
+        self, name, tmp_path, uniform_2d, sequence_data, mapped
+    ):
+        release, kind = fit_release(name, uniform_2d, sequence_data)
+        aligned = tmp_path / "aligned.bin"
+        write_artifact(release, aligned)
+        legacy = _unpadded(aligned, tmp_path / "legacy.bin")
+        restored = read_artifact(legacy)
+        assert len(mapped) == len(artifact_info(legacy)["segments"])
+        assert all(isinstance(array, np.memmap) for array in mapped)
+        # The spatial fits' files before the padding are misaligned.
+        if kind == "spatial":
+            assert not all(array.flags.aligned for array in mapped)
+        answers = np.asarray(_answers(restored, kind)).tobytes()
+        assert answers == np.asarray(_answers(read_artifact(aligned), kind)).tobytes()
+        assert answers == np.asarray(_answers(release, kind)).tobytes()
+        assert artifact_info(legacy) == {
+            **artifact_info(aligned), "bytes": legacy.stat().st_size
+        }
 
 
 class TestStoreIntegration:

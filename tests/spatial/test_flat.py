@@ -20,7 +20,7 @@ from repro.experiments.perf import (
     reference_range_count_arrays,
 )
 from repro.spatial import FlatHistogram, SpatialDataset, generate_workload
-from repro.queries import RangeCount, Workload
+from repro.queries import Marginal1D, RangeCount, Workload
 from repro.serve import ReleaseStore
 from repro.spatial.quadtree import _privtree_flat, _privtree_histogram, _simpletree_flat
 from repro.spatial.serialize import tree_from_dict, tree_to_dict
@@ -243,6 +243,10 @@ REFERENCE_RELEASES = [
     ("privtree", {"dims_per_split": 2}, 3),
     ("kdtree", {"height": 5}, 3),
 ]
+REFERENCE_IDS = [
+    "-".join([n, f"{d}d", *(f"{k}{v}" for k, v in p.items())])
+    for n, p, d in REFERENCE_RELEASES
+]
 
 
 def reference_batches(flat, seed):
@@ -274,16 +278,45 @@ class TestFrozenReference:
     @pytest.mark.parametrize(
         "name, params, d",
         REFERENCE_RELEASES,
-        ids=[
-            "-".join([n, f"{d}d", *(f"{k}{v}" for k, v in p.items())])
-            for n, p, d in REFERENCE_RELEASES
-        ],
+        ids=REFERENCE_IDS,
     )
     def test_answers_match_reference_byte_for_byte(self, name, params, d):
         data = random_dataset(2) if d == 2 else random_dataset(4, n=3000, d=3)
         flat = from_spec(name, epsilon=1.0, **params).fit(data, rng=d).flat()
         for batch, lows, highs in reference_batches(flat, seed=10 * d):
             expected = reference_range_count_arrays(flat, lows, highs)
+            answers = flat.range_count_arrays(lows, highs)
+            assert answers.dtype == expected.dtype, batch
+            assert answers.tobytes() == expected.tobytes(), batch
+
+    @pytest.mark.parametrize(
+        "name, params, d",
+        REFERENCE_RELEASES,
+        ids=REFERENCE_IDS,
+    )
+    def test_store_loaded_answers_match_reference_byte_for_byte(
+        self, tmp_path, name, params, d
+    ):
+        """The served path: the traversal over arrays mapped from a stored
+        v2 artifact, for each band and for marginal strips."""
+        data = random_dataset(2) if d == 2 else random_dataset(4, n=3000, d=3)
+        release = from_spec(name, epsilon=1.0, **params).fit(data, rng=d)
+        store = ReleaseStore(tmp_path / "store")
+        flat = store.get(store.put(release)).flat()
+        assert isinstance(flat.lows, np.memmap)
+        batches = [
+            (band, generate_workload(data.domain, band, 500, rng=10 * d + j))
+            for j, band in enumerate(BANDS)
+        ]
+        for axis in range(d):
+            marginal = Marginal1D.regular(
+                axis, 64, data.domain.low[axis], data.domain.high[axis]
+            )
+            batches.append((f"marginal {axis}", marginal.to_boxes(data.domain)))
+        for batch, boxes in batches:
+            lows = np.array([b.low for b in boxes])
+            highs = np.array([b.high for b in boxes])
+            expected = reference_range_count_arrays(release.flat(), lows, highs)
             answers = flat.range_count_arrays(lows, highs)
             assert answers.dtype == expected.dtype, batch
             assert answers.tobytes() == expected.tobytes(), batch
