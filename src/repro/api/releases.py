@@ -10,6 +10,7 @@ grid-shaped baselines.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
@@ -158,9 +159,44 @@ def _grid_to_dict(grid: UniformGrid) -> dict[str, Any]:
 
 
 def _grid_from_dict(data: Mapping[str, Any]) -> UniformGrid:
-    domain = Box(tuple(data["low"]), tuple(data["high"]))
-    counts = np.asarray(data["counts"], dtype=float).reshape(tuple(data["shape"]))
-    return UniformGrid(domain=domain, counts=counts)
+    return _grid_from_parts(data["low"], data["high"], data["shape"], data["counts"])
+
+
+def _grid_from_parts(low, high, shape, counts) -> UniformGrid:
+    """The grid both decoders build, checked: ``shape`` must be a list of
+    positive integers whose product is the number of ``counts``."""
+    counts = np.asarray(counts, dtype=float)
+    if not (
+        isinstance(shape, list)
+        and all(type(n) is int and n > 0 for n in shape)  # bool is not a size
+        and math.prod(shape) == counts.size
+    ):
+        raise ValueError(
+            f"grid shape must be a list of positive integers whose product is "
+            f"the number of counts ({counts.size}), got {shape!r}"
+        )
+    return UniformGrid(domain=Box(tuple(low), tuple(high)), counts=counts.reshape(shape))
+
+
+def _adaptive_grid_from_parts(
+    level1: UniformGrid, indices, subgrids: list[UniformGrid]
+) -> AdaptiveGrid:
+    """The AG synopsis both decoders build, checked: ``indices`` must be a
+    list naming one distinct level-1 cell per subgrid."""
+    if not isinstance(indices, list) or len(indices) != len(subgrids):
+        raise ValueError(f"AG subgrid indices must be a list of {len(subgrids)} cells")
+    cells: dict[tuple[int, ...], UniformGrid] = {}
+    for index, grid in zip(indices, subgrids):
+        if not (
+            isinstance(index, list)
+            and len(index) == len(level1.shape)
+            and all(type(i) is int and 0 <= i < n for i, n in zip(index, level1.shape))
+        ):
+            raise ValueError(f"AG subgrid index {index!r} names no level-1 cell")
+        if tuple(index) in cells:
+            raise ValueError(f"two AG subgrids refine the level-1 cell {index}")
+        cells[tuple(index)] = grid
+    return AdaptiveGrid(level1=level1, subgrids=cells)
 
 
 class GridRelease(SpatialRelease):
@@ -249,12 +285,13 @@ class AdaptiveGridRelease(SpatialRelease):
     def _from_payload(
         cls, payload: dict[str, Any], *, method: str, epsilon_spent: float
     ) -> "AdaptiveGridRelease":
-        synopsis = AdaptiveGrid(
-            level1=_grid_from_dict(payload["level1"]),
-            subgrids={
-                tuple(int(i) for i in entry["index"]): _grid_from_dict(entry["grid"])
-                for entry in payload.get("subgrids", [])
-            },
+        entries = payload.get("subgrids", [])
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"AG subgrids must be a list of objects, got {entries!r}")
+        synopsis = _adaptive_grid_from_parts(
+            _grid_from_dict(payload["level1"]),
+            [entry.get("index") for entry in entries],
+            [_grid_from_dict(entry["grid"]) for entry in entries],
         )
         return cls(synopsis, method=method, epsilon_spent=epsilon_spent)
 

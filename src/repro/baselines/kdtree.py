@@ -20,7 +20,7 @@ from ..mechanisms.exponential import exponential_mechanism
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
-from ..spatial.flat import FlatHistogram, _from_parents
+from ..spatial.flat import FlatHistogram
 
 __all__: list[str] = []
 
@@ -98,7 +98,8 @@ def _kdtree_flat(
         return counts[row]
 
     build(dataset.domain.low, dataset.domain.high, dataset.points, 0, -1)
-    return _from_parents(lows, highs, counts, parents)
+    lows, highs, counts = (np.array(rows, dtype=float) for rows in (lows, highs, counts))
+    return FlatHistogram(lows, highs, counts, np.array(parents))
 
 
 def _replace(bounds: tuple[float, ...], axis: int, value: float) -> tuple[float, ...]:

@@ -560,6 +560,8 @@ def _run_store(args: argparse.Namespace) -> str:
         entry = store.manifest_entry(args.release_id)
     except StoreError as exc:
         raise SystemExit(str(exc.args[0])) from None
+    except ValueError as exc:  # ArtifactError, or the JSON fallback's
+        raise SystemExit(f"cannot load release {args.release_id!r}: {exc}") from None
     lines = [
         f"release  : {type(release).__name__}, size={release.size:,}",
         f"method   : {entry['method']} ({entry['kind']})",

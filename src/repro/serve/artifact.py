@@ -104,85 +104,37 @@ def _encode_spatial_tree(release: Release) -> tuple[dict, dict[str, np.ndarray]]
     }
 
 
-def _check_tree_topology(arrays: dict[str, np.ndarray]) -> None:
-    """Fail closed unless the arrays form a tree rooted at node 0.
-
-    The footer is a plain SHA-256 that any writer can compute: it proves
-    the bytes are intact, not that a fit produced them.  A child list that
-    loops back (node 0 as its own child) would send the level-by-level
-    traversal and ``FlatHistogram.height`` round it forever, so the
-    topology is checked here, in O(m) array operations, before a query
-    runs.  Every edge points to a higher index, so there is no cycle.
-    """
-    # Plain views of the memmaps: a memmap's Python-level hooks would run
-    # on every array operation below.
-    lows, highs = np.asarray(arrays["lows"]), np.asarray(arrays["highs"])
-    if (
-        lows.ndim != 2
-        or lows.shape != highs.shape
-        or 0 in lows.shape
-        or lows.dtype.kind != "f"
-        or highs.dtype.kind != "f"
-    ):
-        raise ArtifactError("spatial tree bounds must be matching (m, d) floats")
-    m = lows.shape[0]
-    shapes = {
-        "counts": (m,),
-        "parents": (m,),
-        "child_offsets": (m + 1,),
-        "child_index": (m - 1,),
-    }
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ArtifactError(
-                f"spatial tree {name} has shape {arrays[name].shape}, "
-                f"expected {shape} for {m} nodes"
-            )
-    topology = {}
-    for name in ("parents", "child_offsets", "child_index"):
-        if arrays[name].dtype.kind not in "iu":
-            raise ArtifactError(f"spatial tree {name} must be integers")
-        # An unsigned value past the intp range wraps negative and fails
-        # the range checks below.
-        topology[name] = np.asarray(arrays[name]).astype(np.intp, copy=False)
-    offsets = topology["child_offsets"]
-    index = topology["child_index"]
-    parents = topology["parents"]
-    if offsets[0] != 0 or offsets[-1] != m - 1 or np.any(offsets[1:] < offsets[:-1]):
-        raise ArtifactError(
-            "spatial tree child_offsets must rise from 0 to the child count"
-        )
-    if m > 1 and (index.min() < 1 or index.max() >= m):
-        raise ArtifactError("spatial tree child_index names a node out of range")
-    if np.any(np.bincount(index, minlength=m)[1:] != 1):
-        raise ArtifactError(
-            "spatial tree child_index must name every non-root node once"
-        )
-    # The parent of child slot j is the last node whose offset is <= j:
-    # np.repeat(np.arange(m), np.diff(offsets)), at a fifth of the cost.
-    owners = np.cumsum(np.bincount(offsets[1:m], minlength=m)[: m - 1])
-    if np.any(index <= owners):
-        raise ArtifactError("spatial tree child precedes its parent")
-    if parents[0] != -1 or np.any(parents[index] != owners):
-        raise ArtifactError("spatial tree parents disagree with the child lists")
-    if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
-        raise ArtifactError("spatial tree bounds must be finite")
-    if not np.all(lows < highs):
-        raise ArtifactError("spatial tree boxes must have lows < highs")
+def _check_derived(arrays: dict, flat: Any, names: tuple[str, ...], what: str) -> None:
+    """Raise :class:`ArtifactError` (``what`` naming the array) unless each
+    stored array in ``names`` is ``flat``'s derived one: dtype, shape and
+    values."""
+    for name in names:
+        stored, derived = np.asarray(arrays[name]), getattr(flat, name)
+        if (
+            stored.dtype != derived.dtype
+            or stored.shape != derived.shape
+            or not np.array_equal(stored, derived)
+        ):
+            raise ArtifactError(what.format(name))
 
 
 def _decode_spatial_tree(meta: dict, arrays: dict[str, np.ndarray], **prov) -> Release:
+    """Build the tree from its stored ``lows``, ``highs``, ``counts`` and
+    ``parents`` through the one constructor that checks them: the footer
+    proves intact bytes, not a fit.  The stored child lists are never read
+    but must be the derived ones, as every writer stores them."""
     from ..api.releases import SpatialTreeRelease
     from ..spatial.flat import FlatHistogram
 
-    _check_tree_topology(arrays)
-    flat = FlatHistogram(
-        lows=arrays["lows"],
-        highs=arrays["highs"],
-        counts=arrays["counts"],
-        parents=arrays["parents"],
-        child_offsets=arrays["child_offsets"],
-        child_index=arrays["child_index"],
+    try:
+        flat = FlatHistogram(
+            arrays["lows"], arrays["highs"], arrays["counts"], arrays["parents"]
+        )
+    except ValueError as exc:
+        raise ArtifactError(f"invalid spatial tree artifact: {exc}") from None
+    _check_derived(
+        arrays, flat, ("child_offsets", "child_index"),
+        "spatial tree {} disagrees with its parents",
     )
     return SpatialTreeRelease(flat=flat, **prov)
 
@@ -200,14 +152,14 @@ def _encode_grid(release: Release) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _decode_grid(meta: dict, arrays: dict[str, np.ndarray], **prov) -> Release:
-    from ..api.releases import GridRelease
-    from ..baselines.grid import UniformGrid
-    from ..domains.box import Box
+    from ..api.releases import GridRelease, _grid_from_parts
 
-    grid = UniformGrid(
-        domain=Box(tuple(arrays["low"]), tuple(arrays["high"])),
-        counts=arrays["counts"].reshape(tuple(meta["shape"])),
-    )
+    try:
+        grid = _grid_from_parts(
+            arrays["low"], arrays["high"], meta.get("shape"), arrays["counts"]
+        )
+    except ValueError as exc:
+        raise ArtifactError(f"invalid grid artifact: {exc}") from None
     return GridRelease(grid, meta=meta.get("meta"), **prov)
 
 
@@ -235,28 +187,31 @@ def _encode_adaptive_grid(release: Release) -> tuple[dict, dict[str, np.ndarray]
 
 
 def _decode_adaptive_grid(meta: dict, arrays: dict[str, np.ndarray], **prov) -> Release:
-    from ..api.releases import AdaptiveGridRelease
-    from ..baselines.ag import AdaptiveGrid
-    from ..baselines.grid import UniformGrid
-    from ..domains.box import Box
-
-    def grid(prefix: str, shape: list) -> UniformGrid:
-        return UniformGrid(
-            domain=Box(
-                tuple(arrays[f"{prefix}_low"]), tuple(arrays[f"{prefix}_high"])
-            ),
-            counts=arrays[f"{prefix}_counts"].reshape(tuple(shape)),
-        )
-
-    subgrids = {
-        tuple(int(i) for i in index): grid(f"sub{j}", shape)
-        for j, (index, shape) in enumerate(
-            zip(meta["subgrid_indices"], meta["subgrid_shapes"])
-        )
-    }
-    synopsis = AdaptiveGrid(
-        level1=grid("level1", meta["level1_shape"]), subgrids=subgrids
+    from ..api.releases import (
+        AdaptiveGridRelease,
+        _adaptive_grid_from_parts,
+        _grid_from_parts,
     )
+
+    def grid(prefix: str, shape: Any):
+        low, high = arrays[f"{prefix}_low"], arrays[f"{prefix}_high"]
+        return _grid_from_parts(low, high, shape, arrays[f"{prefix}_counts"])
+
+    shapes = meta.get("subgrid_shapes")
+    try:
+        if not isinstance(shapes, list):
+            raise ValueError(f"AG subgrid shapes must be a list, got {shapes!r}")
+        # Every segment must be one of the level-1 grid's three or a
+        # listed subgrid's three (a missing one raises KeyError below).
+        if len(arrays) != 3 * (len(shapes) + 1):
+            raise ValueError(f"{len(arrays)} segments for {len(shapes) + 1} grids of 3")
+        synopsis = _adaptive_grid_from_parts(
+            grid("level1", meta.get("level1_shape")),
+            meta.get("subgrid_indices"),
+            [grid(f"sub{j}", shape) for j, shape in enumerate(shapes)],
+        )
+    except ValueError as exc:
+        raise ArtifactError(f"invalid adaptive-grid artifact: {exc}") from None
     return AdaptiveGridRelease(synopsis, **prov)
 
 
@@ -297,16 +252,10 @@ def _decode_pst(meta: dict, arrays: dict[str, np.ndarray], **prov) -> Release:
         )
     except ValueError as exc:
         raise ArtifactError(f"invalid PST artifact: {exc}") from None
-    for name in ("depths", "child_table", "totals", "cum_probs"):
-        stored, derived = np.asarray(arrays[name]), getattr(flat, name)
-        if (
-            stored.dtype != derived.dtype
-            or stored.shape != derived.shape
-            or not np.array_equal(stored, derived)
-        ):
-            raise ArtifactError(
-                f"PST {name} disagrees with its hists, parents and edge_symbols"
-            )
+    _check_derived(
+        arrays, flat, ("depths", "child_table", "totals", "cum_probs"),
+        "PST {} disagrees with its hists, parents and edge_symbols",
+    )
     return SequenceRelease(flat, **prov)
 
 

@@ -2,10 +2,11 @@
 
 A :class:`FlatHistogram` is a structure-of-arrays synopsis: node boxes as
 ``(m, d)`` ``lows`` / ``highs`` matrices, counts as an ``(m,)`` vector, and
-the topology as ``parents`` plus CSR-style child offsets.  It is the only
-in-memory form of a released spatial tree: every fit, the JSON decoder
-and the v2 artifact loader produce these arrays, and
-:meth:`FlatHistogram.to_tree` wraps them in the
+the topology as ``parents``, from which the constructor derives CSR-style
+child lists after checking all four.  It is the only in-memory form of a
+released spatial tree: every fit, the JSON decoder and the v2 artifact
+loader build one through that constructor, and
+:meth:`FlatHistogram.to_tree` wraps it in the
 :class:`~repro.spatial.histogram_tree.HistogramTree` view.
 :meth:`FlatHistogram.preorder` is the one pre-order walk; the JSON writer
 and the leaf readers use it, and :meth:`FlatHistogram.from_tree` lays a
@@ -37,7 +38,7 @@ byte-identical to the row-wise version frozen as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -54,37 +55,108 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+def _child_lists(lows, highs, counts, parents) -> tuple[np.ndarray, np.ndarray]:
+    """Check a tree's values and derive its read-only CSR child lists.
+
+    Takes plain views (a memmap's Python-level hooks would run on every
+    operation below) of arrays whose shapes and dtypes are checked.
+    """
+    below = parents[1:]
+    if parents[0] != -1:
+        raise ValueError("the root (row 0) must have parent -1")
+    if np.any(below < 0) or np.any(below >= np.arange(1, parents.size)):
+        raise ValueError("every node's parent must precede it")
+    for bad, message in (
+        (~(np.isfinite(lows) & np.isfinite(highs)), "non-finite box coordinate in"),
+        (~(lows < highs), "low must be < high in"),
+    ):
+        if bad.any():
+            cell = np.unravel_index(np.argmax(bad), bad.shape)  # the first, row-major
+            raise ValueError(f"{message} [{lows[cell].item()!r}, {highs[cell].item()!r})")
+    # np.take gathers whole rows several times faster than indexing does.
+    escapes = (lows[1:] < np.take(lows, below, axis=0)) | (
+        highs[1:] > np.take(highs, below, axis=0)
+    )
+    if escapes.any():
+        child = int(np.argmax(escapes.any(axis=1))) + 1
+        rows = [child, parents[child]]
+        box, parent = zip(lows[rows].tolist(), highs[rows].tolist())
+        raise ValueError(f"child box {box} escapes its parent {parent}")
+    if not np.isfinite(counts).all():
+        count = counts[np.argmin(np.isfinite(counts))].item()
+        raise ValueError(f"non-finite node count {count!r}")
+    # Each node's children in row order: a stable sort by parent.
+    n_children = np.bincount(below, minlength=parents.size)
+    child_offsets = np.concatenate(([0], np.cumsum(n_children)))
+    return _read_only(child_offsets), _read_only(np.argsort(below, kind="stable") + 1)
+
+
+@dataclass(frozen=True, eq=False)
 class FlatHistogram:
     """A structure-of-arrays spatial synopsis.
 
-    Node 0 is the root, and every parent comes before its children.  The
-    fits, the JSON decoder and :meth:`from_tree` lay the nodes out in
-    pre-order; the v2 artifact loader accepts any layout with parents
-    first, and :func:`~repro.experiments.perf.synthetic_flat_histogram`
-    writes level order.  The nesting is the CSR child lists', whatever the
-    layout.
+    Its one constructor takes ``lows``, ``highs``, ``counts`` and
+    ``parents``, raises :class:`ValueError` unless they form a released
+    tree, and derives the CSR child lists.  Node 0 is the root and every
+    parent comes before its children.  The fits, the JSON decoder and
+    :meth:`from_tree` lay the nodes out in pre-order, and
+    :func:`~repro.experiments.perf.synthetic_flat_histogram` in level
+    order; the nesting is the child lists', whatever the layout.
 
     Attributes
     ----------
     lows, highs:
-        ``(m, d)`` box bounds, one row per node.
+        ``(m, d)`` finite float box bounds, one row per node (``m, d >=
+        1``), ``low < high`` in every cell, each child inside its parent.
     counts:
-        ``(m,)`` noisy node counts.
+        ``(m,)`` finite float noisy node counts.
     parents:
-        ``(m,)`` index of each node's parent (``-1`` for the root).
+        ``(m,)`` integer index of each node's parent: ``-1`` for the root,
+        below the node's own row otherwise.
     child_offsets, child_index:
-        CSR topology: node ``i``'s children are
-        ``child_index[child_offsets[i]:child_offsets[i + 1]]`` (node
-        indices, left to right).
+        Derived, read-only CSR topology: node ``i``'s children are
+        ``child_index[child_offsets[i]:child_offsets[i + 1]]``, in row
+        order, as every writer lays siblings out.
     """
 
     lows: np.ndarray
     highs: np.ndarray
     counts: np.ndarray
     parents: np.ndarray
-    child_offsets: np.ndarray
-    child_index: np.ndarray
+    child_offsets: np.ndarray = field(init=False, repr=False)
+    child_index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Kept as given, so an artifact's memmaps stay memmaps.
+        lows, highs, counts, parents = map(
+            np.asanyarray, (self.lows, self.highs, self.counts, self.parents)
+        )
+        if (
+            lows.ndim != 2
+            or lows.shape != highs.shape
+            or not lows.size
+            or not lows.dtype.kind == highs.dtype.kind == "f"
+        ):
+            raise ValueError(
+                f"bounds must be matching non-empty (m, d) float arrays, got "
+                f"{lows.dtype} {lows.shape} and {highs.dtype} {highs.shape}"
+            )
+        m = len(lows)
+        for name, array, kinds, what in (
+            ("counts", counts, "f", "floats"), ("parents", parents, "iu", "integers")
+        ):
+            if array.shape != (m,) or array.dtype.kind not in kinds:
+                raise ValueError(
+                    f"{name} must be {m} {what}, one per node, got {array.dtype} "
+                    f"{array.shape}"
+                )
+        # An unsigned value past the intp range wraps negative and fails
+        # the range check.
+        parents = parents.astype(np.intp, copy=False)
+        derived = _child_lists(*map(np.asarray, (lows, highs, counts, parents)))
+        names = ("lows", "highs", "counts", "parents", "child_offsets", "child_index")
+        for name, value in zip(names, (lows, highs, counts, parents, *derived)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -185,27 +257,24 @@ class FlatHistogram:
         """``tree``'s arrays, laid out in pre-order.
 
         A fitted or JSON-decoded tree is in pre-order already and comes
-        back with equal arrays; any other layout is reordered, and the
-        topology rebuilt from its CSR child lists.
+        back with equal arrays; any other layout is reordered, each
+        parent renumbered to its pre-order row.
         """
         flat = tree.flat()
         order, _ = flat.preorder()
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        n_children, children = flat._children(order)
         parents = np.full(order.size, -1, dtype=np.intp)
-        parents[rank[children]] = np.repeat(np.arange(order.size), n_children)
+        parents[1:] = rank[flat.parents[order[1:]]]
         return FlatHistogram(
-            lows=np.asarray(flat.lows, dtype=float)[order],
-            highs=np.asarray(flat.highs, dtype=float)[order],
-            counts=np.asarray(flat.counts, dtype=float)[order],
-            parents=parents,
-            child_offsets=np.concatenate(([0], np.cumsum(n_children))),
-            child_index=rank[children],
+            np.asarray(flat.lows, dtype=float)[order],
+            np.asarray(flat.highs, dtype=float)[order],
+            np.asarray(flat.counts, dtype=float)[order],
+            parents,
         )
 
     def to_tree(self) -> HistogramTree:
-        """The :class:`HistogramTree` view of these arrays (bounds checked)."""
+        """The :class:`HistogramTree` view of these arrays."""
         return HistogramTree(self)
 
     # ------------------------------------------------------------------
@@ -328,20 +397,3 @@ class FlatHistogram:
             query_ids = np.repeat(query_ids[descend_at], n_children)
         return answers
 
-
-def _from_parents(lows, highs, counts, parents) -> FlatHistogram:
-    """The arrays of a tree given as pre-order rows and their parents.
-
-    ``parents[i]`` is the row of node ``i``'s parent (``-1`` for the root,
-    row 0); the CSR child lists follow, each in row order.
-    """
-    parents = np.asarray(parents, dtype=np.intp)
-    n_children = np.bincount(parents[1:], minlength=parents.size)
-    return FlatHistogram(
-        lows=np.asarray(lows, dtype=float),
-        highs=np.asarray(highs, dtype=float),
-        counts=np.asarray(counts, dtype=float),
-        parents=parents,
-        child_offsets=np.concatenate(([0], np.cumsum(n_children))),
-        child_index=np.argsort(parents[1:], kind="stable") + 1,
-    )

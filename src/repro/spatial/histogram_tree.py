@@ -31,31 +31,14 @@ class HistogramTree:
     """A private spatial synopsis supporting range-count queries.
 
     Built by :meth:`FlatHistogram.to_tree` (every fit, the JSON decoder
-    and the v2 artifact loader end there).  The bounds are checked here,
-    because the arrays may be an mmap'd artifact from outside the process:
-    ``(m, d)`` matrices of one shape with ``d >= 1``, and ``low < high`` in
-    every cell (so no NaN), or :class:`Box`'s ``ValueError`` for the first
-    offending cell.  Trees compare equal when their pre-order arrays do.
+    and the v2 artifact loader end there), over arrays that
+    :class:`~repro.spatial.flat.FlatHistogram`'s constructor checked.
+    Trees compare equal when their pre-order arrays do.
     """
 
     __hash__ = None  # compared by value
 
     def __init__(self, flat: "FlatHistogram") -> None:
-        lows = np.asarray(flat.lows)
-        highs = np.asarray(flat.highs)
-        if lows.ndim != 2 or lows.shape != highs.shape or len(lows) != flat.size:
-            raise ValueError(
-                f"bounds must be matching ({flat.size}, d) matrices, got "
-                f"{lows.shape} and {highs.shape}"
-            )
-        if lows.shape[1] == 0:
-            raise ValueError("a box must have at least one dimension")
-        extents = lows < highs
-        if not extents.all():
-            cell = np.unravel_index(np.argmin(extents), extents.shape)
-            raise ValueError(
-                f"degenerate extent [{lows[cell].item()}, {highs[cell].item()})"
-            )
         self._flat = flat
 
     def __eq__(self, other: object) -> bool:

@@ -220,8 +220,8 @@ def _flat_histogram(
     """The tree grown below ``root`` as :class:`FlatHistogram` arrays.
 
     ``layout`` is ``preorder(root)`` and ``counts`` the released count of
-    every node, in pre-order; the bounds and the CSR topology are placed
-    by ``layout``.
+    every node, in pre-order; the bounds and parents are placed by
+    ``layout``, and the constructor derives the child lists.
     """
     levels = list(root.levels())
     m = layout.position.size
@@ -230,22 +230,9 @@ def _flat_histogram(
     lows[layout.position] = np.concatenate([level.lows for level in levels])
     highs[layout.position] = np.concatenate([level.highs for level in levels])
     parents = np.full(m, -1, dtype=np.intp)
-    n_children = np.zeros(m, dtype=np.intp)
     for parent, child in zip(layout.parents, layout.children):
         parents[child] = parent[:, None]
-        n_children[parent] = child.shape[1]
-    child_offsets = np.concatenate(([0], np.cumsum(n_children)))
-    child_index = np.empty(int(child_offsets[-1]), dtype=np.intp)
-    for parent, child in zip(layout.parents, layout.children):
-        child_index[child_offsets[parent][:, None] + np.arange(child.shape[1])] = child
-    return FlatHistogram(
-        lows=lows,
-        highs=highs,
-        counts=counts,
-        parents=parents,
-        child_offsets=child_offsets,
-        child_index=child_index,
-    )
+    return FlatHistogram(lows, highs, counts, parents)
 
 
 def _simpletree_flat(

@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .._io import atomic_write_text
-from .flat import FlatHistogram, _from_parents
+from .flat import FlatHistogram
 from .histogram_tree import HistogramTree
 
 __all__ = [
@@ -127,11 +127,11 @@ def flat_to_json_text(flat: FlatHistogram) -> str:
 def tree_from_dict(data: dict[str, Any]) -> HistogramTree:
     """Inverse of :func:`tree_to_dict` (validates header and geometry).
 
-    Walks the nodes once, in pre-order, into rows, then checks whole
-    arrays.  Raises :class:`ValueError` on malformed documents: a node that
-    is not an object, children that are not a list, missing or
-    non-numeric bounds and counts, inverted or non-finite boxes, children
-    escaping their parent box, non-finite counts.
+    Walks the nodes once, in pre-order, into rows for the checking
+    :class:`FlatHistogram` constructor.  Raises :class:`ValueError` on
+    malformed documents: a node that is not an object, children that are
+    not a list, missing or non-numeric bounds and counts, inverted or
+    non-finite boxes, children escaping their parent box, non-finite counts.
     """
     header = data if isinstance(data, dict) else {}
     if header.get("format") != _FORMAT:
@@ -179,33 +179,9 @@ def tree_from_dict(data: dict[str, Any]) -> HistogramTree:
         counts.append(count)
         parents.append(parent)
     low_array, high_array = _bound_matrices(lows, highs)
-    finite = np.isfinite(low_array) & np.isfinite(high_array)
-    if not finite.all():
-        lo, hi = _first_cell(~finite, low_array, high_array)
-        raise ValueError(f"non-finite box coordinate in [{lo!r}, {hi!r})")
-    inverted = ~(low_array < high_array)
-    if inverted.any():
-        lo, hi = _first_cell(inverted, low_array, high_array)
-        raise ValueError(f"invalid box extent [{lo!r}, {hi!r}): low must be < high")
-    parent_rows = np.array(parents[1:], dtype=np.intp)
-    escapes = (low_array[1:] < low_array[parent_rows]) | (
-        high_array[1:] > high_array[parent_rows]
-    )
-    if escapes.any():
-        child = int(np.argmax(escapes.any(axis=1))) + 1
-        parent = parents[child]
-        low, high = tuple(low_array[child].tolist()), tuple(high_array[child].tolist())
-        parent_low = tuple(low_array[parent].tolist())
-        parent_high = tuple(high_array[parent].tolist())
-        raise ValueError(
-            f"child box [{low}, {high}) escapes its parent [{parent_low}, {parent_high})"
-        )
-    count_array = np.array(counts)
-    finite_counts = np.isfinite(count_array)
-    if not finite_counts.all():
-        count = counts[int(np.argmin(finite_counts))]
-        raise ValueError(f"non-finite node count {count!r}")
-    return _from_parents(low_array, high_array, count_array, parents).to_tree()
+    return FlatHistogram(
+        low_array, high_array, np.array(counts), np.array(parents, dtype=np.intp)
+    ).to_tree()
 
 
 def _bound_matrices(lows: list, highs: list) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +205,6 @@ def _bound_matrices(lows: list, highs: list) -> tuple[np.ndarray, np.ndarray]:
                 f"got low={low!r} high={high!r}"
             ) from None
     raise ValueError("node bounds must be lists of numbers")
-
-
-def _first_cell(mask: np.ndarray, lows: np.ndarray, highs: np.ndarray):
-    """(low, high) of the first flagged cell, row-major, as Python floats."""
-    cell = np.unravel_index(np.argmax(mask), mask.shape)
-    return lows[cell].item(), highs[cell].item()
 
 
 def save_tree(tree: HistogramTree, path: str | Path) -> None:

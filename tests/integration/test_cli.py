@@ -596,6 +596,22 @@ class TestStoreCommand:
         with pytest.raises(SystemExit, match="unknown release id"):
             main(["store", "get", "--store", str(tmp_path / "s"), "nope"])
 
+    def test_get_truncated_artifact_exits_in_one_line(self, capsys, tmp_path):
+        store_dir = tmp_path / "store"
+        assert self._put(store_dir, release_id="demo") == 0
+        path = store_dir / "releases" / "demo.bin"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(SystemExit, match="cannot load release 'demo': artifact"):
+            main(["store", "get", "--store", str(store_dir), "demo"])
+
+    def test_get_malformed_json_fallback_exits_in_one_line(self, capsys, tmp_path):
+        store_dir = tmp_path / "store"
+        assert self._put(store_dir, release_id="demo") == 0
+        (store_dir / "releases" / "demo.bin").unlink()
+        (store_dir / "releases" / "demo.json").write_text("{not json")
+        with pytest.raises(SystemExit, match="cannot load release 'demo'"):
+            main(["store", "get", "--store", str(store_dir), "demo"])
+
 
 class TestBenchGate:
     """The blocking bench regression gate (`--fail-above`)."""

@@ -44,19 +44,20 @@ def histogram_trees(draw, box=None, depth=0):
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e16, -1.5e300, 1e-300]
 any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 
-#: Box bounds: any float but NaN, which no ``low < high`` admits.
-box_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+#: The values a released tree holds: any finite float.
+finite_floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
 
 
 @st.composite
-def flat_histograms(draw, boxes=False):
-    """A random tree in pre-order or level order, with d = 1, 2 or 3.
+def flat_histograms(draw):
+    """A random released tree in pre-order or level order, with d = 1, 2 or 3.
 
-    Parents always come before their children, which is all the flat
-    engines and the artifact loader ask of a layout; reversing the child
-    lists makes the nesting differ from the array order.  With ``boxes``
-    every cell has ``low < high``, as in every release; without, the
-    bounds are any floats.
+    Parents come before their children and each node's children follow
+    in row order, as in every writer's layout.  Every cell has ``low <
+    high``, every child's box lies inside its parent's and every count
+    is finite, which is all the constructor admits.
     """
     m = draw(st.integers(min_value=1, max_value=40))
     children = [[] for _ in range(m)]
@@ -73,35 +74,28 @@ def flat_histograms(draw, boxes=False):
         for node in layout:  # grows while it is read: a breadth-first walk
             layout.extend(children[node])
     position = {node: i for i, node in enumerate(layout)}
-    child_lists = [[position[child] for child in children[node]] for node in layout]
-    if draw(st.booleans()):
-        child_lists = [lst[::-1] for lst in child_lists]
     parents = np.full(m, -1, dtype=np.intp)
-    for i, lst in enumerate(child_lists):
-        parents[lst] = i
+    for node in layout:
+        for child in children[node]:
+            parents[position[child]] = position[node]
     d = draw(st.integers(min_value=1, max_value=3))
-    # Bounds repeat, as a parent's bounds and midpoints do in its children.
-    if boxes:
-        # A cell is two ranks of one rising pool (``unique`` counts 0.0
-        # and -0.0 as one value).
-        pool = sorted(draw(st.lists(box_floats, min_size=2, max_size=6, unique=True)))
-        ranks = st.integers(0, len(pool) - 2).flatmap(
-            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, len(pool) - 1))
-        )
-        cells = draw(st.lists(ranks, min_size=m * d, max_size=m * d))
-        lows = [pool[lo] for lo, _ in cells]
-        highs = [pool[hi] for _, hi in cells]
-    else:
-        pool = draw(st.lists(any_floats, min_size=1, max_size=6))
-        bounds = st.lists(st.sampled_from(pool), min_size=m * d, max_size=m * d)
-        lows, highs = draw(bounds), draw(bounds)
+    # Bounds repeat, as a parent's bounds and midpoints do in its children:
+    # a cell is two ranks of one rising pool (``unique`` counts 0.0 and
+    # -0.0 as one value), a child's ranks within its parent's.
+    pool = sorted(draw(st.lists(finite_floats, min_size=2, max_size=6, unique=True)))
+    low_ranks = np.zeros((m, d), dtype=int)
+    high_ranks = np.full((m, d), len(pool) - 1)
+    for row in range(1, m):  # the root spans the whole pool
+        for k in range(d):
+            parent_low = low_ranks[parents[row], k]
+            parent_high = high_ranks[parents[row], k]
+            low_ranks[row, k] = draw(st.integers(parent_low, parent_high - 1))
+            high_ranks[row, k] = draw(st.integers(low_ranks[row, k] + 1, parent_high))
     return FlatHistogram(
-        lows=np.array(lows, dtype=float).reshape(m, d),
-        highs=np.array(highs, dtype=float).reshape(m, d),
-        counts=np.array(draw(st.lists(any_floats, min_size=m, max_size=m)), dtype=float),
-        parents=parents,
-        child_offsets=np.concatenate(([0], np.cumsum([len(c) for c in child_lists]))),
-        child_index=np.array([c for lst in child_lists for c in lst], dtype=np.intp),
+        np.array(pool)[low_ranks],
+        np.array(pool)[high_ranks],
+        np.array(draw(st.lists(finite_floats, min_size=m, max_size=m)), dtype=float),
+        parents,
     )
 
 
@@ -223,7 +217,7 @@ class TestJsonTextIdentity:
     """``to_json_text`` writes byte for byte ``json.dumps(to_json())``."""
 
     @given(
-        flat=flat_histograms(boxes=True),
+        flat=flat_histograms(),
         method=st.one_of(st.sampled_from(['k"d\\tree \u00e9\u2603']), st.text()),
         epsilon=any_floats,
     )
@@ -231,12 +225,6 @@ class TestJsonTextIdentity:
     def test_spatial_tree_text_matches_json_dumps(self, flat, method, epsilon):
         release = SpatialTreeRelease(flat=flat, method=method, epsilon_spent=epsilon)
         assert release.to_json_text() == json.dumps(release.to_json())
-
-    @given(flat=flat_histograms())
-    @settings(max_examples=150, deadline=None)
-    def test_flat_text_matches_json_dumps_on_any_bounds(self, flat):
-        # A release refuses NaN and inverted bounds; the writer takes them.
-        assert flat_to_json_text(flat) == json.dumps(flat_to_dict(flat))
 
 
 class TestPstRoundTrip:

@@ -25,7 +25,7 @@ from repro.serve import (
     write_artifact,
 )
 from repro.sequence import Alphabet, SequenceDataset, exact_pst
-from repro.spatial import FlatHistogram
+from repro.spatial import FlatHistogram, tree_from_dict
 
 from ..api.conftest import FAST_PARAMS
 from .conftest import QUERY_BOXES, QUERY_CODES, fit_release
@@ -190,58 +190,53 @@ def mapped(monkeypatch):
     return arrays
 
 
-def _small_tree(**overrides):
-    """A five-node tree: the root's left half is split again.
+#: A five-node tree: the root's left half is split again.  Pre-order: 0
+#: root, 1 left half, 2 and 3 its quarters, 4 right half.
+SMALL_TREE = {
+    "lows": np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]),
+    "highs": np.array([[1.0, 1.0], [0.5, 1.0], [0.5, 0.5], [0.5, 1.0], [1.0, 1.0]]),
+    "counts": np.array([10.0, 6.0, 2.0, 4.0, 4.0]),
+    "parents": np.array([-1, 0, 1, 1, 0], dtype=np.intp),
+}
 
-    Pre-order: 0 root, 1 left half, 2 and 3 its quarters, 4 right half.
+
+def _small_tree(path, **segments):
+    """Write the five-node tree as a v2 artifact at ``path``.
+
+    ``segments`` replace the named stored arrays, any of the six, and the
+    file is rewritten with a footer that verifies: a crafted segment can
+    only reach the loader this way, since the constructor refuses it.
     """
-    arrays = {
-        "lows": np.array(
-            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]
-        ),
-        "highs": np.array(
-            [[1.0, 1.0], [0.5, 1.0], [0.5, 0.5], [0.5, 1.0], [1.0, 1.0]]
-        ),
-        "counts": np.array([10.0, 6.0, 2.0, 4.0, 4.0]),
-        "parents": np.array([-1, 0, 1, 1, 0], dtype=np.intp),
-        "child_offsets": np.array([0, 2, 4, 4, 4, 4], dtype=np.intp),
-        "child_index": np.array([1, 4, 2, 3], dtype=np.intp),
-    }
-    arrays.update(overrides)
-    return FlatHistogram(**arrays)
-
-
-def _write_tree(path, flat):
-    """Write ``flat`` as a v2 artifact with a valid SHA-256 footer.
-
-    The writer gets a stand-in release: ``SpatialTreeRelease`` checks its
-    bounds, so a crafted tree with bad ones can only be written this way.
-    """
-    release = SimpleNamespace(
-        kind=SpatialTreeRelease.kind,
-        method="privtree",
-        epsilon_spent=1.0,
-        flat=lambda: flat,
-    )
+    flat = FlatHistogram(**SMALL_TREE)
+    release = SpatialTreeRelease(flat=flat, method="privtree", epsilon_spent=1.0)
     write_artifact(release, path)
+    if segments:
+        _unpadded(path, path, **segments)
     return path
 
 
-#: Crafted topologies, each with a footer that verifies.  Each would send
-#: a query round a cycle, index past the arrays, or divide by a
-#: degenerate volume.
+def _replaced_row(name, row, value):
+    """``SMALL_TREE[name]`` with ``row`` set to ``value``."""
+    array = SMALL_TREE[name].copy()
+    array[row] = value
+    return array
+
+
+#: Crafted segments, each in a file whose footer verifies.  Each would
+#: send a query round a cycle, index past the arrays, divide by a
+#: degenerate volume or answer from a count no fit releases.
 CRAFTED_TREES = {
     "root_is_its_own_child": (
         {"child_index": np.array([0, 4, 2, 3], dtype=np.intp)},
-        "out of range",
+        "child_index disagrees",
     ),
     "node_named_twice": (
         {"child_index": np.array([1, 1, 2, 3], dtype=np.intp)},
-        "every non-root node once",
+        "child_index disagrees",
     ),
     "child_index_out_of_range": (
         {"child_index": np.array([1, 5, 2, 3], dtype=np.intp)},
-        "out of range",
+        "child_index disagrees",
     ),
     "child_before_its_parent": (
         {
@@ -249,53 +244,76 @@ CRAFTED_TREES = {
             "child_offsets": np.array([0, 2, 3, 3, 4, 4], dtype=np.intp),
             "child_index": np.array([1, 4, 3, 2], dtype=np.intp),
         },
-        "precedes its parent",
+        "parent must precede",
     ),
     "offsets_fall": (
         {"child_offsets": np.array([0, 2, 1, 4, 4, 4], dtype=np.intp)},
-        "child_offsets",
+        "child_offsets disagrees",
     ),
     "offsets_overshoot": (
         {"child_offsets": np.array([0, 2, 4, 4, 4, 5], dtype=np.intp)},
-        "child_offsets",
+        "child_offsets disagrees",
     ),
     "parents_disagree": (
         {"parents": np.array([-1, 0, 1, 0, 0], dtype=np.intp)},
-        "parents disagree",
+        "child_offsets disagrees",
     ),
     "root_has_a_parent": (
         {"parents": np.array([0, 0, 1, 1, 0], dtype=np.intp)},
-        "parents disagree",
+        "root",
     ),
     "float_topology": (
         {"child_index": np.array([1.0, 4.0, 2.0, 3.0])},
-        "must be integers",
+        "child_index disagrees",
     ),
     "short_counts": (
         {"counts": np.array([10.0, 6.0, 2.0, 4.0])},
-        "counts has shape",
+        "counts must be 5 floats",
     ),
     "infinite_bound": (
-        {"highs": np.array(
-            [[1.0, 1.0], [0.5, 1.0], [0.5, 0.5], [0.5, np.inf], [1.0, 1.0]]
-        )},
-        "finite",
+        {"highs": _replaced_row("highs", 3, [0.5, np.inf])},
+        "non-finite box coordinate",
     ),
     "inverted_box": (
-        {"lows": np.array(
-            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [1.0, 0.0]]
-        )},
-        "lows < highs",
+        {"lows": _replaced_row("lows", 4, [1.0, 0.0])},
+        "low must be < high",
+    ),
+    "nan_count": (
+        {"counts": _replaced_row("counts", 1, np.nan)},
+        "non-finite node count",
+    ),
+    "infinite_count": (
+        {"counts": _replaced_row("counts", 4, -np.inf)},
+        "non-finite node count",
+    ),
+    "integer_counts": (
+        {"counts": SMALL_TREE["counts"].astype(np.int64)},
+        "counts must be 5 floats",
+    ),
+    "text_counts": (
+        {"counts": SMALL_TREE["counts"].astype(str)},
+        "counts must be 5 floats",
+    ),
+    "complex_counts": (
+        {"counts": SMALL_TREE["counts"].astype(complex)},
+        "counts must be 5 floats",
+    ),
+    # Node 2 reaches past its parent's (the left half's) right edge,
+    # though it stays inside the root.
+    "child_escapes_its_parent": (
+        {"highs": _replaced_row("highs", 2, [0.75, 0.5])},
+        "escapes its parent",
     ),
 }
 
 
 class TestCraftedArtifacts:
     """A footer any writer can compute proves intact bytes, not a tree:
-    the loader checks the topology itself and fails closed."""
+    the loader builds the tree through the checking constructor, holds
+    the stored child lists to the derived ones, and fails closed."""
 
     def test_well_formed_tree_loads_and_answers(self, tmp_path):
-        path = _write_tree(tmp_path / "tree.bin", _small_tree())
+        path = _small_tree(tmp_path / "tree.bin")
         restored = read_artifact(path)
         assert restored.height == 2
         assert restored.flat().range_count_arrays(
@@ -306,7 +324,7 @@ class TestCraftedArtifacts:
     @pytest.mark.parametrize("case", sorted(CRAFTED_TREES))
     def test_crafted_topology_rejected(self, tmp_path, case, verify):
         overrides, message = CRAFTED_TREES[case]
-        path = _write_tree(tmp_path / "crafted.bin", _small_tree(**overrides))
+        path = _small_tree(tmp_path / "crafted.bin", **overrides)
         with pytest.raises(ArtifactError, match=message):
             read_artifact(path, verify=verify)
 
@@ -314,7 +332,7 @@ class TestCraftedArtifacts:
         release, _ = fit_release("privtree", uniform_2d, None)
         store.put(release, release_id="crafted")
         overrides, _ = CRAFTED_TREES["root_is_its_own_child"]
-        _write_tree(store.root / "releases" / "crafted.bin", _small_tree(**overrides))
+        _small_tree(store.root / "releases" / "crafted.bin", **overrides)
         with pytest.raises(ArtifactError):
             store.get("crafted")
 
@@ -327,6 +345,148 @@ class TestCraftedArtifacts:
             read_artifact(path)
         with pytest.raises(ArtifactError, match="not a JSON object"):
             artifact_info(path)
+
+
+#: What a crafted segment may be cast to: every dtype kind ``.npy`` holds
+#: without objects.
+_SEGMENT_DTYPES = [
+    np.float64, np.float32, np.int64, np.int32, np.uint64, np.complex128,
+    np.bool_, "<U4",
+]
+
+
+@st.composite
+def _spoiled_segments(draw):
+    """Replacements for some of the tree's four input segments: a value
+    (NaN, +-inf, a bound that inverts or escapes a box, a parent after its
+    child or past the arrays), the dtype or the shape changed."""
+    segments = {}
+    for name in draw(st.sets(st.sampled_from(sorted(SMALL_TREE)), min_size=1)):
+        array = SMALL_TREE[name].copy()
+        edit = draw(st.sampled_from(["value", "value", "dtype", "shape"]))
+        if edit == "value":
+            if name == "parents":
+                value = draw(st.integers(-2, 6) | st.just(2**40))
+            else:
+                special = [np.nan, np.inf, -np.inf, -0.5, 0.25, 0.75, 1.5]
+                value = draw(st.sampled_from(special) | st.floats())
+            array.flat[draw(st.integers(0, array.size - 1))] = value
+        elif edit == "dtype":
+            array = array.astype(draw(st.sampled_from(_SEGMENT_DTYPES)))
+        else:
+            array = draw(st.sampled_from([
+                array[:-1],
+                np.concatenate([array, array[-1:]]),
+                array.reshape(-1),
+                array.reshape(array.shape + (1,)),
+                array[:0],
+            ]))
+        segments[name] = array
+    return segments
+
+
+@st.composite
+def _pre_order_trees(draw):
+    """A pre-order tree as its four arrays and its child lists: nested
+    finite boxes and finite counts, now and then with one value spoiled
+    (a NaN or infinite bound, an inverted or escaping box, or a
+    non-finite count)."""
+    m = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    parents, children, path = [-1], [[] for _ in range(m)], [0]
+    for node in range(1, m):
+        # A pre-order node hangs off the path from the root to the last one.
+        path = path[: draw(st.integers(1, len(path)))]
+        parents.append(path[-1])
+        children[path[-1]].append(node)
+        path.append(node)
+    fractions = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    lows, highs = np.empty((m, d)), np.empty((m, d))
+    lows[0], highs[0] = -1.0, 2.0
+    for node in range(1, m):
+        parent = parents[node]
+        for k in range(d):
+            a, b = sorted(draw(st.lists(fractions, min_size=2, max_size=2, unique=True)))
+            extent = highs[parent, k] - lows[parent, k]
+            lows[node, k] = lows[parent, k] + a * extent
+            highs[node, k] = lows[parent, k] + b * extent
+    counts = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
+    node, k = draw(st.integers(0, m - 1)), draw(st.integers(0, d - 1))
+    spoil = draw(st.sampled_from(
+        ["none", "none", "nan bound", "infinite bound", "inverted", "escaping",
+         "nan count", "infinite count"]
+    ))
+    if spoil == "nan bound":
+        lows[node, k] = np.nan
+    elif spoil == "infinite bound":
+        highs[node, k] = draw(st.sampled_from([np.inf, -np.inf]))
+    elif spoil == "inverted":
+        lows[node, k], highs[node, k] = highs[node, k], lows[node, k]
+    elif spoil == "escaping":
+        highs[node, k] += 1.0
+    elif spoil == "nan count":
+        counts[node] = np.nan
+    elif spoil == "infinite count":
+        counts[node] = np.inf
+    return lows, highs, counts, np.array(parents, dtype=np.intp), children
+
+
+def _tree_document(lows, highs, counts, children):
+    """The ``repro.histogram_tree`` document of pre-order rows."""
+    def node(i):
+        entry = {"low": lows[i].tolist(), "high": highs[i].tolist()}
+        entry["count"] = float(counts[i])
+        if children[i]:
+            entry["children"] = [node(j) for j in children[i]]
+        return entry
+
+    return {"format": "repro.histogram_tree", "version": 1, "root": node(0)}
+
+
+class TestFuzzedTreeSegments:
+    """Segment bytes from outside the process, with a footer that
+    verifies: the loader returns a tree that answers finitely or raises
+    ``ArtifactError``, and accepts exactly what the JSON decoder does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(segments=_spoiled_segments())
+    def test_any_input_segments_load_or_raise_artifact_error(
+        self, tmp_path_factory, segments
+    ):
+        path = _small_tree(tmp_path_factory.getbasetemp() / "segments.bin", **segments)
+        try:
+            flat = read_artifact(path).flat()
+        except ArtifactError:
+            return
+        root = np.asarray(flat.lows[:1]), np.asarray(flat.highs[:1])
+        assert np.isfinite(flat.range_count_arrays(*root)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree=_pre_order_trees())
+    def test_json_and_v2_decoders_agree(self, tmp_path_factory, tree):
+        lows, highs, counts, parents, children = tree
+        stored = {
+            "lows": lows,
+            "highs": highs,
+            "counts": counts,
+            "parents": parents,
+            # Each node's children in row order, as every writer lays them out.
+            "child_offsets": np.cumsum([0] + [len(c) for c in children]),
+            "child_index": np.array([j for c in children for j in c], dtype=np.intp),
+        }
+        path = _small_tree(tmp_path_factory.getbasetemp() / "parity.bin", **stored)
+        try:
+            document = _tree_document(lows, highs, counts, children)
+            from_json = tree_from_dict(document).flat()
+        except ValueError:
+            with pytest.raises(ArtifactError):
+                read_artifact(path)
+            return
+        from_v2 = read_artifact(path).flat()
+        for name, array in stored.items():
+            for flat in (from_json, from_v2):
+                assert getattr(flat, name).dtype == array.dtype, name
+                np.testing.assert_array_equal(getattr(flat, name), array, err_msg=name)
 
 
 #: Malformed header fields, each in a file whose footer verifies.
@@ -403,14 +563,14 @@ class TestMalformedHeaders:
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
     def test_malformed_header_rejected(self, tmp_path, case, verify):
         edit, message = MALFORMED_HEADERS[case]
-        header, data = _split(_write_tree(tmp_path / "tree.bin", _small_tree()))
+        header, data = _split(_small_tree(tmp_path / "tree.bin"))
         edit(header)
         path = _join(tmp_path / "tree.bin", header, data)
         with pytest.raises(ArtifactError, match=message):
             read_artifact(path, verify=verify)
 
     def test_segment_with_a_negative_dimension_rejected(self, tmp_path):
-        header, data = _split(_write_tree(tmp_path / "tree.bin", _small_tree()))
+        header, data = _split(_small_tree(tmp_path / "tree.bin"))
         # The counts segment's .npy header, one pad space traded for a sign.
         data = data.replace(b"'shape': (5,), }  ", b"'shape': (-5,), } ", 1)
         assert b"(-5,)" in data
@@ -420,7 +580,7 @@ class TestMalformedHeaders:
 
     def test_artifact_info_checks_the_segment_table(self, tmp_path):
         edit, message = MALFORMED_HEADERS["segments_as_lists"]
-        header, data = _split(_write_tree(tmp_path / "tree.bin", _small_tree()))
+        header, data = _split(_small_tree(tmp_path / "tree.bin"))
         edit(header)
         with pytest.raises(ArtifactError, match=message):
             artifact_info(_join(tmp_path / "tree.bin", header, data))
@@ -430,9 +590,7 @@ class TestMalformedHeaders:
     def test_any_segment_table_loads_or_raises_artifact_error(
         self, tmp_path_factory, data
     ):
-        path = _write_tree(
-            tmp_path_factory.getbasetemp() / "segment-table.bin", _small_tree()
-        )
+        path = _small_tree(tmp_path_factory.getbasetemp() / "segment-table.bin")
         header, block = _split(path)
         header["segments"] = data.draw(_segment_tables(header["segments"], len(block)))
         _join(path, header, block)
@@ -681,6 +839,84 @@ class TestCraftedNGramArtifacts:
             release_from_json(document)
 
 
+def _set_subgrid_index(position, index):
+    return lambda meta: meta["subgrid_indices"].__setitem__(position, index)
+
+
+#: Crafted grid metadata, each in a file whose footer verifies, as
+#: (method, edit of the header's meta, message).  Unchecked, each raised
+#: an untyped error or loaded a synopsis no fit releases.
+CRAFTED_GRID_META = {
+    "shape_of_another_size": ("ug", lambda m: m.update(shape=[3, 3]), "shape must be"),
+    "shape_as_text": ("ug", lambda m: m.update(shape="ab"), "shape must be"),
+    "level1_shape_of_another_size": (
+        "ag", lambda m: m.update(level1_shape=[3, 3]), "shape must be"
+    ),
+    "null_subgrid_indices": (
+        "ag", lambda m: m.update(subgrid_indices=None), "indices must be"
+    ),
+    "last_subgrid_shape_dropped": (
+        "ag", lambda m: m["subgrid_shapes"].pop(), "segments for 100 grids"
+    ),
+    "last_subgrid_index_dropped": (
+        "ag", lambda m: m["subgrid_indices"].pop(), "indices must be"
+    ),
+    "subgrid_index_twice": (
+        "ag", _set_subgrid_index(1, [0, 0]), "refine the level-1 cell"
+    ),
+    "subgrid_index_outside_level1": (
+        "ag", _set_subgrid_index(0, [10, 0]), "names no level-1 cell"
+    ),
+}
+
+#: The same defects in a release document's payload.
+CRAFTED_GRID_DOCUMENTS = {
+    "shape_of_another_size": ("ug", lambda p: p.update(shape=[3, 3]), "shape must be"),
+    "shape_as_text": ("ug", lambda p: p.update(shape="ab"), "shape must be"),
+    "null_subgrid_index": (
+        "ag", lambda p: p["subgrids"][0].update(index=None), "names no level-1 cell"
+    ),
+    "subgrid_index_twice": (
+        "ag", lambda p: p["subgrids"][1].update(index=[0, 0]), "refine the level-1 cell"
+    ),
+    "subgrid_index_outside_level1": (
+        "ag", lambda p: p["subgrids"][0].update(index=[10, 0]), "names no level-1 cell"
+    ),
+}
+
+
+class TestCraftedGridArtifacts:
+    """Both decoders of a grid kind build through one check of the shape
+    and of the subgrid list; the v2 loader raises ``ArtifactError``."""
+
+    def test_ag_fit_refines_cells_in_index_order(self, uniform_2d):
+        # The crafted cases above edit these indices.
+        release, _ = fit_release("ag", uniform_2d, None)
+        assert release.synopsis.level1.shape == (10, 10)
+        assert sorted(release.synopsis.subgrids)[:2] == [(0, 0), (0, 1)]
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("case", sorted(CRAFTED_GRID_META))
+    def test_crafted_grid_meta_rejected(self, tmp_path, uniform_2d, case, verify):
+        name, edit, message = CRAFTED_GRID_META[case]
+        release, _ = fit_release(name, uniform_2d, None)
+        write_artifact(release, tmp_path / "grid.bin")
+        header, data = _split(tmp_path / "grid.bin")
+        edit(header["meta"])
+        path = _join(tmp_path / "grid.bin", header, data)
+        with pytest.raises(ArtifactError, match=message):
+            read_artifact(path, verify=verify)
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED_GRID_DOCUMENTS))
+    def test_crafted_grid_document_rejected(self, uniform_2d, case):
+        name, edit, message = CRAFTED_GRID_DOCUMENTS[case]
+        release, _ = fit_release(name, uniform_2d, None)
+        document = json.loads(json.dumps(release.to_json()))
+        edit(document["payload"])
+        with pytest.raises(ValueError, match=message):
+            release_from_json(document)
+
+
 #: One fit per release kind with a v2 codec.
 KIND_METHODS = ["privtree", "ug", "ag", "pst", "ngram"]
 
@@ -713,16 +949,15 @@ class TestAlignment:
     @pytest.mark.parametrize(
         "name, arrays",
         [
-            ("privtree", ("lows", "highs", "counts", "parents", "child_offsets",
-                          "child_index")),
+            ("privtree", ("lows", "highs", "counts", "parents")),
             ("pst", ("hists", "parents", "edge_symbols")),
         ],
     )
     def test_engines_hold_aligned_mapped_arrays(
         self, name, arrays, tmp_path, uniform_2d, sequence_data
     ):
-        """Loading stays zero-copy: each array is a memmap, or (``FlatPST``
-        keeps plain views) a view of one."""
+        """Loading stays zero-copy: each constructor input is a memmap, or
+        (``FlatPST`` keeps plain views) a view of one."""
         release, _ = fit_release(name, uniform_2d, sequence_data)
         path = tmp_path / "release.bin"
         write_artifact(release, path)

@@ -106,19 +106,16 @@ class TestCompilation:
             assert a.box == b.box
             assert a.count == b.count
 
-    def test_to_tree_rejects_an_inverted_box(self):
+    def test_constructor_rejects_an_inverted_box(self):
         # The arrays may come from an artifact written outside the
-        # process: every rebuilt box is validated.
-        flat = FlatHistogram(
-            lows=np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]),
-            highs=np.array([[1.0, 1.0], [0.5, 1.0], [0.25, 1.0]]),
-            counts=np.array([3.0, 1.0, 2.0]),
-            parents=np.array([-1, 0, 0], dtype=np.intp),
-            child_offsets=np.array([0, 2, 2, 2], dtype=np.intp),
-            child_index=np.array([1, 2], dtype=np.intp),
-        )
-        with pytest.raises(ValueError, match="degenerate extent"):
-            flat.to_tree()
+        # process: every box is validated where the arrays are built.
+        with pytest.raises(ValueError, match="low must be < high"):
+            FlatHistogram(
+                np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]),
+                np.array([[1.0, 1.0], [0.5, 1.0], [0.25, 1.0]]),
+                np.array([3.0, 1.0, 2.0]),
+                np.array([-1, 0, 0], dtype=np.intp),
+            )
 
     def test_cached_on_histogram_tree(self):
         tree = _privtree_histogram(random_dataset(0), epsilon=1.0, rng=0)
@@ -178,6 +175,90 @@ class TestCompilation:
             assert each.query_domain == data.domain
             each.to_json_text()
         assert np.array_equal(loaded.answer(workload), release.answer(workload))
+
+
+#: A three-node tree: the root and its two halves, the right one first.
+THREE_NODES = {
+    "lows": np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),
+    "highs": np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 1.0]]),
+    "counts": np.array([3.0, 1.0, 2.0]),
+    "parents": np.array([-1, 0, 0], dtype=np.intp),
+}
+
+
+def _three_nodes(name, value):
+    return {**THREE_NODES, name: value}
+
+
+#: Inputs the one constructor refuses, with its message.
+MALFORMED_INPUTS = {
+    "bounds_of_two_shapes": (_three_nodes("highs", np.ones((3, 3))), "matching"),
+    "bounds_with_no_dimension": (
+        {**THREE_NODES, "lows": np.empty((3, 0)), "highs": np.empty((3, 0))},
+        "non-empty",
+    ),
+    "no_nodes": (
+        {"lows": np.empty((0, 2)), "highs": np.empty((0, 2)),
+         "counts": np.empty(0), "parents": np.empty(0, dtype=np.intp)},
+        "non-empty",
+    ),
+    "integer_bounds": (
+        _three_nodes("lows", THREE_NODES["lows"].astype(int)), "float arrays"
+    ),
+    "nan_bound": (
+        _three_nodes("lows", np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]])),
+        "non-finite box coordinate",
+    ),
+    "inverted_box": (
+        _three_nodes("highs", np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 0.0]])),
+        "low must be < high",
+    ),
+    "escaping_box": (
+        _three_nodes("highs", np.array([[1.0, 1.0], [1.5, 1.0], [0.5, 1.0]])),
+        "escapes its parent",
+    ),
+    "count_per_node_missing": (_three_nodes("counts", np.array([3.0, 1.0])), "3 floats"),
+    "integer_counts": (_three_nodes("counts", np.array([3, 1, 2])), "3 floats"),
+    "infinite_count": (
+        _three_nodes("counts", np.array([3.0, np.inf, 2.0])), "non-finite node count"
+    ),
+    "float_parents": (_three_nodes("parents", np.array([-1.0, 0.0, 0.0])), "integers"),
+    "root_with_a_parent": (_three_nodes("parents", np.array([0, 0, 0])), "root"),
+    "parent_after_its_child": (
+        _three_nodes("parents", np.array([-1, 2, 0])), "parent must precede"
+    ),
+    "node_its_own_parent": (
+        _three_nodes("parents", np.array([-1, 1, 0])), "parent must precede"
+    ),
+}
+
+
+class TestConstructor:
+    """``FlatHistogram(lows, highs, counts, parents)`` checks its inputs
+    and derives the child lists."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_inputs_rejected(self, case):
+        inputs, message = MALFORMED_INPUTS[case]
+        with pytest.raises(ValueError, match=message):
+            FlatHistogram(**inputs)
+
+    def test_children_in_row_order_and_read_only(self):
+        flat = FlatHistogram(**THREE_NODES)
+        assert flat.child_offsets.tolist() == [0, 2, 2, 2]
+        assert flat.child_index.tolist() == [1, 2]
+        for name in ("child_offsets", "child_index"):
+            assert not getattr(flat, name).flags.writeable, name
+        with pytest.raises(AttributeError):
+            flat.child_index = np.array([2, 1])
+
+    def test_integer_parents_are_read_as_intp(self):
+        flat = FlatHistogram(**_three_nodes("parents", np.array([-1, 0, 0], np.int32)))
+        assert flat.parents.dtype == np.intp
+        # An unsigned parent past the intp range wraps negative.
+        past = np.array([2**64 - 1, 2**63, 0], dtype=np.uint64)
+        with pytest.raises(ValueError, match="parent must precede"):
+            FlatHistogram(**_three_nodes("parents", past))
 
 
 class TestEquivalence:
