@@ -162,10 +162,38 @@ def _grid_from_dict(data: Mapping[str, Any]) -> UniformGrid:
     return _grid_from_parts(data["low"], data["high"], data["shape"], data["counts"])
 
 
+def _finite_floats(values, what: str) -> np.ndarray:
+    """A grid's ``values`` as floats: a loaded float array, or a decoded
+    JSON list of ints and floats (a bool is not a number), every entry
+    finite.  Raises ``ValueError`` naming ``what`` otherwise."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "f":
+            raise ValueError(f"grid {what} must be floats, got {values.dtype}")
+        array = np.asarray(values)
+    else:
+        if not isinstance(values, list):
+            raise ValueError(
+                f"grid {what} must be a list of numbers, got {type(values).__name__}"
+            )
+        if not set(map(type, values)) <= {int, float}:
+            bad = next(v for v in values if type(v) not in (int, float))
+            raise ValueError(f"grid {what} must be numbers, got {bad!r}")
+        try:
+            array = np.array(values, dtype=float)
+        except OverflowError:
+            raise ValueError(f"grid {what} hold a number past the float range") from None
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"grid {what} must be finite, got {array[~finite][0].item()!r}")
+    return array
+
+
 def _grid_from_parts(low, high, shape, counts) -> UniformGrid:
     """The grid both decoders build, checked: ``shape`` must be a list of
-    positive integers whose product is the number of ``counts``."""
-    counts = np.asarray(counts, dtype=float)
+    positive integers whose product is the number of ``counts``, the
+    counts finite floats, and ``low`` and ``high`` ``len(shape)`` finite
+    numbers each (``Box`` then requires ``low < high``)."""
+    counts = _finite_floats(counts, "counts")
     if not (
         isinstance(shape, list)
         and all(type(n) is int and n > 0 for n in shape)  # bool is not a size
@@ -175,6 +203,13 @@ def _grid_from_parts(low, high, shape, counts) -> UniformGrid:
             f"grid shape must be a list of positive integers whose product is "
             f"the number of counts ({counts.size}), got {shape!r}"
         )
+    lows, highs = _finite_floats(low, "bounds"), _finite_floats(high, "bounds")
+    if not lows.shape == highs.shape == (len(shape),):
+        raise ValueError(
+            f"grid bounds must hold {len(shape)} numbers per side, got "
+            f"{lows.size} and {highs.size}"
+        )
+    # Built from the values as given, so a decoded grid writes its bytes back.
     return UniformGrid(domain=Box(tuple(low), tuple(high)), counts=counts.reshape(shape))
 
 

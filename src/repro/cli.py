@@ -713,10 +713,7 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
                 ]
                 if args.resume:
                     state = checkpoint.load()
-                    replay_splits(
-                        collectors,
-                        [[str(i) for i in r] for r in state["split_rounds"]],
-                    )
+                    replay_splits(collectors, state["split_rounds"])
                 driver = FederatedPrivTree(collectors)
             try:
                 tree = driver.fit_histogram(

@@ -47,7 +47,7 @@ Example — three in-process collectors, one private release::
 from .aggregator import SecureAggregator
 from .blinding import MASK_DTYPE, PairwiseBlinder, pair_index
 from .checkpoint import FitCheckpoint
-from .collector import ROOT_NODE_ID, ShardCollector, child_node_id
+from .collector import ShardCollector
 from .driver import (
     FederatedPrivTree,
     federated_privtree_histogram,
@@ -60,6 +60,7 @@ from .errors import (
     CollectorTimeoutError,
     FederatedProtocolError,
     FrameCorruptError,
+    FrameVersionError,
     InjectedCoordinatorCrash,
     KeyExchangeError,
     RoundMismatchError,
@@ -92,20 +93,19 @@ __all__ = [
     "FederatedProtocolError",
     "FitCheckpoint",
     "FrameCorruptError",
+    "FrameVersionError",
     "InjectedCoordinatorCrash",
     "KeyExchangeError",
     "LoopbackChannel",
     "MASK_DTYPE",
     "PairwiseBlinder",
     "ProtocolClient",
-    "ROOT_NODE_ID",
     "RetryPolicy",
     "RoundMismatchError",
     "SecureAggregator",
     "ShardCollector",
     "ShardDesyncError",
     "ShareShapeError",
-    "child_node_id",
     "connect_collectors",
     "federated_privtree_histogram",
     "loopback_collectors",

@@ -53,7 +53,7 @@ class SecureAggregator:
         self,
         shares: Sequence[np.ndarray],
         *,
-        node_ids: Sequence[str] | None = None,
+        node_ids: Sequence[int] | None = None,
         round_index: int | None = None,
     ) -> np.ndarray:
         """Exact global counts from one round of blinded shares.
@@ -102,7 +102,7 @@ class SecureAggregator:
         if length and total.max() >= _MAX_COUNT:
             worst = int(np.argmax(total))
             at = (
-                f" at node {node_ids[worst]!r}" if node_ids is not None else ""
+                f" at node {int(node_ids[worst])}" if node_ids is not None else ""
             )
             raise ShardDesyncError(
                 f"round {rnd}: aggregated count {int(total[worst])}{at} is "

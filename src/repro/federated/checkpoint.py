@@ -7,9 +7,10 @@ double-spend, which is a privacy bug, not just a wasted release.  The
 checkpoint makes round execution transactional instead:
 
 * after every *committed* round the coordinator serializes its complete
-  replay state — the pending frontier (node ids), every committed split
-  decision, the exact position of the noise stream (the generator's
-  bit-generator state), the accountant ledger, and the round log — via
+  replay state — the pending frontier and every committed split decision
+  (breadth-first node numbers), the exact position of the noise stream
+  (the generator's bit-generator state), the accountant ledger, and the
+  round log — via
   :func:`repro._io.atomic_write_text`, so the file on disk is always a
   complete, consistent snapshot (never a torn write);
 * a restarted coordinator resumes from the snapshot: the budget is
@@ -33,6 +34,7 @@ import numpy as np
 
 from .._io import atomic_write_text
 from .errors import CheckpointError
+from .transport import decode_node_ids
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -43,13 +45,13 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro.federated.checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _REQUIRED_KEYS = frozenset(
     {
         "phase",
         "next_round",
-        "level_ids",
+        "frontier",
         "split_rounds",
         "rng",
         "ledger",
@@ -128,13 +130,24 @@ class FitCheckpoint:
             )
         if document.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"unsupported checkpoint version {document.get('version')!r}"
+                f"unsupported checkpoint version {document.get('version')!r} "
+                f"(this coordinator reads version {CHECKPOINT_VERSION})"
             )
         missing = _REQUIRED_KEYS - set(document)
         if missing:
             raise CheckpointError(
                 f"checkpoint {self.path} is missing keys {sorted(missing)}"
             )
+        split_rounds = document["split_rounds"]
+        if not isinstance(split_rounds, list):
+            raise CheckpointError("checkpoint split log must be a list of rounds")
+        for where, numbers in [("frontier", document["frontier"])] + [
+            ("split log", round_numbers) for round_numbers in split_rounds
+        ]:
+            try:
+                decode_node_ids(numbers)
+            except ValueError as exc:
+                raise CheckpointError(f"checkpoint {where} {exc}") from None
         return document
 
     def clear(self) -> None:

@@ -13,12 +13,15 @@ masks of :class:`~repro.federated.blinding.PairwiseBlinder`, so only the
 sum across *all* shards — taken by the
 :class:`~repro.federated.aggregator.SecureAggregator` — is meaningful.
 
-Nodes are named on the wire by their path ids (``v1.0.2…``).  A collector
-keeps one map from each id it has grown to the node's breadth-first
-number, which indexes the concatenated per-level counts; the deepest
-level's nodes hold the last numbers.  A splits round must name distinct
-splittable nodes of the deepest level in ascending order
-(:func:`_split_index`, which the coordinator's checkpoint replay shares).
+Every party names a node by its breadth-first number: the root is 0,
+and a split level's children take the next numbers, child ``j`` of the
+``r``-th split node at ``first + r·β + j``.  The numbers are pure
+geometry, so every party derives the same number for the same sub-box
+from the split decisions alone, and a number indexes the concatenated
+per-level counts directly; the deepest level's nodes hold the last
+numbers.  A splits round must name distinct splittable nodes of the
+deepest level in ascending order (:func:`_split_index`, which the
+coordinator's checkpoint replay shares).
 
 The collector is deliberately dumb about privacy: it adds no noise and
 knows nothing about ε.  All noise is drawn once, at the coordinator, from
@@ -29,8 +32,7 @@ centralized one.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -40,53 +42,31 @@ from ..spatial.dataset import SpatialDataset
 from ..spatial.level import BoxLevel, PointLabels
 from .blinding import PairwiseBlinder
 
-__all__ = ["ROOT_NODE_ID", "ShardCollector", "child_node_id"]
-
-#: The coordinator and every collector agree on this id for the root box
-#: (the paper's ``v1`` covering all of Ω).
-ROOT_NODE_ID = "v1"
+__all__ = ["ShardCollector"]
 
 
-def child_node_id(parent_id: str, child_index: int) -> str:
-    """The canonical id of a split child: the parent's path plus its rank.
-
-    Children are ranked in :meth:`~repro.domains.box.Box.bisect` order, so
-    ids are pure geometry — every party derives the same id for the same
-    sub-box without exchanging anything beyond the split decision.
-    """
-    return f"{parent_id}.{child_index}"
+def _unknown(numbers: np.ndarray, grown: int) -> int | None:
+    """The first of ``numbers`` outside ``[0, grown)``, or ``None``."""
+    outside = (numbers < 0) | (numbers >= grown)
+    return int(numbers[outside][0]) if outside.any() else None
 
 
-def _child_ids(parent_ids: Sequence[str], fanout: int) -> list[str]:
-    """The ids of the children of ``parent_ids``, in the array level's order."""
-    return [
-        child_node_id(parent_id, j) for parent_id in parent_ids for j in range(fanout)
-    ]
-
-
-def _split_index(
-    level: BoxLevel, numbers: Mapping[str, int], node_ids: Sequence[str]
-) -> np.ndarray:
+def _split_index(level: BoxLevel, grown: int, numbers: np.ndarray) -> np.ndarray:
     """The indices in ``level`` of the nodes one splits round names.
 
-    ``numbers`` maps ids to numbers, and the nodes of ``level``, the
-    deepest, hold its last ``level.size`` numbers in level order: a
-    collector's breadth-first numbers of every node grown, or the indices
-    of one level.  The ids must name splittable nodes of ``level``, each
-    once, in ascending order; anything else raises ``KeyError`` naming the
-    fault.
+    ``grown`` nodes are numbered, and ``level``, the deepest, holds the
+    last ``level.size`` of them in level order.  The numbers must name
+    splittable nodes of ``level``, each once, in ascending order;
+    anything else raises ``KeyError`` naming the fault.
     """
-    first = len(numbers) - level.size
-    try:
-        index = np.fromiter(
-            (numbers[node_id] for node_id in node_ids), np.intp, len(node_ids)
-        )
-    except KeyError as exc:
+    numbers = np.asarray(numbers, dtype=np.intp)
+    unknown = _unknown(numbers, grown)
+    if unknown is not None:
         raise KeyError(
-            f"names unknown node {exc.args[0]!r} (split a node before naming "
-            "its children)"
-        ) from None
-    index -= first
+            f"names unknown node {unknown} (split a node before naming its "
+            "children)"
+        )
+    index = numbers - (grown - level.size)
     if index.size and (
         index[0] < 0
         or np.any(np.diff(index) <= 0)
@@ -130,7 +110,7 @@ class ShardCollector:
         self._blinder = PairwiseBlinder(shard_id, n_shards, blinding_seed)
         self._level = BoxLevel.root(dataset.domain, dims_per_split)
         self._labels = PointLabels(dataset.points)
-        self._numbers: dict[str, int] = {ROOT_NODE_ID: 0}
+        self._grown = 1  # nodes numbered so far; the root is 0
         self._domain = dataset.domain
         self._n_points = dataset.n
         self._rounds_served = 0
@@ -170,50 +150,45 @@ class ShardCollector:
             self.shard_id, self.n_shards, pair_seeds
         )
 
-    def blinded_counts(self, node_ids: list[str]) -> np.ndarray:
-        """Blinded shares of this shard's counts for ``node_ids``.
+    def blinded_counts(self, node_ids) -> np.ndarray:
+        """Blinded shares of this shard's counts for the nodes ``node_ids``.
 
-        The ids may name nodes of any depth grown so far.  One aggregation
-        round: the pair mask streams advance by exactly ``len(node_ids)``
-        draws, so the coordinator must query every collector with the same
-        id list in the same round order.
+        The numbers may name nodes of any depth grown so far, in any
+        order.  One aggregation round: the pair mask streams advance by
+        exactly ``len(node_ids)`` draws, so the coordinator must query
+        every collector with the same numbers in the same round order.
         """
-        try:
-            numbers = np.fromiter(
-                (self._numbers[node_id] for node_id in node_ids),
-                np.intp,
-                len(node_ids),
-            )
-        except KeyError as exc:
+        numbers = np.asarray(node_ids, dtype=np.intp)
+        unknown = _unknown(numbers, self._grown)
+        if unknown is not None:
             raise KeyError(
-                f"shard {self.shard_id} has no node {exc.args[0]!r}; the "
+                f"shard {self.shard_id} has no node {unknown}; the "
                 "coordinator must split a node before querying its children"
-            ) from None
+            )
         counts = np.concatenate(self._labels.counts)[numbers]
         self._rounds_served += 1
         return self._blinder.blind(counts)
 
-    def apply_splits(self, node_ids: list[str]) -> None:
-        """Mirror the coordinator's split decision for ``node_ids``.
+    def apply_splits(self, node_ids) -> None:
+        """Mirror the coordinator's split decision for the nodes ``node_ids``.
 
-        The ids must name splittable nodes of the deepest level, each once,
-        in ascending order (one splits round per level).  Anything else —
-        an unknown id, a repeat, a node of an earlier level (including one
-        already split), or a box past float resolution — raises
-        ``KeyError``, a protocol error, and leaves the collector unchanged.
-        Otherwise the level splits in one vectorized pass, every point
-        moves to its child's label, and the children are numbered under
-        their canonical ids.  Re-applying a split is refused: a retried
-        round is answered from the endpoint's round cache, and
+        The numbers must name splittable nodes of the deepest level, each
+        once, in ascending order (one splits round per level).  Anything
+        else — an unknown number, a repeat, a node of an earlier level
+        (including one already split), or a box past float resolution —
+        raises ``KeyError``, a protocol error, and leaves the collector
+        unchanged.  Otherwise the level splits in one vectorized pass,
+        every point moves to its child's label, and the children take the
+        next numbers.  Re-applying a split is refused: a retried round is
+        answered from the endpoint's round cache, and
         :func:`~repro.federated.driver.replay_splits` runs each committed
         round once, on fresh collectors.
         """
         try:
-            index = _split_index(self._level, self._numbers, node_ids)
+            index = _split_index(self._level, self._grown, node_ids)
         except KeyError as exc:
             raise KeyError(f"shard {self.shard_id} {exc.args[0]}") from None
         level = self._level
         self._level = level.split(index)
         self._labels.descend(level, index, self._level)
-        children = _child_ids(node_ids, level.fanout)
-        self._numbers.update(zip(children, count(len(self._numbers))))
+        self._grown += self._level.size

@@ -5,14 +5,16 @@ consumes *per-node counts* — the split geometry, the eligibility test, and
 the child ordering are pure functions of the domain.  That is the whole
 trick of the federated fit: the coordinator grows the very array levels
 the centralized fit grows (:class:`~repro.spatial.level.BoxLevel`, boxes
-only, never a point or a count), with a different score source.  Beside
-each level it keeps the level's node ids, which name the nodes in every
-protocol round.  Each level's exact counts come from one round of a
-:class:`~repro.federated.aggregator.SecureAggregator` over blinded shard
-shares instead of from an in-memory point set, and each level commits as
-one splits round plus a checkpoint write.  The leaf counts arrive as one
-last aggregation round and go through the same release as the centralized
-pipeline (:func:`repro.spatial.quadtree._release_leaf_counts`).
+only, never a point or a count), with a different score source.  Every
+protocol round names its nodes by breadth-first number, so a level's
+nodes are one run of consecutive numbers and a round's numbers are an
+offset plus level indices.  Each level's exact counts come from one
+round of a :class:`~repro.federated.aggregator.SecureAggregator` over
+blinded shard shares instead of from an in-memory point set, and each
+level commits as one splits round plus a checkpoint write.  The leaf
+counts arrive as one last aggregation round and go through the same
+release as the centralized pipeline
+(:func:`repro.spatial.quadtree._release_leaf_counts`).
 
 Because (a) the aggregated counts are *exact* (blinding is lossless), (b)
 eligibility and child order depend only on boxes, and (c) noise is drawn
@@ -43,7 +45,7 @@ from ..spatial.quadtree import _check_fit_params, _release_leaf_counts
 from ..telemetry import get_registry, span as _span
 from .aggregator import SecureAggregator
 from .checkpoint import FitCheckpoint, restore_rng, rng_state
-from .collector import ROOT_NODE_ID, ShardCollector, _child_ids, _split_index
+from .collector import ShardCollector, _split_index
 from .errors import CheckpointError
 from .faults import FaultInjector
 
@@ -134,9 +136,9 @@ class FederatedPrivTree:
         return 2 ** self.dims_per_split
 
     def _aggregate_counts(
-        self, node_ids: list[str], *, round_index: int | None = None
+        self, node_ids: np.ndarray, *, round_index: int | None = None
     ) -> np.ndarray:
-        """One protocol round: exact global counts for ``node_ids``."""
+        """One protocol round: exact global counts of the nodes ``node_ids``."""
         with _span(
             "federated.round",
             round=round_index,
@@ -293,9 +295,7 @@ class FederatedPrivTree:
             accountant.spend(eps_tree, f"{label_prefix}/tree structure")
             accountant.spend(eps_counts, f"{label_prefix}/leaf counts")
             # A fresh fit is a resume from round 0: the root alone.
-            state = _fit_state(
-                "grow", 0, [ROOT_NODE_ID], [], gen, accountant, config, []
-            )
+            state = _fit_state("grow", 0, [0], [], gen, accountant, config, [])
             if checkpoint is not None:
                 checkpoint.save(state)
             return self._run_rounds(
@@ -323,26 +323,27 @@ class FederatedPrivTree:
         one last counts round.  The release is written as flat arrays and
         returned as the :class:`HistogramTree` over them.
         """
-        split_rounds = [[str(i) for i in r] for r in state["split_rounds"]]
-        root, level_ids = _replay_levels(self.domain, self.dims_per_split, split_rounds)
-        if [str(i) for i in state["level_ids"]] != level_ids[-1]:
+        split_rounds = list(state["split_rounds"])
+        root = _replay_levels(self.domain, self.dims_per_split, split_rounds)
+        *_, level = root.levels()
+        grown = sum(replayed.size for replayed in root.levels())
+        if state["frontier"] != list(range(grown - level.size, grown)):
             raise CheckpointError(
                 "checkpoint frontier does not match the level its split log grows"
             )
-        *_, level = root.levels()
         next_round = int(state["next_round"])
         round_log = list(state["round_log"])
 
-        def save(phase: str, frontier_ids: list[str]) -> None:
+        def save(phase: str, frontier: list[int]) -> None:
             if checkpoint is not None:
                 checkpoint.save(
                     _fit_state(
-                        phase, next_round, frontier_ids, split_rounds, gen,
+                        phase, next_round, frontier, split_rounds, gen,
                         accountant, config, round_log,
                     )
                 )
 
-        def counts_round(node_ids: list[str]) -> np.ndarray:
+        def counts_round(node_ids: np.ndarray) -> np.ndarray:
             nonlocal next_round
             self._maybe_heartbeat()
             exact = self._aggregate_counts(node_ids, round_index=next_round)
@@ -354,19 +355,19 @@ class FederatedPrivTree:
             next_round += 1
             return exact
 
+        # The level handed to either callback is the deepest grown, whose
+        # nodes hold the last ``level.size`` of the ``grown`` numbers.
         def scores(level: BoxLevel, eligible: np.ndarray) -> np.ndarray:
-            node_ids = level_ids[level.depth]
-            return counts_round([node_ids[i] for i in eligible])
+            return counts_round(grown - level.size + eligible)
 
         def commit(level: BoxLevel, split: np.ndarray, next_level: BoxLevel) -> None:
-            nonlocal next_round
-            node_ids = level_ids[level.depth]
-            to_split_ids = [node_ids[i] for i in split]
+            nonlocal next_round, grown
+            to_split = grown - level.size + split
             with _span(
                 "federated.round",
                 round=next_round,
                 kind="splits",
-                n_nodes=len(to_split_ids),
+                n_nodes=len(to_split),
             ):
                 for i, collector in enumerate(self.collectors):
                     with _span(
@@ -375,18 +376,14 @@ class FederatedPrivTree:
                         round=next_round,
                         op="apply_splits",
                     ):
-                        collector.apply_splits(to_split_ids)
+                        collector.apply_splits(to_split)
             round_log.append(
-                {"round": next_round, "kind": "splits", "n_nodes": len(to_split_ids)}
+                {"round": next_round, "kind": "splits", "n_nodes": len(to_split)}
             )
             next_round += 1
-            split_rounds.append(to_split_ids)
-            level_ids.append(_child_ids(to_split_ids, level.fanout))
-            save("grow", level_ids[-1])
-
-        def leaf_counts(bfs: np.ndarray) -> np.ndarray:
-            every_id = [node_id for ids in level_ids for node_id in ids]
-            return counts_round([every_id[i] for i in bfs])
+            split_rounds.append(to_split.tolist())
+            grown += next_level.size
+            save("grow", list(range(grown - next_level.size, grown)))
 
         params = PrivTreeParams.calibrate(
             eps_tree,
@@ -398,7 +395,7 @@ class FederatedPrivTree:
             level, params, gen, scores, commit, max_depth=config["max_depth"]
         )
         flat = _release_leaf_counts(
-            root, leaf_counts, eps_counts,
+            root, counts_round, eps_counts,
             config["tuples_per_individual"], config["count_mechanism"], gen,
         )
         save("done", [])
@@ -408,8 +405,8 @@ class FederatedPrivTree:
 def _fit_state(
     phase: str,
     next_round: int,
-    level_ids: list[str],
-    split_rounds: list[list[str]],
+    frontier: list[int],
+    split_rounds: list[list[int]],
     gen: np.random.Generator,
     accountant: PrivacyAccountant,
     config: dict,
@@ -419,7 +416,7 @@ def _fit_state(
     return {
         "phase": phase,
         "next_round": next_round,
-        "level_ids": list(level_ids),
+        "frontier": list(frontier),
         "split_rounds": [list(r) for r in split_rounds],
         "rng": rng_state(gen),
         "ledger": [[label, eps] for label, eps in accountant.ledger],
@@ -431,45 +428,44 @@ def _fit_state(
 def _replay_levels(
     domain: Box,
     dims_per_split: int,
-    split_rounds: list[list[str]],
-) -> tuple[BoxLevel, list[list[str]]]:
+    split_rounds: list[list[int]],
+) -> BoxLevel:
     """Replay committed split decisions into the coordinator's levels.
 
-    Node ids encode the split path (``v1.0.2…``) and splitting is pure
+    Node numbers follow from the split decisions and splitting is pure
     geometry, so the committed per-level split lists are a complete record
     of the tree grown so far: bisecting each recorded level's nodes
     reproduces every box exactly.  Returns the root level, with every
-    replayed level linked below it, and each level's node ids.
+    replayed level linked below it.
     """
     level = root = BoxLevel.root(domain, dims_per_split)
-    level_ids = [[ROOT_NODE_ID]]
-    for round_ids in split_rounds:
-        where = {node_id: i for i, node_id in enumerate(level_ids[-1])}
+    grown = 1
+    for round_numbers in split_rounds:
         try:
-            index = _split_index(level, where, round_ids)
+            index = _split_index(level, grown, round_numbers)
         except KeyError as exc:
             raise CheckpointError(f"checkpoint split log {exc.args[0]}") from None
         level = level.split(index)
-        level_ids.append(_child_ids(round_ids, level.fanout))
-    return root, level_ids
+        grown += level.size
+    return root
 
 
 def replay_splits(
-    collectors: Sequence[ShardCollector], split_rounds: list[list[str]]
+    collectors: Sequence[ShardCollector], split_rounds: list[list[int]]
 ) -> None:
     """Replay committed splits onto *fresh* in-process collectors.
 
     An in-process resume rebuilds its collectors from the shard data, so
     their levels and point labels must be grown back to the checkpointed
-    frontier before the fit continues.  Each committed round is applied
-    once, in order; splitting is pure geometry, so the replayed collectors
-    match the pre-crash ones exactly.  The TCP transport never needs this:
-    its collectors are long-lived processes that kept their levels (and
-    their mask-stream positions).
+    frontier before the fit continues.  Each committed round (the node
+    numbers it split) is applied once, in order; splitting is pure
+    geometry, so the replayed collectors match the pre-crash ones exactly.
+    The TCP transport never needs this: its collectors are long-lived
+    processes that kept their levels (and their mask-stream positions).
     """
-    for round_ids in split_rounds:
+    for round_numbers in split_rounds:
         for collector in collectors:
-            collector.apply_splits(round_ids)
+            collector.apply_splits(round_numbers)
 
 
 def federated_privtree_histogram(

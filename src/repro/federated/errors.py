@@ -22,6 +22,7 @@ __all__ = [
     "CollectorTimeoutError",
     "FederatedProtocolError",
     "FrameCorruptError",
+    "FrameVersionError",
     "InjectedCoordinatorCrash",
     "KeyExchangeError",
     "RoundMismatchError",
@@ -54,6 +55,15 @@ class FederatedProtocolError(RuntimeError):
 
 class FrameCorruptError(FederatedProtocolError):
     """A wire frame failed its checksum, length, or envelope validation."""
+
+
+class FrameVersionError(FederatedProtocolError):
+    """The peer speaks another frame version.
+
+    Unlike a corrupt frame this is not a transit fault: every retry would
+    meet the same peer, so the client raises it at once and no
+    corrupt-frame counter counts it.
+    """
 
 
 class RoundMismatchError(FederatedProtocolError, ValueError):
@@ -100,6 +110,7 @@ class InjectedCoordinatorCrash(RuntimeError):
 #: coordinator inside an ``error`` frame.
 _WIRE_ERRORS: dict[str, type[FederatedProtocolError]] = {
     "frame_corrupt": FrameCorruptError,
+    "frame_version": FrameVersionError,
     "round_mismatch": RoundMismatchError,
     "share_shape": ShareShapeError,
     "shard_desync": ShardDesyncError,

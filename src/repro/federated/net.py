@@ -47,7 +47,6 @@ import numpy as np
 
 from ..domains.box import Box
 from ..mechanisms.rng import ensure_rng
-from .blinding import MASK_DTYPE
 from .collector import ShardCollector
 from .errors import (
     CollectorCrashError,
@@ -56,6 +55,7 @@ from .errors import (
     FrameCorruptError,
     KeyExchangeError,
     RoundMismatchError,
+    ShareShapeError,
     error_from_wire,
     error_type_name,
 )
@@ -64,8 +64,11 @@ from .faults import FaultInjector
 from .transport import (
     DiffieHellman,
     RetryPolicy,
+    decode_node_ids,
+    decode_shares,
     derive_pair_seed,
     encode_frame,
+    encode_shares,
     node_ids_digest,
     read_frame,
 )
@@ -151,8 +154,9 @@ class CollectorEndpoint:
             except FederatedProtocolError as exc:
                 return self._error(exc, message.get("round"))
             except KeyError as exc:
-                # The collector refused a node id list (unknown, repeated,
-                # out-of-order or unsplittable node): a sequencing bug.
+                # The collector refused a round's node numbers (unknown,
+                # repeated, out-of-order or unsplittable node): a
+                # sequencing bug.
                 return self._error(
                     RoundMismatchError(
                         f"shard {self.shard_id}: {exc.args[0]}",
@@ -264,13 +268,19 @@ class CollectorEndpoint:
 
     def _round(self, message: dict) -> dict:
         round_index = message.get("round")
-        node_ids = message.get("node_ids")
-        if not isinstance(round_index, int) or not isinstance(node_ids, list):
+        if not isinstance(round_index, int):
             raise FederatedProtocolError(
-                f"shard {self.shard_id}: a round frame needs an integer "
-                "round and a node_ids list",
+                f"shard {self.shard_id}: a round frame needs an integer round",
                 shard_id=self.shard_id,
             )
+        try:
+            node_ids = decode_node_ids(message.get("node_ids"))
+        except ValueError as exc:
+            raise FederatedProtocolError(
+                f"shard {self.shard_id}: round {round_index}'s node_ids {exc}",
+                shard_id=self.shard_id,
+                round_index=round_index,
+            ) from None
         digest = node_ids_digest(node_ids)
         cached = self._cache.get(round_index)
         if cached is not None:
@@ -295,16 +305,16 @@ class CollectorEndpoint:
                 round_index=round_index,
             )
         if message["kind"] == "counts_request":
-            shares = self.collector.blinded_counts([str(n) for n in node_ids])
+            shares = self.collector.blinded_counts(node_ids)
             response = {
                 "kind": "counts_response",
                 "round": round_index,
                 "shard_id": self.shard_id,
                 "digest": digest,
-                "shares": [int(x) for x in shares],
+                "shares": encode_shares(shares),
             }
         else:
-            self.collector.apply_splits([str(n) for n in node_ids])
+            self.collector.apply_splits(node_ids)
             response = {
                 "kind": "splits_ack",
                 "round": round_index,
@@ -328,10 +338,11 @@ class _CollectorRequestHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 message = read_frame(lambda n: _recv_exactly(sock, n))
-            except FrameCorruptError as exc:
-                # Report and keep the connection: framing is intact (the
-                # length prefix is never corrupted by the injector) so the
-                # stream stays parseable and the client can retry.
+            except FederatedProtocolError as exc:
+                # A corrupt frame or one of another version.  Report and
+                # keep the connection: framing is intact (the length
+                # prefix is never corrupted by the injector) so the stream
+                # stays parseable and the client can retry or give up.
                 response = endpoint._error(exc, None)
             except (ConnectionError, OSError):
                 return
@@ -498,7 +509,7 @@ class LoopbackChannel:
         for frame in frames:
             try:
                 message = _decode_wire_bytes(frame)
-            except FrameCorruptError as exc:
+            except FederatedProtocolError as exc:
                 response = self.endpoint._error(exc, None)
             else:
                 response = self.endpoint.handle(message)
@@ -599,29 +610,39 @@ class ProtocolClient:
 
     # -- the collector protocol ----------------------------------------
 
-    def blinded_counts(self, node_ids: list[str]) -> np.ndarray:
+    def blinded_counts(self, node_ids) -> np.ndarray:
+        numbers = np.asarray(node_ids, dtype=np.int64)
         response = self._request(
             {
                 "kind": "counts_request",
                 "round": self._round,
-                "node_ids": list(node_ids),
+                "node_ids": numbers.tolist(),
             },
             expect="counts_response",
         )
-        self._check_digest(response, node_ids)
+        self._check_digest(response, numbers)
+        try:
+            shares = decode_shares(response.get("shares"), numbers.size)
+        except ShareShapeError as exc:
+            raise ShareShapeError(
+                f"shard {self.shard_id} round {self._round}: {exc}",
+                shard_id=self.shard_id,
+                round_index=self._round,
+            ) from None
         self._round += 1
-        return np.array(response["shares"], dtype=MASK_DTYPE)
+        return shares
 
-    def apply_splits(self, node_ids: list[str]) -> None:
+    def apply_splits(self, node_ids) -> None:
+        numbers = np.asarray(node_ids, dtype=np.int64)
         response = self._request(
             {
                 "kind": "splits_request",
                 "round": self._round,
-                "node_ids": list(node_ids),
+                "node_ids": numbers.tolist(),
             },
             expect="splits_ack",
         )
-        self._check_digest(response, node_ids)
+        self._check_digest(response, numbers)
         self._round += 1
 
     def sync_round(self, next_round: int) -> None:
@@ -642,8 +663,8 @@ class ProtocolClient:
         finally:
             self.channel.close()
 
-    def _check_digest(self, response: dict, node_ids: list[str]) -> None:
-        expected = node_ids_digest(list(node_ids))
+    def _check_digest(self, response: dict, node_ids: np.ndarray) -> None:
+        expected = node_ids_digest(node_ids)
         if response.get("digest") != expected:
             raise RoundMismatchError(
                 f"shard {self.shard_id} answered round "

@@ -8,8 +8,14 @@ length-prefixed frame::
 with a versioned envelope inside the body, following the idiom of
 :mod:`repro.queries.wire`::
 
-    {"format": "repro.federated", "version": 1,
-     "kind": "counts_request", "round": 7, ...}
+    {"format": "repro.federated", "version": 2,
+     "kind": "counts_request", "round": 7, "node_ids": [0, 5, 6], ...}
+
+A round names its nodes by breadth-first number (the root is 0, and a
+splits round's children take the next numbers in level order), one JSON
+integer per node; a counts response carries its ``uint64`` shares as
+base64 of their little-endian bytes (:func:`encode_shares` /
+:func:`decode_shares`).
 
 Design points:
 
@@ -22,9 +28,12 @@ Design points:
   they belong to, so duplicated or reordered frames are *identified* and
   skipped rather than silently consumed as the next round's answer.
 * **Content digests**: a counts request/response carries a digest of the
-  node-id list, so a replayed round with different content is a
+  node numbers, so a replayed round with different content is a
   :class:`~repro.federated.errors.RoundMismatchError`, never a masked
   aggregate over the wrong nodes.
+* **One version**: a frame of another version is a
+  :class:`~repro.federated.errors.FrameVersionError` naming both
+  versions, which no retry can mend.
 
 The module also provides :class:`RetryPolicy` (bounded retries with
 exponential backoff and full jitter, under a per-round deadline) and the
@@ -35,6 +44,7 @@ pure ``pow``, no dependencies.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import secrets
@@ -44,8 +54,16 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+import numpy as np
+
 from ..telemetry import get_registry
-from .errors import FrameCorruptError, KeyExchangeError
+from .blinding import MASK_DTYPE
+from .errors import (
+    FrameCorruptError,
+    FrameVersionError,
+    KeyExchangeError,
+    ShareShapeError,
+)
 
 __all__ = [
     "FRAME_FORMAT",
@@ -54,14 +72,21 @@ __all__ = [
     "DiffieHellman",
     "RetryPolicy",
     "decode_frame",
+    "decode_node_ids",
+    "decode_shares",
     "derive_pair_seed",
     "encode_frame",
+    "encode_shares",
     "node_ids_digest",
     "read_frame",
 ]
 
 FRAME_FORMAT = "repro.federated"
-FRAME_VERSION = 1
+FRAME_VERSION = 2
+
+#: Node numbers and shares on the wire: little-endian, 8 bytes each.
+_NUMBER_DTYPE = np.dtype("<i8")
+_SHARE_DTYPE = np.dtype("<u8")
 
 #: Refuse frames beyond this size: a counts round over even a million
 #: nodes is far below it, so anything bigger is corruption or abuse.
@@ -136,8 +161,9 @@ def _decode_frame(body: bytes, expected_crc: int) -> dict:
             f"not a federated frame: format={message.get('format')!r}"
         )
     if message.get("version") != FRAME_VERSION:
-        raise FrameCorruptError(
-            f"unsupported frame version {message.get('version')!r}"
+        raise FrameVersionError(
+            f"the peer sent frame version {message.get('version')!r}; this "
+            f"side speaks version {FRAME_VERSION}"
         )
     if message.get("kind") not in FRAME_KINDS:
         raise FrameCorruptError(f"unknown frame kind {message.get('kind')!r}")
@@ -165,15 +191,65 @@ def read_frame(read_exactly: Callable[[int], bytes]) -> dict:
     return decode_frame(body, crc)
 
 
-def node_ids_digest(node_ids: list[str]) -> str:
-    """A short stable digest binding a round to its exact node-id list.
+def node_ids_digest(node_ids) -> str:
+    """A short stable digest binding a round to its exact node numbers.
 
-    Re-requests of a cached round must carry the same digest; a replayed
-    round id over *different* nodes is a protocol error, because serving
-    the cached shares for it would silently misalign counts and nodes.
+    Hashes the numbers' little-endian int64 bytes.  Re-requests of a
+    cached round must carry the same digest; a replayed round id over
+    *different* nodes is a protocol error, because serving the cached
+    shares for it would silently misalign counts and nodes.
     """
-    joined = "\x00".join(node_ids).encode("utf-8")
-    return hashlib.sha256(joined).hexdigest()[:16]
+    data = np.asarray(node_ids, dtype=_NUMBER_DTYPE).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def decode_node_ids(value: object) -> np.ndarray:
+    """A round's ``node_ids`` (a JSON list of integers) as int64 numbers.
+
+    Raises ``ValueError`` naming the fault when ``value`` is not a list,
+    holds anything but integers (a bool is not one), or holds an integer
+    past int64.  Whether the numbers name grown nodes is the collector's
+    check.
+    """
+    if not isinstance(value, list):
+        raise ValueError(
+            f"must be a list of node numbers, not {type(value).__name__}"
+        )
+    if not set(map(type, value)) <= {int}:
+        bad = next(entry for entry in value if type(entry) is not int)
+        raise ValueError(f"names {bad!r}, which is not a node number")
+    try:
+        return np.array(value, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("names a node number past int64") from None
+
+
+def encode_shares(shares: np.ndarray) -> str:
+    """A counts response's shares: base64 of their little-endian uint64 bytes."""
+    data = np.asarray(shares, dtype=_SHARE_DTYPE).tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def decode_shares(value: object, n_nodes: int) -> np.ndarray:
+    """The ``uint64`` shares of one counts response over ``n_nodes`` nodes.
+
+    Raises :class:`~repro.federated.errors.ShareShapeError` unless
+    ``value`` is a base64 string of exactly ``8 * n_nodes`` bytes.
+    """
+    if not isinstance(value, str):
+        raise ShareShapeError(
+            f"shares must be a base64 string, not {type(value).__name__}"
+        )
+    try:
+        data = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ShareShapeError(f"shares are not valid base64 ({exc})") from None
+    if len(data) != _SHARE_DTYPE.itemsize * n_nodes:
+        raise ShareShapeError(
+            f"shares hold {len(data)} bytes; {n_nodes} queried nodes need "
+            f"{_SHARE_DTYPE.itemsize * n_nodes}"
+        )
+    return np.frombuffer(data, dtype=_SHARE_DTYPE).astype(MASK_DTYPE)
 
 
 # -- retry policy ------------------------------------------------------

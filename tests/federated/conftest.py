@@ -22,15 +22,12 @@ def _one_subnormal_high() -> SpatialDataset:
 
 #: Splits rounds a collector must refuse: name -> (dataset, the rounds
 #: committed before it, the malformed round, a well-formed round for the
-#: same level).  Every dataset splits at fanout 4.
+#: same level).  Every dataset splits at fanout 4, so the root is node 0,
+#: its children are 1-4, and node 1's children are 5-8.
 MALFORMED_SPLITS = {
-    "unsplittable": lambda: (_one_subnormal_high(), [], ["v1"], []),
-    "duplicate": lambda: (_unit_square(), [["v1"]], ["v1.0", "v1.0"], ["v1.0"]),
-    "out_of_order": lambda: (
-        _unit_square(), [["v1"]], ["v1.2", "v1.1"], ["v1.1", "v1.2"],
-    ),
-    "already_split": lambda: (_unit_square(), [["v1"]], ["v1"], ["v1.3"]),
-    "earlier_level": lambda: (
-        _unit_square(), [["v1"], ["v1.0"]], ["v1.1"], ["v1.0.1"],
-    ),
+    "unsplittable": lambda: (_one_subnormal_high(), [], [0], []),
+    "duplicate": lambda: (_unit_square(), [[0]], [1, 1], [1]),
+    "out_of_order": lambda: (_unit_square(), [[0]], [3, 2], [2, 3]),
+    "already_split": lambda: (_unit_square(), [[0]], [0], [4]),
+    "earlier_level": lambda: (_unit_square(), [[0], [1]], [2], [6]),
 }

@@ -78,6 +78,11 @@ class TestFitCheckpoint:
             FitCheckpoint(tmp_path / "x.json").save({"phase": "grow"})
 
 
+def _first_of_last_round(value):
+    """A tamper that puts ``value`` first in the split log's last round."""
+    return lambda state: state["split_rounds"][-1].__setitem__(0, value)
+
+
 class TestCheckpointedFit:
     def test_checkpointing_does_not_change_the_release(self, small_2d, tmp_path):
         plain = _fit(small_2d)
@@ -122,9 +127,7 @@ class TestCheckpointedFit:
         assert len(state["ledger"]) == 2
 
         collectors = _collectors(small_2d)
-        replay_splits(
-            collectors, [[str(i) for i in r] for r in state["split_rounds"]]
-        )
+        replay_splits(collectors, state["split_rounds"])
         resumed_accountant = PrivacyAccountant(1.0)
         resumed = FederatedPrivTree(collectors).fit_histogram(
             1.0,
@@ -144,10 +147,29 @@ class TestCheckpointedFit:
         "tamper, message",
         [
             (lambda s: s["split_rounds"][-1].append(s["split_rounds"][-1][0]), "twice"),
-            (lambda s: s["split_rounds"][-1].__setitem__(0, "v1.9"), "unknown node"),
-            (lambda s: s["level_ids"].pop(), "does not match"),
+            (_first_of_last_round(10**6), "unknown node 1000000"),
+            (lambda s: s["frontier"].pop(), "does not match"),
+            (_first_of_last_round("v1.9"), "split log names 'v1.9'"),
+            (_first_of_last_round(True), "split log names True"),
+            (_first_of_last_round(1.0), "split log names 1.0"),
+            (_first_of_last_round(-1), "unknown node -1"),
+            (_first_of_last_round(2**63), "past int64"),
+            (lambda s: s["split_rounds"][-1].reverse(), "out of order"),
+            (lambda s: s["split_rounds"].__setitem__(-1, "1,2"), "split log must be a list"),
+            (lambda s: s["split_rounds"].__setitem__(0, [0, 0]), "twice"),
+            (lambda s: s["frontier"].__setitem__(0, "v1.0"), "frontier names 'v1.0'"),
+            (lambda s: s["frontier"].__setitem__(0, False), "frontier names False"),
+            (lambda s: s["frontier"].__setitem__(0, -1), "does not match"),
+            (lambda s: s["frontier"].reverse(), "does not match"),
+            (lambda s: s.__setitem__("split_rounds", {}), "split log must be a list"),
+            (lambda s: s.__setitem__("version", 1), "version 1 .*reads version 2"),
         ],
-        ids=["split-twice", "unknown-node", "frontier-mismatch"],
+        ids=[
+            "split-twice", "unknown-node", "frontier-mismatch", "string", "bool",
+            "float", "negative", "past-int64", "out-of-order", "round-not-a-list",
+            "root-twice", "frontier-string", "frontier-bool", "frontier-negative",
+            "frontier-out-of-order", "log-not-a-list", "version-1",
+        ],
     )
     def test_tampered_split_log_is_refused(self, small_2d, tmp_path, tamper, message):
         checkpoint = FitCheckpoint(tmp_path / "fit.json")

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.domains import Box
-from repro.federated import (
-    MASK_DTYPE,
-    ROOT_NODE_ID,
-    SecureAggregator,
-    ShardCollector,
-    child_node_id,
-)
+from repro.federated import MASK_DTYPE, SecureAggregator, ShardCollector
 from repro.spatial import SpatialDataset
 
 from .conftest import MALFORMED_SPLITS
@@ -27,10 +21,22 @@ def _collectors(dataset, n_shards=2, seed=3, **kwargs):
     ], shards
 
 
-class TestNodeIds:
-    def test_child_ids_encode_the_path(self):
-        assert child_node_id(ROOT_NODE_ID, 0) == "v1.0"
-        assert child_node_id("v1.0", 3) == "v1.0.3"
+class TestNodeNumbers:
+    def test_children_take_the_next_numbers(self, clustered_2d):
+        # Breadth-first: the root is 0, its children 1-4; splitting nodes
+        # 2 and 4 numbers their children 5-8 and 9-12, in Box.bisect order.
+        collectors, _ = _collectors(clustered_2d, n_shards=3)
+        agg = SecureAggregator(3)
+        for split in ([0], [2, 4]):
+            for c in collectors:
+                c.apply_splits(split)
+        children = clustered_2d.domain.bisect([0, 1])
+        boxes = [clustered_2d.domain, *children] + [
+            box for parent in (children[1], children[3]) for box in parent.bisect([0, 1])
+        ]
+        counts = agg.aggregate([c.blinded_counts(np.arange(13)) for c in collectors])
+        expected = [box.count_points(clustered_2d.points) for box in boxes]
+        assert counts.tolist() == expected
 
 
 class TestShardCollector:
@@ -48,7 +54,7 @@ class TestShardCollector:
     def test_aggregated_root_count_is_global(self, uniform_2d):
         collectors, _ = _collectors(uniform_2d, n_shards=3)
         agg = SecureAggregator(3)
-        counts = agg.aggregate([c.blinded_counts([ROOT_NODE_ID]) for c in collectors])
+        counts = agg.aggregate([c.blinded_counts([0]) for c in collectors])
         assert counts.tolist() == [uniform_2d.n]
 
     def test_split_children_counts_match_geometry(self, clustered_2d):
@@ -58,9 +64,8 @@ class TestShardCollector:
         collectors, _ = _collectors(clustered_2d, n_shards=3)
         agg = SecureAggregator(3)
         for c in collectors:
-            c.apply_splits([ROOT_NODE_ID])
-        child_ids = [child_node_id(ROOT_NODE_ID, j) for j in range(4)]
-        counts = agg.aggregate([c.blinded_counts(child_ids) for c in collectors])
+            c.apply_splits([0])
+        counts = agg.aggregate([c.blinded_counts([1, 2, 3, 4]) for c in collectors])
         child_boxes = clustered_2d.domain.bisect([0, 1])
         expected = [box.count_points(clustered_2d.points) for box in child_boxes]
         assert counts.tolist() == expected
@@ -71,8 +76,8 @@ class TestShardCollector:
         # count must not appear in it.
         collectors, shards = _collectors(clustered_2d, n_shards=3)
         for c in collectors:
-            c.apply_splits([ROOT_NODE_ID])
-        ids = [ROOT_NODE_ID] + [child_node_id(ROOT_NODE_ID, j) for j in range(4)]
+            c.apply_splits([0])
+        ids = [0, 1, 2, 3, 4]
         boxes = [clustered_2d.domain] + list(clustered_2d.domain.bisect([0, 1]))
         for collector, shard in zip(collectors, shards):
             raw = np.array(
@@ -84,10 +89,12 @@ class TestShardCollector:
 
     def test_unknown_node_id_is_a_protocol_error(self, uniform_2d):
         collectors, _ = _collectors(uniform_2d)
-        with pytest.raises(KeyError, match="has no node"):
-            collectors[0].blinded_counts(["v1.0"])
+        with pytest.raises(KeyError, match="has no node 1"):
+            collectors[0].blinded_counts([1])
+        with pytest.raises(KeyError, match="has no node -1"):
+            collectors[0].blinded_counts([0, -1])
         with pytest.raises(KeyError, match="split a node before"):
-            collectors[0].apply_splits(["v9"])
+            collectors[0].apply_splits([9])
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SPLITS))
     def test_malformed_splits_round_is_a_protocol_error(self, case):
@@ -113,5 +120,5 @@ class TestShardCollector:
             ShardCollector(1, 2, empty, blinding_seed=1),
         ]
         agg = SecureAggregator(2)
-        counts = agg.aggregate([c.blinded_counts([ROOT_NODE_ID]) for c in collectors])
+        counts = agg.aggregate([c.blinded_counts([0]) for c in collectors])
         assert counts.tolist() == [40]

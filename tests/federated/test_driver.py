@@ -324,7 +324,7 @@ class _WireTap(ShardCollector):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.emitted: list[np.ndarray] = []
-        self.queried: list[list[str]] = []
+        self.queried: list[list[int]] = []
 
     def blinded_counts(self, node_ids):
         share = super().blinded_counts(node_ids)
@@ -333,13 +333,14 @@ class _WireTap(ShardCollector):
         return share
 
 
-def _node_box(tree, node_id: str) -> Box:
-    """The box of ``node_id`` in a released tree: walk its path from the root."""
+def _level_order_boxes(tree) -> list[Box]:
+    """The boxes of a released tree by breadth-first number: a level-order walk."""
     flat = tree.flat()
-    row = 0
-    for rank in node_id.split(".")[1:]:
-        row = flat.child_index[flat.child_offsets[row] + int(rank)]
-    return Box.from_arrays(flat.lows[row], flat.highs[row])
+    rows = [0]
+    for row in rows:  # grows as it walks
+        start, stop = flat.child_offsets[row], flat.child_offsets[row + 1]
+        rows.extend(flat.child_index[start:stop])
+    return [Box.from_arrays(flat.lows[row], flat.highs[row]) for row in rows]
 
 
 class TestNoRawCountExposure:
@@ -358,6 +359,7 @@ class TestNoRawCountExposure:
         central = _privtree_histogram(clustered_2d, epsilon=1.0, rng=0)
         assert tree_to_dict(tree) == tree_to_dict(central)
 
+        boxes = _level_order_boxes(tree)
         for tap, shard in zip(taps, shards):
             assert tap.emitted, "the protocol must have run rounds"
             # Each share is this shard's exact count plus its masks, so
@@ -365,10 +367,7 @@ class TestNoRawCountExposure:
             blinder = PairwiseBlinder(tap.shard_id, 3, 21)
             for node_ids, share in zip(tap.queried, tap.emitted):
                 raw = np.array(
-                    [
-                        _node_box(tree, node_id).count_points(shard.points)
-                        for node_id in node_ids
-                    ],
+                    [boxes[number].count_points(shard.points) for number in node_ids],
                     dtype=MASK_DTYPE,
                 )
                 assert share.dtype == MASK_DTYPE

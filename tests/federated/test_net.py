@@ -6,26 +6,40 @@ speed, so the whole failure matrix lives in tier-1.  One test drives real
 sockets to pin the TCP glue itself.
 """
 
+import json
+import socket
+import struct
+import threading
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.federated import (
-    ROOT_NODE_ID,
     CollectorCrashError,
     CollectorTimeoutError,
     FaultInjector,
     FaultPlan,
     FederatedPrivTree,
+    FrameVersionError,
     RoundMismatchError,
     ShardCollector,
-    child_node_id,
+    ShareShapeError,
     connect_collectors,
     loopback_collectors,
     shard_dataset,
 )
-from repro.federated.net import CollectorEndpoint, CollectorServer
-from repro.federated.transport import RetryPolicy
+from repro.federated.net import (
+    CollectorEndpoint,
+    CollectorServer,
+    LoopbackChannel,
+    ProtocolClient,
+    TcpChannel,
+    _recv_exactly,
+)
+from repro.federated.transport import FRAME_FORMAT, RetryPolicy, read_frame
 from repro.mechanisms import PrivacyAccountant
+from repro.telemetry import get_registry
 from repro.spatial import SpatialDataset
 from repro.spatial.serialize import tree_to_dict
 
@@ -144,7 +158,7 @@ class TestFailureMatrix:
         clients = loopback_collectors(
             _collectors(small_2d), session="dup", injector=injector
         )
-        shares = [c.blinded_counts(["v1"]) for c in clients]
+        shares = [c.blinded_counts([0]) for c in clients]
         total = np.zeros(1, dtype=np.uint64)
         for share in shares:
             total += share
@@ -156,10 +170,10 @@ class TestFailureMatrix:
 
         client = ProtocolClient(LoopbackChannel(endpoint), session="replay")
         client.connect()
-        client.blinded_counts(["v1"])
+        client.blinded_counts([0])
         client.sync_round(0)  # rewind, as a resuming coordinator would
         with pytest.raises(RoundMismatchError, match="different node ids"):
-            client.blinded_counts(["v1.0"])
+            client.blinded_counts([1])
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SPLITS))
     def test_malformed_splits_round_leaves_the_collector_untouched(self, case):
@@ -177,7 +191,9 @@ class TestFailureMatrix:
         for client in clients:
             with pytest.raises(RoundMismatchError, match="names"):
                 client.apply_splits(bad)
-        ids = [ROOT_NODE_ID] + [child_node_id(p, j) for p in good for j in range(4)]
+        # The root and the children of the well-formed round's nodes.
+        grown = 1 + 4 * sum(map(len, committed))
+        ids = [0, *range(grown, grown + 4 * len(good))]
         for client, collector in zip(clients, fresh):
             client.apply_splits(good)
             collector.apply_splits(good)
@@ -190,7 +206,125 @@ class TestFailureMatrix:
         client = clients[0]
         client.sync_round(5)
         with pytest.raises(RoundMismatchError, match="round"):
-            client.blinded_counts(["v1"])
+            client.blinded_counts([0])
+
+
+def _frame(message: dict) -> bytes:
+    """``message`` framed as is, envelope included (no version added)."""
+    body = json.dumps(message).encode("utf-8")
+    return struct.pack(">II", len(body), zlib.crc32(body)) + body
+
+
+class _Rewrite:
+    """An injector that rewrites the frames of some kinds through ``edit``."""
+
+    def __init__(self, kinds, edit):
+        self.kinds = kinds
+        self.edit = edit
+
+    def on_frame(self, data: bytes) -> list[bytes]:
+        message = json.loads(data[8:])
+        if message["kind"] in self.kinds:
+            self.edit(message)
+            data = _frame(message)
+        return [data]
+
+    def should_kill_collector(self, shard_id: int, round_index: int) -> bool:
+        return False
+
+
+def _version_1(message: dict) -> None:
+    message["version"] = 1
+
+
+def _counter(name: str) -> float:
+    return get_registry().counter(name).value
+
+
+class TestFrameVersion:
+    """A peer on another frame version fails at once: no retry, no corrupt count."""
+
+    @pytest.fixture
+    def counters(self):
+        names = ("repro_federated_retries_total", "repro_federated_corrupt_frames_total")
+        before = [_counter(name) for name in names]
+        yield
+        assert [_counter(name) for name in names] == before
+
+    @pytest.mark.parametrize(
+        "kinds", [{"hello"}, {"hello_ack"}], ids=["request", "response"]
+    )
+    def test_loopback(self, small_2d, counters, kinds):
+        endpoint = CollectorEndpoint(_collectors(small_2d)[0])
+        channel = LoopbackChannel(endpoint, injector=_Rewrite(kinds, _version_1))
+        client = ProtocolClient(channel, session="v1-peer")
+        with pytest.raises(
+            FrameVersionError, match="version 1; this side speaks version 2"
+        ):
+            client.connect()
+
+    def test_tcp_request(self, small_2d, counters):
+        endpoint = CollectorEndpoint(_collectors(small_2d)[0])
+        server = CollectorServer(("127.0.0.1", 0), endpoint)
+        server.serve_in_thread()
+        try:
+            channel = TcpChannel(
+                "127.0.0.1", server.port, injector=_Rewrite({"hello"}, _version_1)
+            )
+            client = ProtocolClient(channel, session="v1-coordinator")
+            with pytest.raises(FrameVersionError, match="version 1") as excinfo:
+                client.connect()
+            assert excinfo.value.shard_id == 0
+            channel.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_tcp_response(self, counters):
+        # A collector of the previous release answers every version-2 frame
+        # as a corrupt one, in a version-1 frame.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_one() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                _recv_exactly(conn, struct.unpack(">I", _recv_exactly(conn, 8)[:4])[0])
+                conn.sendall(_frame({
+                    "format": FRAME_FORMAT, "version": 1, "kind": "error",
+                    "error_type": "frame_corrupt", "detail": "unsupported frame version 2",
+                    "shard_id": 0, "round": None,
+                }))
+
+        thread = threading.Thread(target=serve_one, daemon=True)
+        thread.start()
+        try:
+            channel = TcpChannel("127.0.0.1", listener.getsockname()[1])
+            client = ProtocolClient(channel, session="v1-collector")
+            with pytest.raises(FrameVersionError, match="version 1"):
+                client.connect()
+            channel.close()
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+
+
+class TestMalformedShares:
+    @pytest.mark.parametrize(
+        "shares", [12, None, ["AAAAAAAAAAA="], "not base64!", "AAAAAAAAAA==", ""],
+        ids=["integer", "null", "list", "invalid-base64", "seven-bytes", "empty"],
+    )
+    def test_is_a_typed_error_naming_the_shard(self, small_2d, shares):
+        def tamper(message: dict) -> None:
+            message["shares"] = shares
+
+        endpoint = CollectorEndpoint(_collectors(small_2d)[0])
+        channel = LoopbackChannel(endpoint, injector=_Rewrite({"counts_response"}, tamper))
+        client = ProtocolClient(channel, session="shares")
+        client.connect()
+        with pytest.raises(ShareShapeError, match="shard 0 round 0") as excinfo:
+            client.blinded_counts([0])
+        assert (excinfo.value.shard_id, excinfo.value.round_index) == (0, 0)
 
 
 class TestTcpTransport:

@@ -5,7 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from repro.federated.errors import FrameCorruptError, KeyExchangeError
+from repro.federated.errors import (
+    FrameCorruptError,
+    FrameVersionError,
+    KeyExchangeError,
+)
 from repro.federated.transport import (
     FRAME_FORMAT,
     FRAME_KINDS,
@@ -32,11 +36,11 @@ def _roundtrip(message: dict) -> dict:
 
 class TestFraming:
     def test_roundtrip_preserves_payload(self):
-        message = {"kind": "counts_request", "round": 3, "node_ids": ["v1", "v1.0"]}
+        message = {"kind": "counts_request", "round": 3, "node_ids": [0, 1]}
         decoded = _roundtrip(message)
         assert decoded["kind"] == "counts_request"
         assert decoded["round"] == 3
-        assert decoded["node_ids"] == ["v1", "v1.0"]
+        assert decoded["node_ids"] == [0, 1]
         assert decoded["format"] == FRAME_FORMAT
         assert decoded["version"] == FRAME_VERSION
 
@@ -64,7 +68,7 @@ class TestFraming:
         body = json.dumps(
             {"format": FRAME_FORMAT, "version": 99, "kind": "heartbeat"}
         ).encode()
-        with pytest.raises(FrameCorruptError, match="version"):
+        with pytest.raises(FrameVersionError, match="version 99.*version 2"):
             decode_frame(body, zlib.crc32(body))
 
     def test_wrong_format_is_typed(self):
@@ -88,10 +92,10 @@ class TestFraming:
             read_frame(read_exactly)
 
     def test_digest_depends_on_order_and_content(self):
-        a = node_ids_digest(["v1", "v1.0"])
-        assert a == node_ids_digest(["v1", "v1.0"])
-        assert a != node_ids_digest(["v1.0", "v1"])
-        assert a != node_ids_digest(["v1"])
+        a = node_ids_digest([0, 1])
+        assert a == node_ids_digest(np.array([0, 1]))
+        assert a != node_ids_digest([1, 0])
+        assert a != node_ids_digest([0])
 
 
 class TestRetryPolicy:

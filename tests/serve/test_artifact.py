@@ -869,10 +869,87 @@ CRAFTED_GRID_META = {
     ),
 }
 
+def _first_set(array, value):
+    out = np.array(array)
+    out.flat[0] = value
+    return out
+
+
+def _first_subgrid(release):
+    return sorted(release.synopsis.subgrids.items())[0][1]
+
+
+#: Crafted grid values, each in a file whose footer verifies, as (method,
+#: the segments replaced, given the fitted release, message).  Unchecked,
+#: each loaded a grid no fit releases (text bounds then raised numpy's
+#: DTypePromotionError at the first query).
+CRAFTED_GRID_SEGMENTS = {
+    "nan_count": ("ug", lambda r: {"counts": _first_set(r.grid.counts, np.nan)}, "finite"),
+    "infinite_count": (
+        "ug", lambda r: {"counts": _first_set(r.grid.counts, -np.inf)}, "finite"
+    ),
+    "integer_counts": (
+        "ug", lambda r: {"counts": r.grid.counts.astype(np.int64)}, "must be floats"
+    ),
+    "text_counts": ("ug", lambda r: {"counts": r.grid.counts.astype(str)}, "must be floats"),
+    "complex_counts": (
+        "ug", lambda r: {"counts": r.grid.counts.astype(complex)}, "must be floats"
+    ),
+    "text_bounds": (
+        "ug", lambda r: {"low": np.array(["a", "b"]), "high": np.array(["c", "d"])},
+        "must be floats",
+    ),
+    "integer_bounds": (
+        "ug", lambda r: {"low": np.array([0, 0]), "high": np.array([1, 1])},
+        "must be floats",
+    ),
+    "infinite_bound": ("ug", lambda r: {"high": np.array([np.inf, 1.0])}, "finite"),
+    "bounds_in_two_rows": (
+        "ug", lambda r: {"low": np.zeros((1, 2)), "high": np.ones((1, 2))},
+        "2 numbers per side",
+    ),
+    "subgrid_nan_count": (
+        "ag", lambda r: {"sub0_counts": _first_set(_first_subgrid(r).counts, np.nan)},
+        "finite",
+    ),
+    "subgrid_infinite_bound": (
+        "ag", lambda r: {"sub0_low": _first_set(_first_subgrid(r).domain.low, -np.inf)},
+        "finite",
+    ),
+}
+
+
+def _set_first_count(value):
+    return lambda p: p["counts"].__setitem__(0, value)
+
+
 #: The same defects in a release document's payload.
 CRAFTED_GRID_DOCUMENTS = {
     "shape_of_another_size": ("ug", lambda p: p.update(shape=[3, 3]), "shape must be"),
     "shape_as_text": ("ug", lambda p: p.update(shape="ab"), "shape must be"),
+    "null_count": ("ug", _set_first_count(None), "counts must be numbers, got None"),
+    "nan_count": ("ug", _set_first_count(float("nan")), "counts must be finite"),
+    "text_count": ("ug", _set_first_count("1.5"), "counts must be numbers"),
+    "bool_count": ("ug", _set_first_count(True), "counts must be numbers"),
+    "count_past_the_float_range": ("ug", _set_first_count(10**400), "float range"),
+    "text_bounds": (
+        "ug", lambda p: p.update(low="ab", high="cd"), "bounds must be a list of numbers"
+    ),
+    "text_numbers_as_bounds": (
+        "ug", lambda p: p.update(low=["0", "0"], high=["1", "1"]), "bounds must be numbers"
+    ),
+    "null_bound": ("ug", lambda p: p["low"].__setitem__(0, None), "bounds must be numbers"),
+    "bool_bounds": (
+        "ug", lambda p: p.update(low=[False, False], high=[True, True]),
+        "bounds must be numbers",
+    ),
+    "infinite_bound": (
+        "ug", lambda p: p["high"].__setitem__(0, float("inf")), "bounds must be finite"
+    ),
+    "subgrid_null_count": (
+        "ag", lambda p: p["subgrids"][0]["grid"]["counts"].__setitem__(0, None),
+        "counts must be numbers",
+    ),
     "null_subgrid_index": (
         "ag", lambda p: p["subgrids"][0].update(index=None), "names no level-1 cell"
     ),
@@ -906,6 +983,27 @@ class TestCraftedGridArtifacts:
         path = _join(tmp_path / "grid.bin", header, data)
         with pytest.raises(ArtifactError, match=message):
             read_artifact(path, verify=verify)
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED_GRID_SEGMENTS))
+    def test_crafted_grid_values_rejected(self, tmp_path, uniform_2d, case):
+        name, segments, message = CRAFTED_GRID_SEGMENTS[case]
+        release, _ = fit_release(name, uniform_2d, None)
+        path = tmp_path / "grid.bin"
+        write_artifact(release, path)
+        _unpadded(path, path, **segments(release))
+        with pytest.raises(ArtifactError, match=message):
+            read_artifact(path)
+
+    @pytest.mark.parametrize("name", ["ug", "ag"])
+    def test_unedited_grid_segments_load_the_fit(self, tmp_path, uniform_2d, name):
+        # The crafted cases above rewrite these files: unedited, the bytes
+        # written back are the fit's.
+        release, _ = fit_release(name, uniform_2d, None)
+        path = tmp_path / "grid.bin"
+        write_artifact(release, path)
+        rewritten = _unpadded(path, tmp_path / "rewritten.bin")
+        for restored in (read_artifact(path), read_artifact(rewritten)):
+            assert restored.to_json_text() == release.to_json_text()
 
     @pytest.mark.parametrize("case", sorted(CRAFTED_GRID_DOCUMENTS))
     def test_crafted_grid_document_rejected(self, uniform_2d, case):
