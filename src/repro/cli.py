@@ -645,6 +645,7 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
     from .api import SpatialTreeRelease, save_release
     from .datasets import SPATIAL_DATASETS
     from .federated import (
+        CheckpointError,
         EpochLedger,
         FederatedPrivTree,
         FitCheckpoint,
@@ -727,6 +728,8 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
                 )
             except (TypeError, ValueError) as exc:
                 raise SystemExit(str(exc)) from None
+        except CheckpointError as exc:  # from either resume's checkpoint load
+            raise SystemExit(str(exc)) from None
         finally:
             if clients is not None:
                 for client in clients:

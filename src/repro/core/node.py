@@ -1,12 +1,12 @@
 """Tree nodes for the domains that really are node objects.
 
-A :class:`TreeNode` carries an application payload: a PST context, a
-product cell, a taxonomy cell, ...  PrivTree grows these nodes through
+A :class:`TreeNode` carries an application payload: a product cell, a
+taxonomy cell, ...  PrivTree grows these nodes through
 :class:`NodeLevel`, the node-list form of the level that
 :func:`~repro.core.privtree.grow_frontier` consumes, and SimpleTree
 through the same level in :func:`~repro.core.simpletree.grow_simpletree`.
-No spatial tree builds them: the ones that split at midpoints grow an
-array level (:class:`~repro.spatial.level.BoxLevel`) instead.
+No spatial tree or PST builds them: they grow array levels
+(:class:`~repro.core.level.Level`) instead.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ P = TypeVar("P")
 class TreeNode(Generic[P]):
     """One node of a decomposition tree.
 
-    ``payload`` is the application object (PST node, product cell, ...)
+    ``payload`` is the application object (product cell, taxonomy cell, ...)
     that knows its domain, its data subset, and its score.  ``noisy_score``
     records the noisy value the engine compared against the threshold — kept
     for SimpleTree (whose released counts are exactly these values) and for

@@ -10,18 +10,19 @@ The engine walks the frontier level by level.  For each node ``v`` it
 :func:`grow_frontier` is that level loop, the only one in the package.  It
 reads a *level*: any object with a ``depth``, a ``size``, a vectorized
 ``splittable()`` mask and a ``split(index)`` that returns the next level.
-Two kinds exist.  :class:`~repro.core.node.NodeLevel` is a list of
+:class:`~repro.core.node.NodeLevel` is a list of
 :class:`~repro.core.node.TreeNode` payloads; :func:`privtree` grows it for
-the domains that really are node objects: the sequence PST, taxonomies
-and product cells.  :class:`~repro.spatial.level.BoxLevel` holds a whole
-depth of boxes as ``(m, d)`` arrays; both spatial fits and
-``privtree_decomposition`` grow it.  Each level's exact scores
-come from one call to a score function and a commit callback runs after
-each level.  The noise does not depend on where the scores come from, so
-one loop serves every source: payload scores, one int32 label per point
-counted with ``bincount`` (``from_spec("privtree")``), or the counts that
-secure aggregation recovers from the shards, committed as a splits round
-plus a checkpoint write (:class:`~repro.federated.FederatedPrivTree`).
+the domains that really are node objects: taxonomies and product cells.
+An array level (:class:`~repro.core.level.Level`) holds a whole depth:
+boxes (``BoxLevel``, both spatial fits and ``privtree_decomposition``)
+or, since 9.0.0, PST contexts (``ContextLevel``, ``private_pst``).  Each
+level's exact scores come from one call to a score function and a commit
+callback runs after each level.  The noise does not depend on where the
+scores come from, so one loop serves every source: payload scores, one
+int32 label per point counted with ``bincount`` (``from_spec("privtree")``),
+one label per prediction position (``from_spec("pst")``), or the counts
+that secure aggregation recovers from the shards, committed as a splits
+round plus a checkpoint write (:class:`~repro.federated.FederatedPrivTree`).
 
 All of a level's Laplace perturbations are drawn in a single batched RNG
 call.  numpy fills a sized ``Generator.laplace`` request from the same
@@ -31,9 +32,8 @@ the draw order remains BFS over splittable nodes only.
 
 No height limit is needed: the decaying bias makes the expected tree size at
 most twice the noise-free tree (Lemma 3.2).  :func:`privtree` works on
-any :class:`~repro.domains.base.NodePayload` — product domains,
-taxonomies or PST contexts — as long as the payload's score is monotone
-under splitting.
+any :class:`~repro.domains.base.NodePayload` — product domains or
+taxonomies — as long as the payload's score is monotone under splitting.
 
 Released artifacts must not expose the scores used here; the spatial and
 sequence wrappers add noisy counts in a separate, separately-budgeted
@@ -77,8 +77,8 @@ class MaxDepthWarning(UserWarning):
 
 #: A level: one depth of a frontier, with a ``depth``, a ``size``, a
 #: vectorized ``splittable()`` mask and a ``split(index)`` that returns the
-#: next level (:class:`~repro.core.node.NodeLevel`,
-#: :class:`~repro.spatial.level.BoxLevel`).
+#: next level (:class:`~repro.core.node.NodeLevel` or an array
+#: :class:`~repro.core.level.Level`).
 L = TypeVar("L")
 
 

@@ -47,9 +47,8 @@ from ..mechanisms.geometric import geometric_noise
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..sequence.alphabet import Alphabet
-from ..sequence.dataset import SequenceDataset
+from ..sequence.dataset import SequenceDataset, TokenStore
 from ..sequence.metrics import length_distribution, total_variation_distance
-from ..sequence.payload import PSTNodeData
 from ..sequence.private_pst import private_pst
 from ..sequence.serialize import pst_to_dict
 from ..sequence.tasks import (
@@ -681,6 +680,89 @@ class PredictionSuffixTree:
                         heapq.heappush(heap, (-ext_est, counter, ext))
                         counter += 1
         return results
+
+
+def _reference_equation_13_score(hist: np.ndarray) -> float:
+    """``‖hist‖₁ − max(hist)`` — Equation (13); 0 for an empty histogram.
+
+    The scalar score :class:`PSTNodeData`, the PST payload the library grew
+    one node at a time before its context levels, scores with.
+    """
+    if hist.size == 0 or hist.sum() == 0:
+        return 0.0
+    return float(hist.sum() - hist.max())
+
+
+@dataclass
+class PSTNodeData:
+    """Context + occurrence positions, ready for splitting."""
+
+    store: TokenStore
+    context: tuple[int, ...]
+    occurrences: np.ndarray
+    occurrence_starts: np.ndarray
+    _hist: np.ndarray | None = field(default=None, repr=False)
+
+    @staticmethod
+    def root(store: TokenStore) -> "PSTNodeData":
+        """The empty-context root: every prediction position occurs."""
+        positions, seq_starts = store.prediction_positions()
+        return PSTNodeData(
+            store=store,
+            context=(),
+            occurrences=positions,
+            occurrence_starts=seq_starts,
+        )
+
+    def hist(self) -> np.ndarray:
+        """The exact prediction histogram over ``I ∪ {&}`` (cached)."""
+        if self._hist is None:
+            next_tokens = self.store.flat[self.occurrences]
+            self._hist = np.bincount(
+                next_tokens, minlength=self.store.alphabet.hist_size
+            )[: self.store.alphabet.hist_size].astype(np.int64)
+        return self._hist
+
+    def score(self) -> float:
+        """Equation (13) on the exact histogram."""
+        return _reference_equation_13_score(self.hist())
+
+    def can_split(self) -> bool:
+        """Condition C1: a context starting with ``$`` cannot be extended."""
+        return not (
+            self.context and self.context[0] == self.store.alphabet.start_code
+        )
+
+    def split(self) -> list["PSTNodeData"]:
+        """One child per symbol in ``I ∪ {$}`` prepended to the context.
+
+        An occurrence survives into the child whose symbol precedes the
+        context; because ``$`` opens every sequence, the children partition
+        the parent's occurrences exactly.
+        """
+        if not self.can_split():
+            raise ValueError(
+                f"context {self.context!r} starts with $ and cannot be split"
+            )
+        alphabet = self.store.alphabet
+        L = len(self.context)
+        prev_positions = self.occurrences - L - 1
+        valid = prev_positions >= self.occurrence_starts
+        prev_tokens = np.where(
+            valid, self.store.flat[np.maximum(prev_positions, 0)], -1
+        )
+        children = []
+        for code in list(range(alphabet.size)) + [alphabet.start_code]:
+            mask = prev_tokens == code
+            children.append(
+                PSTNodeData(
+                    store=self.store,
+                    context=(code,) + self.context,
+                    occurrences=self.occurrences[mask],
+                    occurrence_starts=self.occurrence_starts[mask],
+                )
+            )
+        return children
 
 
 def _reference_release(

@@ -123,10 +123,10 @@ class FitCheckpoint:
             raise CheckpointError(
                 f"cannot read checkpoint {self.path}: {exc}"
             ) from None
-        if not isinstance(document, dict) or document.get("format") != CHECKPOINT_FORMAT:
+        kind = document.get("format") if isinstance(document, dict) else None
+        if kind != CHECKPOINT_FORMAT:
             raise CheckpointError(
-                f"{self.path} is not a federated fit checkpoint "
-                f"(format={document.get('format')!r} if it parsed at all)"
+                f"{self.path} is not a federated fit checkpoint (format={kind!r})"
             )
         if document.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(

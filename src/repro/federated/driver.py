@@ -462,10 +462,15 @@ def replay_splits(
     geometry, so the replayed collectors match the pre-crash ones exactly.
     The TCP transport never needs this: its collectors are long-lived
     processes that kept their levels (and their mask-stream positions).
+    A round the collectors refuse (an unknown number, a repeat, a round
+    out of order) raises :class:`CheckpointError`.
     """
     for round_numbers in split_rounds:
         for collector in collectors:
-            collector.apply_splits(round_numbers)
+            try:
+                collector.apply_splits(round_numbers)
+            except KeyError as exc:
+                raise CheckpointError(f"checkpoint split log: {exc.args[0]}") from None
 
 
 def federated_privtree_histogram(

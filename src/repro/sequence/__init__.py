@@ -5,8 +5,7 @@ from .dataset import SequenceDataset, TokenStore
 from .flat import FlatPST
 from .markov import MarkovModel
 from .metrics import length_distribution, top_k_precision, total_variation_distance
-from .payload import PSTNodeData, equation_13_score
-from .private_pst import exact_pst, private_pst
+from .private_pst import equation_13_score, exact_pst, private_pst
 from .serialize import load_pst, pst_from_dict, pst_to_dict, save_pst
 from .tasks import (
     count_substrings,
@@ -20,7 +19,6 @@ __all__ = [
     "END_SYMBOL",
     "FlatPST",
     "MarkovModel",
-    "PSTNodeData",
     "START_SYMBOL",
     "SequenceDataset",
     "TokenStore",

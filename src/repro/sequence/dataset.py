@@ -108,35 +108,26 @@ class TokenStore:
         if l_top < 1:
             raise ValueError(f"l_top must be >= 1, got {l_top!r}")
         alphabet = dataset.alphabet
-        start, end = alphabet.start_code, alphabet.end_code
-        pieces: list[np.ndarray] = []
-        starts: list[int] = []
-        ends: list[int] = []
-        offset = 0
-        n_truncated = 0
-        for seq in dataset.sequences:
-            if len(seq) >= l_top:  # token length would exceed l_top
-                tokens = np.concatenate([[start], seq[:l_top]])
-                n_truncated += 1
-            else:
-                tokens = np.concatenate([[start], seq, [end]])
-            pieces.append(tokens)
-            starts.append(offset)
-            offset += len(tokens)
-            ends.append(offset)
-        flat = (
-            np.concatenate(pieces)
-            if pieces
-            else np.empty(0, dtype=np.int64)
-        )
+        lengths = dataset.lengths()
+        truncated = lengths >= l_top  # token length would exceed l_top
+        sizes = np.minimum(lengths, l_top) + 1 + ~truncated  # $, symbols, & unless truncated
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # Symbol k of sequence i lands at starts[i] + 1 + k when k < l_top.
+        codes = np.concatenate([np.empty(0, dtype=np.int64), *dataset.sequences])
+        rank = np.arange(codes.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        keep = rank < l_top
+        flat = np.full(int(sizes.sum()), alphabet.end_code, dtype=np.int64)
+        flat[starts] = alphabet.start_code
+        flat[(np.repeat(starts + 1, lengths) + rank)[keep]] = codes[keep]
         return TokenStore(
             alphabet=alphabet,
             l_top=l_top,
-            flat=flat.astype(np.int64),
-            starts=np.asarray(starts, dtype=np.int64),
-            ends=np.asarray(ends, dtype=np.int64),
+            flat=flat,
+            starts=starts,
+            ends=ends,
             name=dataset.name,
-            n_truncated=n_truncated,
+            n_truncated=int(truncated.sum()),
         )
 
     @property

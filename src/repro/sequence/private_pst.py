@@ -13,86 +13,151 @@ Pipeline (Theorems 4.1 and 4.2, plus the §4.2 budget split):
 3. **Postprocess** — internal histograms are sums of their leaves; negative
    counts clamp to zero so every histogram is a valid distribution.
 
-The release is written straight into :class:`~repro.sequence.flat.FlatPST`
-arrays in pre-order: leaf noise is drawn for the leaves in pre-order,
-every internal histogram sums its children's unclamped histograms in
-child order, and the clamp comes last.
+The tree grows as :class:`ContextLevel` arrays, one per context length,
+scored by :class:`PositionLabels`.  The release is written straight into
+:class:`~repro.sequence.flat.FlatPST` arrays in pre-order: one sized leaf
+draw in pre-order, internal histograms as child sums, then the clamp.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.node import TreeNode
+from ..core.level import Level, preorder
 from ..core.params import PrivTreeParams
-from ..core.privtree import DEFAULT_MAX_DEPTH, privtree
+from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
 from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.rng import RngLike, ensure_rng
 from .alphabet import Alphabet
 from .dataset import SequenceDataset, TokenStore
 from .flat import FlatPST
-from .payload import PSTNodeData
 
-__all__ = ["private_pst", "exact_pst"]
+__all__ = ["ContextLevel", "PositionLabels", "equation_13_score", "exact_pst", "private_pst"]
+
+
+def equation_13_score(hists: np.ndarray) -> np.ndarray:
+    """``‖hist‖₁ − max(hist)`` over the last axis — Equation (13); 0 for an
+    empty histogram.  Monotone (Lemma 4.1), and small for a histogram of
+    small magnitude (condition C2) or low entropy (condition C3)."""
+    hists = np.asarray(hists)
+    if hists.shape[-1] == 0:
+        return np.zeros(hists.shape[:-1])
+    return (hists.sum(axis=-1) - hists.max(axis=-1)).astype(float)
+
+
+class ContextLevel(Level):
+    """The PST contexts of one depth, as the symbols they prepend.
+
+    ``edges[i]`` is the first symbol of node ``i``'s context (``-1`` at
+    the root); the rest is its parent's.  A split tiles ``I ∪ {$}``: child
+    ``j`` of the ``r``-th split node is node ``r * fanout + j`` of the next
+    level and prepends ``symbols[j]`` (code ``j`` of ``I``, ``$`` last).
+    """
+
+    __slots__ = ("edges", "symbols")
+
+    def __init__(self, depth: int, edges: np.ndarray, symbols: np.ndarray) -> None:
+        super().__init__(depth)
+        self.edges = edges
+        self.symbols = symbols
+
+    @staticmethod
+    def root(alphabet: Alphabet) -> "ContextLevel":
+        """The one-node level holding the empty context."""
+        symbols = np.arange(alphabet.pst_fanout, dtype=np.int64)
+        symbols[-1] = alphabet.start_code
+        return ContextLevel(0, np.full(1, -1, dtype=np.int64), symbols)
+
+    @property
+    def size(self) -> int:
+        """Number of contexts at this depth."""
+        return self.edges.size
+
+    @property
+    def fanout(self) -> int:
+        """β = |I| + 1 — the number of children each split produces."""
+        return self.symbols.size
+
+    def splittable(self) -> np.ndarray:
+        """Condition C1: a context that starts with ``$`` cannot be extended."""
+        return self.edges != self.symbols[-1]
+
+    def split(self, index: np.ndarray) -> "ContextLevel":
+        """Extend the contexts at the ascending ``index``; return their children."""
+        self.split_index = np.asarray(index, dtype=np.intp)
+        edges = np.tile(self.symbols, self.split_index.size)
+        self.next = ContextLevel(self.depth + 1, edges, self.symbols)
+        return self.next
+
+
+class PositionLabels:
+    """The score source: each prediction position's node in the current level.
+
+    A prediction position (a token other than ``$``) lies in the node of
+    depth ``L`` whose context is the ``L`` tokens before it.  One
+    ``bincount`` over (node, token) gives a level's exact histograms, kept
+    in :attr:`hists`; every split drops the positions of the nodes that
+    did not split.
+    """
+
+    def __init__(self, store: TokenStore) -> None:
+        self.alphabet = store.alphabet
+        self._flat = store.flat
+        self._positions, _ = store.prediction_positions()
+        self._tokens = store.flat[self._positions]
+        self._labels = np.zeros(self._positions.size, dtype=np.intp)
+        #: Exact ``(size, hist_size)`` prediction histograms, one array per depth.
+        self.hists: list[np.ndarray] = [self._count(1)]
+
+    def _count(self, size: int) -> np.ndarray:
+        width = self.alphabet.hist_size
+        keys = self._labels * width + self._tokens
+        return np.bincount(keys, minlength=size * width).reshape(size, width)
+
+    def scores(self, level: ContextLevel, eligible: np.ndarray) -> np.ndarray:
+        """Equation (13) scores of ``level``'s nodes at ``eligible``."""
+        return equation_13_score(self.hists[level.depth][eligible])
+
+    def descend(self, level: ContextLevel, split: np.ndarray, next_level: ContextLevel) -> None:
+        """Move every position to its node in ``next_level`` (a commit callback).
+
+        A position of split node ``r`` goes to child ``r * fanout + j``,
+        ``symbols[j]`` the token before the context.  A split context never
+        starts with ``$``, so that token is in the position's sequence and
+        never ``&``: a code of ``I`` is its own ``j`` and ``$`` the last.
+        """
+        first = np.full(level.size, -1, dtype=np.intp)
+        first[split] = level.fanout * np.arange(split.size)
+        labels = first[self._labels]
+        keep = labels >= 0
+        self._positions = self._positions[keep]
+        self._tokens = self._tokens[keep]
+        before = self._flat[self._positions - (level.depth + 1)]
+        self._labels = labels[keep] + np.minimum(before, level.fanout - 1)
+        self.hists.append(self._count(next_level.size))
 
 
 def _release(
-    root: TreeNode[PSTNodeData],
-    alphabet: Alphabet,
+    root: ContextLevel,
+    labels: PositionLabels,
     scale: float | None,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(hists, parents, edge_symbols)`` of a grown tree, in pre-order.
+    gen: np.random.Generator | None = None,
+) -> FlatPST:
+    """The tree grown below ``root`` as a :class:`FlatPST`, in pre-order.
 
-    ``scale=None`` means no noise.  Negative counts are left for the
-    caller to clamp.
+    Leaves keep their exact histograms plus, unless ``scale`` is None, one
+    sized Laplace draw over the leaves in pre-order; internal histograms
+    are child sums, and negative counts clamp to zero last.
     """
-    parents: list[int] = []
-    edges: list[int] = []
-    ranks: list[int] = []
-    depths: list[int] = []
-    leaves: list[int] = []
-    leaf_hists: list[np.ndarray] = []
-    stack = [(root, -1, -1, 0, 0)]
-    while stack:
-        node, parent, edge, rank, depth = stack.pop()
-        index = len(parents)
-        parents.append(parent)
-        edges.append(edge)
-        ranks.append(rank)
-        depths.append(depth)
-        if node.is_leaf:
-            leaves.append(index)
-            leaf_hists.append(node.payload.hist())
-            continue
-        for child_rank, child in reversed(list(enumerate(node.children))):
-            code = child.payload.context[0]
-            stack.append((child, index, code, child_rank, depth + 1))
-    hists = np.zeros((len(parents), alphabet.hist_size))
-    hists[leaves] = leaf_hists
+    layout = preorder(root)
+    hists = np.concatenate(labels.hists)[layout.bfs].astype(float)
     if scale is not None:
-        hists[leaves] += rng.laplace(0.0, scale, size=(len(leaves), alphabet.hist_size))
-    # Each internal histogram is ((c0 + c1) + c2) + ... over its children
-    # in child order; deeper levels go first, so every child is final.
-    kids = np.arange(1, len(parents))
-    kid_parents = np.asarray(parents)[1:]
-    kid_ranks = np.asarray(ranks)[1:]
-    kid_depths = np.asarray(depths)[1:]
-    order = np.lexsort((kid_ranks, -kid_depths))
-    starts = (np.diff(kid_depths[order]) != 0) | (np.diff(kid_ranks[order]) != 0)
-    for group in np.split(order, np.flatnonzero(starts) + 1):
-        if not group.size:
-            continue
-        targets, sources = kid_parents[group], kids[group]
-        if kid_ranks[group[0]] == 0:
-            hists[targets] = hists[sources]
-        else:
-            hists[targets] += hists[sources]
-    return (
-        hists,
-        np.asarray(parents, dtype=np.intp),
-        np.asarray(edges, dtype=np.int64),
-    )
+        leaves = layout.leaves()
+        hists[leaves] += gen.laplace(0.0, scale, size=(leaves.size, hists.shape[1]))
+    layout.sum_children(hists)
+    np.maximum(hists, 0.0, out=hists)
+    edges = np.concatenate([level.edges for level in root.levels()])
+    return FlatPST(labels.alphabet, hists, layout.parent_rows(), edges[layout.bfs])
 
 
 def private_pst(
@@ -122,12 +187,11 @@ def private_pst(
     params = PrivTreeParams.calibrate(
         eps_tree, fanout=beta, sensitivity=float(l_top), theta=theta
     )
-    tree = privtree(PSTNodeData.root(store), params, rng=gen, max_depth=max_depth)
-
+    root = ContextLevel.root(dataset.alphabet)
+    labels = PositionLabels(store)
+    grow_frontier(root, params, gen, labels.scores, labels.descend, max_depth=max_depth)
     hist_scale = l_top / eps_hist  # Theorem 4.2
-    hists, parents, edges = _release(tree.root, dataset.alphabet, hist_scale, gen)
-    np.maximum(hists, 0.0, out=hists)
-    return FlatPST(dataset.alphabet, hists, parents, edges)
+    return _release(root, labels, hist_scale, gen)
 
 
 def exact_pst(
@@ -138,23 +202,15 @@ def exact_pst(
 ) -> FlatPST:
     """A non-private PST: split while Equation (13) exceeds the threshold.
 
-    Used by tests (ground truth) and by the Truncate baseline's synthetic
-    generation.  ``max_context`` bounds context length for tractability.
+    The tests' ground truth; ``max_context`` bounds the context length.
     """
-    store: TokenStore = dataset.truncate(l_top)
-    root_payload = PSTNodeData.root(store)
-    root_node = TreeNode(payload=root_payload, depth=0)
-    frontier = [root_node]
-    while frontier:
-        node = frontier.pop()
-        payload = node.payload
-        if (
-            payload.can_split()
-            and len(payload.context) < max_context
-            and payload.score() > split_threshold
-        ):
-            node.children = [
-                TreeNode(payload=c, depth=node.depth + 1) for c in payload.split()
-            ]
-            frontier.extend(node.children)
-    return FlatPST(dataset.alphabet, *_release(root_node, dataset.alphabet, None, None))
+    root = ContextLevel.root(dataset.alphabet)
+    labels = PositionLabels(dataset.truncate(l_top))
+    level = root
+    while level.size and level.depth < max_context:
+        scores = equation_13_score(labels.hists[level.depth])
+        split = np.flatnonzero(level.splittable() & (scores > split_threshold))
+        next_level = level.split(split)
+        labels.descend(level, split, next_level)
+        level = next_level
+    return _release(root, labels, None)

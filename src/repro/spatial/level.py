@@ -14,10 +14,10 @@ round-robin split cursor, so eligibility and bisection are a few
 vectorized expressions per level, with the same float operations as
 :meth:`Box.can_bisect <repro.domains.box.Box.can_bisect>` and
 :meth:`Box.bisect <repro.domains.box.Box.bisect>`, and children in
-``Box.bisect``'s lexicographic order.  A split level records which of its
-nodes split and links the level they made, so the root level is the whole
-grown tree; :func:`preorder` lays it out as the arrays of
-:class:`~repro.spatial.flat.FlatHistogram`.
+``Box.bisect``'s lexicographic order.  A split level links the level
+its nodes made (:class:`~repro.core.level.Level`), so the root level is
+the whole tree; :func:`~repro.core.level.preorder` lays it out as
+:class:`~repro.spatial.flat.FlatHistogram` arrays.
 
 The levels carry geometry only, so the federated coordinator grows the
 same levels as the centralized fit.  Every other spatial tree's score
@@ -28,15 +28,12 @@ counted with one ``bincount`` per level.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
-
 import numpy as np
 
+from ..core.level import Level
 from ..domains.box import Box
 
-__all__ = [
-    "BoxLevel", "PointLabels", "Preorder", "preorder", "resolve_dims_per_split",
-]
+__all__ = ["BoxLevel", "PointLabels", "resolve_dims_per_split"]
 
 
 def resolve_dims_per_split(ndim: int, dims_per_split: int | None) -> int:
@@ -54,7 +51,7 @@ def resolve_dims_per_split(ndim: int, dims_per_split: int | None) -> int:
     return dims_per_split
 
 
-class BoxLevel:
+class BoxLevel(Level):
     """The boxes of one frontier depth, as ``(m, d)`` bound matrices.
 
     After :meth:`split`, ``split_index`` holds the ascending indices of the
@@ -62,9 +59,7 @@ class BoxLevel:
     fanout + j`` of ``next`` is child ``j`` of the ``r``-th split node.
     """
 
-    __slots__ = (
-        "depth", "lows", "highs", "dims_per_split", "next_dim", "split_index", "next",
-    )
+    __slots__ = ("lows", "highs", "dims_per_split", "next_dim")
 
     def __init__(
         self,
@@ -74,13 +69,11 @@ class BoxLevel:
         dims_per_split: int,
         next_dim: int = 0,
     ) -> None:
-        self.depth = depth
+        super().__init__(depth)
         self.lows = lows
         self.highs = highs
         self.dims_per_split = dims_per_split
         self.next_dim = next_dim
-        self.split_index: np.ndarray | None = None
-        self.next: BoxLevel | None = None
 
     @staticmethod
     def root(domain: Box, dims_per_split: int | None = None) -> "BoxLevel":
@@ -159,13 +152,6 @@ class BoxLevel:
         )
         return self.next
 
-    def levels(self) -> Iterator["BoxLevel"]:
-        """This level and every level grown below it, shallowest first."""
-        level: BoxLevel | None = self
-        while level is not None:
-            yield level
-            level = level.next
-
 
 class PointLabels:
     """The centralized score source: each point's node in the current level.
@@ -220,48 +206,3 @@ class PointLabels:
             child |= self._coords[:, dim] >= mids[i][self._labels]
         self._labels += child
         self.counts.append(self._count(next_level.size))
-
-
-class Preorder(NamedTuple):
-    """The pre-order layout of a grown tree.
-
-    Nodes are also numbered breadth-first: depth by depth, each depth in
-    level order.  ``position`` maps a BFS number to its pre-order index and
-    ``bfs`` maps back.  Per split depth, ``parents[depth]`` holds the
-    pre-order indices of the nodes that split and ``children[depth]`` the
-    ``(splits, fanout)`` pre-order indices of their children, one row per
-    split node, left to right.
-    """
-
-    position: np.ndarray
-    bfs: np.ndarray
-    parents: list[np.ndarray]
-    children: list[np.ndarray]
-
-
-def preorder(root: BoxLevel) -> Preorder:
-    """Lay the tree grown below ``root`` out in pre-order.
-
-    A node's pre-order index is its parent's plus one plus the subtree
-    sizes of its earlier siblings, so one bottom-up pass (subtree sizes)
-    and one top-down pass (positions) place every node.
-    """
-    levels = list(root.levels())
-    sizes = [np.ones(level.size, dtype=np.intp) for level in levels]
-    for depth in range(len(levels) - 2, -1, -1):
-        level = levels[depth]
-        below = sizes[depth + 1].reshape(level.split_index.size, level.fanout)
-        sizes[depth][level.split_index] += below.sum(axis=1)
-    positions = [np.zeros(1, dtype=np.intp)]
-    parents, children = [], []
-    for depth, level in enumerate(levels[:-1]):
-        below = sizes[depth + 1].reshape(level.split_index.size, level.fanout)
-        parent = positions[depth][level.split_index]
-        child = (parent + 1)[:, None] + np.cumsum(below, axis=1) - below
-        parents.append(parent)
-        children.append(child)
-        positions.append(child.ravel())
-    position = np.concatenate(positions)
-    bfs = np.empty_like(position)
-    bfs[position] = np.arange(position.size)
-    return Preorder(position, bfs, parents, children)

@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.analysis import simpletree_scale
+from ..core.level import Preorder, preorder
 from ..core.params import PrivTreeParams
 from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
 from ..core.simpletree import grow_simpletree
@@ -46,7 +47,7 @@ from ..mechanisms.rng import RngLike, ensure_rng
 from .dataset import SpatialDataset
 from .flat import FlatHistogram
 from .histogram_tree import HistogramTree
-from .level import BoxLevel, PointLabels, Preorder, preorder
+from .level import BoxLevel, PointLabels
 
 __all__ = ["privtree_decomposition"]
 
@@ -182,15 +183,11 @@ def _release_leaf_counts(
     sensitivity: an individual's x points land in at most x leaves.  All
     leaf perturbations are drawn in one batched RNG call in that DFS order
     (the order of the historical per-leaf loop, so counts are unchanged),
-    and each internal count adds its children's released counts left to
-    right from 0, the float sums of Python's ``sum``.
+    and each internal count is its children's sum
+    (:meth:`~repro.core.level.Preorder.sum_children`).
     """
     layout = preorder(root)
-    m = layout.position.size
-    leaf = np.ones(m, dtype=bool)
-    for parent in layout.parents:
-        leaf[parent] = False
-    leaves = np.flatnonzero(leaf)  # ascending pre-order = DFS
+    leaves = layout.leaves()
     exact = np.asarray(leaf_scores(layout.bfs[leaves]))
     if count_mechanism == "laplace":
         count_scale = tuples_per_individual / eps_counts
@@ -204,13 +201,9 @@ def _release_leaf_counts(
             sensitivity=float(tuples_per_individual),
             rng=gen,
         )
-    counts = np.empty(m)
+    counts = np.empty(layout.position.size)
     counts[leaves] = noisy
-    for parent, child in zip(reversed(layout.parents), reversed(layout.children)):
-        total = np.zeros(parent.size)
-        for column in child.T:
-            total += counts[column]
-        counts[parent] = total
+    layout.sum_children(counts)
     return _flat_histogram(root, layout, counts)
 
 
@@ -229,10 +222,7 @@ def _flat_histogram(
     highs = np.empty_like(lows)
     lows[layout.position] = np.concatenate([level.lows for level in levels])
     highs[layout.position] = np.concatenate([level.highs for level in levels])
-    parents = np.full(m, -1, dtype=np.intp)
-    for parent, child in zip(layout.parents, layout.children):
-        parents[child] = parent[:, None]
-    return FlatHistogram(lows, highs, counts, parents)
+    return FlatHistogram(lows, highs, counts, layout.parent_rows())
 
 
 def _simpletree_flat(

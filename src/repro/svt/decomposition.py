@@ -24,12 +24,13 @@ import numbers
 
 import numpy as np
 
+from ..core.level import preorder
 from ..core.simpletree import grow_simpletree
 from ..mechanisms.laplace import laplace_noise
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from ..spatial.histogram_tree import HistogramTree
-from ..spatial.level import BoxLevel, PointLabels, preorder
+from ..spatial.level import BoxLevel, PointLabels
 from ..spatial.quadtree import _flat_histogram
 
 __all__ = ["binary_svt_decomposition"]

@@ -67,9 +67,12 @@ class TestFitCheckpoint:
         with pytest.raises(CheckpointError, match="cannot read"):
             FitCheckpoint(path).load()
 
-    def test_wrong_format_is_typed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "document", [{"format": "something.else", "version": 1}, [], "text", 3]
+    )
+    def test_wrong_format_is_typed(self, document, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something.else", "version": 1}))
+        path.write_text(json.dumps(document))
         with pytest.raises(CheckpointError, match="not a federated fit"):
             FitCheckpoint(path).load()
 
@@ -181,6 +184,31 @@ class TestCheckpointedFit:
         checkpoint.save(state)
         with pytest.raises(CheckpointError, match=message):
             _fit(small_2d, checkpoint=checkpoint, resume=True)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda s: s["split_rounds"][-1].append(s["split_rounds"][-1][0]), "twice"),
+            (_first_of_last_round(10**6), "unknown node 1000000"),
+            (_first_of_last_round(-1), "unknown node -1"),
+            (lambda s: s["split_rounds"][-1].reverse(), "out of order"),
+            (lambda s: s["split_rounds"].__setitem__(0, [0, 0]), "twice"),
+        ],
+        ids=["split-twice", "unknown-node", "negative", "out-of-order", "root-twice"],
+    )
+    def test_replay_refuses_a_tampered_split_log(
+        self, small_2d, tmp_path, tamper, message
+    ):
+        # An in-process resume replays the split log onto fresh collectors
+        # before the fit reads it; a round they refuse is a CheckpointError.
+        checkpoint = FitCheckpoint(tmp_path / "fit.json")
+        crasher = FaultInjector(FaultPlan(crash_coordinator_at_round=6), seed=0)
+        with pytest.raises(InjectedCoordinatorCrash):
+            _fit(small_2d, checkpoint=checkpoint, fault_injector=crasher)
+        state = checkpoint.load()
+        tamper(state)
+        with pytest.raises(CheckpointError, match=f"checkpoint split log: .*{message}"):
+            replay_splits(_collectors(small_2d), state["split_rounds"])
 
     def test_resume_requires_a_checkpoint(self, small_2d):
         with pytest.raises(CheckpointError, match="requires a checkpoint"):

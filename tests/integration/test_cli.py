@@ -859,6 +859,50 @@ class TestFederatedFitCommand:
         with pytest.raises(SystemExit, match="unknown spatial dataset"):
             main(["federated-fit", "--dataset", "msnbc"])
 
+    #: What a refused resume says, by the state of its checkpoint file.
+    REFUSED_RESUMES = {
+        "completed": "records a completed fit; nothing to resume",
+        "missing": "no checkpoint at",
+        "version-1": "unsupported checkpoint version 1",
+        "not-an-object": "is not a federated fit checkpoint",
+        "root-twice": "checkpoint split log: shard 0 names a node twice",
+    }
+
+    @pytest.mark.parametrize("checkpoint", list(REFUSED_RESUMES))
+    def test_refused_resume_exits_with_one_line(self, checkpoint, capsys, tmp_path):
+        import json
+
+        from repro.federated.checkpoint import CHECKPOINT_FORMAT, FitCheckpoint
+
+        path = tmp_path / "fit.ckpt"
+        argv = [
+            "federated-fit",
+            "--shards", "3",
+            "--dataset", "gowalla",
+            "--n", "500",
+            "--epsilon", "0.5",
+            "--checkpoint", str(path),
+        ]
+        if checkpoint in ("completed", "root-twice"):
+            assert main(argv) == 0
+        if checkpoint == "root-twice":
+            # The in-process resume replays the split log onto fresh
+            # collectors before the fit sees that it is complete.
+            state = FitCheckpoint(path).load()
+            state["split_rounds"][0] = [0, 0]
+            FitCheckpoint(path).save(state)
+        elif checkpoint == "version-1":
+            path.write_text(json.dumps({"format": CHECKPOINT_FORMAT, "version": 1}))
+        elif checkpoint == "not-an-object":
+            path.write_text("[]")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--resume"])
+        # A message as the exit code: one line on stderr, exit status 1.
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert self.REFUSED_RESUMES[checkpoint] in message
+
 
 class TestRejectedParameterValues:
     """A parameter value the fit rejects is a one-line usage error on every

@@ -1,17 +1,18 @@
 """Property-based tests for sequence structures and scores."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sequence import (
     Alphabet,
-    PSTNodeData,
     SequenceDataset,
+    TokenStore,
     equation_13_score,
     length_distribution,
     total_variation_distance,
 )
+from repro.sequence.private_pst import ContextLevel, PositionLabels
 
 
 @st.composite
@@ -35,6 +36,18 @@ def datasets(draw):
     return SequenceDataset(alphabet=alphabet, sequences=tuple(seqs))
 
 
+def _grow(store: TokenStore) -> tuple[ContextLevel, PositionLabels]:
+    return ContextLevel.root(store.alphabet), PositionLabels(store)
+
+
+def _split_all(level: ContextLevel, labels: PositionLabels) -> ContextLevel:
+    """Split every splittable node of ``level`` and move the labels down."""
+    index = np.flatnonzero(level.splittable())
+    next_level = level.split(index)
+    labels.descend(level, index, next_level)
+    return next_level
+
+
 class TestTruncationProperties:
     @given(data=datasets(), l_top=st.integers(min_value=1, max_value=15))
     @settings(max_examples=60)
@@ -51,27 +64,92 @@ class TestTruncationProperties:
 
     @given(data=datasets(), l_top=st.integers(min_value=1, max_value=15))
     @settings(max_examples=40)
-    def test_children_partition_occurrences(self, data, l_top):
-        store = data.truncate(l_top)
-        root = PSTNodeData.root(store)
-        if not root.can_split():
-            return
-        children = root.split()
-        assert sum(len(c.occurrences) for c in children) == len(root.occurrences)
-        np.testing.assert_array_equal(
-            sum(c.hist() for c in children), root.hist()
-        )
+    def test_child_histograms_sum_to_the_parent(self, data, l_top):
+        root, labels = _grow(data.truncate(l_top))
+        _split_all(root, labels)
+        np.testing.assert_array_equal(labels.hists[1].sum(axis=0), labels.hists[0][0])
 
     @given(data=datasets(), l_top=st.integers(min_value=1, max_value=15))
     @settings(max_examples=30)
     def test_lemma_4_1_monotone_scores_two_levels(self, data, l_top):
-        store = data.truncate(l_top)
-        root = PSTNodeData.root(store)
-        for child in root.split():
-            assert child.score() <= root.score() + 1e-12
-            if child.can_split():
-                for grand in child.split():
-                    assert grand.score() <= child.score() + 1e-12
+        root, labels = _grow(data.truncate(l_top))
+        level = root
+        for _ in range(2):
+            index = np.flatnonzero(level.splittable())
+            parent = equation_13_score(labels.hists[level.depth][index])
+            level = _split_all(level, labels)
+            child = equation_13_score(labels.hists[level.depth])
+            assert (child.reshape(index.size, level.fanout) <= parent[:, None] + 1e-12).all()
+
+
+def _reference_build(dataset: SequenceDataset, l_top: int) -> tuple:
+    """The per-sequence loop ``TokenStore.build`` ran before it was
+    whole-array: ``(flat, starts, ends, n_truncated)``."""
+    alphabet = dataset.alphabet
+    start, end = alphabet.start_code, alphabet.end_code
+    pieces: list[np.ndarray] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    offset = 0
+    n_truncated = 0
+    for seq in dataset.sequences:
+        if len(seq) >= l_top:  # token length would exceed l_top
+            tokens = np.concatenate([[start], seq[:l_top]])
+            n_truncated += 1
+        else:
+            tokens = np.concatenate([[start], seq, [end]])
+        pieces.append(tokens)
+        starts.append(offset)
+        offset += len(tokens)
+        ends.append(offset)
+    flat = (
+        np.concatenate(pieces)
+        if pieces
+        else np.empty(0, dtype=np.int64)
+    )
+    return (
+        flat.astype(np.int64),
+        np.asarray(starts, dtype=np.int64),
+        np.asarray(ends, dtype=np.int64),
+        n_truncated,
+    )
+
+
+@st.composite
+def bounded_corpora(draw):
+    """``(dataset, l_top)`` with sequence lengths from 0 to ``l_top + 2``."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    l_top = draw(st.integers(min_value=1, max_value=6))
+    symbols = st.integers(min_value=0, max_value=size - 1)
+    seqs = draw(st.lists(st.lists(symbols, max_size=l_top + 2), max_size=12))
+    return _corpus(size, seqs), l_top
+
+
+def _corpus(size: int, seqs: list[list[int]]) -> SequenceDataset:
+    return SequenceDataset(
+        alphabet=Alphabet.of_size(size),
+        sequences=tuple(np.asarray(seq, dtype=np.int64) for seq in seqs),
+    )
+
+
+class TestTokenStoreBuild:
+    """The whole-array truncation gives what the per-sequence loop gave."""
+
+    @given(case=bounded_corpora())
+    @example(case=(_corpus(2, []), 1))  # an empty corpus
+    @example(case=(_corpus(2, [[], [], []]), 3))  # empty sequences only
+    @example(case=(_corpus(2, [[0], [], [1, 0]]), 1))  # l_top = 1
+    # Lengths l_top - 1, l_top and l_top + 1.
+    @example(case=(_corpus(3, [[0, 1], [2, 0, 1], [1, 1, 2, 0], []]), 3))
+    @settings(max_examples=80)
+    def test_matches_the_loop(self, case):
+        data, l_top = case
+        store = TokenStore.build(data, l_top)
+        flat, starts, ends, n_truncated = _reference_build(data, l_top)
+        for got, want in ((store.flat, flat), (store.starts, starts), (store.ends, ends)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert store.n_truncated == n_truncated
 
 
 class TestEquation13Properties:
