@@ -50,13 +50,6 @@ DAWA_RHO = 0.25
 COST_SENSITIVITY = 2.0
 
 
-def _interval_cost(prefix1: np.ndarray, prefix2: np.ndarray, i: int, j: int) -> float:
-    """L2 deviation of cells ``[i, j)`` from their mean, via prefix sums."""
-    total = prefix1[j] - prefix1[i]
-    sq = prefix2[j] - prefix2[i]
-    return float(sq - total * total / (j - i))
-
-
 def private_partition(
     cells: np.ndarray,
     epsilon: float,

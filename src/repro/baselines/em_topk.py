@@ -34,9 +34,9 @@ def em_top_k(
 ) -> list[tuple[int, ...]]:
     """Select k frequent strings with the exponential mechanism.
 
-    Counting happens on the ``l⊤``-truncated dataset (the same pre-processing
+    Counting happens on ``dataset.clip(l_top)`` (the same pre-processing
     every private method gets); ``max_length`` bounds candidate growth.
-    ``substring_counts`` can be supplied (counts of the truncated dataset up
+    ``substring_counts`` can be supplied (counts of the clipped dataset up
     to ``max_length``) to amortize counting across an ε sweep.
     """
     if k < 1:
@@ -44,21 +44,9 @@ def em_top_k(
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     gen = ensure_rng(rng)
-    if substring_counts is not None:
-        counts = substring_counts
-    else:
-        store = dataset.truncate(l_top)
-        truncated = SequenceDataset(
-            alphabet=dataset.alphabet,
-            sequences=tuple(
-                store.sequence_tokens(i)[1:][
-                    : store.symbol_lengths()[i]
-                ]  # strip $ and trailing &
-                for i in range(store.n)
-            ),
-            name=dataset.name,
-        )
-        counts = count_substrings(truncated, max_length)
+    counts = substring_counts
+    if counts is None:
+        counts = count_substrings(dataset.clip(l_top), max_length)
 
     eps_each = epsilon / k
     pool: list[tuple[int, ...]] = [(code,) for code in range(dataset.alphabet.size)]

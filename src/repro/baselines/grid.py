@@ -39,6 +39,8 @@ class UniformGrid:
             )
         if any(s < 1 for s in counts.shape):
             raise ValueError(f"grid shape {counts.shape} has an empty axis")
+        if not np.isfinite(counts).all():
+            raise ValueError("grid counts must be finite")
         object.__setattr__(self, "counts", counts)
 
     @property

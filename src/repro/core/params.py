@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .analysis import delta_for_lambda, lambda_for_epsilon
 
-__all__ = ["PrivTreeParams"]
+__all__ = ["PrivTreeParams", "check_theta"]
+
+
+def check_theta(theta: object) -> None:
+    """Refuse a split threshold that is not a finite real number (a bool,
+    a string, NaN or ±inf): a θ of -inf would split every node."""
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite number, got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ class PrivTreeParams:
             raise ValueError(f"delta must be positive, got {self.delta!r}")
         if self.fanout < 2:
             raise ValueError(f"fanout must be at least 2, got {self.fanout!r}")
+        check_theta(self.theta)
 
     @staticmethod
     def calibrate(

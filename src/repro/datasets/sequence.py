@@ -66,11 +66,10 @@ def markov_sequences(
         rows = cum_trans[states[active]]
         nxt = (rows < u[:, None]).sum(axis=1)
         nxt = np.minimum(nxt, k - 1)
-        states = states.copy()
         states[active] = nxt
         symbols[active, t] = nxt
-    sequences = tuple(symbols[i, : lengths[i]].copy() for i in range(n))
-    return SequenceDataset(alphabet=alphabet, sequences=sequences, name=name)
+    codes = symbols[np.arange(max_len) < lengths[:, None]]  # row-major: sequence order
+    return SequenceDataset(alphabet, codes, np.concatenate([[0], np.cumsum(lengths)]), name)
 
 
 def _skewed_transition(

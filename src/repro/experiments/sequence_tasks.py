@@ -22,7 +22,6 @@ from ..baselines.ngram import count_grams
 from ..datasets.registry import SEQUENCE_DATASETS
 from ..mechanisms.rng import RngLike, ensure_rng, spawn
 from ..queries import SMOOTHING_FRACTION, StringFrequency, Workload, workload_error
-from ..sequence.dataset import SequenceDataset
 from ..sequence.metrics import (
     length_distribution,
     top_k_precision,
@@ -49,19 +48,6 @@ __all__ = [
 TOPK_MAX_LENGTH = 8
 
 
-def _truncated_dataset(dataset: SequenceDataset, l_top: int) -> SequenceDataset:
-    """The Truncate baseline's view: sequences cut to ``l⊤`` symbols."""
-    store = dataset.truncate(l_top)
-    lengths = store.symbol_lengths()
-    return SequenceDataset(
-        alphabet=dataset.alphabet,
-        sequences=tuple(
-            store.sequence_tokens(i)[1 : 1 + int(lengths[i])] for i in range(store.n)
-        ),
-        name=f"{dataset.name}-truncated",
-    )
-
-
 def run_topk_experiment(
     dataset_name: str,
     k: int,
@@ -78,10 +64,9 @@ def run_topk_experiment(
     epsilons = epsilons or PAPER_EPSILONS
 
     exact = set(exact_top_k(dataset, k, max_length=TOPK_MAX_LENGTH))
-    truncated = _truncated_dataset(dataset, l_top)
     # The full table is needed below (EM scores candidates from it); the
     # Truncate baseline's answer is its canonical §6.2 ranking.
-    truncated_counts = count_substrings(truncated, TOPK_MAX_LENGTH)
+    truncated_counts = count_substrings(dataset.clip(l_top), TOPK_MAX_LENGTH)
     truncate_answer = {
         codes for codes, _ in rank_substring_counts(truncated_counts, k)
     }
@@ -170,9 +155,8 @@ def run_length_distribution_experiment(
     # baseline measures).
     support = int(max(dataset.lengths().max(), l_top + 1))
     reference = length_distribution(dataset.lengths(), max_length=support)
-    truncated = _truncated_dataset(dataset, l_top)
     truncate_tvd = total_variation_distance(
-        reference, length_distribution(truncated.lengths(), max_length=support)
+        reference, length_distribution(dataset.clip(l_top).lengths(), max_length=support)
     )
 
     result = SweepResult(

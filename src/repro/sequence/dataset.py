@@ -1,16 +1,20 @@
 """Sequence datasets, l⊤-truncation, and the flat token store.
 
-Section 4.2 bounds each sequence's token length (symbols plus the end
-marker ``&``, not the start marker ``$``) by a constant ``l⊤``; sequences
-exceeding the bound are truncated to their first ``l⊤`` symbols and become
-*open-ended* (no ``&``).  The :class:`TokenStore` materializes the truncated
-dataset as one flat code array plus per-sequence offsets, which the PST
-construction filters with vectorized numpy operations.
+A :class:`SequenceDataset` holds its corpus as one ``codes`` array cut by
+CSR ``offsets``.  Section 4.2 bounds each sequence's token length (symbols
+plus the end marker ``&``, not the start marker ``$``) by a constant
+``l⊤``: :meth:`SequenceDataset.clip` cuts every sequence to its first ``l⊤``
+symbols, and the sequences it cuts become *open-ended* (no ``&``).  The
+:class:`TokenStore` places the clipped codes between the sentinels in one
+flat array plus per-sequence offsets, which the PST construction filters
+with vectorized numpy operations.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -21,45 +25,61 @@ __all__ = ["SequenceDataset", "TokenStore"]
 
 @dataclass(frozen=True)
 class SequenceDataset:
-    """A multiset of symbol sequences over a common alphabet."""
+    """A multiset of symbol sequences over a common alphabet, held flat:
+    sequence ``i`` is ``codes[offsets[i]:offsets[i + 1]]``."""
 
     alphabet: Alphabet
-    sequences: tuple[np.ndarray, ...]
+    codes: np.ndarray
+    offsets: np.ndarray
     name: str = "unnamed"
 
     def __post_init__(self) -> None:
-        cleaned = []
-        for i, seq in enumerate(self.sequences):
-            arr = np.asarray(seq, dtype=np.int64)
+        codes, offsets = np.asarray(self.codes), np.asarray(self.offsets)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be 1-D integers, got {codes.ndim}-D {codes.dtype}")
+        if offsets.ndim != 1 or offsets.dtype.kind not in "iu" or offsets.size == 0:
+            raise ValueError("offsets must be a non-empty 1-D integer array")
+        if offsets[0] != 0 or offsets[-1] != codes.size or (np.diff(offsets) < 0).any():
+            raise ValueError(f"offsets must rise from 0 to the {codes.size} codes")
+        if codes.size and (codes.min() < 0 or codes.max() >= self.alphabet.size):
+            raise ValueError(f"codes outside the alphabet (size {self.alphabet.size})")
+        object.__setattr__(self, "codes", codes.astype(np.int64, copy=False))
+        object.__setattr__(self, "offsets", offsets.astype(np.int64, copy=False))
+
+    @staticmethod
+    def from_sequences(
+        alphabet: Alphabet, sequences: Iterable, name: str = "unnamed"
+    ) -> "SequenceDataset":
+        """Build from ragged input: one 1-D sequence of codes per entry."""
+        arrays = [np.asarray(seq, dtype=np.int64) for seq in sequences]
+        for i, arr in enumerate(arrays):
             if arr.ndim != 1:
                 raise ValueError(f"sequence {i} is not one-dimensional")
-            if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
-                raise ValueError(
-                    f"sequence {i} contains codes outside the alphabet "
-                    f"(size {self.alphabet.size})"
-                )
-            cleaned.append(arr)
-        object.__setattr__(self, "sequences", tuple(cleaned))
+        offsets = np.cumsum([0, *(arr.size for arr in arrays)], dtype=np.int64)
+        codes = np.concatenate([np.empty(0, dtype=np.int64), *arrays])
+        return SequenceDataset(alphabet, codes, offsets, name)
 
     @staticmethod
     def from_symbols(
         alphabet: Alphabet, sequences: list[list[str]], name: str = "unnamed"
     ) -> "SequenceDataset":
         """Build from plain symbol lists."""
-        return SequenceDataset(
-            alphabet=alphabet,
-            sequences=tuple(alphabet.encode(s) for s in sequences),
-            name=name,
-        )
+        return SequenceDataset.from_sequences(alphabet, map(alphabet.encode, sequences), name)
 
     @property
     def n(self) -> int:
         """Number of sequences."""
-        return len(self.sequences)
+        return self.offsets.size - 1
+
+    @property
+    def sequences(self) -> tuple[np.ndarray, ...]:
+        """Each sequence as a view of ``codes`` (for per-sequence loops)."""
+        bounds = self.offsets.tolist()
+        return tuple(self.codes[a:b] for a, b in zip(bounds, bounds[1:]))
 
     def lengths(self) -> np.ndarray:
         """Symbol counts per sequence (sentinels not counted)."""
-        return np.asarray([len(s) for s in self.sequences], dtype=np.int64)
+        return np.diff(self.offsets)
 
     @property
     def average_length(self) -> float:
@@ -78,6 +98,16 @@ class SequenceDataset:
         if self.n == 0:
             raise ValueError("dataset is empty")
         return int(np.quantile(self.lengths() + 1, q))
+
+    def clip(self, l_top: int) -> "SequenceDataset":
+        """The Section 4.2 truncation: every sequence cut to its first
+        ``l⊤`` symbols (the only place the rule is written)."""
+        if isinstance(l_top, bool) or not isinstance(l_top, numbers.Integral) or l_top < 1:
+            raise ValueError(f"l_top must be an integer >= 1, got {l_top!r}")
+        lengths = self.lengths()
+        offsets = np.concatenate([[0], np.cumsum(np.minimum(lengths, l_top))])
+        rank = np.arange(self.codes.size) - np.repeat(self.offsets[:-1], lengths)
+        return SequenceDataset(self.alphabet, self.codes[rank < l_top], offsets, self.name)
 
     def truncate(self, l_top: int) -> "TokenStore":
         """Apply the Section 4.2 truncation and build the token store."""
@@ -105,23 +135,19 @@ class TokenStore:
     @staticmethod
     def build(dataset: SequenceDataset, l_top: int) -> "TokenStore":
         """Truncate ``dataset`` at ``l⊤`` and flatten it."""
-        if l_top < 1:
-            raise ValueError(f"l_top must be >= 1, got {l_top!r}")
-        alphabet = dataset.alphabet
-        lengths = dataset.lengths()
-        truncated = lengths >= l_top  # token length would exceed l_top
-        sizes = np.minimum(lengths, l_top) + 1 + ~truncated  # $, symbols, & unless truncated
+        clipped = dataset.clip(l_top)
+        lengths = clipped.lengths()
+        truncated = lengths == l_top  # no room left for & within l_top tokens
+        sizes = lengths + 1 + ~truncated  # $, symbols, & unless truncated
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        # Symbol k of sequence i lands at starts[i] + 1 + k when k < l_top.
-        codes = np.concatenate([np.empty(0, dtype=np.int64), *dataset.sequences])
-        rank = np.arange(codes.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        keep = rank < l_top
-        flat = np.full(int(sizes.sum()), alphabet.end_code, dtype=np.int64)
-        flat[starts] = alphabet.start_code
-        flat[(np.repeat(starts + 1, lengths) + rank)[keep]] = codes[keep]
+        flat = np.full(int(sizes.sum()), clipped.alphabet.end_code, dtype=np.int64)
+        flat[starts] = clipped.alphabet.start_code
+        # Clipped code j of sequence i lands at starts[i] + 1 + (j - offsets[i]).
+        shift = np.repeat(starts + 1 - clipped.offsets[:-1], lengths)
+        flat[np.arange(clipped.codes.size) + shift] = clipped.codes
         return TokenStore(
-            alphabet=alphabet,
+            alphabet=clipped.alphabet,
             l_top=l_top,
             flat=flat,
             starts=starts,

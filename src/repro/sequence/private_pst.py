@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.level import Level, preorder
-from ..core.params import PrivTreeParams
+from ..core.params import PrivTreeParams, check_theta
 from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
 from ..mechanisms.accountant import PrivacyAccountant
 from ..mechanisms.rng import RngLike, ensure_rng
@@ -176,6 +176,7 @@ def private_pst(
     external ``accountant`` records the §4.2 split as two ledger entries
     summing to ``epsilon``; a private one is created when omitted.
     """
+    check_theta(theta)  # before the spend: a refused fit spends nothing
     gen = ensure_rng(rng)
     store = dataset.truncate(l_top)
     beta = dataset.alphabet.pst_fanout

@@ -68,14 +68,11 @@ def rank_substring_counts(
 
 def _window_batches(dataset: SequenceDataset, max_length: int, base: int):
     """Per-length ``(length, codes, counts)`` batches of the corpus."""
-    lengths = dataset.lengths()
-    if lengths.sum() == 0:
+    if dataset.codes.size == 0:
         return
-    flat = np.concatenate([s for s in dataset.sequences if s.size])
-    ends = np.cumsum(lengths)
-    positions = np.arange(flat.shape[0], dtype=np.int64)
-    limits = np.repeat(ends, lengths)
-    yield from packed_window_counts(flat, positions, limits, max_length, base)
+    positions = np.arange(dataset.codes.size, dtype=np.int64)
+    limits = np.repeat(dataset.offsets[1:], dataset.lengths())
+    yield from packed_window_counts(dataset.codes, positions, limits, max_length, base)
 
 
 def count_substrings(

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.analysis import simpletree_scale
 from ..core.level import Preorder, preorder
-from ..core.params import PrivTreeParams
+from ..core.params import PrivTreeParams, check_theta
 from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
 from ..core.simpletree import grow_simpletree
 from ..mechanisms.accountant import PrivacyAccountant
@@ -122,7 +122,7 @@ def _privtree_flat(
         recorded as two ledger entries summing to ``epsilon``); a private
         one with budget ``epsilon`` is created when omitted.
     """
-    _check_fit_params(tree_fraction, tuples_per_individual, count_mechanism)
+    _check_fit_params(theta, tree_fraction, tuples_per_individual, count_mechanism)
     root = BoxLevel.root(dataset.domain, dims_per_split)
     eps_tree = tree_fraction * epsilon
     eps_counts = (1.0 - tree_fraction) * epsilon
@@ -151,9 +151,10 @@ def _privtree_flat(
 
 
 def _check_fit_params(
-    tree_fraction: float, tuples_per_individual: int, count_mechanism: str
+    theta: float, tree_fraction: float, tuples_per_individual: int, count_mechanism: str
 ) -> None:
     """Reject bad PrivTree histogram parameters, before any budget is spent."""
+    check_theta(theta)
     if tuples_per_individual < 1:
         raise ValueError(
             f"tuples_per_individual must be >= 1, got {tuples_per_individual!r}"
@@ -239,10 +240,11 @@ def _simpletree_flat(
     Every node's released count is the noisy score Algorithm 1 compared
     against ``theta``.
     """
+    check_theta(theta)
     root = BoxLevel.root(dataset.domain, dims_per_split)
     lam = simpletree_scale(epsilon, height)
-    # Both checks above run before the spend: a rejected call must leave
-    # an external accountant's ledger untouched.
+    # The checks above run before the spend: a rejected call must leave an
+    # external accountant's ledger untouched.
     if accountant is not None:
         accountant.spend(epsilon, "simpletree/node counts")
     labels = PointLabels(dataset.points)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import em_top_k
-from repro.sequence import Alphabet, SequenceDataset, exact_top_k
+from repro.sequence import Alphabet, SequenceDataset, count_substrings, exact_top_k
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def skewed_data(alpha) -> SequenceDataset:
         length = int(gen.integers(2, 8))
         seq = gen.choice(3, size=length, p=[0.7, 0.25, 0.05])
         seqs.append(seq.astype(np.int64))
-    return SequenceDataset(alphabet=alpha, sequences=tuple(seqs), name="em-test")
+    return SequenceDataset.from_sequences(alpha, tuple(seqs), name="em-test")
 
 
 class TestEmTopK:
@@ -55,6 +55,16 @@ class TestEmTopK:
         # With k > |I| the answer must include some multi-symbol string.
         out = em_top_k(skewed_data, epsilon=100.0, l_top=10, k=6, rng=3)
         assert any(len(s) > 1 for s in out)
+
+    def test_counts_the_clipped_corpus(self, skewed_data):
+        # l_top = 4 cuts most sequences, so the counts differ from the
+        # unclipped corpus; the precomputed table must give the same draws.
+        counts = count_substrings(skewed_data.clip(4), 6)
+        assert counts != count_substrings(skewed_data, 6)
+        for seed in range(3):
+            assert em_top_k(skewed_data, 2.0, 4, 8, max_length=6, rng=seed) == em_top_k(
+                skewed_data, 2.0, 4, 8, max_length=6, rng=seed, substring_counts=counts
+            )
 
     def test_invalid_parameters(self, skewed_data):
         with pytest.raises(ValueError):

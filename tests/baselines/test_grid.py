@@ -26,6 +26,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             UniformGrid(Box.unit(2), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_refused(self, bad):
+        with pytest.raises(ValueError, match="counts must be finite"):
+            UniformGrid(Box((0.0,), (1.0,)), np.array([1.0, bad]))
+
     def test_edges(self):
         grid = UniformGrid(Box((0.0, 0.0), (4.0, 2.0)), np.zeros((4, 2)))
         np.testing.assert_allclose(grid.edges(0), [0, 1, 2, 3, 4])

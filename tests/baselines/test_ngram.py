@@ -24,7 +24,7 @@ def markov_data(alpha) -> SequenceDataset:
                 break
             seq.append(nxt)
         seqs.append(np.asarray(seq))
-    return SequenceDataset(alphabet=alpha, sequences=tuple(seqs), name="ngram-test")
+    return SequenceDataset.from_sequences(alpha, tuple(seqs), name="ngram-test")
 
 
 class TestNgramModel:

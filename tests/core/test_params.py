@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import PrivTreeParams
+from repro.core.params import check_theta
 
 
 class TestCalibrate:
@@ -47,3 +49,21 @@ class TestCalibrate:
             PrivTreeParams(lam=1.0, delta=1.0, fanout=1)
         with pytest.raises(ValueError):
             PrivTreeParams.calibrate(1.0, 4, sensitivity=0.0)
+
+
+#: Split thresholds that are not finite real numbers.
+BAD_THETAS = [float("nan"), float("inf"), -float("inf"), "abc", True, None]
+
+
+class TestTheta:
+    @pytest.mark.parametrize("theta", BAD_THETAS, ids=repr)
+    def test_non_finite_theta_refused(self, theta):
+        with pytest.raises(ValueError, match="theta must be a finite number"):
+            check_theta(theta)
+        with pytest.raises(ValueError, match="theta"):
+            PrivTreeParams.calibrate(1.0, 4, theta=theta)
+
+    @pytest.mark.parametrize("theta", [0, -3, 2.5, np.float64(-1e300), np.int64(7)], ids=repr)
+    def test_finite_theta_accepted(self, theta):
+        check_theta(theta)
+        assert PrivTreeParams.calibrate(1.0, 4, theta=theta).theta == theta

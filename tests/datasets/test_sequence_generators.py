@@ -1,5 +1,7 @@
 """Tests for the synthetic sequence dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,31 @@ class TestMsnbcLike:
                 repeats += int((seq[1:] == seq[:-1]).sum())
                 pairs += len(seq) - 1
         assert repeats / pairs > 2.0 / 17
+
+
+class TestFrozenCorpora:
+    """The generators write ``codes`` and ``offsets`` straight from the
+    symbol matrix; the SHA-256 digests were taken from the per-sequence
+    build (its concatenated sequences and cumulative lengths)."""
+
+    @pytest.mark.parametrize(
+        "make, codes_sha, offsets_sha",
+        [
+            (
+                msnbclike,
+                "d070009d476a166107d444be9b7004ccc62d658d4c205ab6cebd2ff599c1c3a9",
+                "2c82208d70d6515e2471712e19c0ddd07bee936d836bc744184a130f8a1ef520",
+            ),
+            (
+                mooclike,
+                "12e00fcf961119abcb2bbb4a13763a4dd154ad748a28eb4d73715c110edf40c6",
+                "9115167c9a0f24790d6c85c43718f3c5b818b803811fdedc060d01acfebce81f",
+            ),
+        ],
+        ids=["msnbclike", "mooclike"],
+    )
+    def test_codes_and_offsets_byte_for_byte(self, make, codes_sha, offsets_sha):
+        data = make(1_000, rng=0)
+        assert data.codes.dtype == data.offsets.dtype == np.int64
+        assert hashlib.sha256(data.codes.tobytes()).hexdigest() == codes_sha
+        assert hashlib.sha256(data.offsets.tobytes()).hexdigest() == offsets_sha

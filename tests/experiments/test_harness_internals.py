@@ -3,32 +3,33 @@
 import numpy as np
 
 from repro.baselines.ngram import count_grams
-from repro.experiments.sequence_tasks import _truncated_dataset
 from repro.sequence import Alphabet, SequenceDataset
 
 
 class TestTruncatedDataset:
+    """The Truncate baseline's view of Figures 6 and 7 is ``clip(l_top)``."""
+
     def test_lengths_capped(self):
         alpha = Alphabet.of_size(3)
         seqs = tuple(
             np.array([0] * n, dtype=np.int64) for n in (2, 5, 9, 12)
         )
-        data = SequenceDataset(alphabet=alpha, sequences=seqs)
-        truncated = _truncated_dataset(data, l_top=6)
+        data = SequenceDataset.from_sequences(alpha, seqs)
+        truncated = data.clip(l_top=6)
         assert list(truncated.lengths()) == [2, 5, 6, 6]
 
     def test_short_sequences_untouched(self):
         alpha = Alphabet.of_size(2)
         seqs = (np.array([0, 1, 0], dtype=np.int64),)
-        data = SequenceDataset(alphabet=alpha, sequences=seqs)
-        truncated = _truncated_dataset(data, l_top=10)
+        data = SequenceDataset.from_sequences(alpha, seqs)
+        truncated = data.clip(l_top=10)
         np.testing.assert_array_equal(truncated.sequences[0], [0, 1, 0])
 
     def test_no_sentinels_leak(self):
         alpha = Alphabet.of_size(2)
         seqs = tuple(np.zeros(8, dtype=np.int64) for _ in range(4))
-        data = SequenceDataset(alphabet=alpha, sequences=seqs)
-        truncated = _truncated_dataset(data, l_top=5)
+        data = SequenceDataset.from_sequences(alpha, seqs)
+        truncated = data.clip(l_top=5)
         for seq in truncated.sequences:
             assert (seq < alpha.size).all()
 
@@ -64,7 +65,7 @@ class TestCountGrams:
             gen.integers(0, 3, size=int(gen.integers(1, 8))).astype(np.int64)
             for _ in range(40)
         )
-        data = SequenceDataset(alphabet=alpha, sequences=seqs)
+        data = SequenceDataset.from_sequences(alpha, seqs)
         store = data.truncate(10)
         grams = count_grams(store, n_max=3)
         # Brute force: enumerate windows over [symbols..., &] per sequence.

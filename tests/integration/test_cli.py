@@ -1015,6 +1015,33 @@ class TestRejectedEpsilon:
         assert not accountants
 
 
+class TestRejectedTheta:
+    """A split threshold that is not a finite number (a string such as
+    ``nan``, which ``--param`` cannot read as a number, or a bool) is a
+    one-line usage error on every command that fits a PrivTree."""
+
+    COMMANDS = {
+        "privtree": ["run", "--method", "privtree", "--dataset", "gowalla"],
+        "simpletree": ["run", "--method", "simpletree", "--dataset", "gowalla"],
+        "pst": ["run", "--method", "pst", "--dataset", "msnbc"],
+        "federated-fit": ["federated-fit", "--shards", "2", "--dataset", "gowalla"],
+    }
+
+    @pytest.mark.parametrize("theta", ["abc", "nan", "True"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exits_with_one_line(self, command, theta, tmp_path):
+        argv = self.COMMANDS[command] + [
+            "--n", "500", "--epsilon", "1.0",
+            "--param", f"theta={theta}", "--out", str(tmp_path / "out.json"),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "theta must be a finite number" in message
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestLedgerReconciliation:
     """Every CLI path that spends budget: the trace's spend events add up to
     ``--epsilon`` (per epoch), and no spend was rolled back."""

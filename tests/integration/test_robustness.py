@@ -75,15 +75,15 @@ class TestSinglePoint:
 
 class TestDegenerateSequences:
     def test_private_pst_on_empty_dataset(self):
-        data = SequenceDataset(alphabet=Alphabet.of_size(3), sequences=())
+        data = SequenceDataset.from_sequences(Alphabet.of_size(3), ())
         pst = private_pst(data, epsilon=1.0, l_top=5, rng=0)
         assert pst.size >= 1
         assert pst.string_frequency((0,)) >= 0.0
 
     def test_private_pst_on_empty_sequences(self):
-        data = SequenceDataset(
-            alphabet=Alphabet.of_size(2),
-            sequences=(np.array([], dtype=np.int64),) * 5,
+        data = SequenceDataset.from_sequences(
+            Alphabet.of_size(2),
+            (np.array([], dtype=np.int64),) * 5,
         )
         pst = private_pst(data, epsilon=1.0, l_top=5, rng=0)
         # Only the end markers exist; sampling must terminate.
@@ -91,7 +91,7 @@ class TestDegenerateSequences:
         assert len(seq) <= 10
 
     def test_ngram_on_empty_dataset(self):
-        data = SequenceDataset(alphabet=Alphabet.of_size(3), sequences=())
+        data = SequenceDataset.from_sequences(Alphabet.of_size(3), ())
         model = ngram_model(data, epsilon=1.0, l_top=5, rng=0)
         assert model.string_frequency((0,)) >= 0.0
         assert len(model.sample_sequence(rng=1)) <= 5

@@ -33,7 +33,7 @@ def datasets(draw):
         )
         for _ in range(n)
     ]
-    return SequenceDataset(alphabet=alphabet, sequences=tuple(seqs))
+    return SequenceDataset.from_sequences(alphabet, tuple(seqs))
 
 
 def _grow(store: TokenStore) -> tuple[ContextLevel, PositionLabels]:
@@ -126,9 +126,9 @@ def bounded_corpora(draw):
 
 
 def _corpus(size: int, seqs: list[list[int]]) -> SequenceDataset:
-    return SequenceDataset(
-        alphabet=Alphabet.of_size(size),
-        sequences=tuple(np.asarray(seq, dtype=np.int64) for seq in seqs),
+    return SequenceDataset.from_sequences(
+        Alphabet.of_size(size),
+        tuple(np.asarray(seq, dtype=np.int64) for seq in seqs),
     )
 
 
@@ -150,6 +150,31 @@ class TestTokenStoreBuild:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         assert store.n_truncated == n_truncated
+
+
+@st.composite
+def ragged(draw):
+    """``(alphabet, seqs)``: ragged code lists, empty sequences included."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    symbols = st.integers(min_value=0, max_value=size - 1)
+    return Alphabet.of_size(size), draw(st.lists(st.lists(symbols, max_size=9), max_size=15))
+
+
+class TestFlatCorpus:
+    """The flat corpus keeps the ragged input and cuts it like a slice."""
+
+    @given(case=ragged())
+    @settings(max_examples=80)
+    def test_from_sequences_round_trips(self, case):
+        alphabet, seqs = case
+        assert [s.tolist() for s in SequenceDataset.from_sequences(alphabet, seqs).sequences] == seqs
+
+    @given(case=ragged(), l_top=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=80)
+    def test_clip_keeps_the_first_l_top_symbols(self, case, l_top):
+        alphabet, seqs = case
+        clipped = SequenceDataset.from_sequences(alphabet, seqs).clip(l_top)
+        assert [s.tolist() for s in clipped.sequences] == [s[:l_top] for s in seqs]
 
 
 class TestEquation13Properties:

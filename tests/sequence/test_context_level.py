@@ -105,9 +105,9 @@ class TestContextLevel:
     def test_histograms_count_the_tokens_after_each_context(self):
         """Every level's histograms equal a scan of the store for each
         node's context, with contexts prepended in ``symbols`` order."""
-        data = SequenceDataset(
-            alphabet=Alphabet.of_size(3),
-            sequences=tuple(
+        data = SequenceDataset.from_sequences(
+            Alphabet.of_size(3),
+            tuple(
                 np.random.default_rng(seed).integers(0, 3, size=seed % 7)
                 for seed in range(40)
             ),

@@ -35,13 +35,64 @@ class TestSequenceDataset:
 
     def test_invalid_codes_rejected(self, alpha):
         with pytest.raises(ValueError):
-            SequenceDataset(alphabet=alpha, sequences=(np.array([0, 5]),))
+            SequenceDataset.from_sequences(alpha, (np.array([0, 5]),))
         with pytest.raises(ValueError):
-            SequenceDataset(alphabet=alpha, sequences=(np.array([[0], [1]]),))
+            SequenceDataset.from_sequences(alpha, (np.array([[0], [1]]),))
 
     def test_empty_sequence_allowed(self, alpha):
-        data = SequenceDataset(alphabet=alpha, sequences=(np.array([], dtype=int),))
+        data = SequenceDataset.from_sequences(alpha, (np.array([], dtype=int),))
         assert data.lengths()[0] == 0
+
+
+class TestFlatConstructor:
+    """``SequenceDataset(alphabet, codes, offsets)`` checks whole arrays."""
+
+    def test_sequences_are_offset_slices(self, alpha):
+        data = SequenceDataset(alpha, np.array([1, 0, 1, 1]), np.array([0, 1, 1, 4]))
+        assert data.n == 3
+        np.testing.assert_array_equal(data.lengths(), [1, 0, 3])
+        assert [s.tolist() for s in data.sequences] == [[1], [], [0, 1, 1]]
+        assert data.codes.dtype == data.offsets.dtype == np.int64
+
+    def test_empty_corpus(self, alpha):
+        data = SequenceDataset(alpha, np.empty(0, np.int64), np.zeros(1, np.int64))
+        assert data.n == 0 and data.sequences == ()
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[1, 2, 3], [0, 2, 1, 3], [0, 2], [0, 1, 4], []],
+        ids=["not-from-0", "falling", "short-of-codes", "past-codes", "empty"],
+    )
+    def test_bad_offsets_refused(self, alpha, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            SequenceDataset(alpha, np.array([0, 1, 0]), np.array(offsets, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "codes",
+        [np.array([[0, 1, 0]]), np.array([0.0, 1.0, 0.0])],
+        ids=["2-D", "float"],
+    )
+    def test_bad_codes_refused(self, alpha, codes):
+        with pytest.raises(ValueError, match="codes must be 1-D integers"):
+            SequenceDataset(alpha, codes, np.array([0, 3]))
+
+    @pytest.mark.parametrize("code", [-1, 2], ids=["below-0", "alphabet-size"])
+    def test_codes_outside_the_alphabet_refused(self, alpha, code):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            SequenceDataset(alpha, np.array([0, code]), np.array([0, 2]))
+
+
+class TestClip:
+    def test_cuts_to_the_first_l_top_symbols(self, small):
+        clipped = small.clip(3)
+        assert [s.tolist() for s in clipped.sequences] == [[1], [0, 1], [0, 0, 1], [0, 0, 0]]
+        assert clipped.alphabet == small.alphabet and clipped.name == small.name
+
+    @pytest.mark.parametrize("l_top", [0, 2.5, True], ids=repr)
+    def test_invalid_l_top(self, small, l_top):
+        # A fractional l_top reached the CLI as an IndexError traceback.
+        with pytest.raises(ValueError, match="l_top must be an integer >= 1"):
+            small.clip(l_top)
 
 
 class TestTruncation:
@@ -89,7 +140,7 @@ class TestTruncation:
             small.truncate(0)
 
     def test_empty_dataset(self, alpha):
-        data = SequenceDataset(alphabet=alpha, sequences=())
+        data = SequenceDataset.from_sequences(alpha, ())
         store = data.truncate(5)
         assert store.n == 0
         positions, starts = store.prediction_positions()

@@ -51,7 +51,7 @@ def random_dataset(seed: int, size: int | None = None, n: int = 80) -> SequenceD
         gen.integers(0, size, size=int(gen.integers(0, 14))).astype(np.int64)
         for _ in range(n)
     )
-    return SequenceDataset(alphabet=Alphabet.of_size(size), sequences=sequences)
+    return SequenceDataset.from_sequences(Alphabet.of_size(size), sequences)
 
 
 def random_psts() -> list[tuple[FlatPST, PredictionSuffixTree]]:
@@ -91,7 +91,7 @@ class TestCountingEquivalence:
 
     def test_empty_and_tiny_corpora(self):
         alpha = Alphabet.of_size(3)
-        empty = SequenceDataset(alphabet=alpha, sequences=(np.empty(0, np.int64),))
+        empty = SequenceDataset.from_sequences(alpha, (np.empty(0, np.int64),))
         assert count_substrings(empty, 4) == count_substrings_reference(empty, 4)
         store = empty.truncate(5)
         assert count_grams(store, 3) == count_grams_reference(store, 3)
@@ -145,7 +145,7 @@ class TestTopKSubstrings:
 
     def test_empty_corpus(self):
         alpha = Alphabet.of_size(2)
-        empty = SequenceDataset(alphabet=alpha, sequences=(np.empty(0, np.int64),))
+        empty = SequenceDataset.from_sequences(alpha, (np.empty(0, np.int64),))
         assert top_k_substrings(empty, 5, 3) == []
 
 

@@ -39,12 +39,12 @@ def corpora() -> dict[str, SequenceDataset]:
     gen = np.random.default_rng(5)
     return {
         "msnbc": msnbclike(2_000, rng=0),
-        "all-empty": SequenceDataset(
-            alphabet=Alphabet.of_size(3), sequences=(np.empty(0, np.int64),) * 20
+        "all-empty": SequenceDataset.from_sequences(
+            Alphabet.of_size(3), (np.empty(0, np.int64),) * 20
         ),
-        "one-symbol": SequenceDataset(
-            alphabet=Alphabet.of_size(1),
-            sequences=tuple(
+        "one-symbol": SequenceDataset.from_sequences(
+            Alphabet.of_size(1),
+            tuple(
                 np.zeros(int(gen.integers(0, 12)), np.int64) for _ in range(300)
             ),
         ),

@@ -110,7 +110,7 @@ class TestPerplexity:
             np.array([0] * int(gen.integers(1, 6)) + [1], dtype=np.int64)
             for _ in range(2000)
         )
-        data = SequenceDataset(alphabet=alpha, sequences=seqs)
+        data = SequenceDataset.from_sequences(alpha, seqs)
         perps = {}
         for eps in (0.05, 8.0):
             vals = [
@@ -122,11 +122,11 @@ class TestPerplexity:
 
     def test_empty_dataset_rejected(self, model, alpha):
         with pytest.raises(ValueError):
-            model.perplexity(SequenceDataset(alphabet=alpha, sequences=()))
+            model.perplexity(SequenceDataset.from_sequences(alpha, ()))
 
     def test_alphabet_mismatch_rejected(self, model):
-        other = SequenceDataset(
-            alphabet=Alphabet.of_size(5), sequences=(np.array([0]),)
+        other = SequenceDataset.from_sequences(
+            Alphabet.of_size(5), (np.array([0]),)
         )
         with pytest.raises(ValueError):
             model.dataset_log_likelihood(other)

@@ -1,8 +1,11 @@
 """Tests for the modified PrivTree PST pipeline (Section 4.2)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro.mechanisms import PrivacyAccountant
 from repro.sequence import Alphabet, SequenceDataset, exact_pst, private_pst
 
 
@@ -26,7 +29,7 @@ def markov_data(alpha) -> SequenceDataset:
                 break
             seq.append(step)
         seqs.append(np.asarray(seq))
-    return SequenceDataset(alphabet=alpha, sequences=tuple(seqs), name="markov")
+    return SequenceDataset.from_sequences(alpha, tuple(seqs), name="markov")
 
 
 class TestPrivatePST:
@@ -81,6 +84,22 @@ class TestPrivatePST:
         for seq in pst.sample_dataset(20, rng=4, max_length=30):
             assert all(0 <= c < alpha.size for c in seq)
             assert len(seq) <= 30
+
+
+    @pytest.mark.parametrize(
+        "theta", [float("nan"), float("inf"), -float("inf"), "abc", True], ids=repr
+    )
+    def test_non_finite_theta_refused_before_spend(self, markov_data, theta, monkeypatch):
+        def grow(*args, **kwargs):
+            raise AssertionError("a level grew")
+
+        # The package's ``private_pst`` name is the function, not the module.
+        module = importlib.import_module("repro.sequence.private_pst")
+        monkeypatch.setattr(module, "grow_frontier", grow)
+        acct = PrivacyAccountant(1.0)
+        with pytest.raises(ValueError, match="theta must be a finite number"):
+            private_pst(markov_data, 1.0, l_top=30, theta=theta, accountant=acct)
+        assert acct.ledger == []
 
 
 class TestExactPST:

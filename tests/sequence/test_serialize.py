@@ -30,7 +30,7 @@ def model():
         gen.choice(2, size=int(gen.integers(1, 10))).astype(np.int64)
         for _ in range(500)
     )
-    data = SequenceDataset(alphabet=alpha, sequences=seqs, name="ser")
+    data = SequenceDataset.from_sequences(alpha, seqs, name="ser")
     return private_pst(data, epsilon=2.0, l_top=12, rng=0)
 
 

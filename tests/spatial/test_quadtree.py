@@ -6,13 +6,21 @@ import pytest
 from repro import from_spec
 from repro.domains import Box
 from repro.experiments.perf import reference_nodes_from_dict
-from repro.federated import federated_privtree_histogram, shard_dataset
+from repro.federated import (
+    FederatedPrivTree,
+    FitCheckpoint,
+    ShardCollector,
+    federated_privtree_histogram,
+    shard_dataset,
+)
+from repro.federated import driver as federated_driver
 from repro.mechanisms import PrivacyAccountant
 from repro.spatial import (
     average_relative_error,
     generate_workload,
     privtree_decomposition,
 )
+from repro.spatial import quadtree
 from repro.spatial.quadtree import _privtree_histogram, _simpletree_flat
 from repro.spatial.serialize import tree_to_dict
 
@@ -124,6 +132,38 @@ class TestValidationBeforeSpend:
         with pytest.raises(ValueError):
             fit(uniform_2d, acct)
         assert acct.ledger == []
+
+    @pytest.mark.parametrize(
+        "theta", [float("nan"), float("inf"), -float("inf"), "abc", True], ids=repr
+    )
+    @pytest.mark.parametrize("method", ["privtree", "privtree_federated", "simpletree"])
+    def test_non_finite_theta_refused_before_growth(
+        self, uniform_2d, method, theta, monkeypatch
+    ):
+        # A θ of -inf would split every node down to max_depth: the fit
+        # must refuse it before the first level grows or ε is spent.
+        def grow(*args, **kwargs):
+            raise AssertionError("a level grew")
+
+        for module, name in [
+            (quadtree, "grow_frontier"),
+            (quadtree, "grow_simpletree"),
+            (federated_driver, "grow_frontier"),
+        ]:
+            monkeypatch.setattr(module, name, grow)
+        acct = PrivacyAccountant(1.0)
+        with pytest.raises(ValueError, match="theta must be a finite number"):
+            from_spec(method, epsilon=1.0, theta=theta).fit(uniform_2d, accountant=acct)
+        assert acct.ledger == []
+
+    def test_non_finite_theta_writes_no_checkpoint(self, uniform_2d, tmp_path):
+        path = tmp_path / "fit.ckpt"
+        coordinator = FederatedPrivTree(
+            [ShardCollector(i, 2, shard) for i, shard in enumerate(shard_dataset(uniform_2d, 2))]
+        )
+        with pytest.raises(ValueError, match="theta"):
+            coordinator.fit_histogram(1.0, theta=float("nan"), checkpoint=FitCheckpoint(path))
+        assert not path.exists()
 
 
 class TestPrivTreeDecomposition:
