@@ -28,6 +28,7 @@ __all__ = [
     "lambda_for_epsilon",
     "epsilon_for_lambda",
     "delta_for_lambda",
+    "check_integer",
     "check_height",
     "simpletree_scale",
     "split_probability",
@@ -115,6 +116,17 @@ def delta_for_lambda(lam: float, fanout: int, gamma: float | None = None) -> flo
     return gamma * lam
 
 
+def check_integer(name: str, value: object, least: int) -> None:
+    """Refuse a ``value`` that is a bool, not an integer, or below ``least``.
+
+    Numpy integers are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 def check_height(height: int) -> None:
     """Reject a tree height that is not an integer of at least 1.
 
@@ -123,10 +135,7 @@ def check_height(height: int) -> None:
     the fraction, spending more than the ledger records.  A ``bool`` is
     refused too; numpy integers are accepted.
     """
-    if isinstance(height, bool) or not isinstance(height, numbers.Integral):
-        raise ValueError(f"height must be an integer, got {height!r}")
-    if height < 1:
-        raise ValueError(f"height must be at least 1, got {height!r}")
+    check_integer("height", height, 1)
 
 
 def simpletree_scale(epsilon: float, height: int) -> float:

@@ -19,8 +19,9 @@ or, since 9.0.0, PST contexts (``ContextLevel``, ``private_pst``).  Each
 level's exact scores come from one call to a score function and a commit
 callback runs after each level.  The noise does not depend on where the
 scores come from, so one loop serves every source: payload scores, one
-int32 label per point counted with ``bincount`` (``from_spec("privtree")``),
-one label per prediction position (``from_spec("pst")``), or the counts
+cell histogram of the points for the shallow levels and one int32 label
+per point below them (``from_spec("privtree")``), one label per
+prediction position (``from_spec("pst")``), or the counts
 that secure aggregation recovers from the shards, committed as a splits
 round plus a checkpoint write (:class:`~repro.federated.FederatedPrivTree`).
 

@@ -6,8 +6,9 @@ only ever consumes per-node counts, so the fit factors cleanly into three
 parties borrowed from PrivCount's architecture:
 
 * :class:`ShardCollector` — holds one partition of the data, mirrors the
-  coordinator's splits on its deepest array level, counts from one int32
-  label per point as the centralized fit does, and answers per-node count
+  coordinator's splits on its deepest array level, counts its points as
+  the centralized fit does (one cell histogram for the shallow levels,
+  one int32 label per point below them), and answers per-node count
   queries with **additively blinded** ``uint64`` shares
   (pairwise-cancelling mask streams, :mod:`repro.federated.blinding`);
 * :class:`SecureAggregator` — sums the shares; masks telescope away,

@@ -3,9 +3,10 @@
 A :class:`ShardCollector` plays PrivCount's *data collector* role.  It holds
 one shard of the sensitive points (over the **global** domain, so every
 shard's decomposition geometry matches the coordinator's) and counts them
-the way the centralized fit does: one int32 node label per point
-(:class:`~repro.spatial.level.PointLabels`), advanced level by level as it
-mirrors the coordinator's split decisions on its deepest
+the way the centralized fit does (:class:`~repro.spatial.level.PointLabels`:
+one cell histogram of its points for the shallow levels, one int32 node
+label per point below them), advanced level by level as it mirrors the
+coordinator's split decisions on its deepest
 :class:`~repro.spatial.level.BoxLevel`.  It answers per-node count queries
 by emitting additively blinded ``uint64`` shares.  The raw per-shard counts
 never leave the collector: every emitted vector is blinded by the pairwise
@@ -177,9 +178,10 @@ class ShardCollector:
         else — an unknown number, a repeat, a node of an earlier level
         (including one already split), or a box past float resolution —
         raises ``KeyError``, a protocol error, and leaves the collector
-        unchanged.  Otherwise the level splits in one vectorized pass,
-        every point moves to its child's label, and the children take the
-        next numbers.  Re-applying a split is refused: a retried round is
+        unchanged.  Otherwise the level splits in one vectorized pass, the
+        children are counted (from the cell histogram down to its block
+        depth, by moving every point to its child's label below it), and
+        they take the next numbers.  Re-applying a split is refused: a retried round is
         answered from the endpoint's round cache, and
         :func:`~repro.federated.driver.replay_splits` runs each committed
         round once, on fresh collectors.

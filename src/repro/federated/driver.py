@@ -239,7 +239,9 @@ class FederatedPrivTree:
             stalling mid-aggregation.  Probes never touch the RNG stream,
             so the release stays bit-identical with or without them.
         """
-        _check_fit_params(theta, tree_fraction, tuples_per_individual, count_mechanism)
+        _check_fit_params(
+            theta, tree_fraction, tuples_per_individual, count_mechanism, max_depth
+        )
         self.heartbeat_interval = heartbeat_interval
         self._last_heartbeat = float("-inf")
         config = {

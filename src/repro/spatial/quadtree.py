@@ -4,8 +4,9 @@
 ``from_spec("privtree")``:
 
 1. spend ε·tree_fraction on the PrivTree structure (Algorithm 2), grown
-   as array levels (:class:`~repro.spatial.level.BoxLevel`) scored by one
-   int32 node label per point (:class:`~repro.spatial.level.PointLabels`);
+   as array levels (:class:`~repro.spatial.level.BoxLevel`) scored by
+   :class:`~repro.spatial.level.PointLabels`: one cell histogram for the
+   shallow levels, one int32 node label per point below them;
 2. spend the rest on Laplace-perturbed leaf counts (sensitivity 1: each point
    lies in exactly one leaf);
 3. rebuild intermediate counts as sums of their leaves.
@@ -21,7 +22,7 @@ array levels and shares the parameter check and the leaf-count release
 defined here.
 
 ``_simpletree_flat`` is the Algorithm 1 baseline behind
-``from_spec("simpletree")``: it grows the same levels and point labels
+``from_spec("simpletree")``: it grows the same levels and score source
 through :func:`~repro.core.simpletree.grow_simpletree`, and the per-node
 noisy counts it computed *are* the release (scale ``h/ε``).  Both
 releases lay the grown levels out with :func:`_flat_histogram`, and so
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.analysis import simpletree_scale
+from ..core.analysis import check_integer, simpletree_scale
 from ..core.level import Preorder, preorder
 from ..core.params import PrivTreeParams, check_theta
 from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
@@ -67,6 +68,7 @@ def privtree_decomposition(
     caller wants the partition itself, e.g. for private k-means
     coarsening; most users want ``from_spec("privtree")`` instead.
     """
+    _check_max_depth(max_depth)
     root = BoxLevel.root(dataset.domain, dims_per_split)
     params = PrivTreeParams.calibrate(epsilon, fanout=root.fanout, theta=theta)
     labels = PointLabels(dataset.points)
@@ -122,7 +124,9 @@ def _privtree_flat(
         recorded as two ledger entries summing to ``epsilon``); a private
         one with budget ``epsilon`` is created when omitted.
     """
-    _check_fit_params(theta, tree_fraction, tuples_per_individual, count_mechanism)
+    _check_fit_params(
+        theta, tree_fraction, tuples_per_individual, count_mechanism, max_depth
+    )
     root = BoxLevel.root(dataset.domain, dims_per_split)
     eps_tree = tree_fraction * epsilon
     eps_counts = (1.0 - tree_fraction) * epsilon
@@ -150,15 +154,25 @@ def _privtree_flat(
     )
 
 
+def _check_max_depth(max_depth: int | None) -> None:
+    """Refuse a ``max_depth`` that is neither ``None`` nor an integer >= 0:
+    a tree grows whole levels, and a negative guard would release the root
+    alone for all of ε."""
+    if max_depth is not None:
+        check_integer("max_depth", max_depth, 0)
+
+
 def _check_fit_params(
-    theta: float, tree_fraction: float, tuples_per_individual: int, count_mechanism: str
+    theta: float,
+    tree_fraction: float,
+    tuples_per_individual: int,
+    count_mechanism: str,
+    max_depth: int | None,
 ) -> None:
     """Reject bad PrivTree histogram parameters, before any budget is spent."""
     check_theta(theta)
-    if tuples_per_individual < 1:
-        raise ValueError(
-            f"tuples_per_individual must be >= 1, got {tuples_per_individual!r}"
-        )
+    check_integer("tuples_per_individual", tuples_per_individual, 1)
+    _check_max_depth(max_depth)
     if count_mechanism not in ("laplace", "geometric"):
         raise ValueError(
             f"count_mechanism must be 'laplace' or 'geometric', got {count_mechanism!r}"

@@ -20,10 +20,9 @@ stream exactly as one scalar draw per popped node.  So the demo grows
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from ..core.analysis import check_integer
 from ..core.level import preorder
 from ..core.simpletree import grow_simpletree
 from ..mechanisms.laplace import laplace_noise
@@ -54,10 +53,7 @@ def binary_svt_decomposition(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
-        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, got {max_depth!r}")
+    check_integer("max_depth", max_depth, 0)
     root = BoxLevel.root(dataset.domain, dims_per_split)
     gen = ensure_rng(rng)
     lam = 2.0 / epsilon

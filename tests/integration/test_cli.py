@@ -1042,6 +1042,53 @@ class TestRejectedTheta:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestRejectedIntegerParams:
+    """An integer fit parameter given as a bool, a fraction or out of range
+    is a one-line usage error on every command that fits a spatial tree,
+    and writes nothing."""
+
+    COMMANDS = {
+        "privtree": ["run", "--method", "privtree"],
+        "simpletree": ["run", "--method", "simpletree"],
+        "privtree_federated": ["run", "--method", "privtree_federated"],
+        "store-put": ["store", "put", "--store", "{tmp}/store", "--method", "privtree"],
+        "federated-fit": ["federated-fit", "--shards", "2"],
+    }
+
+    #: (command, parameter, refusal)
+    CASES = [
+        (command, param, "dims_per_split must be an integer")
+        for command in ("privtree", "simpletree", "privtree_federated", "store-put")
+        for param in ("dims_per_split=1.5", "dims_per_split=True")
+    ] + [
+        (command, param, refusal)
+        for command in ("privtree", "privtree_federated", "store-put", "federated-fit")
+        for param, refusal in [
+            ("max_depth=-1", "max_depth must be at least 0"),
+            ("max_depth=2.5", "max_depth must be an integer"),
+            ("tuples_per_individual=2.5", "tuples_per_individual must be an integer"),
+        ]
+    ]
+
+    @pytest.mark.parametrize(
+        "command,param,refusal", CASES, ids=[f"{c}-{p}" for c, p, _ in CASES]
+    )
+    def test_exits_with_one_line(self, command, param, refusal, tmp_path):
+        argv = [arg.format(tmp=tmp_path) for arg in self.COMMANDS[command]] + [
+            "--dataset", "gowalla", "--n", "500", "--epsilon", "1.0",
+            "--param", param,
+        ]
+        if command != "store-put":
+            argv += ["--out", str(tmp_path / "out.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert refusal in message
+        assert not (tmp_path / "out.json").exists()
+        assert not list((tmp_path / "store").glob("releases/*"))
+
+
 class TestLedgerReconciliation:
     """Every CLI path that spends budget: the trace's spend events add up to
     ``--epsilon`` (per epoch), and no spend was rolled back."""

@@ -165,6 +165,89 @@ class TestValidationBeforeSpend:
             coordinator.fit_histogram(1.0, theta=float("nan"), checkpoint=FitCheckpoint(path))
         assert not path.exists()
 
+    #: (method, parameter, value, refusal): integer parameters that are a
+    #: bool, a fraction or out of range.  Before 10.1.0 a fractional or bool
+    #: dims_per_split raised TypeError after the spend, max_depth=-1 spent
+    #: all of ε on a root-only release, and max_depth=2.5 and
+    #: tuples_per_individual=2.5 fitted.
+    NON_INTEGER = [
+        (method, "dims_per_split", value, "dims_per_split must be an integer")
+        for method in ("privtree", "privtree_federated", "simpletree")
+        for value in (1.5, True)
+    ] + [
+        (method, name, value, refusal)
+        for method in ("privtree", "privtree_federated")
+        for name, value, refusal in [
+            ("max_depth", -1, "max_depth must be at least 0"),
+            ("max_depth", 2.5, "max_depth must be an integer"),
+            ("max_depth", True, "max_depth must be an integer"),
+            ("tuples_per_individual", 2.5, "tuples_per_individual must be an integer"),
+            ("tuples_per_individual", True, "tuples_per_individual must be an integer"),
+            ("tuples_per_individual", 0, "tuples_per_individual must be at least 1"),
+        ]
+    ]
+
+    @staticmethod
+    def _forbid_growth(monkeypatch):
+        def grow(*args, **kwargs):
+            raise AssertionError("a level grew")
+
+        for module, name in [
+            (quadtree, "grow_frontier"),
+            (quadtree, "grow_simpletree"),
+            (federated_driver, "grow_frontier"),
+        ]:
+            monkeypatch.setattr(module, name, grow)
+
+    @pytest.mark.parametrize(
+        "method,name,value,refusal", NON_INTEGER,
+        ids=[f"{m}-{n}={v!r}" for m, n, v, _ in NON_INTEGER],
+    )
+    def test_non_integer_refused_before_growth(
+        self, uniform_2d, method, name, value, refusal, monkeypatch
+    ):
+        self._forbid_growth(monkeypatch)
+        acct = PrivacyAccountant(1.0)
+        with pytest.raises(ValueError, match=refusal):
+            from_spec(method, epsilon=1.0, **{name: value}).fit(uniform_2d, accountant=acct)
+        assert acct.ledger == []
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("max_depth", -1), ("max_depth", 2.5), ("tuples_per_individual", 2.5)],
+    )
+    def test_non_integer_writes_no_checkpoint(
+        self, uniform_2d, tmp_path, name, value, monkeypatch
+    ):
+        self._forbid_growth(monkeypatch)
+        path = tmp_path / "fit.ckpt"
+        acct = PrivacyAccountant(1.0)
+        coordinator = FederatedPrivTree(
+            [ShardCollector(i, 2, shard) for i, shard in enumerate(shard_dataset(uniform_2d, 2))]
+        )
+        with pytest.raises(ValueError, match=name):
+            coordinator.fit_histogram(
+                1.0, accountant=acct, checkpoint=FitCheckpoint(path), **{name: value}
+            )
+        assert not path.exists()
+        assert acct.ledger == []
+
+    @pytest.mark.parametrize("max_depth", [-1, 2.5, True])
+    def test_decomposition_checks_max_depth(self, uniform_2d, max_depth, monkeypatch):
+        self._forbid_growth(monkeypatch)
+        with pytest.raises(ValueError, match="max_depth"):
+            privtree_decomposition(uniform_2d, 1.0, max_depth=max_depth)
+
+    def test_integer_parameters_still_fit(self, uniform_2d):
+        # None and numpy integers stay valid, and max_depth=0 is the root.
+        release = from_spec(
+            "privtree", epsilon=1.0, max_depth=np.int64(0),
+            tuples_per_individual=np.int64(2), dims_per_split=np.int64(1),
+        )
+        with pytest.warns(UserWarning, match="max_depth"):
+            assert release.fit(uniform_2d, rng=0).size == 1
+        assert from_spec("privtree", epsilon=1.0, max_depth=None).fit(uniform_2d, rng=0).size > 1
+
 
 class TestPrivTreeDecomposition:
     def test_structure_only_no_counts(self, uniform_2d):

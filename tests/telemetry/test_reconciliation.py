@@ -150,10 +150,14 @@ class TestTraceReconciliation:
             "federated.heartbeat": {"shard_id"},
             "accountant.spend": {"label", "epsilon"},
             "accountant.rollback": {"n_entries"},
+            "spatial.cell_histogram": {"points", "nodes", "depth"},
         }
         for record in tracer.records:
             if record.name in allowed:
                 assert set(record.attrs) <= allowed[record.name], record.name
+        # Each collector bins its shard once.
+        cell_passes = [r for r in tracer.records if r.name == "spatial.cell_histogram"]
+        assert len(cell_passes) == N_SHARDS
 
         # The coordinator runs the engine's own level loop: its levels
         # trace exactly like a centralized fit on the same points and seed.

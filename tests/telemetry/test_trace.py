@@ -198,6 +198,15 @@ class TestInstrumentationPrivacy:
         # One span per level, not per node: depths are strictly increasing.
         depths = [r.attrs["depth"] for r in levels]
         assert depths == sorted(set(depths))
+        # The one-time cell pass carries its shape only (points, cells and
+        # block depth), inside the root level's span.
+        (cells,) = [r for r in tracer.records if r.name == "spatial.cell_histogram"]
+        assert set(cells.attrs) == {"points", "nodes", "depth"}
+        assert cells.attrs["points"] == uniform_2d.n
+        assert cells.attrs["nodes"] == 4 ** cells.attrs["depth"]
+        assert cells.attrs["depth"] > 0
+        root = next(r for r in levels if r.attrs["depth"] == 0)
+        assert cells.parent_id == root.span_id
 
     def test_accountant_spend_events_match_ledger(self):
         from repro.mechanisms.accountant import PrivacyAccountant
