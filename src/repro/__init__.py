@@ -51,7 +51,7 @@ from .spatial import (
     generate_workload,
 )
 
-__version__ = "10.1.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "Alphabet",

@@ -14,7 +14,7 @@ configuration instead of importing free functions::
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Type
+from typing import Any, Type
 
 from .base import Estimator
 
@@ -99,12 +99,3 @@ def specs() -> list[dict[str, Any]]:
             }
         )
     return out
-
-
-def iter_estimators(kind: str | None = None) -> Iterable[Type[Estimator]]:
-    """Registered estimator classes, optionally filtered by input family."""
-    _ensure_loaded()
-    for name in names():
-        cls = _REGISTRY[name]
-        if kind is None or cls.kind == kind:
-            yield cls

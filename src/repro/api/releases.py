@@ -18,7 +18,7 @@ import numpy as np
 from ..baselines.ag import AdaptiveGrid
 from ..baselines.grid import UniformGrid
 from ..baselines.ngram import NGramModel
-from ..domains.box import Box
+from ..domains.box import Box, RangeCounter
 from ..sequence.alphabet import Alphabet
 from ..sequence.flat import FlatPST
 from ..sequence.serialize import pst_from_dict, pst_to_dict
@@ -39,13 +39,13 @@ __all__ = [
 ]
 
 
-class SpatialRelease(Release):
+class SpatialRelease(Release, RangeCounter):
     """Base of the spatial artifacts: ``query`` is a range count.
 
-    Typed queries (:class:`~repro.queries.RangeCount`,
-    :class:`~repro.queries.PointCount`, :class:`~repro.queries.Marginal1D`)
-    all compile to boxes and answer through :meth:`range_count_many` via
-    :meth:`~repro.api.Release.answer`.
+    Each kind answers through its synopsis's one engine.  Typed queries
+    (:class:`~repro.queries.RangeCount`, :class:`~repro.queries.PointCount`,
+    :class:`~repro.queries.Marginal1D`) all compile to boxes and answer
+    through :meth:`range_count_many` via :meth:`~repro.api.Release.answer`.
     """
 
     @property
@@ -53,21 +53,8 @@ class SpatialRelease(Release):
         """The released domain typed queries validate against."""
         raise NotImplementedError
 
-    def query(self, box: Box) -> float:
-        """The noisy number of points inside ``box``."""
-        return self.range_count(box)
-
-    def range_count(self, box: Box) -> float:
-        """Alias of :meth:`query` (the historical synopsis surface)."""
-        raise NotImplementedError
-
-    def range_count_many(self, boxes: Sequence[Box]) -> np.ndarray:
-        """Answer a whole workload; subclasses override with batched engines."""
-        return np.array([self.range_count(box) for box in boxes])
-
-    def query_many(self, queries: Sequence[Box]) -> np.ndarray:
-        """Uniform batch surface: a spatial batch is a box workload."""
-        return self.range_count_many(queries)
+    query = RangeCounter.range_count
+    query_many = RangeCounter.range_count_many
 
 
 class SpatialTreeRelease(SpatialRelease):
@@ -117,15 +104,7 @@ class SpatialTreeRelease(SpatialRelease):
     def query_domain(self) -> Box:
         return self.tree.domain
 
-    def range_count(self, box: Box) -> float:
-        return self.flat().range_count(box)
-
-    def range_count_many(self, boxes: Sequence[Box]) -> np.ndarray:
-        """Vectorized workload evaluation via the flat synopsis."""
-        return self.flat().range_count_many(boxes)
-
     def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
-        """Columnar workload evaluation (packed bound matrices, no Boxes)."""
         return self.flat().range_count_arrays(q_lows, q_highs)
 
     def warm(self) -> None:
@@ -264,8 +243,8 @@ class GridRelease(SpatialRelease):
     def query_domain(self) -> Box:
         return self.grid.domain
 
-    def range_count(self, box: Box) -> float:
-        return self.grid.range_count(box)
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
+        return self.grid.range_count_arrays(q_lows, q_highs)
 
     def _payload(self) -> dict[str, Any]:
         out = _grid_to_dict(self.grid)
@@ -304,8 +283,8 @@ class AdaptiveGridRelease(SpatialRelease):
     def query_domain(self) -> Box:
         return self.synopsis.level1.domain
 
-    def range_count(self, box: Box) -> float:
-        return self.synopsis.range_count(box)
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
+        return self.synopsis.range_count_arrays(q_lows, q_highs)
 
     def _payload(self) -> dict[str, Any]:
         return {

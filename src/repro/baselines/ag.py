@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from ..domains.box import Box
+import numpy as np
+
+from ..domains.box import RangeCounter
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
@@ -31,6 +34,8 @@ __all__ = ["AdaptiveGrid", "ag_level1_cells_per_dim", "ag_level2_cells_per_dim"]
 AG_ALPHA = 0.5
 #: The constant used in the level-2 granularity rule (c2 = c/2).
 AG_LEVEL2_CONSTANT = 5.0
+#: Queries whose overlaps with the level-1 cells are found at a time.
+_QUERIES_PER_CHUNK = 1 << 16
 
 
 def ag_level1_cells_per_dim(n: int, epsilon: float, size_factor: float = 1.0) -> int:
@@ -54,30 +59,49 @@ def ag_level2_cells_per_dim(
 
 
 @dataclass
-class AdaptiveGrid:
+class AdaptiveGrid(RangeCounter):
     """The released AG synopsis: level-1 counts plus per-cell subgrids."""
 
     level1: UniformGrid
     #: Map from level-1 cell index to its refined subgrid (mean-consistent).
     subgrids: dict[tuple[int, int], UniformGrid]
 
-    def range_count(self, query: Box) -> float:
-        """Sum refined cells where available, level-1 cells elsewhere."""
-        answer = 0.0
-        m1 = self.level1.shape[0]
-        for i in range(m1):
-            for j in range(self.level1.shape[1]):
-                cell = self.level1.cell_box((i, j))
-                if not cell.intersects(query):
+    @property
+    def ndim(self) -> int:
+        """Dimensionality of the domain."""
+        return self.level1.ndim
+
+    @cached_property
+    def _coarse(self) -> UniformGrid:
+        """The level-1 grid with the counts of its refined cells set to 0."""
+        counts = self.level1.counts.copy()
+        for index in self.subgrids:
+            counts[index] = 0.0
+        return UniformGrid(domain=self.level1.domain, counts=counts)
+
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
+        """Refined level-1 cells answer from their subgrids; every other
+        cell adds a volume fraction of its count."""
+        q_lows, q_highs = self._bounds(q_lows, q_highs)
+        answers = self._coarse.range_count_arrays(q_lows, q_highs)
+        edges = [self.level1.edges(k) for k in range(2)]
+        for start in range(0, len(q_lows), _QUERIES_PER_CHUNK):
+            rows = slice(start, start + _QUERIES_PER_CHUNK)
+            # A subgrid answers, in sorted cell order, only the queries that
+            # overlap its cell: any other query would add +0.0.
+            overlaps = [
+                (e[:-1, None] < q_highs[rows, k]) & (e[1:, None] > q_lows[rows, k])
+                for k, e in enumerate(edges)
+            ]
+            touched = [overlap.any(axis=1).tolist() for overlap in overlaps]
+            for i, j in sorted(self.subgrids):
+                if not (touched[0][i] and touched[1][j]):
                     continue
-                sub = self.subgrids.get((i, j))
-                if sub is not None:
-                    answer += sub.range_count(query)
-                elif query.contains_box(cell):
-                    answer += float(self.level1.counts[i, j])
-                else:
-                    answer += float(self.level1.counts[i, j]) * cell.overlap_fraction(query)
-        return answer
+                hit = start + np.flatnonzero(overlaps[0][i] & overlaps[1][j])
+                if hit.size:
+                    grid = self.subgrids[(i, j)]
+                    answers[hit] += grid.range_count_arrays(q_lows[hit], q_highs[hit])
+        return answers
 
     @property
     def n_cells(self) -> int:
@@ -105,6 +129,16 @@ def _ag_histogram(
     level1_exact = UniformGrid.histogram(dataset, (m1, m1))
     level1 = level1_exact.with_noise(1.0 / eps1, gen)
 
+    # Each point's level-1 cell, found once by the half-open rule of
+    # Box.contains_points; one stable sort groups every cell's points.
+    i_cell, j_cell = (
+        np.searchsorted(level1.edges(d), dataset.points[:, d], side="right") - 1
+        for d in range(2)
+    )
+    cell_of = i_cell * m1 + j_cell
+    by_cell = np.argsort(cell_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell_of, minlength=m1 * m1))))
+
     var1 = 2.0 / eps1**2
     var2 = 2.0 / eps2**2
     subgrids: dict[tuple[int, int], UniformGrid] = {}
@@ -115,7 +149,9 @@ def _ag_histogram(
             if m2 <= 1:
                 continue
             cell = level1.cell_box((i, j))
-            sub_exact = UniformGrid.histogram(dataset.restrict(cell), (m2, m2))
+            c = i * m1 + j
+            points = dataset.points[by_cell[starts[c] : starts[c + 1]]]
+            sub_exact = UniformGrid.histogram(SpatialDataset(points, cell), (m2, m2))
             sub = sub_exact.with_noise(1.0 / eps2, gen)
             # Mean consistency: BLUE-combine the parent's noisy count with the
             # children's noisy sum, then spread the residual over the children.

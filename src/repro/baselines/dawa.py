@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..domains.box import Box
+from ..domains.box import RangeCounter
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
@@ -123,15 +123,15 @@ def private_partition(
 
 
 @dataclass
-class DawaHistogram:
+class DawaHistogram(RangeCounter):
     """The released DAWA synopsis: a grid of per-cell estimates."""
 
     grid: UniformGrid
     boundaries: list[int]
 
-    def range_count(self, query: Box) -> float:
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
         """Answer from the cell-level estimates (uniform within buckets)."""
-        return self.grid.range_count(query)
+        return self.grid.range_count_arrays(q_lows, q_highs)
 
     @property
     def n_buckets(self) -> int:

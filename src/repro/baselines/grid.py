@@ -4,22 +4,36 @@ A :class:`UniformGrid` stores one count per cell of a regular grid and
 answers range-count queries with per-dimension fractional weighting: cells
 fully inside the query contribute their whole count, boundary cells a
 volume fraction (the same uniformity assumption as §2.2).
+
+:meth:`UniformGrid.range_count_arrays` answers a batch from a table of
+prefix sums built once per grid.  Interpolated multilinearly at a point,
+the table counts the region below the point under the same rule, so each
+query reads ``4**d`` entries at its ``2**d`` corners however many cells it
+covers.  The answers equal the per-cell sum up to the round-off of the
+prefix sums, and each is computed from its own bounds alone, element by
+element, so it does not depend on its batch or on the counts' layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..domains.box import Box
+from ..domains.box import Box, RangeCounter
 from ..spatial.dataset import SpatialDataset
 
 __all__ = ["UniformGrid"]
 
+#: Table entries gathered at a time; a query reads ``4**d`` of them.
+_ENTRIES_PER_CHUNK = 1 << 18
+#: The signs of a query's low and high side.
+_SIDES = np.array([-1.0, 1.0])[:, None, None]
+
 
 @dataclass
-class UniformGrid:
+class UniformGrid(RangeCounter):
     """A regular grid of (possibly noisy) cell counts over ``domain``.
 
     ``counts`` has one axis per dimension; cell ``(i_1, ..., i_d)`` covers
@@ -47,6 +61,11 @@ class UniformGrid:
     def shape(self) -> tuple[int, ...]:
         """Cells per dimension."""
         return self.counts.shape
+
+    @property
+    def ndim(self) -> int:
+        """Dimensionality of the grid's domain."""
+        return self.domain.ndim
 
     @property
     def n_cells(self) -> int:
@@ -82,35 +101,51 @@ class UniformGrid:
             high.append(e[i + 1])
         return Box(tuple(low), tuple(high))
 
-    def range_count(self, query: Box) -> float:
-        """Answer a range-count query with fractional boundary cells."""
-        if query.ndim != self.domain.ndim:
-            raise ValueError(
-                f"query has {query.ndim} dims, grid has {self.domain.ndim}"
-            )
-        weights: list[np.ndarray] = []
-        slices: list[slice] = []
-        for d in range(self.domain.ndim):
-            edges = self.edges(d)
-            lo = max(query.low[d], edges[0])
-            hi = min(query.high[d], edges[-1])
-            if hi <= lo:
-                return 0.0
-            first = int(np.searchsorted(edges, lo, side="right")) - 1
-            last = int(np.searchsorted(edges, hi, side="left"))
-            first = max(first, 0)
-            last = min(last, self.shape[d])
-            if last <= first:
-                return 0.0
-            cell_lo = edges[first:last]
-            cell_hi = edges[first + 1 : last + 1]
-            overlap = np.minimum(cell_hi, hi) - np.maximum(cell_lo, lo)
-            weights.append(overlap / (cell_hi - cell_lo))
-            slices.append(slice(first, last))
-        block = self.counts[tuple(slices)]
-        for w in reversed(weights):
-            block = block @ w
-        return float(block)
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The flattened ``shape + 1`` prefix sums (entry ``i`` sums
+        ``counts[c]`` over every cell ``c < i``, by sequential sums along
+        each axis) and their strides, and the domain's corners."""
+        sums = np.zeros(tuple(s + 1 for s in self.shape))
+        sums[tuple(slice(1, None) for _ in self.shape)] = self.counts
+        for k in range(self.ndim):
+            np.cumsum(sums, axis=k, out=sums)
+        strides = np.array(sums.strides) // sums.itemsize
+        return sums.ravel(), strides, np.array(self.domain.low), np.array(self.domain.high)
+
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
+        """Answer ``(n, d)`` query bounds with fractional boundary cells."""
+        q_lows, q_highs = self._bounds(q_lows, q_highs)
+        sums, strides, low, high = self._table
+        shape, d = np.array(self.shape), self.ndim
+        answers = np.zeros(len(q_lows))
+        per_chunk = max(1, _ENTRIES_PER_CHUNK // 4**d)
+        for start in range(0, len(q_lows), per_chunk):
+            rows = slice(start, start + per_chunk)
+            # Each query's low and high side per axis, clipped to the domain
+            # (a (2, n, d) array) and counted in cells from its low corner,
+            # lies in a cell at the fraction phi of its width.  A box empty
+            # on some axis once clipped, or with a NaN side (placed at 0
+            # here), answers 0.
+            x = np.minimum(np.maximum(np.array((q_lows[rows], q_highs[rows])), low), high)
+            u = np.fmax((x - low) / (high - low) * shape, 0.0)
+            n = u.shape[1]
+            cell = np.minimum(u.astype(np.intp), shape - 1)
+            phi = u - cell
+            # Entries cell and cell + 1 weigh 1 - phi and phi, and the low
+            # side subtracts: both are (4, n, d).
+            weights = (np.array((1.0 - phi, phi)) * _SIDES).reshape(4, n, d)
+            entries = (np.array((cell, cell + 1)) * strides).reshape(4, n, d)
+            index = entries[..., 0]
+            for k in range(1, d):
+                index = (index[:, None] + entries[..., k]).reshape(-1, n)
+            terms = sums[index]
+            # Contract the last axis's four entries first, in one fixed order.
+            for k in reversed(range(d)):
+                t = terms.reshape(-1, 4, n) * weights[..., k]
+                terms = ((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3]
+            answers[rows] = np.where((x[1] > x[0]).all(axis=1), terms[0], 0.0)
+        return answers
 
     def with_noise(self, scale: float, rng: np.random.Generator) -> "UniformGrid":
         """A copy with i.i.d. ``Lap(scale)`` added to every cell."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..domains.box import Box
+from ..domains.box import RangeCounter
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
@@ -45,16 +45,16 @@ def split_branchings(leaf_exponent: int, levels: int) -> list[int]:
 
 
 @dataclass
-class HierarchyHistogram:
+class HierarchyHistogram(RangeCounter):
     """The released synopsis: consistent leaf grid (+ raw per-level counts)."""
 
     leaf_grid: UniformGrid
     levels: int
     branchings: list[int]
 
-    def range_count(self, query: Box) -> float:
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
         """Answer from the consistent leaf grid with fractional boundaries."""
-        return self.leaf_grid.range_count(query)
+        return self.leaf_grid.range_count_arrays(q_lows, q_highs)
 
 
 def _pool(counts: np.ndarray, factor: int) -> np.ndarray:

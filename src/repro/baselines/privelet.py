@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..domains.box import Box
+from ..domains.box import RangeCounter
 from ..mechanisms.rng import RngLike, ensure_rng
 from ..spatial.dataset import SpatialDataset
 from .grid import UniformGrid
@@ -98,14 +98,14 @@ def haar_weights(n: int) -> np.ndarray:
 
 
 @dataclass
-class PriveletHistogram:
+class PriveletHistogram(RangeCounter):
     """The released Privelet synopsis: a reconstructed noisy cell grid."""
 
     grid: UniformGrid
 
-    def range_count(self, query: Box) -> float:
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
         """Answer from the reconstructed cells with fractional boundaries."""
-        return self.grid.range_count(query)
+        return self.grid.range_count_arrays(q_lows, q_highs)
 
 
 def _privelet_histogram(

@@ -656,6 +656,7 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
     )
     from .mechanisms import PrivacyAccountant
     from .serve import ReleaseStore
+    from .spatial.level import resolve_dims_per_split
 
     if args.shards < 2:
         raise SystemExit(f"--shards must be at least 2, got {args.shards}")
@@ -683,6 +684,9 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
     if args.epochs == 1:
         dataset = spec.make(args.n, rng=args.seed)
         accountant = PrivacyAccountant(args.epsilon)
+        # The collectors own the split geometry, not the fit.
+        fit_params = dict(params)
+        dims_per_split = fit_params.pop("dims_per_split", None)
         checkpoint = FitCheckpoint(args.checkpoint) if args.checkpoint else None
         procs: list = []
         clients = None
@@ -703,10 +707,19 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
                 session = f"{args.dataset}-seed{args.seed}"
                 clients = connect_collectors(addresses, session=session)
                 driver = FederatedPrivTree(clients)
+                # Each daemon's hello reports the geometry it splits with.
+                if dims_per_split is not None and resolve_dims_per_split(
+                    driver.domain.ndim, dims_per_split
+                ) != driver.dims_per_split:
+                    raise SystemExit(
+                        f"dims_per_split={dims_per_split!r} differs from the "
+                        f"collectors' {driver.dims_per_split}"
+                    )
             else:
                 collectors = [
                     ShardCollector(
-                        i, args.shards, shard, blinding_seed=args.seed
+                        i, args.shards, shard, blinding_seed=args.seed,
+                        dims_per_split=dims_per_split,
                     )
                     for i, shard in enumerate(
                         shard_dataset(dataset, args.shards)
@@ -724,11 +737,12 @@ def _run_federated_fit(args: argparse.Namespace) -> str:
                     checkpoint=checkpoint,
                     resume=args.resume,
                     heartbeat_interval=args.heartbeat_interval,
-                    **params,
+                    **fit_params,
                 )
             except (TypeError, ValueError) as exc:
                 raise SystemExit(str(exc)) from None
-        except CheckpointError as exc:  # from either resume's checkpoint load
+        # A refused dims_per_split, or either resume's checkpoint load.
+        except (CheckpointError, ValueError) as exc:
             raise SystemExit(str(exc)) from None
         finally:
             if clients is not None:

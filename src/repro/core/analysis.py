@@ -30,6 +30,7 @@ __all__ = [
     "delta_for_lambda",
     "check_integer",
     "check_height",
+    "check_max_depth",
     "simpletree_scale",
     "split_probability",
 ]
@@ -136,6 +137,14 @@ def check_height(height: int) -> None:
     refused too; numpy integers are accepted.
     """
     check_integer("height", height, 1)
+
+
+def check_max_depth(max_depth: int | None) -> None:
+    """Refuse a ``max_depth`` that is neither ``None`` nor an integer >= 0:
+    a tree grows whole levels, and a negative guard would release the root
+    alone for all of ε."""
+    if max_depth is not None:
+        check_integer("max_depth", max_depth, 0)
 
 
 def simpletree_scale(epsilon: float, height: int) -> float:

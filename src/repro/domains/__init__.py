@@ -1,7 +1,7 @@
 """Decomposable domains: boxes, taxonomies, and mixed products (§3.5)."""
 
 from .base import Domain, NodePayload
-from .box import Box
+from .box import Box, RangeCounter
 from .product import DomainComponent, IntervalComponent, ProductDomain
 from .table import TableNodeData
 from .taxonomy import Taxonomy, TaxonomyDomain
@@ -13,6 +13,7 @@ __all__ = [
     "IntervalComponent",
     "NodePayload",
     "ProductDomain",
+    "RangeCounter",
     "TableNodeData",
     "Taxonomy",
     "TaxonomyDomain",

@@ -5,17 +5,20 @@ A :class:`Box` is the ``dom(v)`` of Section 2.2: a half-open hyper-rectangle
 dimensions at once for a 2^d quadtree split, or a subset of dimensions for
 the round-robin splits used in the Figure 8 fanout ablation) and how to
 answer the geometric predicates the range-count traversal needs.
+:class:`RangeCounter` is the base of every spatial synopsis that answers
+range counts of boxes.
 """
 
 from __future__ import annotations
 
+import abc
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Box"]
+__all__ = ["Box", "RangeCounter"]
 
 
 @dataclass(frozen=True)
@@ -217,3 +220,41 @@ class Box:
             raise ValueError(
                 f"dimension mismatch: {self.ndim} vs {other.ndim}"
             )
+
+
+class RangeCounter(abc.ABC):
+    """A spatial synopsis that answers range counts through one batch
+    engine, :meth:`range_count_arrays`, on ``(n, d)`` matrices of query
+    bounds: :meth:`range_count` and :meth:`range_count_many` pack boxes into
+    them, so a box gets the same answer whichever way it is asked."""
+
+    @abc.abstractmethod
+    def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
+        """The noisy counts of ``(n, d)`` query bounds, one per row."""
+
+    def range_count(self, query: Box) -> float:
+        """The noisy number of points inside ``query``."""
+        return float(self.range_count_many([query])[0])
+
+    def range_count_many(self, queries: Iterable[Box]) -> np.ndarray:
+        """The noisy counts of a workload of boxes, in workload order."""
+        queries = list(queries)
+        shape = (len(queries), queries[0].ndim if queries else 0)
+        q_lows = np.array([q.low for q in queries], dtype=float).reshape(shape)
+        q_highs = np.array([q.high for q in queries], dtype=float).reshape(shape)
+        return self.range_count_arrays(q_lows, q_highs)
+
+    def _bounds(self, q_lows, q_highs) -> tuple[np.ndarray, np.ndarray]:
+        """An engine's ``q_lows`` and ``q_highs`` as contiguous float
+        ``(n, ndim)`` matrices; raises ``ValueError`` otherwise (an empty
+        batch may have any width)."""
+        q_lows = np.ascontiguousarray(q_lows, dtype=float)
+        q_highs = np.ascontiguousarray(q_highs, dtype=float)
+        if q_lows.shape != q_highs.shape or q_lows.ndim != 2:
+            raise ValueError("query bounds must be matching (n, d) matrices")
+        if len(q_lows) and q_lows.shape[1] != self.ndim:
+            raise ValueError(
+                f"queries have {q_lows.shape[1]} dims but the synopsis has "
+                f"{self.ndim}"
+            )
+        return q_lows, q_highs

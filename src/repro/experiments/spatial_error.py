@@ -36,8 +36,8 @@ __all__ = [
 #: The ε values of every evaluation plot in the paper.
 PAPER_EPSILONS = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
 
-#: A builder takes (dataset, epsilon, rng) and returns an object exposing
-#: ``range_count(Box) -> float``.
+#: A builder takes (dataset, epsilon, rng) and returns a release or a
+#: :class:`~repro.domains.RangeCounter`.
 SynopsisBuilder = Callable[[SpatialDataset, float, np.random.Generator], object]
 
 

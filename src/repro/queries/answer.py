@@ -6,8 +6,8 @@ the experiment sweeps:
 
 * spatial releases — every query compiles to axis-aligned boxes
   (:meth:`~repro.queries.types.SpatialQuery.to_boxes`), the whole batch
-  is answered by **one** ``range_count_many`` call on the release's flat
-  engine, and the per-box answers land in each query's slots;
+  is answered by **one** ``range_count_many`` call on the release's one
+  engine (tree or grid), and the per-box answers land in each query's slots;
 * PST releases — queries are grouped by type and each group runs one
   batched :class:`~repro.sequence.flat.FlatPST` pass
   (``frequency_many`` / ``prefix_frequency_many`` / ``conditional_rows``);

@@ -95,11 +95,10 @@ class PackedRangeCounts:
     """A decoded all-range-count batch kept in columnar form.
 
     The serving fast path: ``(n, d)`` bound matrices that go straight to
-    ``range_count_arrays`` with no per-query objects.  ``validate``
-    applies exactly the checks the typed path applies (finiteness,
-    positive extent at construction; dimensionality against the domain),
-    and :meth:`to_workload` materializes the equivalent typed workload
-    for releases without a columnar engine.
+    every spatial release's ``range_count_arrays`` with no per-query
+    objects.  ``validate`` applies exactly the checks the typed path
+    applies (finiteness, positive extent at construction; dimensionality
+    against the domain).
     """
 
     q_lows: np.ndarray
@@ -140,15 +139,6 @@ class PackedRangeCounts:
                 f"queries have {self.ndim} dims but the release domain has "
                 f"{domain.ndim}"
             )
-
-    def to_workload(self) -> Workload:
-        """The equivalent typed workload (for non-columnar engines)."""
-        return Workload(
-            tuple(
-                RangeCount(low=tuple(low), high=tuple(high))
-                for low, high in zip(self.q_lows, self.q_highs)
-            )
-        )
 
 
 # ----------------------------------------------------------------------

@@ -64,9 +64,8 @@ def _estimates(synopsis: Any, workload: Workload | Sequence[Any]) -> np.ndarray:
     """The synopsis's flat answers for ``workload``.
 
     Releases answer through the typed path; plain synopsis objects (the
-    ablation builders may return bare trees or grids) fall back to their
-    batched ``range_count_many`` or a scalar ``range_count`` loop over the
-    workload's compiled boxes.
+    ablation builders may return bare trees or grids) answer the workload's
+    compiled boxes with their ``range_count_many``.
     """
     from .answer import compile_spatial_boxes
     from .types import RangeCount
@@ -82,10 +81,7 @@ def _estimates(synopsis: Any, workload: Workload | Sequence[Any]) -> np.ndarray:
             "workloads (point/marginal queries compile against the domain)"
         )
     boxes = compile_spatial_boxes(workload, domain)
-    batched = getattr(synopsis, "range_count_many", None)
-    if batched is not None:
-        return np.asarray(batched(boxes), dtype=float)
-    return np.array([synopsis.range_count(box) for box in boxes])
+    return np.asarray(synopsis.range_count_many(boxes), dtype=float)
 
 
 def score_workload(

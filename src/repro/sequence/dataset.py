@@ -178,12 +178,6 @@ class TokenStore:
         """Token counts per sequence, excluding ``$`` (at most ``l⊤``)."""
         return self.ends - self.starts - 1
 
-    def symbol_lengths(self) -> np.ndarray:
-        """Symbol counts per sequence after truncation (``&`` not counted)."""
-        lengths = self.ends - self.starts - 1
-        has_end = self.flat[self.ends - 1] == self.alphabet.end_code
-        return lengths - has_end.astype(np.int64)
-
     def sequence_tokens(self, index: int) -> np.ndarray:
         """The token codes of one sequence (including sentinels)."""
         return self.flat[self.starts[index] : self.ends[index]]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.analysis import check_max_depth
 from ..core.level import Level, preorder
 from ..core.params import PrivTreeParams, check_theta
 from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
@@ -176,7 +177,9 @@ def private_pst(
     external ``accountant`` records the §4.2 split as two ledger entries
     summing to ``epsilon``; a private one is created when omitted.
     """
-    check_theta(theta)  # before the spend: a refused fit spends nothing
+    # Before the spend: a refused fit spends nothing.
+    check_theta(theta)
+    check_max_depth(max_depth)
     gen = ensure_rng(rng)
     store = dataset.truncate(l_top)
     beta = dataset.alphabet.pst_fanout

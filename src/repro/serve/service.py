@@ -207,26 +207,18 @@ class SynopsisService:
         The binary counterpart of :meth:`answer_batch`.  An
         all-range-count payload stays columnar end to end: the decoded
         ``(n, d)`` bound matrices run one ``range_count_arrays`` call on
-        the release's flat engine — no query objects, no dict hops, no
-        float reprs.  Mixed batches materialize the typed workload and
-        answer through the same ``release.answer`` dispatch as JSON, so
-        binary answers are the identical float64 values either way.
+        the release's engine — no query objects, no dict hops, no float
+        reprs.  Mixed batches materialize the typed workload and answer
+        through the same ``release.answer`` dispatch as JSON, so binary
+        answers are the identical float64 values either way.
         """
         started = time.perf_counter()
         release = self.release(release_id)
         batch = decode_binary_workload(payload)
         if isinstance(batch, PackedRangeCounts):
-            domain = release.query_domain
-            batch.validate(domain)
-            arrays_fn = getattr(release, "range_count_arrays", None)
-            if arrays_fn is not None:
-                values = np.asarray(
-                    arrays_fn(batch.q_lows, batch.q_highs), dtype=np.float64
-                )
-            else:
-                # Grid-shaped releases have no columnar engine; the typed
-                # path answers the identical floats (same boxes, same order).
-                values = release.answer(batch.to_workload())
+            # Validation admits only a Box domain, that of a SpatialRelease.
+            batch.validate(release.query_domain)
+            values = release.range_count_arrays(batch.q_lows, batch.q_highs)
             offsets = np.arange(len(batch) + 1, dtype=np.uint32)
         else:
             values = release.answer(batch)

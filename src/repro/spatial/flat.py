@@ -30,21 +30,20 @@ descend masks into pair indices once with ``np.flatnonzero`` and selects
 by gathering with them, and the node volumes and leaf mask are computed
 once per synopsis and cached read-only.  The v2 artifact aligns every
 array it maps, since misaligned float64 columns make the gathers about
-40% slower.  ``range_count_many``
-and the scalar ``range_count`` call the same function; its answers are
-byte-identical to the row-wise version frozen as
-:func:`repro.experiments.perf.reference_range_count_arrays`.
+40% slower.  The scalar ``range_count`` and ``range_count_many`` of the
+:class:`~repro.domains.box.RangeCounter` base pack their boxes into one
+call of it; its answers are byte-identical to the row-wise version frozen
+as :func:`repro.experiments.perf.reference_range_count_arrays`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..domains.box import Box
+from ..domains.box import RangeCounter
 from .histogram_tree import HistogramTree
 
 __all__ = ["FlatHistogram"]
@@ -92,7 +91,7 @@ def _child_lists(lows, highs, counts, parents) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class FlatHistogram:
+class FlatHistogram(RangeCounter):
     """A structure-of-arrays spatial synopsis.
 
     Its one constructor takes ``lows``, ``highs``, ``counts`` and
@@ -281,56 +280,17 @@ class FlatHistogram:
     # Queries
     # ------------------------------------------------------------------
 
-    def range_count(self, query: Box) -> float:
-        """Answer one range-count query (vectorized §2.2 semantics)."""
-        return float(self.range_count_many([query])[0])
-
-    def range_count_many(self, queries: Sequence[Box] | Iterable[Box]) -> np.ndarray:
-        """Answer a whole workload at once.
-
-        Runs the §2.2 traversal for every query simultaneously: the frontier
-        is a flat array of (query, node) pairs, advanced one tree level per
-        iteration with pure-NumPy coverage/overlap tests, so the visited
-        (query, node) pairs are exactly those of the recursive traversal but
-        the per-node Python cost is gone.  Returns answers in workload
-        order; equivalent (to float round-off) to calling
-        :meth:`range_count` per query, ~an order of magnitude faster on
-        thousand-query workloads.
-        """
-        queries = list(queries)
-        n_queries = len(queries)
-        if n_queries == 0:
-            return np.empty(0)
-        d = self.ndim
-        for q in queries:
-            if q.ndim != d:
-                raise ValueError(
-                    f"query has {q.ndim} dims but the synopsis has {d}"
-                )
-        q_lows = np.array([q.low for q in queries])
-        q_highs = np.array([q.high for q in queries])
-        return self.range_count_arrays(q_lows, q_highs)
-
     def range_count_arrays(self, q_lows: np.ndarray, q_highs: np.ndarray) -> np.ndarray:
-        """Answer ``(n, d)`` low/high bound arrays directly.
+        """Answer ``(n, d)`` low/high bound matrices in one traversal.
 
-        The columnar entry point behind :meth:`range_count_many`: callers
-        that already hold packed bound matrices (the binary wire codec, the
-        bench harness) skip building per-query :class:`Box` objects.  The
-        traversal and answers are identical.
+        The tree's one range-count engine: :meth:`range_count` and
+        :meth:`range_count_many` pack boxes into these matrices, and the
+        binary wire codec and the bench harness pass theirs as they are.
         """
-        q_lows = np.ascontiguousarray(q_lows, dtype=float)
-        q_highs = np.ascontiguousarray(q_highs, dtype=float)
-        if q_lows.shape != q_highs.shape or q_lows.ndim != 2:
-            raise ValueError("query bounds must be matching (n, d) matrices")
+        q_lows, q_highs = self._bounds(q_lows, q_highs)
         n_queries = q_lows.shape[0]
         if n_queries == 0:
             return np.empty(0)
-        if q_lows.shape[1] != self.ndim:
-            raise ValueError(
-                f"queries have {q_lows.shape[1]} dims but the synopsis has "
-                f"{self.ndim}"
-            )
         counts = self.counts
         volumes = self.volumes
         leaf = self.is_leaf

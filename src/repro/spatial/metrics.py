@@ -12,16 +12,12 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..domains.box import Box
 from .dataset import SpatialDataset
 
 __all__ = [
     "relative_error",
     "average_relative_error",
-    "average_relative_error_from_answers",
-    "workload_error",
     "SMOOTHING_FRACTION",
 ]
 
@@ -55,37 +51,3 @@ def average_relative_error(
         exact = dataset.count_in(query)
         total += relative_error(answer(query), exact, smoothing)
     return total / len(queries)
-
-
-def average_relative_error_from_answers(
-    estimates: np.ndarray,
-    exacts: np.ndarray,
-    smoothing: float,
-) -> float:
-    """Vectorized mean relative error given precomputed answer vectors.
-
-    Legacy alias: the §6.1 formula now lives in
-    :mod:`repro.queries.metrics` (``relative_errors``), which this
-    delegates to so the two surfaces can never diverge.
-    """
-    from ..queries.metrics import relative_errors
-
-    return float(relative_errors(estimates, exacts, smoothing).mean())
-
-
-def workload_error(
-    synopsis: object,
-    queries: Sequence[Box],
-    exacts: np.ndarray,
-    smoothing: float,
-) -> float:
-    """Mean relative error of a synopsis over a box workload.
-
-    Legacy alias of :func:`repro.queries.metrics.workload_error` taking
-    raw boxes; the experiments now score typed
-    :class:`~repro.queries.Workload` objects directly.
-    """
-    from ..queries import Workload
-    from ..queries.metrics import workload_error as _workload_error
-
-    return _workload_error(synopsis, Workload.ranges(queries), exacts, smoothing)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.analysis import check_integer, simpletree_scale
+from ..core.analysis import check_integer, check_max_depth, simpletree_scale
 from ..core.level import Preorder, preorder
 from ..core.params import PrivTreeParams, check_theta
 from ..core.privtree import DEFAULT_MAX_DEPTH, grow_frontier
@@ -68,7 +68,7 @@ def privtree_decomposition(
     caller wants the partition itself, e.g. for private k-means
     coarsening; most users want ``from_spec("privtree")`` instead.
     """
-    _check_max_depth(max_depth)
+    check_max_depth(max_depth)
     root = BoxLevel.root(dataset.domain, dims_per_split)
     params = PrivTreeParams.calibrate(epsilon, fanout=root.fanout, theta=theta)
     labels = PointLabels(dataset.points)
@@ -154,14 +154,6 @@ def _privtree_flat(
     )
 
 
-def _check_max_depth(max_depth: int | None) -> None:
-    """Refuse a ``max_depth`` that is neither ``None`` nor an integer >= 0:
-    a tree grows whole levels, and a negative guard would release the root
-    alone for all of ε."""
-    if max_depth is not None:
-        check_integer("max_depth", max_depth, 0)
-
-
 def _check_fit_params(
     theta: float,
     tree_fraction: float,
@@ -172,7 +164,7 @@ def _check_fit_params(
     """Reject bad PrivTree histogram parameters, before any budget is spent."""
     check_theta(theta)
     check_integer("tuples_per_individual", tuples_per_individual, 1)
-    _check_max_depth(max_depth)
+    check_max_depth(max_depth)
     if count_mechanism not in ("laplace", "geometric"):
         raise ValueError(
             f"count_mechanism must be 'laplace' or 'geometric', got {count_mechanism!r}"

@@ -11,6 +11,7 @@ from repro.baselines.ag import (
     ag_level1_cells_per_dim,
     ag_level2_cells_per_dim,
 )
+from repro.baselines.grid import UniformGrid
 from repro.baselines.ug import _ug_histogram
 from repro.domains import Box
 from repro.spatial import SpatialDataset, average_relative_error, generate_workload
@@ -103,6 +104,42 @@ class TestAgHistogram:
         for (i, j), sub in ag.subgrids.items():
             exact = clustered_2d.count_in(ag.level1.cell_box((i, j)))
             assert sub.counts.sum() == pytest.approx(exact, abs=60.0)
+
+    def test_points_on_cell_edges_reach_the_subgrid_restrict_gives(self, monkeypatch):
+        """The fit bins each point into its level-1 cell once; a point on an
+        internal edge or the domain's low corner must land in the cell
+        ``dataset.restrict`` gives it (half-open cells)."""
+        domain = Box((0.0, -1.0), (3.0, 2.0))
+        m1 = ag_level1_cells_per_dim(4_000, 10.0)
+        edges = [np.linspace(lo, hi, m1 + 1) for lo, hi in zip(domain.low, domain.high)]
+        on_edges = np.array([(x, y) for x in edges[0][:-1] for y in edges[1][:-1]])
+        rng = np.random.default_rng(0)
+        n_inner = 4_000 - 5 * len(on_edges)
+        inner = rng.uniform(domain.low, domain.high, size=(n_inner, 2))
+        points = np.concatenate([np.repeat(on_edges, 5, axis=0), inner])
+        data = SpatialDataset(points, domain)
+
+        binned = []
+        histogram = UniformGrid.histogram
+
+        def recording(dataset, shape):
+            binned.append(dataset)
+            return histogram(dataset, shape)
+
+        monkeypatch.setattr(UniformGrid, "histogram", staticmethod(recording))
+        ag = _ag_histogram(data, epsilon=10.0, rng=0)
+        level1, *subgrids = binned
+        assert level1 is data
+        assert len(subgrids) == len(ag.subgrids) > m1 * m1 // 2
+        assert sum(sub.n for sub in subgrids) > 0.5 * data.n
+        for sub, (index, grid) in zip(subgrids, sorted(ag.subgrids.items())):
+            assert sub.domain == grid.domain == ag.level1.cell_box(index)
+            expected = data.restrict(sub.domain)
+            assert np.array_equal(sub.points, expected.points)
+            assert np.array_equal(
+                histogram(sub, grid.shape).counts,
+                histogram(expected, grid.shape).counts,
+            )
 
     def test_range_count_total(self, clustered_2d):
         ag = _ag_histogram(clustered_2d, epsilon=2.0, rng=1)

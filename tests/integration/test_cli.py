@@ -809,6 +809,48 @@ class TestFederatedFitCommand:
         central = json.loads(central_out.read_text())
         assert fed["payload"] == central["payload"]
 
+    def test_dims_per_split_builds_the_collectors(self, capsys, tmp_path):
+        """``--param dims_per_split`` reaches the collectors, which own the
+        split geometry: the release equals the centralized round-robin fit."""
+        import json
+
+        outs = {}
+        for name, command in (
+            ("federated", ["federated-fit", "--shards", "2"]),
+            ("central", ["run", "--method", "privtree"]),
+        ):
+            outs[name] = tmp_path / f"{name}.json"
+            assert main(
+                command
+                + [
+                    "--dataset", "gowalla",
+                    "--n", "2000",
+                    "--epsilon", "1.0",
+                    "--seed", "0",
+                    "--param", "dims_per_split=1",
+                    "--out", str(outs[name]),
+                ]
+            ) == 0
+        capsys.readouterr()
+        fed, central = (json.loads(outs[name].read_text()) for name in outs)
+        assert fed["payload"] == central["payload"]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1.5", "must be an integer"), ("5", r"must be in \[1, 2\]")],
+    )
+    def test_bad_dims_per_split_exits_with_one_line(self, value, message):
+        with pytest.raises(SystemExit, match=message):
+            main(
+                [
+                    "federated-fit",
+                    "--shards", "2",
+                    "--dataset", "gowalla",
+                    "--n", "500",
+                    "--param", f"dims_per_split={value}",
+                ]
+            )
+
     def test_epoch_series_persists_store(self, capsys, tmp_path):
         store = tmp_path / "epochs"
         code = main(

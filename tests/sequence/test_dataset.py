@@ -116,10 +116,6 @@ class TestTruncation:
         store = small.truncate(l_top=3)
         assert (store.token_lengths() <= 3).all()
 
-    def test_symbol_lengths(self, small):
-        store = small.truncate(l_top=3)
-        np.testing.assert_array_equal(store.symbol_lengths(), [1, 2, 3, 3])
-
     def test_prediction_positions_count(self, small):
         # Without truncation: each sequence contributes len(symbols)+1
         # prediction positions (symbols plus &): 2+3+4+5 = 14.

@@ -101,6 +101,22 @@ class TestPrivatePST:
             private_pst(markov_data, 1.0, l_top=30, theta=theta, accountant=acct)
         assert acct.ledger == []
 
+    @pytest.mark.parametrize("max_depth", [-1, 2.5, True], ids=repr)
+    def test_bad_max_depth_refused_before_spend(
+        self, markov_data, max_depth, monkeypatch
+    ):
+        def grow(*args, **kwargs):
+            raise AssertionError("a level grew")
+
+        module = importlib.import_module("repro.sequence.private_pst")
+        monkeypatch.setattr(module, "grow_frontier", grow)
+        acct = PrivacyAccountant(1.0)
+        with pytest.raises(ValueError, match="max_depth must be"):
+            private_pst(
+                markov_data, 1.0, l_top=30, max_depth=max_depth, accountant=acct
+            )
+        assert acct.ledger == []
+
 
 class TestExactPST:
     def test_threshold_controls_size(self, markov_data):

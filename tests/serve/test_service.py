@@ -233,6 +233,35 @@ class TestBinaryBatch:
         assert stats["batches"] == 1
         assert stats["queries"] == len(QUERY_BOXES)
 
+    @pytest.mark.parametrize("name", ["ug", "dawa", "hierarchy", "privelet", "ag"])
+    def test_grid_releases_answer_packed_batches(self, name, store, uniform_2d):
+        """A packed batch runs the stored grid's own engine over its mapped
+        counts and answers the fitted release's exact floats."""
+        from repro.queries import (
+            Workload,
+            decode_binary_answers,
+            encode_binary_workload,
+        )
+        from repro.spatial.queries import generate_workload
+
+        release, _ = fit_release(name, uniform_2d, None)
+        release_id = store.put(release)
+        service = SynopsisService(store)
+        loaded = service.release(release_id)
+        grid = loaded.synopsis.level1 if name == "ag" else loaded.grid
+        base = grid.counts
+        while base is not None and not isinstance(base, np.memmap):
+            base = base.base
+        assert isinstance(base, np.memmap)
+        boxes = generate_workload(uniform_2d.domain, "medium", 64, rng=2)
+        workload = Workload.ranges(QUERY_BOXES + boxes)
+        payload = service.answer_batch_binary(
+            release_id, encode_binary_workload(workload)
+        )
+        values, offsets = decode_binary_answers(payload)
+        assert values.tobytes() == release.answer(workload).tobytes()
+        assert offsets.tolist() == list(range(len(workload) + 1))
+
     def test_batch_counters_survive_concurrent_writers(self, store, uniform_2d):
         """The satellite contract: counters never lose increments under
         concurrent batches (plain `+=` on ints would)."""
